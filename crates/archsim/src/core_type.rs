@@ -467,11 +467,12 @@ impl Platform {
         self.cores().filter(|&c| self.core_type(c) == r).collect()
     }
 
-    /// Moves core type `r` to a new (frequency, voltage) operating
-    /// point in place — the platform half of a DVFS transition. The
-    /// scaled configuration is derived from the *current* one via
-    /// [`CoreConfig::at_operating_point`], so successive calls compose
-    /// from wherever the type currently sits.
+    /// Replaces the configuration of core type `r` in place — the
+    /// platform half of a DVFS transition. Derive `config` from the
+    /// type's nominal configuration with
+    /// [`CoreConfig::at_operating_point`], never from its current one:
+    /// chained rescales would compound the power model's rounding and
+    /// leakage-share assumption.
     ///
     /// Callers that cache anything derived from the old configuration
     /// (pipeline estimates, calibrated power models) must invalidate it;
@@ -480,10 +481,9 @@ impl Platform {
     ///
     /// # Panics
     ///
-    /// Panics if `r` is out of range, or the operating point is not
-    /// strictly positive and finite.
-    pub fn set_type_operating_point(&mut self, r: CoreTypeId, freq_hz: f64, vdd: f64) {
-        self.types[r.0] = self.types[r.0].at_operating_point(freq_hz, vdd);
+    /// Panics if `r` is out of range.
+    pub fn set_type_config(&mut self, r: CoreTypeId, config: CoreConfig) {
+        self.types[r.0] = config;
     }
 }
 
@@ -630,10 +630,10 @@ mod tests {
     }
 
     #[test]
-    fn set_type_operating_point_rescales_in_place() {
+    fn set_type_config_replaces_in_place() {
         let mut p = Platform::quad_heterogeneous();
         let before = p.type_config(CoreTypeId(1)).clone();
-        p.set_type_operating_point(CoreTypeId(1), 0.75e9, 0.65);
+        p.set_type_config(CoreTypeId(1), before.at_operating_point(0.75e9, 0.65));
         let after = p.type_config(CoreTypeId(1)).clone();
         assert_eq!(after, before.at_operating_point(0.75e9, 0.65));
         assert_eq!(

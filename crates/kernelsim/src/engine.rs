@@ -223,8 +223,11 @@ struct TaskFast {
 /// counter synthesis and 50+ accumulator adds.
 #[derive(Debug, Default)]
 pub struct BatchedEngine {
-    /// Per-task memoized stretch state, indexed by `TaskId`.
-    fast: Vec<Option<TaskFast>>,
+    /// Per-task memoized stretch state, indexed by `TaskId`. Boxed so
+    /// a slot costs one pointer; [`BatchedEngine::flush`] empties the
+    /// slot of every task that has exited, so only live tasks hold
+    /// state.
+    fast: Vec<Option<Box<TaskFast>>>,
     /// Per-core `(weight, total_weight, timeslice)` memo: `timeslice_ns`
     /// is a pure function of those two weights and the fixed period.
     timeslice: Vec<(u64, u64, u64)>,
@@ -384,7 +387,7 @@ impl BatchedEngine {
             .get_or_compute(key, &w, sys.platform.core_config(core));
         let task = &sys.tasks[tid.0];
         let progress = task.progress;
-        self.fast[tid.0] = Some(TaskFast {
+        self.fast[tid.0] = Some(Box::new(TaskFast {
             core,
             core_type: core_type.0,
             dvfs_gen: sys.dvfs_level[core_type.0],
@@ -402,7 +405,7 @@ impl BatchedEngine {
             templates: Vec::new(),
             deferred: CounterSample::default(),
             dirty: false,
-        });
+        }));
     }
 
     /// `System::dispatch`, with synthesis and counter accumulation
@@ -629,12 +632,25 @@ impl BatchedEngine {
     /// Delivers every deferred counter add. `u64` accumulation is
     /// exact and commutative, so one `scaled(pending)` multiply per
     /// template lands the same final values as per-slice adds.
+    ///
+    /// A task that exited ran a slice in this period, so it is on the
+    /// dirty list; once its counters are delivered its state is
+    /// dropped (an exited task is never dispatched again).
     fn flush(&mut self, sys: &mut System) {
         for tid in self.dirty.drain(..) {
             if let Some(fs) = self.fast[tid.0].as_mut() {
                 Self::flush_task(sys, tid, fs);
             }
+            if sys.tasks[tid.0].is_exited() {
+                self.fast[tid.0] = None;
+            }
         }
+    }
+
+    /// Number of tasks the engine holds memoized state for.
+    #[cfg(test)]
+    fn tracked_tasks(&self) -> usize {
+        self.fast.iter().filter(|fs| fs.is_some()).count()
     }
 
     fn flush_task(sys: &mut System, tid: TaskId, fs: &mut TaskFast) {
@@ -723,6 +739,39 @@ mod tests {
             )
         };
         assert_eq!(run(EngineKind::Reference), run(EngineKind::Batched));
+    }
+
+    #[test]
+    fn batched_state_is_held_for_live_tasks_only() {
+        const POPULATION: usize = 8;
+        let mut sys = System::new(Platform::quad_heterogeneous(), SystemConfig::default());
+        let mut gen = SyntheticGenerator::new(0xC4);
+        let mut spawned = 0usize;
+        let mut engine = BatchedEngine::default();
+        let period = sys.config().period_ns;
+        for k in 0..300 {
+            while sys.live_tasks() < POPULATION {
+                sys.spawn(gen.profile(
+                    format!("c{spawned}"),
+                    4,
+                    3_000_000,
+                    spawned.is_multiple_of(3),
+                ));
+                spawned += 1;
+            }
+            let start = k * period;
+            for j in 0..sys.platform().num_cores() {
+                engine.run_core_period(&mut sys, CoreId(j), start, start + period);
+                assert!(
+                    engine.tracked_tasks() <= sys.live_tasks(),
+                    "period {k} core {j}: state for {} tasks, {} live",
+                    engine.tracked_tasks(),
+                    sys.live_tasks()
+                );
+            }
+        }
+        assert!(spawned > 10 * POPULATION, "premise: the run churned");
+        assert!(engine.tracked_tasks() > 0, "premise: live tasks keep state");
     }
 
     #[test]

@@ -72,12 +72,13 @@ impl SystemStats {
                 }
             })
             .collect();
+        let live_tasks = sys.live_tasks();
         SystemStats {
             total_instructions: sensors.total_instructions(),
             total_energy_j: sensors.total_energy_j(),
             elapsed_ns: sys.now_ns(),
-            completed_tasks: sys.tasks().iter().filter(|t| t.is_exited()).count(),
-            live_tasks: sys.live_tasks(),
+            completed_tasks: sys.tasks().len() - live_tasks,
+            live_tasks,
             total_slices: sys.total_slices(),
             migrations: sys.total_migrations(),
             cross_cluster_migrations: sys.cross_cluster_migrations(),

@@ -12,8 +12,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use archsim::{
-    synthesize, time_to_complete_ns_with, CoreId, CoreTypeId, CounterSample, EstimateCache,
-    EstimateKey, FaultHarness, FaultPlan, FaultStats, Platform, SensorBank,
+    synthesize, time_to_complete_ns_with, CoreConfig, CoreId, CoreTypeId, CounterSample,
+    EstimateCache, EstimateKey, FaultHarness, FaultPlan, FaultStats, Platform, SensorBank,
 };
 use mcpat::{EnergyMeter, PowerState};
 use serde::{Deserialize, Serialize};
@@ -136,6 +136,12 @@ pub struct System {
     pub(crate) platform: Platform,
     pub(crate) config: SystemConfig,
     pub(crate) tasks: Vec<Task>,
+    /// Ids of the tasks live at the last epoch boundary plus those
+    /// spawned since, ascending. Tasks that exit mid-epoch stay until
+    /// [`System::finish_epoch`] compacts the list, so the epoch report
+    /// still carries their final row. Every per-epoch and per-spawn
+    /// walk goes through this list, never the whole `tasks` table.
+    live: Vec<TaskId>,
     pub(crate) queues: Vec<CfsRunQueue>,
     pub(crate) meter: EnergyMeter,
     pub(crate) sensors: SensorBank,
@@ -158,6 +164,9 @@ pub struct System {
     /// bumped by [`System::set_operating_point`] so an operating-point
     /// change can never serve a stale estimate.
     pub(crate) dvfs_level: Vec<u32>,
+    /// Every core type's configuration at boot: each operating point
+    /// is derived from these, never from the current point.
+    nominal_types: Vec<CoreConfig>,
     /// Per-core min-heap of pending `(wake_at_ns, task)` events, with
     /// lazy deletion: migration and re-sleep leave stale entries that
     /// are dropped when popped. Replaces the O(tasks) scan the idle
@@ -215,10 +224,12 @@ impl System {
         let meter = EnergyMeter::new(&platform);
         let sensors = SensorBank::new(&platform);
         let topology = Topology::from_platform(&platform);
+        let nominal_types = platform.types().map(|(_, t)| t.clone()).collect();
         System {
             platform,
             config,
             tasks: Vec::new(),
+            live: Vec::new(),
             queues: vec![CfsRunQueue::new(); n],
             meter,
             sensors,
@@ -231,6 +242,7 @@ impl System {
             tracer: Tracer::default(),
             estimates: EstimateCache::new(),
             dvfs_level: vec![0; q],
+            nominal_types,
             wake_heaps: vec![BinaryHeap::new(); n],
             total_slices: 0,
             engine: None,
@@ -288,7 +300,10 @@ impl System {
         self.epoch_index
     }
 
-    /// All tasks ever spawned (including exited ones).
+    /// All tasks ever spawned, exited ones included, indexed by
+    /// [`TaskId`] (ids are dense). The table only grows; per-epoch
+    /// scheduler work walks the live set instead (see
+    /// [`System::live_tasks`]).
     pub fn tasks(&self) -> &[Task] {
         &self.tasks
     }
@@ -364,6 +379,7 @@ impl System {
             self.wake_heaps[core.0].push(Reverse((wake_at_ns, id)));
         }
         self.tasks.push(task);
+        self.live.push(id);
         self.tracer.record(TraceEvent::Spawn {
             at_ns: self.now_ns,
             task: id,
@@ -372,30 +388,43 @@ impl System {
         id
     }
 
+    /// Total CFS weight of the live tasks on each core, in one pass over
+    /// the live set.
+    fn core_weights(&self) -> Vec<u64> {
+        let mut weights = vec![0u64; self.platform.num_cores()];
+        for t in self.live_iter() {
+            weights[t.core().0] += t.weight();
+        }
+        weights
+    }
+
+    /// The live-set tasks that have not exited (the list also holds
+    /// tasks that exited since the last epoch boundary).
+    fn live_iter(&self) -> impl Iterator<Item = &Task> {
+        self.live
+            .iter()
+            .map(|id| &self.tasks[id.0])
+            .filter(|t| !t.is_exited())
+    }
+
     fn least_loaded_core(&self) -> CoreId {
+        let weights = self.core_weights();
         let mut best = CoreId(0);
         let mut best_weight = u64::MAX;
         for c in self.platform.cores() {
-            if !self.core_online[c.0] {
-                continue;
-            }
-            let w: u64 = self
-                .tasks
-                .iter()
-                .filter(|t| t.core() == c && !t.is_exited())
-                .map(Task::weight)
-                .sum();
-            if w < best_weight {
-                best_weight = w;
+            if self.core_online[c.0] && weights[c.0] < best_weight {
+                best_weight = weights[c.0];
                 best = c;
             }
         }
         best
     }
 
-    /// Number of live (non-exited) tasks.
+    /// Number of live (non-exited) tasks. Counts over the live set, so
+    /// the cost is independent of how many tasks have exited before
+    /// the last epoch boundary.
     pub fn live_tasks(&self) -> usize {
-        self.tasks.iter().filter(|t| !t.is_exited()).count()
+        self.live_iter().count()
     }
 
     /// Runs one CFS scheduling period on every core. Offline cores are
@@ -755,8 +784,9 @@ impl System {
     fn build_epoch_report(&mut self) -> EpochReport {
         let duration_ns = self.config.epoch_ns();
         let tasks = self
-            .tasks
+            .live
             .iter()
+            .map(|id| &self.tasks[id.0])
             .filter(|t| !t.is_exited() || t.epoch.runtime_ns > 0)
             .map(|t| TaskEpochStats {
                 task: t.id(),
@@ -976,9 +1006,8 @@ impl System {
             );
             self.core_online[core.0] = false;
             let victims: Vec<TaskId> = self
-                .tasks
-                .iter()
-                .filter(|t| !t.is_exited() && t.core() == core)
+                .live_iter()
+                .filter(|t| t.core() == core)
                 .map(Task::id)
                 .collect();
             for tid in victims {
@@ -995,18 +1024,14 @@ impl System {
     /// outright (affinity is broken rather than losing the task).
     #[allow(clippy::expect_used)] // last-core invariant justified inline
     fn evacuation_target(&self, tid: TaskId) -> CoreId {
+        let weights = self.core_weights();
         let mut best: Option<(u64, CoreId)> = None;
         let mut best_any: Option<(u64, CoreId)> = None;
         for c in self.platform.cores() {
             if !self.core_online[c.0] {
                 continue;
             }
-            let w: u64 = self
-                .tasks
-                .iter()
-                .filter(|t| t.core() == c && !t.is_exited())
-                .map(Task::weight)
-                .sum();
+            let w = weights[c.0];
             if best_any.is_none_or(|(bw, _)| w < bw) {
                 best_any = Some((w, c));
             }
@@ -1088,9 +1113,13 @@ impl System {
                 self.estimates.misses(),
             );
         }
-        for t in &mut self.tasks {
-            t.reset_epoch();
+        // Tasks that exited before the last boundary were reset then and
+        // left the live set, so their epoch accounting is already zero.
+        for id in &self.live {
+            self.tasks[id.0].reset_epoch();
         }
+        let tasks = &self.tasks;
+        self.live.retain(|id| !tasks[id.0].is_exited());
         for a in &mut self.core_epoch {
             *a = CoreEpochAccum::default();
         }
@@ -1129,18 +1158,22 @@ impl System {
     }
 
     /// Moves every core of type `r` to a new (frequency, voltage)
-    /// operating point — a DVFS transition. Atomically with the
-    /// platform change this bumps the type's DVFS generation (part of
-    /// every estimate-cache key), drops the type's cached estimates,
-    /// and recalibrates the power model of each affected core, so no
-    /// stale characterization can survive the switch.
+    /// operating point — a DVFS transition. The point is derived from
+    /// the type's boot-time configuration, so a sequence of transitions
+    /// lands exactly where a single transition to its last point would.
+    /// Atomically with the platform change this bumps the type's DVFS
+    /// generation (part of every estimate-cache key), drops the type's
+    /// cached estimates, and recalibrates the power model of each
+    /// affected core, so no stale characterization can survive the
+    /// switch.
     ///
     /// # Panics
     ///
     /// Panics if `r` is out of range, or the operating point is not
     /// strictly positive and finite.
     pub fn set_operating_point(&mut self, r: CoreTypeId, freq_hz: f64, vdd: f64) {
-        self.platform.set_type_operating_point(r, freq_hz, vdd);
+        let config = self.nominal_types[r.0].at_operating_point(freq_hz, vdd);
+        self.platform.set_type_config(r, config);
         self.dvfs_level[r.0] = self.dvfs_level[r.0].wrapping_add(1);
         self.estimates.invalidate_core_type(r.0 as u32);
         for c in self.platform.cores_of_type(r) {
@@ -1510,6 +1543,34 @@ mod tests {
         // The cached run of the DVFS scenario must equal the uncached
         // one bit-for-bit — invalidation leaves no stale entries.
         assert_eq!((instr_dvfs, energy_dvfs), run(true, false));
+    }
+
+    #[test]
+    fn operating_points_derive_from_the_boot_configuration() {
+        let big = CoreTypeId(1);
+        let (a, b, c) = ((1.9e9, 0.9), (1.0e9, 0.72), (0.75e9, 0.65));
+        let after = |points: &[(f64, f64)]| {
+            let mut sys = System::new(Platform::quad_heterogeneous(), SystemConfig::default());
+            for &(freq_hz, vdd) in points {
+                sys.set_operating_point(big, freq_hz, vdd);
+            }
+            sys.platform().type_config(big).clone()
+        };
+        // A -> B -> A restores peak power bit-exactly (chained rescales
+        // used to inflate it by ~15%).
+        assert_eq!(
+            after(&[a, b, a]).peak_power_w.to_bits(),
+            after(&[a]).peak_power_w.to_bits()
+        );
+        // A -> B -> C lands where A -> C does.
+        assert_eq!(after(&[a, b, c]), after(&[a, c]));
+        assert_eq!(after(&[a, b, c]), after(&[c]));
+        // Returning to the boot point restores the boot peak power.
+        let boot = after(&[]);
+        assert_eq!(
+            after(&[b, (boot.freq_hz, boot.vdd)]).peak_power_w.to_bits(),
+            boot.peak_power_w.to_bits()
+        );
     }
 
     #[test]

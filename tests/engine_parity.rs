@@ -3,7 +3,8 @@
 //! indistinguishable — bit-for-bit — from the reference interpreter,
 //! under forced cross-type migrations, mid-epoch DVFS transitions, an
 //! active sensor-fault plan, probabilistic migration failure, core
-//! hotplug and full-level event tracing.
+//! hotplug, task churn (short tasks replaced as they exit) and
+//! full-level event tracing.
 //!
 //! The fingerprint is the JSON serialization of every [`EpochReport`]
 //! (string equality implies bit equality of every `f64` inside), plus
@@ -13,17 +14,16 @@
 
 use archsim::{CoreId, CoreTypeId, FaultKind, FaultPlan, Platform};
 use kernelsim::{
-    Allocation, EngineKind, EpochReport, LoadBalancer, System, SystemConfig, TaskId, TraceLevel,
+    Allocation, EngineKind, EpochReport, LoadBalancer, System, SystemConfig, TraceLevel,
 };
 use workloads::SyntheticGenerator;
 
-/// Deterministic stirring balancer: rotates every task one core to the
-/// right each epoch, forcing cross-type migrations (every core of the
-/// quad heterogeneous platform is its own type) and regularly moving
-/// sleeping tasks across wake heaps.
+/// Deterministic stirring balancer: rotates every live task one core
+/// to the right each epoch, forcing cross-type migrations (every core
+/// of the quad heterogeneous platform is its own type) and regularly
+/// moving sleeping tasks across wake heaps.
 struct Rotate {
     num_cores: usize,
-    num_tasks: usize,
     epoch: usize,
 }
 
@@ -32,11 +32,11 @@ impl LoadBalancer for Rotate {
         "rotate"
     }
 
-    fn rebalance(&mut self, _platform: &Platform, _report: &EpochReport) -> Option<Allocation> {
+    fn rebalance(&mut self, _platform: &Platform, report: &EpochReport) -> Option<Allocation> {
         self.epoch += 1;
         let mut alloc = Allocation::new();
-        for t in 0..self.num_tasks {
-            alloc.assign(TaskId(t), CoreId((t + self.epoch) % self.num_cores));
+        for t in report.tasks.iter().filter(|t| t.alive) {
+            alloc.assign(t.task, CoreId((t.task.0 + self.epoch) % self.num_cores));
         }
         Some(alloc)
     }
@@ -49,13 +49,17 @@ struct Scenario {
     dvfs: bool,
     /// A certain `StuckCounters` sensor fault from epoch 2.
     faults: bool,
-    /// Every migration attempt fails with probability 0.5.
-    migration_failure: bool,
+    /// Every migration attempt fails with this probability (0 = off).
+    migration_failure: f64,
     /// Core 2 offline for epochs 5..8 with a DVFS retune of its type
     /// while it is down.
     hotplug: bool,
     /// Full-level tracing (shrinks the run to [`TRACED_EPOCHS`]).
     trace: bool,
+    /// Short tasks, each replaced by a new one as it exits, with core 3
+    /// toggled offline/online every [`CHURN_HOTPLUG_EVERY`] epochs
+    /// (runs [`CHURN_EPOCHS`]).
+    churn: bool,
 }
 
 /// Everything observable about one run of the scenario.
@@ -74,6 +78,18 @@ struct RunTrace {
 const TASKS: usize = 10;
 const EPOCHS: u32 = 16;
 const TRACED_EPOCHS: u32 = 3;
+const CHURN_EPOCHS: u32 = 40;
+const CHURN_HOTPLUG_EVERY: u32 = 7;
+
+/// Instruction budget of the next task: effectively endless, or short
+/// enough to exit within an epoch or two under churn.
+fn task_instructions(gen: &mut SyntheticGenerator, sc: Scenario) -> u64 {
+    if sc.churn {
+        10_000_000 + gen.below(60_000_001)
+    } else {
+        u64::MAX / 64
+    }
+}
 
 /// Runs the parity scenario — 10 multi-phase tasks (half interactive)
 /// on the quad heterogeneous platform, stirred by [`Rotate`] — on the
@@ -93,22 +109,24 @@ fn run(engine: EngineKind, cached: bool, sc: Scenario) -> RunTrace {
             0xFA17_2026,
         );
     }
-    if sc.migration_failure {
-        sys.set_migration_failure(0.5, 0xBAD);
-    }
+    sys.set_migration_failure(sc.migration_failure, 0xBAD);
     if sc.trace {
         sys.enable_tracing(TraceLevel::Full, 1 << 20);
     }
     let mut gen = SyntheticGenerator::new(0xD1CE);
     for i in 0..TASKS {
-        sys.spawn(gen.profile(format!("w{i}"), 5, u64::MAX / 64, i % 2 == 0));
+        let instructions = task_instructions(&mut gen, sc);
+        sys.spawn(gen.profile(format!("w{i}"), 5, instructions, i % 2 == 0));
     }
     let mut bal = Rotate {
         num_cores: 4,
-        num_tasks: TASKS,
         epoch: 0,
     };
-    let epochs = if sc.trace { TRACED_EPOCHS } else { EPOCHS };
+    let epochs = match (sc.trace, sc.churn) {
+        (true, _) => TRACED_EPOCHS,
+        (false, true) => CHURN_EPOCHS,
+        (false, false) => EPOCHS,
+    };
     let mut fingerprints = Vec::new();
     for epoch in 0..epochs {
         if sc.dvfs && epoch == 4 {
@@ -135,8 +153,19 @@ fn run(engine: EngineKind, cached: bool, sc: Scenario) -> RunTrace {
                 sys.set_core_online(CoreId(2), true);
             }
         }
+        if sc.churn && epoch > 0 && epoch % CHURN_HOTPLUG_EVERY == 0 {
+            let online = sys.core_online(CoreId(3));
+            sys.set_core_online(CoreId(3), !online);
+        }
         let report = sys.run_epoch(&mut bal);
         fingerprints.push(serde_json::to_string(&report).expect("serialize report"));
+        if sc.churn {
+            for _ in report.tasks.iter().filter(|t| !t.alive) {
+                let id = sys.next_task_id().0;
+                let instructions = task_instructions(&mut gen, sc);
+                sys.spawn(gen.profile(format!("w{id}"), 5, instructions, id.is_multiple_of(2)));
+            }
+        }
     }
     RunTrace {
         fingerprints,
@@ -183,7 +212,7 @@ fn batched_matches_reference_on_the_full_stress_scenario() {
     let sc = Scenario {
         dvfs: true,
         faults: true,
-        migration_failure: true,
+        migration_failure: 0.5,
         ..Scenario::default()
     };
     let reference = run(EngineKind::Reference, true, sc);
@@ -278,4 +307,28 @@ fn batched_with_caching_disabled_delegates_to_reference() {
     let batched = run(EngineKind::Batched, false, sc);
     assert_runs_identical(&reference, &batched, "uncached delegation");
     assert_eq!(reference.cache_hits, 0);
+}
+
+#[test]
+fn batched_matches_reference_under_task_churn() {
+    // Tasks exit and are replaced every epoch, so the batched engine
+    // retires the run state of exited tasks while new ids keep arriving;
+    // migrations fail at random and a core comes and goes.
+    let sc = Scenario {
+        churn: true,
+        migration_failure: 0.1,
+        ..Scenario::default()
+    };
+    let reference = run(EngineKind::Reference, true, sc);
+    let batched = run(EngineKind::Batched, true, sc);
+    assert_runs_identical(&reference, &batched, "churn");
+    let exits: usize = reference
+        .fingerprints
+        .iter()
+        .map(|f| f.matches("\"alive\":false").count())
+        .sum();
+    assert!(
+        exits > 3 * TASKS,
+        "premise: the run churned ({exits} exits)"
+    );
 }

@@ -276,3 +276,113 @@ fn migration_preserves_tasks() {
         assert_eq!(report.tasks.len(), 6, "case {case}");
     }
 }
+
+/// The core a brute-force scan over every task ever spawned picks for
+/// a new task: the first online core with the least live weight.
+fn brute_force_least_loaded(sys: &System) -> CoreId {
+    let cores = sys.platform().num_cores();
+    (0..cores)
+        .map(CoreId)
+        .filter(|&c| sys.core_online(c))
+        .min_by_key(|&c| {
+            sys.tasks()
+                .iter()
+                .filter(|t| t.core() == c && !t.is_exited())
+                .map(kernelsim::Task::weight)
+                .sum::<u64>()
+        })
+        .expect("an online core")
+}
+
+/// kernelsim: the live set behind every per-epoch walk agrees with
+/// brute-force scans of the whole task table, under churn (short tasks
+/// replaced as they exit, some with non-default nice values) and a
+/// core hotplugged off and on.
+#[test]
+fn live_set_matches_brute_force_scans_under_churn() {
+    const POPULATION: usize = 8;
+    for case in 0..CASES / 8 {
+        let mut gen = case_gen(8, case);
+        let mut sys = System::new(Platform::quad_heterogeneous(), SystemConfig::default());
+        let mut nb = NullBalancer;
+        let epoch_ns = sys.config().epoch_ns();
+        for epoch in 0..60u64 {
+            while sys.live_tasks() < POPULATION {
+                let id = sys.next_task_id();
+                let instructions = 5_000_000 + gen.below(80_000_000);
+                let profile = gen.profile(
+                    format!("t{}", id.0),
+                    4,
+                    instructions,
+                    id.0.is_multiple_of(3),
+                );
+                if gen.below(4) == 0 {
+                    let nice = gen.below(11) as i32 - 5;
+                    let core = brute_force_least_loaded(&sys);
+                    sys.spawn_task(kernelsim::Task::new(id, profile, core).with_nice(nice));
+                } else {
+                    let expected = brute_force_least_loaded(&sys);
+                    let spawned = sys.spawn(profile);
+                    assert_eq!(
+                        sys.task(spawned).core(),
+                        expected,
+                        "case {case} epoch {epoch}"
+                    );
+                }
+            }
+            if epoch % 5 == 4 {
+                let online = sys.core_online(CoreId(2));
+                sys.set_core_online(CoreId(2), !online);
+            }
+            let report = sys.run_epoch(&mut nb);
+            let ids: Vec<TaskId> = report.tasks.iter().map(|t| t.task).collect();
+            assert!(
+                ids.windows(2).all(|w| w[0] < w[1]),
+                "case {case} epoch {epoch}: report ids not ascending"
+            );
+            let alive: Vec<TaskId> = report
+                .tasks
+                .iter()
+                .filter(|t| t.alive)
+                .map(|t| t.task)
+                .collect();
+            let brute_alive: Vec<TaskId> = sys
+                .tasks()
+                .iter()
+                .filter(|t| !t.is_exited())
+                .map(|t| t.id())
+                .collect();
+            assert_eq!(alive, brute_alive, "case {case} epoch {epoch}");
+            let exited: Vec<TaskId> = report
+                .tasks
+                .iter()
+                .filter(|t| !t.alive)
+                .map(|t| t.task)
+                .collect();
+            let start = report.now_ns - epoch_ns;
+            let brute_exited: Vec<TaskId> = sys
+                .tasks()
+                .iter()
+                .filter(|t| {
+                    t.exited_at_ns()
+                        .is_some_and(|at| start < at && at <= report.now_ns)
+                })
+                .map(|t| t.id())
+                .collect();
+            assert_eq!(exited, brute_exited, "case {case} epoch {epoch}");
+            let stats = sys.stats();
+            assert_eq!(sys.live_tasks(), brute_alive.len(), "case {case}");
+            assert_eq!(stats.live_tasks, brute_alive.len(), "case {case}");
+            assert_eq!(
+                stats.completed_tasks,
+                sys.tasks().iter().filter(|t| t.is_exited()).count(),
+                "case {case} epoch {epoch}"
+            );
+        }
+        assert!(
+            sys.tasks().len() > 4 * POPULATION,
+            "case {case}: premise, the run churned ({} tasks)",
+            sys.tasks().len()
+        );
+    }
+}
