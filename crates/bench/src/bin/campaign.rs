@@ -21,10 +21,12 @@
 //!   it for a fresh campaign).
 //! * `--json <path>` — full report path (`BENCH_campaign.json`).
 //! * `--canonical <path>` — also write the canonicalized report, the
-//!   file CI byte-compares across kill/resume.
+//!   file CI byte-compares across kill/resume and across worker
+//!   counts and flush cadences.
 //! * `--checkpoint <path>` — journal path
 //!   (`campaign_checkpoint.jsonl`).
-//! * `--flush-every <n>` — checkpoint cadence in cells (default 4).
+//! * `--flush-every <n>` — checkpoint after every `n` resolved cells
+//!   (default 4); workers keep running during a flush.
 //! * `--max-cells <n>` — stop (as if killed) after `n` cells this run.
 //! * `--stop-file <path>` — graceful-shutdown trigger.
 //! * `--workers <n>` — worker threads (default: suite default).

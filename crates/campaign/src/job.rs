@@ -101,8 +101,10 @@ pub fn job_id(
     format!("{:016x}", fnv1a64(canonical.as_bytes()))
 }
 
+/// Compact JSON of plain in-memory data: the rendering cell ids hash
+/// and journal lines store.
 #[allow(clippy::expect_used)]
-fn canonical_json<T: Serialize>(value: &T) -> String {
+pub(crate) fn canonical_json<T: Serialize>(value: &T) -> String {
     // smartlint: allow(panic, "serializing in-memory plain-data structs cannot fail")
     serde_json::to_string(value).expect("plain data serializes")
 }

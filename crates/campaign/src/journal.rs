@@ -9,6 +9,11 @@
 //! is what makes resume safe, and smartlint rule `C1` pins it: the two
 //! annotated writes below are the only file-writing sites allowed in
 //! this crate.
+//!
+//! Each record is rendered to its JSON line once, when it enters the
+//! journal (at `insert`, or at `load` from the parsed record), so a
+//! flush only concatenates cached lines and never serializes a record
+//! a second time.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -19,6 +24,7 @@ use serde::{Deserialize, Serialize};
 use smartbalance::JobResult;
 
 use crate::flight::{AttemptOutcome, FlightRecord};
+use crate::job::canonical_json;
 
 /// One terminal cell outcome, as stored on disk (one JSON line each).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -27,7 +33,9 @@ pub enum JournalRecord {
     Completed {
         /// Content-addressed cell identity.
         id: String,
-        /// Grid index the cell completed at.
+        /// Grid index the cell completed at. Reports take the index
+        /// from the current grid instead, so a reordered grid places
+        /// replayed cells where they now sit.
         index: usize,
         /// Total tries consumed (1 = first-try success).
         attempts: u32,
@@ -39,7 +47,8 @@ pub enum JournalRecord {
     Quarantined {
         /// Content-addressed cell identity.
         id: String,
-        /// Grid index the cell failed at.
+        /// Grid index the cell failed at (reports use the current
+        /// grid's index, as for `Completed`).
         index: usize,
         /// Total tries consumed (always `max_retries + 1`).
         attempts: u32,
@@ -87,8 +96,23 @@ impl JournalRecord {
 #[derive(Debug)]
 pub struct CheckpointJournal {
     path: PathBuf,
-    records: BTreeMap<String, JournalRecord>,
+    records: BTreeMap<String, Entry>,
     skipped_lines: usize,
+}
+
+/// A record and its JSONL line (newline included), rendered once.
+#[derive(Debug)]
+struct Entry {
+    record: JournalRecord,
+    line: String,
+}
+
+impl Entry {
+    fn new(record: JournalRecord) -> Self {
+        let mut line = canonical_json(&record);
+        line.push('\n');
+        Entry { record, line }
+    }
 }
 
 impl CheckpointJournal {
@@ -97,7 +121,9 @@ impl CheckpointJournal {
     /// does not parse — a torn tail left by a non-atomic foreign
     /// writer, or hand-edited damage — is skipped and counted in
     /// [`CheckpointJournal::skipped_lines`] rather than aborting the
-    /// resume, because every record is self-contained.
+    /// resume, because every record is self-contained. Each line is
+    /// re-rendered from its parsed record, so the next flush writes
+    /// pre-v2 lines in today's shape.
     pub fn load(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
         let text = match fs::read_to_string(&path) {
@@ -113,7 +139,7 @@ impl CheckpointJournal {
             }
             match serde_json::from_str::<JournalRecord>(line) {
                 Ok(rec) => {
-                    records.insert(rec.id().to_owned(), rec);
+                    records.insert(rec.id().to_owned(), Entry::new(rec));
                 }
                 Err(_) => skipped_lines += 1,
             }
@@ -137,13 +163,14 @@ impl CheckpointJournal {
 
     /// The checkpointed outcome for `id`, if any.
     pub fn get(&self, id: &str) -> Option<&JournalRecord> {
-        self.records.get(id)
+        self.records.get(id).map(|e| &e.record)
     }
 
-    /// Adds (or overwrites) a terminal outcome in memory; call
-    /// [`CheckpointJournal::flush`] to persist.
+    /// Adds (or overwrites) a terminal outcome in memory and renders
+    /// its JSON line; call [`CheckpointJournal::flush`] to persist.
     pub fn insert(&mut self, record: JournalRecord) {
-        self.records.insert(record.id().to_owned(), record);
+        self.records
+            .insert(record.id().to_owned(), Entry::new(record));
     }
 
     /// Number of checkpointed cells.
@@ -163,22 +190,18 @@ impl CheckpointJournal {
 
     /// The records in identity order.
     pub fn records(&self) -> impl Iterator<Item = &JournalRecord> {
-        self.records.values()
+        self.records.values().map(|e| &e.record)
     }
 
-    /// Persists the journal atomically: renders every record to JSONL,
-    /// writes the whole byte string to a `.tmp` sibling, syncs it to
-    /// stable storage, then renames it over the live path. The rename
-    /// is the commit point — a crash before it leaves the previous
-    /// journal intact, a crash after it leaves the new one. Returns the
-    /// number of bytes committed (feeds the live plane's flush stats).
+    /// Persists the journal atomically: concatenates every record's
+    /// cached JSON line, writes the whole byte string to a `.tmp`
+    /// sibling, syncs it to stable storage, then renames it over the
+    /// live path. The rename is the commit point — a crash before it
+    /// leaves the previous journal intact, a crash after it leaves the
+    /// new one. Returns the number of bytes committed (feeds the live
+    /// plane's flush stats).
     pub fn flush(&self) -> io::Result<usize> {
-        let mut buf = String::new();
-        for record in self.records.values() {
-            let line = serde_json::to_string(record).map_err(io::Error::other)?;
-            buf.push_str(&line);
-            buf.push('\n');
-        }
+        let buf: String = self.records.values().map(|e| e.line.as_str()).collect();
         let tmp = tmp_sibling(&self.path);
         {
             // smartlint: allow(checkpoint-write, "this is the sanctioned atomic writer: the bytes go to the .tmp sibling, never the live journal")
@@ -312,6 +335,40 @@ mod tests {
             }
             other => panic!("forensics lost in round trip: {other:?}"),
         }
+    }
+
+    /// What a flush must write: a fresh rendering of every record, in
+    /// id order, one per line.
+    fn rendered(j: &CheckpointJournal) -> String {
+        j.records()
+            .map(|r| serde_json::to_string(r).expect("record serializes") + "\n")
+            .collect()
+    }
+
+    #[test]
+    fn flush_writes_a_fresh_rendering_of_every_record() {
+        // A line replayed from a pre-v2 journal, fresh inserts and an id
+        // inserted twice: the flushed bytes are today's rendering of
+        // exactly the records in memory.
+        let path = temp_journal("render-once.jsonl");
+        let pre_v2 =
+            r#"{"Quarantined":{"id":"0123456789abcdef","index":4,"attempts":3,"error":"boom"}}"#;
+        fs::write(&path, format!("{pre_v2}\n")).expect("seed a pre-v2 journal");
+        let mut j = CheckpointJournal::load(&path).expect("load");
+        j.insert(record("bbbb", 1));
+        j.insert(record("aaaa", 2));
+        let bytes = j.flush().expect("first flush");
+        let text = fs::read_to_string(&path).expect("read back");
+        assert_eq!(text, rendered(&j));
+        assert_eq!(bytes, text.len(), "flush reports the committed bytes");
+        assert!(!text.contains(pre_v2), "the pre-v2 line is re-rendered");
+
+        j.insert(record("aaaa", 7));
+        j.flush().expect("second flush");
+        let text = fs::read_to_string(&path).expect("read back");
+        assert_eq!(text, rendered(&j));
+        assert_eq!(text.lines().count(), 3, "one line per id");
+        assert_eq!(j.get("aaaa").map(JournalRecord::index), Some(7));
     }
 
     #[test]

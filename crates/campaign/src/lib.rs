@@ -13,28 +13,35 @@
 //!   its spec, policy, engine/shard overrides and seed — the grid's
 //!   *meaning*, not its position — rendered as 16 hex digits.
 //! - **An atomic checkpoint journal** ([`CheckpointJournal`]): one JSON
-//!   line per terminal cell outcome, flushed by writing the whole
-//!   journal to a `.tmp` sibling, syncing, and `rename`-ing over the
-//!   live file. A kill at any instant leaves either the old or the new
-//!   journal on disk, never a torn one; a partially appended tail from
-//!   a foreign writer is skipped on load. smartlint rule `C1` bans any
-//!   other file-writing surface in this crate.
-//! - **A retry/quarantine runner** ([`Campaign`]): each cell executes
-//!   under `catch_unwind` with a *deterministic* sim-budget watchdog
-//!   (max epochs / max slices per job — wall-clock timeouts are banned
-//!   by smartlint `D2` because they would make resume results
-//!   machine-dependent). A failing cell is retried with the same seed
-//!   up to `max_retries` more times, then quarantined into the
-//!   `poisoned` section of the [`CampaignReport`] while the rest of
-//!   the campaign keeps going. A stop-file requests graceful shutdown:
-//!   the journal is flushed and a partial report emitted.
+//!   line per terminal cell outcome, rendered once when the record
+//!   enters the journal, flushed by writing the whole journal to a
+//!   `.tmp` sibling, syncing, and `rename`-ing over the live file. A
+//!   kill at any instant leaves either the old or the new journal on
+//!   disk, never a torn one; a partially appended tail from a foreign
+//!   writer is skipped on load. smartlint rule `C1` bans any other
+//!   file-writing surface in this crate.
+//! - **A pipelined retry/quarantine runner** ([`Campaign`]): worker
+//!   threads claim cells one at a time in grid order and never wait on
+//!   each other or on a checkpoint; the calling thread journals each
+//!   outcome as it arrives and flushes every `flush_every` cells while
+//!   the workers keep running. Each cell executes under `catch_unwind`
+//!   with a *deterministic* sim-budget watchdog (max epochs / max
+//!   slices per job — wall-clock timeouts are banned by smartlint `D2`
+//!   because they would make resume results machine-dependent). A
+//!   failing cell is retried with the same seed up to `max_retries`
+//!   more times, then quarantined into the `poisoned` section of the
+//!   [`CampaignReport`] while the rest of the campaign keeps going. A
+//!   stop-file requests graceful shutdown: no new cell is claimed, the
+//!   cells in flight finish, the journal is flushed and a partial
+//!   report emitted.
 //!
 //! Because every job is a pure function of its spec and seed
 //! (`tests/suite.rs` pins this down) and `f64` survives the JSON
 //! round-trip exactly, a killed-and-resumed campaign produces a report
 //! **byte-identical** (after [`CampaignReport::canonicalized`]) to an
-//! uninterrupted run — `tests/campaign.rs` and the CI kill-resume step
-//! enforce exactly that.
+//! uninterrupted run, whatever the worker count, flush cadence or
+//! completion order — `tests/campaign.rs` and the CI kill-resume and
+//! pool-shape steps enforce exactly that.
 //!
 //! ```no_run
 //! use archsim::Platform;

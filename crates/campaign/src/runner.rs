@@ -4,7 +4,8 @@
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 
 use smartbalance::{default_workers, panic_message, parallel_indexed, JobResult};
 use telemetry::live::{CampaignProgress, ObsSnapshot, SnapshotCell};
@@ -37,16 +38,18 @@ pub struct CampaignConfig {
     /// Slice budget per cell, classified after the run from
     /// `stats.total_slices`; exceeding it counts as a failure.
     pub max_slices_per_job: Option<u64>,
-    /// Journal flush cadence in cells: each batch of this many pending
-    /// cells is executed in parallel, then checkpointed with one
-    /// atomic flush. Smaller = less lost work on a kill; larger =
-    /// fewer fsyncs. Clamped to at least 1.
+    /// Journal checkpoint cadence: one atomic flush after every this
+    /// many resolved cells, plus one for a partial tail at the end of
+    /// the run. Workers keep executing cells during a flush. Smaller =
+    /// less lost work on a kill; larger = fewer fsyncs. Clamped to at
+    /// least 1.
     pub flush_every: usize,
-    /// Worker threads per batch; 0 = the suite's default.
+    /// Worker threads; 0 = the suite's default.
     pub workers: usize,
-    /// Graceful-shutdown knob: when this path exists, the run stops at
-    /// the next batch boundary, flushes the journal and returns a
-    /// partial (interrupted) report.
+    /// Graceful-shutdown knob, checked at start-up and after every
+    /// journal flush. Once the path exists no new cell is claimed:
+    /// cells already running finish and are journaled, the journal is
+    /// flushed and the run returns a partial (interrupted) report.
     pub stop_file: Option<PathBuf>,
     /// Executes at most this many cells this run, then reports
     /// interrupted — the deterministic stand-in for "the process died
@@ -74,6 +77,12 @@ impl Default for CampaignConfig {
     }
 }
 
+impl CampaignConfig {
+    fn stop_requested(&self) -> bool {
+        self.stop_file.as_ref().is_some_and(|p| p.exists())
+    }
+}
+
 /// A campaign: a grid of content-addressed cells, a fault-tolerance
 /// policy, and the checkpoint journal that makes the whole thing
 /// killable.
@@ -82,8 +91,25 @@ pub struct Campaign {
     jobs: Vec<CampaignJob>,
     config: CampaignConfig,
     journal: CheckpointJournal,
+    observers: Observers,
+}
+
+/// Where a run reports as it goes: the telemetry hub and the live
+/// snapshot mailbox, each optional. Kept apart from the journal so the
+/// orchestrating thread can publish while it holds the journal
+/// mutably.
+#[derive(Debug, Default)]
+struct Observers {
     telemetry: Option<TelemetryHandle>,
     snapshots: Option<Arc<SnapshotCell>>,
+}
+
+/// What a worker tells the orchestrating thread.
+enum Event {
+    /// The worker claimed the cell at this grid index.
+    Claimed(usize),
+    /// A claimed cell reached its terminal outcome.
+    Resolved(JournalRecord),
 }
 
 impl Campaign {
@@ -94,8 +120,7 @@ impl Campaign {
             jobs,
             config,
             journal,
-            telemetry: None,
-            snapshots: None,
+            observers: Observers::default(),
         }
     }
 
@@ -104,16 +129,16 @@ impl Campaign {
     /// resumed) on it from the orchestrating thread, incrementally
     /// after every cell.
     pub fn attach_telemetry(&mut self, hub: TelemetryHandle) {
-        self.telemetry = Some(hub);
+        self.observers.telemetry = Some(hub);
     }
 
     /// Attaches a live-snapshot mailbox: the runner publishes an
     /// [`ObsSnapshot`] (progress + rendered Prometheus page) into it at
-    /// start-up, after every resolved cell and after every journal
-    /// flush. The publish is a single `Arc` swap — the run never blocks
-    /// on whoever reads the mailbox.
+    /// start-up, after every resolved cell, after every journal flush
+    /// and at the end. The publish is a single `Arc` swap — the run
+    /// never blocks on whoever reads the mailbox.
     pub fn publish_snapshots(&mut self, cell: Arc<SnapshotCell>) {
-        self.snapshots = Some(cell);
+        self.observers.snapshots = Some(cell);
     }
 
     /// Read access to the checkpoint journal (tests and reporting).
@@ -121,82 +146,123 @@ impl Campaign {
         &self.journal
     }
 
-    /// Runs every cell not already checkpointed to a terminal outcome,
-    /// flushing the journal atomically after each batch, and builds
-    /// the report from the journal — so replayed and freshly executed
-    /// cells are indistinguishable in the output. Returns `Err` only
-    /// on journal I/O failure; cell failures are data, not errors.
+    /// Runs every cell not already checkpointed to a terminal outcome
+    /// and builds the report from the journal — so replayed and freshly
+    /// executed cells are indistinguishable in the output.
+    ///
+    /// Execution is a pipeline: worker threads claim pending cells in
+    /// grid order, one at a time, and never wait for each other, while
+    /// the calling thread journals and publishes each outcome as it
+    /// arrives and checkpoints the journal every
+    /// [`CampaignConfig::flush_every`] resolved cells without pausing
+    /// the workers. Returns `Err` only on journal I/O failure (after
+    /// the workers have joined); cell failures are data, not errors.
     pub fn run(&mut self) -> io::Result<CampaignReport> {
-        if let Some(hub) = &self.telemetry {
+        if let Some(hub) = &self.observers.telemetry {
             hub.borrow_mut().record_campaign_started();
         }
-        let ids: Vec<String> = self.jobs.iter().map(CampaignJob::id).collect();
-        let pending: Vec<usize> = (0..self.jobs.len())
+        let workers = if self.config.workers == 0 {
+            default_workers()
+        } else {
+            self.config.workers
+        };
+        let jobs = &self.jobs;
+        let ids = parallel_indexed(jobs.len(), workers, |i| jobs[i].id());
+        let pending: Vec<usize> = (0..jobs.len())
             .filter(|&i| !self.journal.contains(&ids[i]))
             .collect();
-        let resumed_cells = self.jobs.len() - pending.len();
+        let resumed_cells = jobs.len() - pending.len();
         if resumed_cells > 0 {
-            if let Some(hub) = &self.telemetry {
+            if let Some(hub) = &self.observers.telemetry {
                 hub.borrow_mut()
                     .record_campaign_resumed(resumed_cells as u64);
             }
         }
 
         let mut progress = self.initial_progress(&ids, pending.len(), resumed_cells);
-        self.publish_progress(&progress);
+        self.observers.publish(&progress);
 
-        let workers = if self.config.workers == 0 {
-            default_workers()
+        let budget = if self.config.stop_requested() {
+            0
         } else {
-            self.config.workers
+            self.config.max_cells_this_run.unwrap_or(usize::MAX)
         };
-        let cell_budget = self.config.max_cells_this_run.unwrap_or(usize::MAX);
-        let batch_size = self.config.flush_every.max(1);
-        let mut executed_cells = 0usize;
+        let work = &pending[..budget.min(pending.len())];
+        let executed_cells = self.execute(work, &ids, workers, &mut progress)?;
 
-        for batch in pending.chunks(batch_size) {
-            if executed_cells >= cell_budget || self.stop_requested() {
-                break;
-            }
-            let take = batch.len().min(cell_budget - executed_cells);
-            let batch = &batch[..take];
-            progress.current_cells = batch.iter().map(|&i| ids[i].clone()).collect();
-            self.publish_progress(&progress);
-            let jobs = &self.jobs;
-            let ids_ref = &ids;
-            let config = &self.config;
-            let records = parallel_indexed(batch.len(), workers, |k| {
-                let grid_index = batch[k];
-                execute_cell(&jobs[grid_index], &ids_ref[grid_index], config)
-            });
-            for record in records {
-                if let Some(hub) = &self.telemetry {
-                    let mut hub = hub.borrow_mut();
-                    match &record {
-                        JournalRecord::Completed { attempts, .. } => {
-                            hub.record_campaign_completed(u64::from(*attempts));
+        self.observers.publish(&progress);
+        let interrupted = executed_cells < pending.len();
+        Ok(self.build_report(&ids, interrupted, resumed_cells, executed_cells))
+    }
+
+    /// Drives `work` (grid indices, in grid order) through the worker
+    /// pool. Each worker claims the next cell from an atomic counter
+    /// and sends a start message and then the terminal record; this
+    /// thread folds every record into telemetry and `progress`,
+    /// journals and publishes it, and flushes after every
+    /// `flush_every` of them. A stop request (checked after each
+    /// flush) or a flush error closes the queue: no new cell is
+    /// claimed, and the cells in flight finish and are journaled.
+    /// Returns the number of cells executed, or the flush error once
+    /// the workers have joined.
+    fn execute(
+        &mut self,
+        work: &[usize],
+        ids: &[String],
+        workers: usize,
+        progress: &mut CampaignProgress,
+    ) -> io::Result<usize> {
+        let flush_every = self.config.flush_every.max(1);
+        let (jobs, config) = (&self.jobs, &self.config);
+        let claim = AtomicUsize::new(0);
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            for _ in 0..workers.min(work.len()) {
+                let (tx, claim) = (tx.clone(), &claim);
+                // smartlint: allow(taint-path, "pipelined cell pool: records are keyed by id in the journal's BTreeMap and the report is built in grid order, so completion order never reaches an output byte")
+                scope.spawn(move || {
+                    // smartlint: allow(worker-capture, "atomic claim counter hands each work-list cell to exactly one worker; outcomes are keyed by id and reported in grid order")
+                    while let Some(&index) = work.get(claim.fetch_add(1, Ordering::Relaxed)) {
+                        if tx.send(Event::Claimed(index)).is_err() {
+                            break;
                         }
-                        JournalRecord::Quarantined { attempts, .. } => {
-                            hub.record_campaign_quarantined(u64::from(*attempts));
+                        let record = execute_cell(&jobs[index], &ids[index], config);
+                        if tx.send(Event::Resolved(record)).is_err() {
+                            break;
                         }
                     }
-                }
-                fold_into_progress(&mut progress, &record);
-                self.journal.insert(record);
-                self.publish_progress(&progress);
+                });
             }
-            executed_cells += batch.len();
-            let flushed_bytes = self.journal.flush()?;
-            progress.journal_flushes += 1;
-            progress.journal_bytes_last = flushed_bytes as u64;
-            progress.journal_records = self.journal.len() as u64;
-            self.publish_progress(&progress);
-        }
+            drop(tx);
 
-        progress.current_cells.clear();
-        self.publish_progress(&progress);
-        let interrupted = executed_cells < pending.len();
-        Ok(self.build_report(interrupted, resumed_cells, executed_cells))
+            let mut executed = 0;
+            let mut flushed = Ok(());
+            for event in rx {
+                let record = match event {
+                    Event::Claimed(index) => {
+                        progress.current_cells.push(ids[index].clone());
+                        continue;
+                    }
+                    Event::Resolved(record) => record,
+                };
+                self.observers.record_outcome(&record);
+                fold_into_progress(progress, &record);
+                self.journal.insert(record);
+                self.observers.publish(progress);
+                executed += 1;
+                if executed % flush_every == 0 && flushed.is_ok() {
+                    flushed = checkpoint(&self.journal, progress, &self.observers);
+                    if flushed.is_err() || config.stop_requested() {
+                        // Close the queue: every later claim lands past the end.
+                        claim.fetch_max(work.len(), Ordering::Relaxed);
+                    }
+                }
+            }
+            if executed % flush_every != 0 && flushed.is_ok() {
+                flushed = checkpoint(&self.journal, progress, &self.observers);
+            }
+            flushed.map(|()| executed)
+        })
     }
 
     /// The progress payload at the start of a run: grid size, resumed
@@ -231,31 +297,14 @@ impl Campaign {
         progress
     }
 
-    /// Publishes the current progress (plus a freshly rendered
-    /// Prometheus page from the attached hub) into the snapshot
-    /// mailbox, if one is attached. A no-op otherwise.
-    fn publish_progress(&self, progress: &CampaignProgress) {
-        let Some(cell) = &self.snapshots else {
-            return;
-        };
-        let mut progress = progress.clone();
-        progress.finalize_eta();
-        let prometheus = match &self.telemetry {
-            Some(hub) => hub.borrow().registry().prometheus_text(),
-            None => String::new(),
-        };
-        cell.publish(ObsSnapshot {
-            progress,
-            prometheus,
-        });
-    }
-
-    fn stop_requested(&self) -> bool {
-        self.config.stop_file.as_ref().is_some_and(|p| p.exists())
-    }
-
+    /// The report over the grid, in grid order, from the journal.
+    /// `ids[k]` is the id of `self.jobs[k]`. Every cell's index comes
+    /// from the current grid, not from the record that resolved it, so
+    /// a reordered grid replays into the report a fresh run of it
+    /// would produce.
     fn build_report(
         &self,
+        ids: &[String],
         interrupted: bool,
         resumed_cells: usize,
         executed_cells: usize,
@@ -265,34 +314,32 @@ impl Campaign {
         let mut retries_total = 0u64;
         // Walk the grid in index order so the report layout never
         // depends on completion order or journal key order.
-        for job in &self.jobs {
-            match self.journal.get(&job.id()) {
+        for (job, id) in self.jobs.iter().zip(ids) {
+            match self.journal.get(id) {
                 Some(JournalRecord::Completed {
-                    id,
-                    index,
-                    attempts,
-                    result,
+                    attempts, result, ..
                 }) => {
                     retries_total += u64::from(attempts.saturating_sub(1));
+                    let mut result = (**result).clone();
+                    result.job_index = job.index;
                     completed.push(CompletedCell {
                         id: id.clone(),
-                        index: *index,
+                        index: job.index,
                         attempts: *attempts,
-                        result: (**result).clone(),
+                        result,
                     });
                 }
                 Some(JournalRecord::Quarantined {
-                    id,
-                    index,
                     attempts,
                     error,
                     attempts_log,
                     flight,
+                    ..
                 }) => {
                     retries_total += u64::from(attempts.saturating_sub(1));
                     poisoned.push(PoisonedCell {
                         id: id.clone(),
-                        index: *index,
+                        index: job.index,
                         attempts: *attempts,
                         error: error.clone(),
                         attempts_log: attempts_log.clone(),
@@ -315,8 +362,60 @@ impl Campaign {
     }
 }
 
+impl Observers {
+    /// Counts a freshly resolved cell on the hub, if one is attached.
+    fn record_outcome(&self, record: &JournalRecord) {
+        let Some(hub) = &self.telemetry else {
+            return;
+        };
+        let mut hub = hub.borrow_mut();
+        match record {
+            JournalRecord::Completed { attempts, .. } => {
+                hub.record_campaign_completed(u64::from(*attempts));
+            }
+            JournalRecord::Quarantined { attempts, .. } => {
+                hub.record_campaign_quarantined(u64::from(*attempts));
+            }
+        }
+    }
+
+    /// Publishes the current progress (plus a freshly rendered
+    /// Prometheus page from the attached hub) into the snapshot
+    /// mailbox, if one is attached. A no-op otherwise.
+    fn publish(&self, progress: &CampaignProgress) {
+        let Some(cell) = &self.snapshots else {
+            return;
+        };
+        let mut progress = progress.clone();
+        progress.finalize_eta();
+        let prometheus = match &self.telemetry {
+            Some(hub) => hub.borrow().registry().prometheus_text(),
+            None => String::new(),
+        };
+        cell.publish(ObsSnapshot {
+            progress,
+            prometheus,
+        });
+    }
+}
+
+/// Flushes the journal, then records and publishes the flush stats.
+fn checkpoint(
+    journal: &CheckpointJournal,
+    progress: &mut CampaignProgress,
+    observers: &Observers,
+) -> io::Result<()> {
+    let bytes = journal.flush()?;
+    progress.journal_flushes += 1;
+    progress.journal_bytes_last = bytes as u64;
+    progress.journal_records = journal.len() as u64;
+    observers.publish(progress);
+    Ok(())
+}
+
 /// Folds one freshly resolved cell into the live progress payload.
 fn fold_into_progress(progress: &mut CampaignProgress, record: &JournalRecord) {
+    progress.current_cells.retain(|id| id != record.id());
     progress.executed_this_run += 1;
     progress.cells_pending = progress.cells_pending.saturating_sub(1);
     progress.retries_total += u64::from(record.attempts().saturating_sub(1));

@@ -1,22 +1,25 @@
 //! Live snapshot plumbing between the campaign runner and the
 //! observability daemon (`obsd`).
 //!
-//! The campaign runner is the *producer*: after every finished cell and
-//! every journal flush it assembles an [`ObsSnapshot`] (progress
-//! figures + a rendered Prometheus text page) and [`SnapshotCell::publish`]es
-//! it. The HTTP server in `crates/obsd` is the *consumer*: each request
+//! The campaign runner is the *producer*: at start-up, after every
+//! finished cell, after every journal flush and at the end it assembles
+//! an [`ObsSnapshot`] (progress figures + a rendered Prometheus text
+//! page) and [`SnapshotCell::publish`]es it. The HTTP server in `crates/obsd` is the *consumer*: each request
 //! handler calls [`SnapshotCell::latest`] and serves whatever was most
 //! recently published. The cell holds an `Arc` swap behind a `Mutex`
 //! whose critical section is a single pointer clone/store, so the
 //! simulation side never blocks on the network side — a slow or stalled
 //! scraper can at worst hold a stale `Arc` alive.
 //!
-//! Everything in this module is deterministic: snapshots are pure
-//! functions of recorded campaign state (the only wall-clock input,
-//! `wall_s_sum`, is the same sanctioned execution metadata that
-//! `CampaignReport::canonicalized` zeroes before fingerprinting).
-//! Wall-clock *reads* live exclusively in `obsd`, outside the
-//! graph-derived simulation scope.
+//! Nothing in this module reads a clock or draws randomness: snapshots
+//! are pure functions of recorded campaign state (the only wall-clock
+//! input, `wall_s_sum`, is the same sanctioned execution metadata that
+//! `CampaignReport::canonicalized` zeroes before fingerprinting). That
+//! state is recorded in completion order, which follows thread timing,
+//! so intermediate snapshots (`last_cell_id`, `current_cells`,
+//! `wall_s_sum`) differ from run to run; the final tallies (cells,
+//! retries, flushes, records) do not. Wall-clock *reads* live
+//! exclusively in `obsd`, outside the graph-derived simulation scope.
 
 use serde::Serialize;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -42,9 +45,11 @@ pub struct CampaignProgress {
     pub executed_this_run: u64,
     /// Retries spent across all executed cells.
     pub retries_total: u64,
-    /// Ids of the cells in the batch currently executing.
+    /// Ids of the cells a worker has claimed and not yet resolved, in
+    /// claim order: at most one per worker, empty once the run ends.
     pub current_cells: Vec<String>,
-    /// Id of the most recently resolved cell (empty before the first).
+    /// Id of the most recently resolved cell, in completion order
+    /// (empty before the first).
     pub last_cell_id: String,
     /// Journal flushes performed by this process.
     pub journal_flushes: u64,

@@ -2,14 +2,19 @@
 //! from its checkpoint journal without recomputing completed cells and
 //! reproduces the uninterrupted report byte-for-byte (canonicalized);
 //! a deterministically failing cell climbs the retry ladder, lands in
-//! quarantine, and never takes the rest of the grid with it.
+//! quarantine, and never takes the rest of the grid with it. The
+//! pipeline's shape — worker count, flush cadence, completion order —
+//! never reaches a report byte.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use archsim::{Platform, WorkloadCharacteristics};
 use campaign::{Campaign, CampaignConfig, CampaignJob, CampaignReport, CheckpointJournal};
 use smartbalance::{ExperimentSpec, Policy};
+use telemetry::SnapshotCell;
 use workloads::WorkloadProfile;
 
 fn tiny_spec(name: &str, instructions: u64) -> ExperimentSpec {
@@ -38,6 +43,18 @@ fn grid() -> Vec<CampaignJob> {
         }
     }
     jobs
+}
+
+/// Twelve cells of about 6 000 epochs each: slow enough that the
+/// calling thread reacts to a flush long before one worker could drain
+/// the grid.
+fn slow_grid() -> Vec<CampaignJob> {
+    (0..12)
+        .map(|i| {
+            let spec = tiny_spec(&format!("slow{i}"), 1_000_000_000_000).with_max_epochs(100_000);
+            CampaignJob::new(i, spec, Policy::Vanilla)
+        })
+        .collect()
 }
 
 fn journal_path(test: &str) -> PathBuf {
@@ -319,10 +336,38 @@ fn stop_file_requests_graceful_shutdown_with_partial_report() {
     let report = campaign.run().expect("journal flushes");
     let _ = fs::remove_file(&stop);
 
-    assert!(report.interrupted, "stop file wins before the first batch");
+    assert!(report.interrupted, "stop file wins before the first claim");
     assert_eq!(report.executed_cells, 0, "no new work after the request");
     assert_eq!(report.resumed_cells, 2);
     assert_eq!(report.completed.len(), 2, "partial report keeps the prefix");
+}
+
+#[test]
+fn stop_seen_after_a_flush_lets_cells_in_flight_finish() {
+    // The journal itself is the stop file: absent at start-up, present
+    // from the first flush on, so the stop lands right after it.
+    let path = journal_path("stop-mid-run");
+    let journal = CheckpointJournal::load(&path).expect("fresh journal");
+    let config = CampaignConfig {
+        workers: 1,
+        flush_every: 2,
+        stop_file: Some(path.clone()),
+        ..CampaignConfig::default()
+    };
+    let jobs = slow_grid();
+    let ids: Vec<String> = jobs.iter().map(CampaignJob::id).collect();
+    let mut campaign = Campaign::new(jobs, config, journal);
+    let report = campaign.run().expect("journal flushes");
+    assert!(report.interrupted, "the stop closed the queue");
+    assert!(
+        report.executed_cells >= 2,
+        "the stop follows the first flush"
+    );
+    // The cell in flight at the stop finished, was journaled and was
+    // committed by a final flush.
+    let on_disk = CheckpointJournal::load(&path).expect("journal replays");
+    let want: BTreeSet<String> = ids[..report.executed_cells].iter().cloned().collect();
+    assert_eq!(journal_ids(&on_disk), want);
 }
 
 #[test]
@@ -358,5 +403,180 @@ fn resume_tolerates_a_torn_journal_tail() {
     assert_eq!(
         canonical_bytes(&resumed_report),
         canonical_bytes(&reference_report)
+    );
+}
+
+/// Ids of every record in `journal`, in id order.
+fn journal_ids(journal: &CheckpointJournal) -> BTreeSet<String> {
+    journal.records().map(|r| r.id().to_owned()).collect()
+}
+
+#[test]
+fn pool_shape_never_changes_the_report_or_the_journal() {
+    let mut reference: Option<(String, BTreeSet<String>)> = None;
+    for (workers, flush_every) in [(1, 1), (2, 3), (4, 8)] {
+        let path = journal_path(&format!("pool-shape-{workers}w-{flush_every}f"));
+        let journal = CheckpointJournal::load(&path).expect("fresh journal");
+        let config = CampaignConfig {
+            workers,
+            flush_every,
+            ..CampaignConfig::default()
+        };
+        let mut campaign = Campaign::new(grid(), config, journal);
+        let mailbox = Arc::new(SnapshotCell::fresh());
+        campaign.publish_snapshots(Arc::clone(&mailbox));
+        let report = campaign.run().expect("journal flushes");
+        assert!(report.is_complete());
+        assert_eq!(
+            mailbox.latest().progress.journal_flushes,
+            report.executed_cells.div_ceil(flush_every) as u64,
+            "{workers} workers: one flush per {flush_every} resolved cells, plus the tail"
+        );
+
+        let on_disk = CheckpointJournal::load(&path).expect("journal replays");
+        assert_eq!(journal_ids(&on_disk), journal_ids(campaign.journal()));
+        let shape = (canonical_bytes(&report), journal_ids(&on_disk));
+        match &reference {
+            None => reference = Some(shape),
+            Some(first) => assert_eq!(
+                &shape, first,
+                "{workers} workers, flush_every {flush_every}: same report bytes and journal ids"
+            ),
+        }
+    }
+}
+
+#[test]
+fn cell_budget_journals_exactly_the_first_pending_cells() {
+    let ids: Vec<String> = grid().iter().map(CampaignJob::id).collect();
+    let path = journal_path("cell-budget");
+    for (budget, journaled) in [(3, 3), (2, 5)] {
+        let journal = CheckpointJournal::load(&path).expect("journal loads");
+        let config = CampaignConfig {
+            workers: 4,
+            max_cells_this_run: Some(budget),
+            ..CampaignConfig::default()
+        };
+        let mut campaign = Campaign::new(grid(), config, journal);
+        let report = campaign.run().expect("journal flushes");
+        assert!(report.interrupted);
+        assert_eq!(report.executed_cells, budget);
+        let on_disk = CheckpointJournal::load(&path).expect("journal replays");
+        let want: BTreeSet<String> = ids[..journaled].iter().cloned().collect();
+        assert_eq!(
+            journal_ids(&on_disk),
+            want,
+            "the first {journaled} grid cells, however the workers raced"
+        );
+    }
+}
+
+#[test]
+fn snapshots_track_the_cells_in_flight() {
+    const WORKERS: usize = 2;
+    let ids: BTreeSet<String> = grid().iter().map(CampaignJob::id).collect();
+    let mailbox = Arc::new(SnapshotCell::fresh());
+    let path = journal_path("in-flight");
+    // The runner is !Send (its telemetry handle is an Rc), so it runs
+    // on its own thread while this one polls the mailbox.
+    let runner = {
+        let mailbox = Arc::clone(&mailbox);
+        std::thread::spawn(move || {
+            let journal = CheckpointJournal::load(&path).expect("fresh journal");
+            let config = CampaignConfig {
+                workers: WORKERS,
+                flush_every: 1,
+                ..CampaignConfig::default()
+            };
+            let mut campaign = Campaign::new(grid(), config, journal);
+            campaign.attach_telemetry(telemetry::shared());
+            campaign.publish_snapshots(mailbox);
+            campaign.run().expect("journal flushes")
+        })
+    };
+    while !runner.is_finished() {
+        let progress = &mailbox.latest().progress;
+        assert!(
+            progress.current_cells.len() <= WORKERS,
+            "at most one claimed cell per worker: {:?}",
+            progress.current_cells
+        );
+        for id in &progress.current_cells {
+            assert!(ids.contains(id), "{id} is not a grid cell");
+        }
+        std::thread::yield_now();
+    }
+    let report = runner.join().expect("campaign thread joins");
+    assert!(report.is_complete());
+    let last = &mailbox.latest().progress;
+    assert!(
+        last.current_cells.is_empty(),
+        "nothing in flight at the end"
+    );
+    assert_eq!(last.cells_pending, 0);
+    assert_eq!(last.executed_this_run, 6);
+}
+
+#[test]
+fn flush_error_stops_new_claims_and_is_returned() {
+    // The journal's directory does not exist, so the first flush fails.
+    let dir = std::env::temp_dir().join("campaign-acceptance-tests/missing-dir");
+    let _ = fs::remove_dir_all(&dir);
+    let journal =
+        CheckpointJournal::load(dir.join("journal.jsonl")).expect("missing file loads empty");
+    let config = CampaignConfig {
+        workers: 1,
+        flush_every: 1,
+        ..CampaignConfig::default()
+    };
+    let mut campaign = Campaign::new(slow_grid(), config, journal);
+    assert!(campaign.run().is_err(), "the flush error is returned");
+    let ran = campaign.journal().len();
+    assert!(
+        (1..12).contains(&ran),
+        "no claims after the error: {ran} cells ran"
+    );
+}
+
+#[test]
+fn reordered_grid_replays_into_the_report_of_a_fresh_run() {
+    // Pin every seed, then reverse and re-index the grid: the ids stay
+    // the same (they hash content, not position), so a resume over the
+    // reordered grid replays all six cells from the journal.
+    let path = journal_path("reorder");
+    let journal = CheckpointJournal::load(&path).expect("fresh journal");
+    Campaign::new(grid(), CampaignConfig::default(), journal)
+        .run()
+        .expect("journal flushes");
+    let reordered = || -> Vec<CampaignJob> {
+        let mut jobs = grid();
+        jobs.reverse();
+        for (index, job) in jobs.iter_mut().enumerate() {
+            job.index = index;
+        }
+        jobs
+    };
+
+    let journal = CheckpointJournal::load(&path).expect("journal replays");
+    let mut resumed = Campaign::new(reordered(), CampaignConfig::default(), journal);
+    let resumed_report = resumed.run().expect("journal flushes");
+    assert_eq!(resumed_report.executed_cells, 0, "nothing recomputed");
+    assert_eq!(resumed_report.resumed_cells, 6);
+    let indices: Vec<usize> = resumed_report.completed.iter().map(|c| c.index).collect();
+    assert_eq!(
+        indices,
+        vec![0, 1, 2, 3, 4, 5],
+        "indices of the current grid"
+    );
+
+    let fresh_path = journal_path("reorder-fresh");
+    let journal = CheckpointJournal::load(&fresh_path).expect("fresh journal");
+    let mut fresh = Campaign::new(reordered(), CampaignConfig::default(), journal);
+    let fresh_report = fresh.run().expect("journal flushes");
+    assert_eq!(fresh_report.executed_cells, 6);
+    assert_eq!(
+        canonical_bytes(&resumed_report),
+        canonical_bytes(&fresh_report),
+        "a replayed reordered grid reports exactly what a fresh run of it does"
     );
 }
