@@ -195,15 +195,17 @@ pub fn anneal(
         let i = rng.randi_range(0, m as i64) as usize;
         let cur = state.alloc()[i];
         let matrices = objective.matrices();
-        let to = if iter % GREEDY_PULL_PERIOD == GREEDY_PULL_PERIOD - 1 {
-            // --- Greedy pull: the thread's best single allowed move.
+        let (to, diff) = if iter % GREEDY_PULL_PERIOD == GREEDY_PULL_PERIOD - 1 {
+            // --- Greedy pull: the thread's best single allowed move,
+            // its from-core half shared across the scan.
+            let leave = state.leave(i);
             let mut best_core = cur;
             let mut best_delta = 0.0;
             for j in 0..n {
                 if j == cur || !matrices.is_allowed(i, j) {
                     continue;
                 }
-                let d = state.delta_for_move(i, j);
+                let d = state.delta_to(&leave, j);
                 if d > best_delta {
                     best_delta = d;
                     best_core = j;
@@ -214,7 +216,7 @@ pub fn anneal(
                 accept *= params.daccept;
                 continue;
             }
-            best_core
+            (best_core, best_delta)
         } else {
             // --- Perturb: propose a core within the shrinking window.
             let window = ((perturb.sqrt() * n as f64).ceil() as i64).max(1);
@@ -233,11 +235,9 @@ pub fn anneal(
                 accept *= params.daccept;
                 continue;
             }
-            to
+            // --- Evaluate: incremental delta for the proposed move.
+            (to, state.delta_for_move(i, to))
         };
-
-        // --- Evaluate: incremental delta for the proposed move.
-        let diff = state.delta_for_move(i, to);
 
         let take = if diff > 0.0 {
             true
@@ -270,21 +270,24 @@ pub fn anneal(
     }
 
     // --- Final polish: deterministic greedy sweeps from the best-seen
-    // allocation until a local optimum (bounded rounds). Cost is
-    // O(rounds·m·n), far below the SA loop itself, and it removes the
+    // allocation until a local optimum (bounded rounds). It removes the
     // tail of threads the randomized schedule never happened to visit.
+    // Cost is O(rounds·m·n) delta evaluations: at 96 threads on 64
+    // cores one sweep is ~6k, the same order as the whole SA loop, so
+    // each thread's from-core half is computed once per sweep.
     let mut state = IncrementalObjective::new(objective, &best_alloc);
     for _ in 0..POLISH_ROUNDS {
         let mut improved = false;
         for i in 0..m {
             let cur = state.alloc()[i];
+            let leave = state.leave(i);
             let mut best_core = cur;
             let mut best_delta = 1.0e-12;
             for j in 0..n {
                 if j == cur || !objective.matrices().is_allowed(i, j) {
                     continue;
                 }
-                let d = state.delta_for_move(i, j);
+                let d = state.delta_to(&leave, j);
                 if d > best_delta {
                     best_delta = d;
                     best_core = j;

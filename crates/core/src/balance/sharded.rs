@@ -8,15 +8,17 @@
 //!
 //! 1. partitions the sensed threads by the cluster of their current
 //!    core ([`kernelsim::Topology`]),
-//! 2. anneals each cluster independently — an `m_c × n_c` problem over
-//!    cluster-local matrices — on a deterministic scoped worker pool
+//! 2. runs one task per occupied cluster on a deterministic scoped
+//!    worker pool: predict the cluster's threads' per-type rates, build
+//!    the cluster-local `m_c × n_c` matrices and anneal them
 //!    (per-cluster splitmix64 seeds, index-ordered collection: results
 //!    never depend on the worker count),
 //! 3. runs a global *exchange* stage that moves the top-K most
 //!    misplaced threads per cluster toward the least-loaded core of a
 //!    better cluster, each candidate evaluated as an O(1) incremental
 //!    objective patch ([`crate::shard::ExchangeState`]) — never a full
-//!    re-evaluation.
+//!    re-evaluation — with each thread's from-core half shared across
+//!    its candidate destinations.
 //!
 //! With sharding disabled (`config.shard == None` the policy layer
 //! never constructs this type), the flat path is untouched and remains
@@ -32,28 +34,156 @@ use crate::balance::smart::{PreambleOutcome, SmartBalance};
 use crate::config::SmartBalanceConfig;
 use crate::estimate::TypeRates;
 use crate::matrices::CharacterizationMatrices;
-use crate::objective::Objective;
+use crate::objective::{Goal, Objective};
+use crate::predict::PredictorSet;
 use crate::sense::ThreadSense;
 use crate::shard::{mask_allows, ExchangeState, ShardConfig};
 use crate::suite::{default_workers, parallel_indexed, splitmix64};
 
-/// One cluster's self-contained anneal problem, built serially and
-/// solved on the worker pool.
-struct ClusterProblem {
+/// One cluster's solved anneal, handed back by its pool task.
+struct ClusterSolution {
     /// Cluster index in the topology.
     cluster: usize,
     /// Global core ids backing the local columns (online cores only).
     columns: Vec<CoreId>,
     /// Sense indices backing the local rows.
     rows: Vec<usize>,
-    /// Cluster-local characterization matrices (`m_c × n_c`).
-    matrices: CharacterizationMatrices,
-    /// Local initial allocation (current column of each row).
-    initial: Vec<usize>,
-    params: AnnealParams,
-    seed: u32,
-    /// Cluster-local slice of the global per-core weights, if any.
-    weights: Option<Vec<f64>>,
+    /// The anneal over those rows and columns.
+    outcome: AnnealOutcome,
+}
+
+/// The read-only epoch inputs every per-cluster pool task shares.
+struct ClusterTasks<'s> {
+    platform: &'s Platform,
+    topology: &'s Topology,
+    predictors: &'s PredictorSet,
+    senses: &'s [ThreadSense],
+    online: &'s [bool],
+    /// Per thread: not quarantined, so free to leave its core.
+    movable: &'s [bool],
+    sleep_power_w: &'s [f64],
+    /// Global per-core `ω`, if any.
+    weights: Option<&'s [f64]>,
+    /// Configured anneal parameters; `None` scales them per cluster.
+    anneal: Option<AnnealParams>,
+    goal: Goal,
+    epoch_seed: u32,
+}
+
+impl ClusterTasks<'_> {
+    /// Cluster `c`'s whole share of the pass, run as one pool task: the
+    /// rates of its `group` of threads (returned in group order), then
+    /// the cluster-local matrices and their anneal. The matrices die
+    /// with the task; the solution is `None` when no thread's
+    /// constraint is expressible locally.
+    fn solve(&self, c: usize, group: &[usize]) -> (Vec<TypeRates>, Option<ClusterSolution>) {
+        let rates: Vec<TypeRates> = group
+            .iter()
+            .map(|&i| TypeRates::build(self.platform, &self.senses[i], self.predictors))
+            .collect();
+        let solution = self.anneal_cluster(c, group, &rates);
+        (rates, solution)
+    }
+
+    /// Builds cluster `c`'s local matrices from the rates of its
+    /// `group` and anneals them.
+    fn anneal_cluster(
+        &self,
+        c: usize,
+        group: &[usize],
+        rates: &[TypeRates],
+    ) -> Option<ClusterSolution> {
+        let senses = self.senses;
+        let columns: Vec<CoreId> = self
+            .topology
+            .cores_of(ClusterId(c))
+            .iter()
+            .copied()
+            .filter(|&core| self.online[core.0])
+            .collect();
+        let wide = columns.len() > 64;
+        // Translate each thread's global affinity mask into the
+        // cluster-local column space (same bit semantics as the dense
+        // matrices); threads whose constraint cannot be expressed
+        // locally are pinned or skipped. Kept as (group position,
+        // current column, local mask).
+        let mut kept: Vec<(usize, usize, u64)> = Vec::new();
+        for (k, &i) in group.iter().enumerate() {
+            // `columns` ascends like `cores_of`, and a row's current
+            // core is online and in this cluster, so the search finds it.
+            let Ok(cur) = columns.binary_search(&senses[i].core) else {
+                continue;
+            };
+            let mask = if !wide {
+                let mut mk = 0u64;
+                if self.movable[i] {
+                    for (j, &core) in columns.iter().enumerate() {
+                        if mask_allows(senses[i].allowed, core.0) {
+                            mk |= 1 << j;
+                        }
+                    }
+                }
+                // The current column is always representable — the
+                // same never-empty discipline the flat mask
+                // constriction applies.
+                mk | (1 << cur)
+            } else if self.movable[i] && senses[i].allowed == u64::MAX {
+                u64::MAX
+            } else if cur < 64 {
+                1 << cur
+            } else {
+                // Quarantined/affine thread beyond bit 63 of a
+                // >64-core cluster: no expressible pin, leave it be.
+                continue;
+            };
+            kept.push((k, cur, mask));
+        }
+        if kept.is_empty() {
+            return None;
+        }
+        let core_types: Vec<CoreTypeId> = columns
+            .iter()
+            .map(|&core| self.platform.core_type(core))
+            .collect();
+        let sleep: Vec<f64> = columns
+            .iter()
+            .map(|&core| self.sleep_power_w[core.0])
+            .collect();
+        let tasks = kept.iter().map(|&(k, ..)| senses[group[k]].task).collect();
+        let mut matrices = CharacterizationMatrices::new(tasks, core_types.clone(), sleep);
+        let mut initial = Vec::with_capacity(kept.len());
+        for (r, &(k, cur, mask)) in kept.iter().enumerate() {
+            for (j, &t) in core_types.iter().enumerate() {
+                matrices.set(
+                    r,
+                    j,
+                    rates[k].ips(t),
+                    rates[k].power_w(t),
+                    rates[k].is_measured(t),
+                );
+            }
+            matrices.set_utilization(r, senses[group[k]].utilization);
+            matrices.set_allowed(r, mask);
+            initial.push(cur);
+        }
+        let params = self
+            .anneal
+            .unwrap_or_else(|| AnnealParams::scaled_for(columns.len(), kept.len()));
+        // Per-cluster seed derived from the epoch seed: identical
+        // regardless of which worker solves which cluster.
+        let seed = splitmix64((u64::from(self.epoch_seed) << 32) | c as u64) as u32;
+        let mut objective = Objective::new(&matrices, self.goal);
+        if let Some(w) = self.weights {
+            objective = objective.with_weights(columns.iter().map(|&core| w[core.0]).collect());
+        }
+        let outcome = anneal(&objective, &initial, params, seed);
+        Some(ClusterSolution {
+            cluster: c,
+            columns,
+            rows: kept.iter().map(|&(k, ..)| group[k]).collect(),
+            outcome,
+        })
+    }
 }
 
 /// SmartBalance behind a cluster decomposition: Algorithm 1 per
@@ -124,19 +254,6 @@ impl ShardedBalancer {
         let m = senses.len();
         let n = platform.num_cores();
 
-        // Compact per-type characterization rows: O(m·q) memory where
-        // the flat path's dense matrices are O(m·n).
-        let rates: Vec<TypeRates> = senses
-            .iter()
-            .map(|s| TypeRates::build(platform, s, self.inner.predictors()))
-            .collect();
-        // The exact clamp CharacterizationMatrices applies.
-        let util: Vec<f64> = senses
-            .iter()
-            .map(|s| s.utilization.clamp(1.0e-3, 1.0))
-            .collect();
-        let types: Vec<CoreTypeId> = platform.cores().map(|c| platform.core_type(c)).collect();
-
         // --- Partition threads by the cluster of their current core --
         let clusters = self.topology.num_clusters();
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); clusters];
@@ -151,129 +268,62 @@ impl ShardedBalancer {
             movable[i] = !self.inner.is_quarantined(s.task);
         }
 
-        // --- Build one anneal problem per non-empty cluster ----------
+        // --- One pool task per occupied cluster ----------------------
+        // Each task predicts its threads' compact per-type rows (O(m·q)
+        // memory where the flat path's dense matrices are O(m·n)),
+        // builds the cluster-local matrices from them and anneals.
         let epoch_seed = self.inner.next_epoch_seed();
         let global_weights = self.inner.effective_core_weights(platform);
-        let mut col_of = vec![usize::MAX; n];
-        let mut problems: Vec<ClusterProblem> = Vec::new();
-        for (c, rows) in groups.iter().enumerate() {
-            if rows.is_empty() {
-                continue;
-            }
-            let columns: Vec<CoreId> = self
-                .topology
-                .cores_of(ClusterId(c))
-                .iter()
-                .copied()
-                .filter(|&core| online[core.0])
-                .collect();
-            // Rows only exist for threads whose current core is online
-            // and in this cluster, so `columns` cannot be empty.
-            for (j, &core) in columns.iter().enumerate() {
-                col_of[core.0] = j;
-            }
-            let wide = columns.len() > 64;
-            // Translate each thread's global affinity mask into the
-            // cluster-local column space (same bit semantics as the
-            // dense matrices); threads whose constraint cannot be
-            // expressed locally are pinned or skipped.
-            let mut kept: Vec<(usize, u64)> = Vec::new();
-            for &i in rows {
-                let cur = col_of[senses[i].core.0];
-                let mask = if !wide {
-                    let mut mk = 0u64;
-                    if movable[i] {
-                        for (j, &core) in columns.iter().enumerate() {
-                            if mask_allows(senses[i].allowed, core.0) {
-                                mk |= 1 << j;
-                            }
-                        }
-                    }
-                    // The current column is always representable —
-                    // the same never-empty discipline the flat mask
-                    // constriction applies.
-                    mk | (1 << cur)
-                } else if movable[i] && senses[i].allowed == u64::MAX {
-                    u64::MAX
-                } else if cur < 64 {
-                    1 << cur
-                } else {
-                    // Quarantined/affine thread beyond bit 63 of a
-                    // >64-core cluster: no expressible pin, leave it be.
-                    continue;
-                };
-                kept.push((i, mask));
-            }
-            if kept.is_empty() {
-                continue;
-            }
-            let core_types: Vec<CoreTypeId> = columns
-                .iter()
-                .map(|&core| platform.core_type(core))
-                .collect();
-            let sleep: Vec<f64> = columns
-                .iter()
-                .map(|&core| self.sleep_power_w[core.0])
-                .collect();
-            let tasks = kept.iter().map(|&(i, _)| senses[i].task).collect();
-            let mut matrices = CharacterizationMatrices::new(tasks, core_types.clone(), sleep);
-            let mut initial = Vec::with_capacity(kept.len());
-            for (r, &(i, mask)) in kept.iter().enumerate() {
-                for (j, &t) in core_types.iter().enumerate() {
-                    matrices.set(
-                        r,
-                        j,
-                        rates[i].ips(t),
-                        rates[i].power_w(t),
-                        rates[i].is_measured(t),
-                    );
-                }
-                matrices.set_utilization(r, senses[i].utilization);
-                matrices.set_allowed(r, mask);
-                initial.push(col_of[senses[i].core.0]);
-            }
-            let params = self
-                .inner
-                .config()
-                .anneal
-                .unwrap_or_else(|| AnnealParams::scaled_for(columns.len(), kept.len()));
-            // Per-cluster seed derived from the epoch seed: identical
-            // regardless of which worker solves which cluster.
-            let seed = splitmix64((u64::from(epoch_seed) << 32) | c as u64) as u32;
-            let weights = global_weights
-                .as_ref()
-                .map(|w| columns.iter().map(|&core| w[core.0]).collect());
-            problems.push(ClusterProblem {
-                cluster: c,
-                columns,
-                rows: kept.iter().map(|&(i, _)| i).collect(),
-                matrices,
-                initial,
-                params,
-                seed,
-                weights,
-            });
-        }
-
-        if problems.is_empty() {
-            self.inner.set_last_outcome(None);
-            return None;
-        }
-
-        // --- Parallel per-cluster anneal ------------------------------
+        let occupied: Vec<usize> = (0..clusters).filter(|&c| !groups[c].is_empty()).collect();
+        let tasks = ClusterTasks {
+            platform,
+            topology: &self.topology,
+            predictors: self.inner.predictors(),
+            senses,
+            online,
+            movable: &movable,
+            sleep_power_w: &self.sleep_power_w,
+            weights: global_weights.as_deref(),
+            anneal: self.inner.config().anneal,
+            goal,
+            epoch_seed,
+        };
         let workers = if self.shard.workers == 0 {
             default_workers()
         } else {
             self.shard.workers
         };
-        let outcomes: Vec<AnnealOutcome> = parallel_indexed(problems.len(), workers, |idx| {
-            let p = &problems[idx];
-            let mut objective = Objective::new(&p.matrices, goal);
-            if let Some(w) = &p.weights {
-                objective = objective.with_weights(w.clone());
-            }
-            anneal(&objective, &p.initial, p.params, p.seed)
+        let results = parallel_indexed(occupied.len(), workers, |k| {
+            tasks.solve(occupied[k], &groups[occupied[k]])
         });
+
+        // Scatter the rates back into thread order; outcomes stay in
+        // cluster order.
+        let mut slots: Vec<Option<TypeRates>> = vec![None; m];
+        let mut solutions: Vec<ClusterSolution> = Vec::new();
+        for (&c, (group_rates, solution)) in occupied.iter().zip(results) {
+            for (&i, r) in groups[c].iter().zip(group_rates) {
+                slots[i] = Some(r);
+            }
+            solutions.extend(solution);
+        }
+        // A thread in no group still takes part in the global
+        // objective; its row is predicted here.
+        let rates: Vec<TypeRates> = slots
+            .into_iter()
+            .zip(senses)
+            .map(|(r, s)| r.unwrap_or_else(|| TypeRates::build(platform, s, tasks.predictors)))
+            .collect();
+        if solutions.is_empty() {
+            self.inner.set_last_outcome(None);
+            return None;
+        }
+        // The exact clamp CharacterizationMatrices applies.
+        let util: Vec<f64> = senses
+            .iter()
+            .map(|s| s.utilization.clamp(1.0e-3, 1.0))
+            .collect();
+        let types: Vec<CoreTypeId> = platform.cores().map(|c| platform.core_type(c)).collect();
 
         // --- Global exchange stage ------------------------------------
         // Replay the per-cluster results onto an incrementally
@@ -295,11 +345,11 @@ impl ShardedBalancer {
         // ratio goals a locally better cluster can still drag the
         // system aggregate down, and the contract is that sharding
         // never regresses the objective it reports.
-        for (p, out) in problems.iter().zip(&outcomes) {
+        for p in &solutions {
             let mut applied: Vec<(usize, usize)> = Vec::new();
             let mut net = 0.0;
             for (r, &i) in p.rows.iter().enumerate() {
-                let dest = p.columns[out.allocation[r]].0;
+                let dest = p.columns[p.outcome.allocation[r]].0;
                 let from = state.core_of(i);
                 if dest != from {
                     net += state.commit_move(i, dest);
@@ -351,6 +401,7 @@ impl ShardedBalancer {
                     continue;
                 }
                 let c = self.topology.cluster_of(CoreId(state.core_of(i))).0;
+                let leave = state.leave(i);
                 let mut best = f64::NEG_INFINITY;
                 for (c2, dest) in least.iter().enumerate() {
                     if c2 == c {
@@ -360,7 +411,7 @@ impl ShardedBalancer {
                     if !mask_allows(senses[i].allowed, dest.0) {
                         continue;
                     }
-                    best = best.max(state.delta_for_move(i, dest.0));
+                    best = best.max(state.delta_to(&leave, dest.0));
                 }
                 if best > self.shard.min_gain {
                     per_cluster[c].push((best, i));
@@ -381,6 +432,7 @@ impl ShardedBalancer {
             let mut round_moves: u64 = 0;
             for &(_, i) in &candidates {
                 let from_cluster = self.topology.cluster_of(CoreId(state.core_of(i))).0;
+                let leave = state.leave(i);
                 let mut best: Option<(f64, CoreId)> = None;
                 for (c2, dest) in least.iter().enumerate() {
                     if c2 == from_cluster {
@@ -390,7 +442,7 @@ impl ShardedBalancer {
                     if !mask_allows(senses[i].allowed, dest.0) {
                         continue;
                     }
-                    let delta = state.delta_for_move(i, dest.0);
+                    let delta = state.delta_to(&leave, dest.0);
                     if best.is_none_or(|(bd, _)| delta > bd) {
                         best = Some((delta, dest));
                     }
@@ -416,31 +468,34 @@ impl ShardedBalancer {
         // --- Emit the diff and the books ------------------------------
         let final_alloc: Vec<usize> = (0..m).map(|i| state.core_of(i)).collect();
         let final_total = state.value();
-        let total_iterations: u64 = outcomes.iter().map(|o| u64::from(o.iterations)).sum();
-        let total_accepted: u64 = outcomes
+        let total_iterations: u64 = solutions
             .iter()
-            .map(|o| u64::from(o.accepted_moves))
+            .map(|p| u64::from(p.outcome.iterations))
+            .sum();
+        let total_accepted: u64 = solutions
+            .iter()
+            .map(|p| u64::from(p.outcome.accepted_moves))
             .sum::<u64>()
             + exchange_moves;
         if let Some(tel) = self.inner.telemetry_handle() {
             let mut tel = tel.borrow_mut();
             // Predict-stage work = per-cluster matrix cells actually
-            // materialized: Σ rows × columns over the solved problems.
-            let predict_cells: u64 = problems
+            // materialized: Σ rows × columns over the solved clusters.
+            let predict_cells: u64 = solutions
                 .iter()
                 .map(|p| (p.rows.len() * p.columns.len()) as u64)
                 .sum();
             tel.record_stage("predict", predict_cells);
             tel.record_anneal(total_iterations, total_accepted, initial_total, final_total);
-            for (p, out) in problems.iter().zip(&outcomes) {
+            for p in &solutions {
                 tel.record_shard_anneal(
                     p.cluster as u64,
-                    u64::from(out.iterations),
-                    u64::from(out.accepted_moves),
-                    out.objective,
+                    u64::from(p.outcome.iterations),
+                    u64::from(p.outcome.accepted_moves),
+                    p.outcome.objective,
                 );
             }
-            tel.record_shard_exchange(problems.len() as u64, exchange_candidates, exchange_moves);
+            tel.record_shard_exchange(solutions.len() as u64, exchange_candidates, exchange_moves);
             // Forecast next epoch from the compact rows.
             for (i, sense) in senses.iter().enumerate() {
                 let t = types[final_alloc[i]];
@@ -564,8 +619,6 @@ mod tests {
         );
     }
 
-    /// Quarantine pinning survives sharding: a thread the tracker
-    /// distrusts never moves (mirrors the flat balancer's contract).
     #[test]
     fn topology_is_cached_from_the_platform() {
         let platform = Platform::clustered_heterogeneous(4, 16);

@@ -7,6 +7,14 @@
 //! computations and obtaining a new evaluation only by performing
 //! computations induced by the latest swap on Ψ").
 //!
+//! The incremental state caches each core's demand/rate sums and its
+//! weighted goal aggregates, so a candidate move re-evaluates only the
+//! two cores it touches. A scan that tries one thread on many
+//! destinations (the annealer's greedy pull and polish, the sharded
+//! exchange) also shares the move's from-core half: [`Leave`] is
+//! computed once per thread and completed once per destination, with
+//! the same arithmetic, bit for bit, as evaluating each move whole.
+//!
 //! Per-core model under an allocation Ψ: threads time-share a core
 //! under CFS, so with per-thread demands `u_i` and per-thread full-speed
 //! rates `ips_ij` / `p_ij`,
@@ -171,37 +179,40 @@ impl<'a> Objective<'a> {
         let state = IncrementalObjective::new(self, alloc);
         state.value()
     }
-
-    /// Effective (post-time-sharing) throughput and power of core `j`
-    /// given its demand/rate sums; an empty core sleeps.
-    fn core_terms(&self, j: usize, u_sum: f64, ips_sum: f64, pow_sum: f64) -> (f64, f64) {
-        effective_core_terms(u_sum, ips_sum, pow_sum, self.matrices.sleep_power_w(j))
-    }
-
-    /// The per-core contribution of core `j` to the goal-specific
-    /// aggregates: `(w·IPS, w·P, w·ratio)`.
-    fn aggregates_of(&self, j: usize, terms: (f64, f64)) -> (f64, f64, f64) {
-        weighted_aggregates(self.weights[j], terms)
-    }
-
-    /// Combines goal aggregates into the scalar objective.
-    fn total_from(&self, sum_ips: f64, sum_p: f64, sum_ratio: f64) -> f64 {
-        goal_total(self.goal, sum_ips, sum_p, sum_ratio)
-    }
 }
 
-/// Incrementally maintained objective state for a working allocation:
-/// per-core partial sums plus cached per-core values, updated in O(1)
-/// per move instead of O(m·n) per evaluation.
+/// The from-core half of moving one thread off its current core: the
+/// goal aggregates with that core re-evaluated as if the thread had
+/// left. A scan over candidate destinations computes it once per
+/// thread ([`IncrementalObjective::leave`]) and completes it once per
+/// destination ([`IncrementalObjective::delta_to`]). It describes the
+/// state it was taken from, so a committed move invalidates it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Leave {
+    pub(crate) thread: usize,
+    from: usize,
+    /// The thread's utilization (its demand on either core).
+    u: f64,
+    /// `(ΣωIPS, ΣωP, Σratio)` with the from-core term patched.
+    sums: (f64, f64, f64),
+}
+
+/// Per-core demand/rate sums of an allocation plus each core's cached
+/// weighted goal aggregates: the O(1)-per-move arithmetic shared by
+/// [`IncrementalObjective`] (dense matrix rows) and the sharded
+/// balancer's exchange state (compact per-type rows). Callers pass a
+/// thread's utilization and its full-speed `(ips, power)` on the core
+/// in question, so both representations evaluate identical arithmetic.
 #[derive(Debug, Clone, PartialEq)]
-pub struct IncrementalObjective<'a, 'b> {
-    objective: &'b Objective<'a>,
-    alloc: Vec<usize>,
+pub(crate) struct CoreLedger {
+    goal: Goal,
+    weights: Vec<f64>,
+    sleep_w: Vec<f64>,
     u_sum: Vec<f64>,
     ips_sum: Vec<f64>,
     pow_sum: Vec<f64>,
-    /// Cached effective (IPS, power) per core.
-    core_terms: Vec<(f64, f64)>,
+    /// Cached `weighted_aggregates` of each core's effective terms.
+    aggs: Vec<(f64, f64, f64)>,
     /// Weighted ΣIPS across cores.
     sum_ips: f64,
     /// Weighted ΣP across cores.
@@ -209,6 +220,160 @@ pub struct IncrementalObjective<'a, 'b> {
     /// Weighted Σ(IPS/P) across cores (Eq. 11 aggregate).
     sum_ratio: f64,
     total: f64,
+}
+
+impl CoreLedger {
+    /// Builds the ledger from each thread's `(core, u, ips, power)` on
+    /// its current core, in thread order.
+    pub(crate) fn new(
+        goal: Goal,
+        weights: Vec<f64>,
+        sleep_w: Vec<f64>,
+        placed: impl IntoIterator<Item = (usize, f64, f64, f64)>,
+    ) -> Self {
+        let n = sleep_w.len();
+        let mut u_sum = vec![0.0; n];
+        let mut ips_sum = vec![0.0; n];
+        let mut pow_sum = vec![0.0; n];
+        for (j, u, ips, pow) in placed {
+            u_sum[j] += u;
+            ips_sum[j] += u * ips;
+            pow_sum[j] += u * pow;
+        }
+        let aggs: Vec<(f64, f64, f64)> = (0..n)
+            .map(|j| {
+                let terms = effective_core_terms(u_sum[j], ips_sum[j], pow_sum[j], sleep_w[j]);
+                weighted_aggregates(weights[j], terms)
+            })
+            .collect();
+        let (mut sum_ips, mut sum_p, mut sum_ratio) = (0.0, 0.0, 0.0);
+        for &(i, p, r) in &aggs {
+            sum_ips += i;
+            sum_p += p;
+            sum_ratio += r;
+        }
+        let total = goal_total(goal, sum_ips, sum_p, sum_ratio);
+        CoreLedger {
+            goal,
+            weights,
+            sleep_w,
+            u_sum,
+            ips_sum,
+            pow_sum,
+            aggs,
+            sum_ips,
+            sum_p,
+            sum_ratio,
+            total,
+        }
+    }
+
+    /// Current objective value.
+    pub(crate) fn value(&self) -> f64 {
+        self.total
+    }
+
+    /// Total demand currently placed on core `j`.
+    pub(crate) fn load_of(&self, j: usize) -> f64 {
+        self.u_sum[j]
+    }
+
+    /// Weighted aggregates core `j` would contribute with these sums.
+    fn aggregates_at(&self, j: usize, u_sum: f64, ips_sum: f64, pow_sum: f64) -> (f64, f64, f64) {
+        weighted_aggregates(
+            self.weights[j],
+            effective_core_terms(u_sum, ips_sum, pow_sum, self.sleep_w[j]),
+        )
+    }
+
+    /// The from-core half of moving `thread` (utilization `u`, rates
+    /// `ips`/`pow` on `from`) off core `from`.
+    pub(crate) fn leave(&self, thread: usize, from: usize, u: f64, ips: f64, pow: f64) -> Leave {
+        let (ni, np, nr) = self.aggregates_at(
+            from,
+            self.u_sum[from] - u,
+            self.ips_sum[from] - u * ips,
+            self.pow_sum[from] - u * pow,
+        );
+        let (oi, op, or) = self.aggs[from];
+        Leave {
+            thread,
+            from,
+            u,
+            sums: (
+                self.sum_ips + (ni - oi),
+                self.sum_p + (np - op),
+                self.sum_ratio + (nr - or),
+            ),
+        }
+    }
+
+    /// The to-core half: the objective delta of `leave`'s thread
+    /// arriving on core `to` with rates `ips`/`pow` there; 0 for a
+    /// self-move.
+    pub(crate) fn delta_to(&self, leave: &Leave, to: usize, ips: f64, pow: f64) -> f64 {
+        if to == leave.from {
+            return 0.0;
+        }
+        let u = leave.u;
+        let (ni, np, nr) = self.aggregates_at(
+            to,
+            self.u_sum[to] + u,
+            self.ips_sum[to] + u * ips,
+            self.pow_sum[to] + u * pow,
+        );
+        let (oi, op, or) = self.aggs[to];
+        let (s_ips, s_p, s_r) = leave.sums;
+        goal_total(
+            self.goal,
+            s_ips + (ni - oi),
+            s_p + (np - op),
+            s_r + (nr - or),
+        ) - self.total
+    }
+
+    /// Moves a thread of utilization `u` from core `from` (where it
+    /// runs at `at_from` = `(ips, power)`) to a different core `to`
+    /// (at `at_to`), returning the realized delta.
+    pub(crate) fn commit(
+        &mut self,
+        from: usize,
+        to: usize,
+        u: f64,
+        at_from: (f64, f64),
+        at_to: (f64, f64),
+    ) -> f64 {
+        self.u_sum[from] -= u;
+        self.ips_sum[from] -= u * at_from.0;
+        self.pow_sum[from] -= u * at_from.1;
+        self.u_sum[to] += u;
+        self.ips_sum[to] += u * at_to.0;
+        self.pow_sum[to] += u * at_to.1;
+        // O(1): patch the three goal aggregates for the two cores.
+        for j in [from, to] {
+            let (ni, np, nr) =
+                self.aggregates_at(j, self.u_sum[j], self.ips_sum[j], self.pow_sum[j]);
+            let (oi, op, or) = self.aggs[j];
+            self.sum_ips += ni - oi;
+            self.sum_p += np - op;
+            self.sum_ratio += nr - or;
+            self.aggs[j] = (ni, np, nr);
+        }
+        let new_total = goal_total(self.goal, self.sum_ips, self.sum_p, self.sum_ratio);
+        let delta = new_total - self.total;
+        self.total = new_total;
+        delta
+    }
+}
+
+/// Incrementally maintained objective state for a working allocation:
+/// per-core partial sums plus cached per-core aggregates, updated in
+/// O(1) per move instead of O(m·n) per evaluation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IncrementalObjective<'a, 'b> {
+    objective: &'b Objective<'a>,
+    alloc: Vec<usize>,
+    ledger: CoreLedger,
 }
 
 impl<'a, 'b> IncrementalObjective<'a, 'b> {
@@ -222,49 +387,53 @@ impl<'a, 'b> IncrementalObjective<'a, 'b> {
         let m = objective.matrices;
         assert_eq!(alloc.len(), m.num_threads(), "one core per thread");
         let n = m.num_cores();
-        let mut u_sum = vec![0.0; n];
-        let mut ips_sum = vec![0.0; n];
-        let mut pow_sum = vec![0.0; n];
-        for (i, &j) in alloc.iter().enumerate() {
+        let placed = alloc.iter().enumerate().map(|(i, &j)| {
             assert!(j < n, "thread {i} assigned to non-existent core {j}");
-            let u = m.utilization(i);
-            u_sum[j] += u;
-            ips_sum[j] += u * m.ips(i, j);
-            pow_sum[j] += u * m.power(i, j);
-        }
-        let core_terms: Vec<(f64, f64)> = (0..n)
-            .map(|j| objective.core_terms(j, u_sum[j], ips_sum[j], pow_sum[j]))
-            .collect();
-        let (mut sum_ips, mut sum_p, mut sum_ratio) = (0.0, 0.0, 0.0);
-        for (j, &t) in core_terms.iter().enumerate() {
-            let (i, p, r) = objective.aggregates_of(j, t);
-            sum_ips += i;
-            sum_p += p;
-            sum_ratio += r;
-        }
-        let total = objective.total_from(sum_ips, sum_p, sum_ratio);
+            (j, m.utilization(i), m.ips(i, j), m.power(i, j))
+        });
+        let sleep_w = (0..n).map(|j| m.sleep_power_w(j)).collect();
         IncrementalObjective {
             objective,
             alloc: alloc.to_vec(),
-            u_sum,
-            ips_sum,
-            pow_sum,
-            core_terms,
-            sum_ips,
-            sum_p,
-            sum_ratio,
-            total,
+            ledger: CoreLedger::new(objective.goal, objective.weights.clone(), sleep_w, placed),
         }
     }
 
     /// Current objective value.
     pub fn value(&self) -> f64 {
-        self.total
+        self.ledger.value()
     }
 
     /// Current allocation.
     pub fn alloc(&self) -> &[usize] {
         &self.alloc
+    }
+
+    /// The from-core half of moving thread `i` off its current core,
+    /// to pair with [`IncrementalObjective::delta_to`] for every
+    /// candidate destination.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn leave(&self, i: usize) -> Leave {
+        let from = self.alloc[i];
+        let m = self.objective.matrices;
+        self.ledger
+            .leave(i, from, m.utilization(i), m.ips(i, from), m.power(i, from))
+    }
+
+    /// The objective delta if `leave`'s thread moved to core `to` (no
+    /// state change): the to-core half on top of the shared from-core
+    /// half. Returns 0 for a self-move.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is out of range.
+    pub fn delta_to(&self, leave: &Leave, to: usize) -> f64 {
+        let (i, m) = (leave.thread, self.objective.matrices);
+        self.ledger
+            .delta_to(leave, to, m.ips(i, to), m.power(i, to))
     }
 
     /// The objective delta if thread `i` moved to core `to` (no state
@@ -274,37 +443,7 @@ impl<'a, 'b> IncrementalObjective<'a, 'b> {
     ///
     /// Panics if `i` or `to` is out of range.
     pub fn delta_for_move(&self, i: usize, to: usize) -> f64 {
-        let from = self.alloc[i];
-        if from == to {
-            return 0.0;
-        }
-        let m = self.objective.matrices;
-        let u = m.utilization(i);
-        let new_from = self.objective.core_terms(
-            from,
-            self.u_sum[from] - u,
-            self.ips_sum[from] - u * m.ips(i, from),
-            self.pow_sum[from] - u * m.power(i, from),
-        );
-        let new_to = self.objective.core_terms(
-            to,
-            self.u_sum[to] + u,
-            self.ips_sum[to] + u * m.ips(i, to),
-            self.pow_sum[to] + u * m.power(i, to),
-        );
-        // O(1): patch the three goal aggregates for the two cores.
-        let (mut s_ips, mut s_p, mut s_r) = (self.sum_ips, self.sum_p, self.sum_ratio);
-        for (j, old, new) in [
-            (from, self.core_terms[from], new_from),
-            (to, self.core_terms[to], new_to),
-        ] {
-            let (oi, op, or) = self.objective.aggregates_of(j, old);
-            let (ni, np, nr) = self.objective.aggregates_of(j, new);
-            s_ips += ni - oi;
-            s_p += np - op;
-            s_r += nr - or;
-        }
-        self.objective.total_from(s_ips, s_p, s_r) - self.total
+        self.delta_to(&self.leave(i), to)
     }
 
     /// Commits the move of thread `i` to core `to`, returning the
@@ -315,31 +454,14 @@ impl<'a, 'b> IncrementalObjective<'a, 'b> {
             return 0.0;
         }
         let m = self.objective.matrices;
-        let u = m.utilization(i);
-        self.u_sum[from] -= u;
-        self.ips_sum[from] -= u * m.ips(i, from);
-        self.pow_sum[from] -= u * m.power(i, from);
-        self.u_sum[to] += u;
-        self.ips_sum[to] += u * m.ips(i, to);
-        self.pow_sum[to] += u * m.power(i, to);
         self.alloc[i] = to;
-        for j in [from, to] {
-            let new = self
-                .objective
-                .core_terms(j, self.u_sum[j], self.ips_sum[j], self.pow_sum[j]);
-            let (oi, op, or) = self.objective.aggregates_of(j, self.core_terms[j]);
-            let (ni, np, nr) = self.objective.aggregates_of(j, new);
-            self.sum_ips += ni - oi;
-            self.sum_p += np - op;
-            self.sum_ratio += nr - or;
-            self.core_terms[j] = new;
-        }
-        let new_total = self
-            .objective
-            .total_from(self.sum_ips, self.sum_p, self.sum_ratio);
-        let delta = new_total - self.total;
-        self.total = new_total;
-        delta
+        self.ledger.commit(
+            from,
+            to,
+            m.utilization(i),
+            (m.ips(i, from), m.power(i, from)),
+            (m.ips(i, to), m.power(i, to)),
+        )
     }
 }
 
@@ -349,6 +471,67 @@ mod tests {
     use super::*;
     use archsim::CoreTypeId;
     use kernelsim::TaskId;
+
+    /// The reference the split evaluation must match bit for bit: the
+    /// one-shot two-core patch built from the public per-core functions
+    /// (both cores' old and new terms from the sums, patched
+    /// from-then-to). And a check that the per-core cache equals a
+    /// fresh evaluation of each core's sums.
+    impl CoreLedger {
+        pub(crate) fn one_shot_delta(
+            &self,
+            from: usize,
+            to: usize,
+            u: f64,
+            at_from: (f64, f64),
+            at_to: (f64, f64),
+        ) -> f64 {
+            if from == to {
+                return 0.0;
+            }
+            let new_from = effective_core_terms(
+                self.u_sum[from] - u,
+                self.ips_sum[from] - u * at_from.0,
+                self.pow_sum[from] - u * at_from.1,
+                self.sleep_w[from],
+            );
+            let new_to = effective_core_terms(
+                self.u_sum[to] + u,
+                self.ips_sum[to] + u * at_to.0,
+                self.pow_sum[to] + u * at_to.1,
+                self.sleep_w[to],
+            );
+            let (mut s_ips, mut s_p, mut s_r) = (self.sum_ips, self.sum_p, self.sum_ratio);
+            for (j, new) in [(from, new_from), (to, new_to)] {
+                let old = effective_core_terms(
+                    self.u_sum[j],
+                    self.ips_sum[j],
+                    self.pow_sum[j],
+                    self.sleep_w[j],
+                );
+                let (oi, op, or) = weighted_aggregates(self.weights[j], old);
+                let (ni, np, nr) = weighted_aggregates(self.weights[j], new);
+                s_ips += ni - oi;
+                s_p += np - op;
+                s_r += nr - or;
+            }
+            goal_total(self.goal, s_ips, s_p, s_r) - self.total
+        }
+
+        pub(crate) fn assert_cache_is_fresh(&self) {
+            let bits = |(a, b, c): (f64, f64, f64)| (a.to_bits(), b.to_bits(), c.to_bits());
+            for (j, &cached) in self.aggs.iter().enumerate() {
+                let terms = effective_core_terms(
+                    self.u_sum[j],
+                    self.ips_sum[j],
+                    self.pow_sum[j],
+                    self.sleep_w[j],
+                );
+                let fresh = weighted_aggregates(self.weights[j], terms);
+                assert_eq!(bits(cached), bits(fresh), "core {j}: stale aggregates");
+            }
+        }
+    }
 
     /// Two threads × two cores with hand-set rates.
     fn simple() -> CharacterizationMatrices {
@@ -479,6 +662,91 @@ mod tests {
                     state.value()
                 );
                 assert!((state.value() - before - realized).abs() < 1e-12);
+            }
+        }
+    }
+
+    /// Five threads × four cores with uneven rates and partial demand,
+    /// so scripted moves saturate, empty and refill cores.
+    fn uneven() -> CharacterizationMatrices {
+        let mut m = CharacterizationMatrices::new(
+            (0..5).map(TaskId).collect(),
+            (0..4).map(CoreTypeId).collect(),
+            vec![0.2, 0.05, 0.05, 0.01],
+        );
+        for i in 0..5 {
+            for j in 0..4 {
+                let ips = (1.0 + 0.37 * i as f64 + 1.13 * (3 - j) as f64) * 1.0e9;
+                let power = 0.05 + 0.9 * (3 - j) as f64 + 0.11 * i as f64;
+                m.set(i, j, ips, power, j == i % 4);
+            }
+            m.set_utilization(i, [1.0, 0.35, 0.8, 0.55, 0.2][i]);
+        }
+        m
+    }
+
+    /// The split evaluation (`leave` once, `delta_to` per destination)
+    /// reproduces the one-shot two-core patch bit for bit, for every
+    /// goal, with and without ω, on every (thread, core) pair along a
+    /// scripted commit sequence; and every commit leaves the per-core
+    /// aggregate cache equal to a fresh evaluation.
+    #[test]
+    fn split_delta_is_bit_identical_to_the_one_shot_patch() {
+        let m = uneven();
+        let script = [
+            (0, 1),
+            (3, 1),
+            (1, 0),
+            (4, 3),
+            (2, 3),
+            (0, 3),
+            (3, 2),
+            (1, 1),
+        ];
+        for goal in [
+            Goal::EnergyEfficiency,
+            Goal::PerCoreEfficiencySum,
+            Goal::Throughput,
+            Goal::MinPower,
+            Goal::EnergyDelayProduct,
+        ] {
+            for weights in [None, Some(vec![1.5, 1.0, 0.25, 0.0])] {
+                let mut obj = Objective::new(&m, goal);
+                if let Some(w) = weights.clone() {
+                    obj = obj.with_weights(w);
+                }
+                let mut state = IncrementalObjective::new(&obj, &[0, 0, 2, 2, 2]);
+                state.ledger.assert_cache_is_fresh();
+                for (mi, mto) in script {
+                    for i in 0..5 {
+                        let leave = state.leave(i);
+                        let from = state.alloc()[i];
+                        for to in 0..4 {
+                            let one_shot = state.ledger.one_shot_delta(
+                                from,
+                                to,
+                                m.utilization(i),
+                                (m.ips(i, from), m.power(i, from)),
+                                (m.ips(i, to), m.power(i, to)),
+                            );
+                            let split = state.delta_to(&leave, to);
+                            assert_eq!(
+                                split.to_bits(),
+                                one_shot.to_bits(),
+                                "{goal:?} {weights:?}: move ({i},{to})"
+                            );
+                            assert_eq!(state.delta_for_move(i, to).to_bits(), split.to_bits());
+                        }
+                    }
+                    let predicted = state.delta_for_move(mi, mto);
+                    let realized = state.commit_move(mi, mto);
+                    assert_eq!(
+                        realized.to_bits(),
+                        predicted.to_bits(),
+                        "{goal:?} {weights:?}"
+                    );
+                    state.ledger.assert_cache_is_fresh();
+                }
             }
         }
     }

@@ -9,17 +9,17 @@
 //! candidate threads between clusters. The exchange never rebuilds the
 //! dense matrices — it works on the compact per-type rows of
 //! [`crate::estimate::TypeRates`] and evaluates every candidate move as
-//! an O(1) two-core patch through the same free functions
-//! ([`crate::objective::effective_core_terms`],
-//! [`crate::objective::weighted_aggregates`],
-//! [`crate::objective::goal_total`]) the flat objective is built from,
-//! so the two paths share one source of numeric truth.
+//! an O(1) two-core patch through the same per-core ledger the flat
+//! [`crate::objective::IncrementalObjective`] is built on, so the two
+//! paths share one source of numeric truth — including the split of
+//! each move into a from-core half computed once per thread and a
+//! to-core half per candidate destination.
 
 use archsim::CoreTypeId;
 use serde::{Deserialize, Serialize};
 
 use crate::estimate::TypeRates;
-use crate::objective::{effective_core_terms, goal_total, weighted_aggregates, Goal};
+use crate::objective::{CoreLedger, Goal, Leave};
 
 /// Configuration of the sharded balancer: worker pool for the
 /// per-cluster anneal fan-out and the global-exchange budget.
@@ -38,8 +38,12 @@ pub struct ShardConfig {
     /// considers per round (the highest-gain moves first).
     pub exchange_top_k: usize,
     /// Maximum exchange rounds per epoch; the stage stops early the
-    /// first round that commits no move. Bounds per-epoch exchange
-    /// work at `rounds × top_k × clusters` O(1) evaluations.
+    /// first round that commits no move. Each round scores every
+    /// movable thread against every foreign cluster, so per-epoch
+    /// exchange work is bounded at `rounds × m × (C − 1)` O(1) delta
+    /// evaluations for `m` threads and `C` clusters (plus one from-core
+    /// half per thread per round), with the commit pass over at most
+    /// `top_k × C` candidates per round on top.
     pub exchange_rounds: usize,
     /// Minimum objective gain (in goal units, e.g. GIPS/W) a
     /// cross-cluster move must deliver to commit.
@@ -68,26 +72,15 @@ pub(crate) fn mask_allows(mask: u64, j: usize) -> bool {
 /// Incrementally maintained *global* objective state for the exchange
 /// stage: per-core demand/rate sums over all `n` cores, fed by compact
 /// per-type thread rows instead of dense matrices. The arithmetic is
-/// the twin of [`crate::objective::IncrementalObjective`] — same
-/// per-core model, same goal combination, O(1) per candidate move.
+/// [`crate::objective::IncrementalObjective`]'s own shared ledger —
+/// same per-core model, same goal combination, O(1) per candidate move.
 #[derive(Debug, Clone)]
 pub(crate) struct ExchangeState<'a> {
-    goal: Goal,
     rates: &'a [TypeRates],
     util: &'a [f64],
     types: &'a [CoreTypeId],
-    sleep_w: &'a [f64],
-    weights: Vec<f64>,
     alloc: Vec<usize>,
-    u_sum: Vec<f64>,
-    ips_sum: Vec<f64>,
-    pow_sum: Vec<f64>,
-    /// Cached effective (IPS, power) per core.
-    terms: Vec<(f64, f64)>,
-    sum_ips: f64,
-    sum_p: f64,
-    sum_ratio: f64,
-    total: f64,
+    ledger: CoreLedger,
 }
 
 impl<'a> ExchangeState<'a> {
@@ -104,7 +97,7 @@ impl<'a> ExchangeState<'a> {
         rates: &'a [TypeRates],
         util: &'a [f64],
         types: &'a [CoreTypeId],
-        sleep_w: &'a [f64],
+        sleep_w: &[f64],
         weights: Option<Vec<f64>>,
         alloc: &[usize],
     ) -> Self {
@@ -115,50 +108,23 @@ impl<'a> ExchangeState<'a> {
         assert_eq!(sleep_w.len(), n, "one sleep power per core");
         let weights = weights.unwrap_or_else(|| vec![1.0; n]);
         assert_eq!(weights.len(), n, "one ω per core");
-        let mut u_sum = vec![0.0; n];
-        let mut ips_sum = vec![0.0; n];
-        let mut pow_sum = vec![0.0; n];
-        for (i, &j) in alloc.iter().enumerate() {
+        let placed = alloc.iter().enumerate().map(|(i, &j)| {
             assert!(j < n, "thread {i} assigned to non-existent core {j}");
             let t = types[j];
-            let u = util[i];
-            u_sum[j] += u;
-            ips_sum[j] += u * rates[i].ips(t);
-            pow_sum[j] += u * rates[i].power_w(t);
-        }
-        let terms: Vec<(f64, f64)> = (0..n)
-            .map(|j| effective_core_terms(u_sum[j], ips_sum[j], pow_sum[j], sleep_w[j]))
-            .collect();
-        let (mut sum_ips, mut sum_p, mut sum_ratio) = (0.0, 0.0, 0.0);
-        for (j, &t) in terms.iter().enumerate() {
-            let (i, p, r) = weighted_aggregates(weights[j], t);
-            sum_ips += i;
-            sum_p += p;
-            sum_ratio += r;
-        }
-        let total = goal_total(goal, sum_ips, sum_p, sum_ratio);
+            (j, util[i], rates[i].ips(t), rates[i].power_w(t))
+        });
         ExchangeState {
-            goal,
             rates,
             util,
             types,
-            sleep_w,
-            weights,
             alloc: alloc.to_vec(),
-            u_sum,
-            ips_sum,
-            pow_sum,
-            terms,
-            sum_ips,
-            sum_p,
-            sum_ratio,
-            total,
+            ledger: CoreLedger::new(goal, weights, sleep_w.to_vec(), placed),
         }
     }
 
     /// Current global objective value.
     pub(crate) fn value(&self) -> f64 {
-        self.total
+        self.ledger.value()
     }
 
     /// The core thread `i` currently sits on.
@@ -168,43 +134,27 @@ impl<'a> ExchangeState<'a> {
 
     /// Total demand currently placed on core `j`.
     pub(crate) fn load_of(&self, j: usize) -> f64 {
-        self.u_sum[j]
+        self.ledger.load_of(j)
     }
 
-    /// The objective delta if thread `i` moved to core `to` (no state
-    /// change); 0 for a self-move.
-    pub(crate) fn delta_for_move(&self, i: usize, to: usize) -> f64 {
+    /// The from-core half of moving thread `i` off its current core.
+    pub(crate) fn leave(&self, i: usize) -> Leave {
         let from = self.alloc[i];
-        if from == to {
-            return 0.0;
-        }
-        let u = self.util[i];
-        let (tf, tt) = (self.types[from], self.types[to]);
-        let new_from = effective_core_terms(
-            self.u_sum[from] - u,
-            self.ips_sum[from] - u * self.rates[i].ips(tf),
-            self.pow_sum[from] - u * self.rates[i].power_w(tf),
-            self.sleep_w[from],
-        );
-        let new_to = effective_core_terms(
-            self.u_sum[to] + u,
-            self.ips_sum[to] + u * self.rates[i].ips(tt),
-            self.pow_sum[to] + u * self.rates[i].power_w(tt),
-            self.sleep_w[to],
-        );
-        // O(1): patch the three goal aggregates for the two cores.
-        let (mut s_ips, mut s_p, mut s_r) = (self.sum_ips, self.sum_p, self.sum_ratio);
-        for (j, old, new) in [
-            (from, self.terms[from], new_from),
-            (to, self.terms[to], new_to),
-        ] {
-            let (oi, op, or) = weighted_aggregates(self.weights[j], old);
-            let (ni, np, nr) = weighted_aggregates(self.weights[j], new);
-            s_ips += ni - oi;
-            s_p += np - op;
-            s_r += nr - or;
-        }
-        goal_total(self.goal, s_ips, s_p, s_r) - self.total
+        let t = self.types[from];
+        self.ledger.leave(
+            i,
+            from,
+            self.util[i],
+            self.rates[i].ips(t),
+            self.rates[i].power_w(t),
+        )
+    }
+
+    /// The objective delta if `leave`'s thread moved to core `to` (no
+    /// state change); 0 for a self-move.
+    pub(crate) fn delta_to(&self, leave: &Leave, to: usize) -> f64 {
+        let (r, t) = (&self.rates[leave.thread], self.types[to]);
+        self.ledger.delta_to(leave, to, r.ips(t), r.power_w(t))
     }
 
     /// Commits the move of thread `i` to core `to`, returning the
@@ -214,33 +164,15 @@ impl<'a> ExchangeState<'a> {
         if from == to {
             return 0.0;
         }
-        let u = self.util[i];
-        let (tf, tt) = (self.types[from], self.types[to]);
-        self.u_sum[from] -= u;
-        self.ips_sum[from] -= u * self.rates[i].ips(tf);
-        self.pow_sum[from] -= u * self.rates[i].power_w(tf);
-        self.u_sum[to] += u;
-        self.ips_sum[to] += u * self.rates[i].ips(tt);
-        self.pow_sum[to] += u * self.rates[i].power_w(tt);
+        let (r, tf, tt) = (&self.rates[i], self.types[from], self.types[to]);
         self.alloc[i] = to;
-        for j in [from, to] {
-            let new = effective_core_terms(
-                self.u_sum[j],
-                self.ips_sum[j],
-                self.pow_sum[j],
-                self.sleep_w[j],
-            );
-            let (oi, op, or) = weighted_aggregates(self.weights[j], self.terms[j]);
-            let (ni, np, nr) = weighted_aggregates(self.weights[j], new);
-            self.sum_ips += ni - oi;
-            self.sum_p += np - op;
-            self.sum_ratio += nr - or;
-            self.terms[j] = new;
-        }
-        let new_total = goal_total(self.goal, self.sum_ips, self.sum_p, self.sum_ratio);
-        let delta = new_total - self.total;
-        self.total = new_total;
-        delta
+        self.ledger.commit(
+            from,
+            to,
+            self.util[i],
+            (r.ips(tf), r.power_w(tf)),
+            (r.ips(tt), r.power_w(tt)),
+        )
     }
 }
 
@@ -320,7 +252,7 @@ mod tests {
             );
             for (i, to) in moves {
                 let dd = dense.delta_for_move(i, to);
-                let cd = compact.delta_for_move(i, to);
+                let cd = compact.delta_to(&compact.leave(i), to);
                 assert!((dd - cd).abs() < 1e-12, "{goal:?}: move ({i},{to}) delta");
                 dense.commit_move(i, to);
                 compact.commit_move(i, to);
@@ -367,6 +299,99 @@ mod tests {
             &initial,
         );
         assert!((dense.value() - compact.value()).abs() < 1e-12);
+    }
+
+    /// The exchange state's split evaluation reproduces the one-shot
+    /// two-core patch bit for bit — every goal, with and without ω,
+    /// every (thread, core) pair along a scripted commit sequence —
+    /// and its per-core aggregate cache stays fresh after each commit.
+    #[test]
+    fn split_exchange_delta_is_bit_identical_to_the_one_shot_patch() {
+        let platform = Platform::quad_heterogeneous();
+        let predictors = PredictorSet::train(&platform, 200, 9);
+        let demand = [1.0, 0.35, 0.8, 0.55, 0.2, 0.9, 0.6, 0.45];
+        let senses: Vec<ThreadSense> = (0..8)
+            .map(|k| {
+                let w = match k % 3 {
+                    0 => WorkloadCharacteristics::compute_bound(),
+                    1 => WorkloadCharacteristics::memory_bound(),
+                    _ => WorkloadCharacteristics::balanced(),
+                };
+                let mut s = sense_for(&platform, CoreId(k % 4), &w);
+                s.utilization = demand[k];
+                s
+            })
+            .collect();
+        let rates: Vec<TypeRates> = senses
+            .iter()
+            .map(|s| TypeRates::build(&platform, s, &predictors))
+            .collect();
+        let util: Vec<f64> = senses.iter().map(|s| s.utilization).collect();
+        let types: Vec<CoreTypeId> = platform.cores().map(|c| platform.core_type(c)).collect();
+        let sleep: Vec<f64> = platform
+            .cores()
+            .map(|c| CorePowerModel::calibrated(platform.core_config(c)).sleep_power_w())
+            .collect();
+        let initial: Vec<usize> = senses.iter().map(|s| s.core.0).collect();
+        let script = [
+            (0, 3),
+            (5, 3),
+            (2, 0),
+            (7, 1),
+            (0, 1),
+            (3, 2),
+            (6, 0),
+            (4, 0),
+        ];
+        for goal in [
+            Goal::EnergyEfficiency,
+            Goal::PerCoreEfficiencySum,
+            Goal::Throughput,
+            Goal::MinPower,
+            Goal::EnergyDelayProduct,
+        ] {
+            for weights in [None, Some(vec![2.0, 1.0, 0.5, 0.05])] {
+                let mut state = ExchangeState::new(
+                    goal,
+                    &rates,
+                    &util,
+                    &types,
+                    &sleep,
+                    weights.clone(),
+                    &initial,
+                );
+                state.ledger.assert_cache_is_fresh();
+                for (mi, mto) in script {
+                    for (i, r) in rates.iter().enumerate() {
+                        let leave = state.leave(i);
+                        let from = state.core_of(i);
+                        let tf = types[from];
+                        for (to, &tt) in types.iter().enumerate() {
+                            let one_shot = state.ledger.one_shot_delta(
+                                from,
+                                to,
+                                util[i],
+                                (r.ips(tf), r.power_w(tf)),
+                                (r.ips(tt), r.power_w(tt)),
+                            );
+                            assert_eq!(
+                                state.delta_to(&leave, to).to_bits(),
+                                one_shot.to_bits(),
+                                "{goal:?} {weights:?}: move ({i},{to})"
+                            );
+                        }
+                    }
+                    let predicted = state.delta_to(&state.leave(mi), mto);
+                    let realized = state.commit_move(mi, mto);
+                    assert_eq!(
+                        realized.to_bits(),
+                        predicted.to_bits(),
+                        "{goal:?} {weights:?}"
+                    );
+                    state.ledger.assert_cache_is_fresh();
+                }
+            }
+        }
     }
 
     #[test]

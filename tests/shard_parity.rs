@@ -7,13 +7,17 @@
 //!   directly-constructed [`ShardedBalancer`];
 //! * offline (hotplugged) cores are honored inside every cluster
 //!   shard — no placement ever targets them;
-//! * shard worker count (1 vs N) never changes results.
+//! * a thread whose predictions are quarantined never moves;
+//! * shard worker count (1 vs N) never changes results, also under
+//!   hotplug, sensor noise and threads stranded on offline cores.
 
-use archsim::{CoreId, Platform};
-use kernelsim::{EpochReport, LoadBalancer, System, SystemConfig};
+use std::collections::BTreeSet;
+
+use archsim::{CoreId, FaultKind, FaultPlan, Platform};
+use kernelsim::{Allocation, EpochReport, LoadBalancer, System, SystemConfig, TaskId};
 use smartbalance::{
-    ExperimentSpec, ExperimentSuite, Policy, ShardConfig, ShardedBalancer, SmartBalance,
-    SmartBalanceConfig,
+    DegradeMode, ExperimentSpec, ExperimentSuite, Policy, ShardConfig, ShardedBalancer,
+    SmartBalance, SmartBalanceConfig,
 };
 use workloads::{SyntheticGenerator, WorkloadProfile};
 
@@ -34,6 +38,30 @@ fn spawn_all(sys: &mut System, profiles: &[WorkloadProfile]) {
     for p in profiles {
         sys.spawn(p.clone());
     }
+}
+
+/// A sharded balancer with `workers` anneal workers and otherwise
+/// default configuration.
+fn sharded(platform: &Platform, workers: usize) -> ShardedBalancer {
+    let config = SmartBalanceConfig {
+        shard: Some(ShardConfig {
+            workers,
+            ..ShardConfig::default()
+        }),
+        ..SmartBalanceConfig::default()
+    };
+    ShardedBalancer::with_config(platform, config)
+}
+
+/// Sensor noise (σ = 3) on cores 0–3 from the first epoch: enough to
+/// quarantine a few threads' predictions while the degradation ladder
+/// stays in full mode.
+fn noisy_first_cores(sys: &mut System) {
+    let mut plan = FaultPlan::new();
+    for core in 0..4 {
+        plan = plan.inject(0, Some(core), FaultKind::Noise { sigma: 3.0 });
+    }
+    sys.set_fault_plan(plan, 0x5EED_0001);
 }
 
 /// Runs `epochs` epochs of the same workload under `balancer` and
@@ -174,4 +202,117 @@ fn shard_worker_count_never_changes_results() {
     let one = report_for(1);
     let four = report_for(4);
     assert_eq!(one, four, "shard worker count changed the suite report");
+}
+
+/// Wraps a sharded balancer and checks every allocation it emits
+/// against the threads quarantined in the same epoch.
+struct QuarantineAudit {
+    inner: ShardedBalancer,
+    quarantined: BTreeSet<TaskId>,
+    requested: usize,
+    modes: Vec<DegradeMode>,
+}
+
+impl LoadBalancer for QuarantineAudit {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn rebalance(&mut self, platform: &Platform, report: &EpochReport) -> Option<Allocation> {
+        let alloc = self.inner.rebalance(platform, report);
+        let quarantined = self.inner.inner().quarantined_threads();
+        if let Some(alloc) = &alloc {
+            for &task in &quarantined {
+                assert_eq!(
+                    alloc.core_of(task),
+                    None,
+                    "epoch {}: quarantined {task:?} was moved",
+                    report.epoch
+                );
+            }
+            self.requested += alloc.len();
+        }
+        self.quarantined.extend(quarantined);
+        self.modes.push(self.inner.inner().mode());
+        alloc
+    }
+}
+
+/// Quarantine pinning survives sharding: a thread the tracker
+/// distrusts never moves (mirrors the flat balancer's contract).
+#[test]
+fn quarantined_threads_never_move_under_sharding() {
+    let platform = Platform::clustered_heterogeneous(4, 16);
+    let mut sys = System::new(platform.clone(), SystemConfig::default());
+    noisy_first_cores(&mut sys);
+    spawn_all(&mut sys, &mixed_profiles(96, 29, u64::MAX / 64));
+    let mut audit = QuarantineAudit {
+        inner: sharded(&platform, 2),
+        quarantined: BTreeSet::new(),
+        requested: 0,
+        modes: Vec::new(),
+    };
+    for _ in 0..8 {
+        sys.run_epoch(&mut audit);
+    }
+    assert!(
+        audit.modes.iter().all(|&m| m == DegradeMode::Full),
+        "the noise must not push the ladder off full mode: {:?}",
+        audit.modes
+    );
+    assert!(
+        (2..=4).contains(&audit.quarantined.len()),
+        "expected a few quarantined threads, got {:?}",
+        audit.quarantined
+    );
+    assert!(
+        audit.requested >= 50,
+        "the other threads keep being balanced: {} migrations requested",
+        audit.requested
+    );
+}
+
+/// Shard worker count stays invisible where the per-cluster tasks and
+/// the split deltas do their work: a core toggled every few epochs,
+/// noisy sensors with quarantined threads, and a report with a thread
+/// stranded on an offline core (its rates are predicted outside the
+/// pool).
+#[test]
+fn shard_worker_count_is_invisible_under_hotplug_noise_and_stranding() {
+    let platform = Platform::clustered_heterogeneous(4, 16);
+    let profiles = mixed_profiles(96, 31, u64::MAX / 64);
+    let run = |workers: usize| -> Vec<String> {
+        let mut sys = System::new(platform.clone(), SystemConfig::default());
+        noisy_first_cores(&mut sys);
+        spawn_all(&mut sys, &profiles);
+        let mut policy = sharded(&platform, workers);
+        let mut prints = Vec::new();
+        let mut online = true;
+        let mut last = None;
+        for epoch in 0..16 {
+            if epoch % 3 == 2 {
+                online = !online;
+                sys.set_core_online(CoreId(21), online);
+            }
+            let report = sys.run_epoch(&mut policy);
+            prints.push(fingerprint(&report));
+            last = Some(report);
+        }
+        // Hand-built epoch: the core of the first task goes offline in
+        // the report while the task is still on it.
+        let mut report = last.expect("sixteen epochs ran");
+        let stranded = report.tasks[0].core;
+        for c in &mut report.cores {
+            if c.core == stranded {
+                c.online = false;
+            }
+        }
+        let alloc = policy.rebalance(&platform, &report);
+        prints.push(format!("{alloc:?} {:?}", policy.inner().last_outcome()));
+        prints
+    };
+    let one = run(1);
+    for workers in [2, 4] {
+        assert_eq!(one, run(workers), "{workers} shard workers changed results");
+    }
 }
