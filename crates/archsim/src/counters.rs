@@ -138,41 +138,6 @@ impl CounterSample {
         *self == Self::default()
     }
 
-    /// Element-wise scaling by an integer repeat count: the aggregate of
-    /// `n` identical slices. `u64` addition is associative and
-    /// commutative, so `s.scaled(n)` equals folding `n` copies of `s`
-    /// with `+` exactly — this is what lets the batched slice engine
-    /// defer counter accumulation to one multiply per template instead
-    /// of 16 adds per slice without changing a single bit.
-    ///
-    /// Uses wrapping multiplication deliberately: overflow here implies
-    /// the equivalent repeated addition would have overflowed too.
-    pub fn scaled(&self, n: u64) -> CounterSample {
-        macro_rules! mul {
-            ($f:ident) => {
-                self.$f.wrapping_mul(n)
-            };
-        }
-        CounterSample {
-            cy_busy: mul!(cy_busy),
-            cy_idle: mul!(cy_idle),
-            cy_mem_stall: mul!(cy_mem_stall),
-            cy_sleep: mul!(cy_sleep),
-            instructions: mul!(instructions),
-            mem_instructions: mul!(mem_instructions),
-            branch_instructions: mul!(branch_instructions),
-            branch_mispredicts: mul!(branch_mispredicts),
-            l1i_accesses: mul!(l1i_accesses),
-            l1i_misses: mul!(l1i_misses),
-            l1d_accesses: mul!(l1d_accesses),
-            l1d_misses: mul!(l1d_misses),
-            itlb_accesses: mul!(itlb_accesses),
-            itlb_misses: mul!(itlb_misses),
-            dtlb_accesses: mul!(dtlb_accesses),
-            dtlb_misses: mul!(dtlb_misses),
-        }
-    }
-
     /// Checked element-wise subtraction; `None` when `earlier` is not
     /// component-wise `<= self` (i.e. the counters were reset between the
     /// two snapshots).
@@ -377,18 +342,6 @@ mod tests {
         let s = sample();
         assert_eq!(s.checked_delta(&CounterSample::default()), Some(s));
         assert_eq!(CounterSample::default().checked_delta(&s), None);
-    }
-
-    #[test]
-    fn scaled_equals_repeated_addition() {
-        let s = sample();
-        let mut folded = CounterSample::default();
-        for _ in 0..7 {
-            folded += s;
-        }
-        assert_eq!(s.scaled(7), folded);
-        assert_eq!(s.scaled(0), CounterSample::default());
-        assert_eq!(s.scaled(1), s);
     }
 
     #[test]

@@ -152,16 +152,7 @@ pub fn time_to_complete_ns(
 /// one division instead of a full model evaluation. The throughput is
 /// floored at 1 IPS so the division can never produce infinity.
 pub fn time_to_complete_ns_with(est: &PipelineEstimate, freq_hz: f64, instructions: u64) -> u64 {
-    time_to_complete_ns_at((est.ipc * freq_hz).max(1.0), instructions)
-}
-
-/// [`time_to_complete_ns_with`] from a pre-floored throughput in
-/// instructions per second (`(est.ipc * freq_hz).max(1.0)`). The batched
-/// slice engine caches the throughput per (task, core, DVFS) stretch so
-/// completion detection is a single division per slice; keeping the
-/// expression here guarantees it stays bit-identical to the reference
-/// path.
-pub fn time_to_complete_ns_at(ips: f64, instructions: u64) -> u64 {
+    let ips = (est.ipc * freq_hz).max(1.0);
     // smartlint: allow(numeric-cast, "sentinel near-u64::MAX budgets exceed the exact f64 range; a completion-time upper bound tolerates that rounding")
     ceil_count(instructions as f64 / ips * 1e9)
 }

@@ -58,8 +58,7 @@ pub mod workload;
 pub use core_type::{CoreConfig, CoreId, CoreTypeId, Platform};
 pub use counters::{count_to_f64, len_to_f64, CounterSample};
 pub use execution::{
-    run_slice, synthesize, time_to_complete_ns, time_to_complete_ns_at, time_to_complete_ns_with,
-    ExecutionSlice,
+    run_slice, synthesize, time_to_complete_ns, time_to_complete_ns_with, ExecutionSlice,
 };
 pub use faults::{
     FaultAction, FaultClass, FaultEvent, FaultHarness, FaultKind, FaultPlan, FaultStats,

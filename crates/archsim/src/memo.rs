@@ -120,11 +120,6 @@ impl EstimateCache {
         self.enabled = enabled;
     }
 
-    /// Whether memoization is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Returns the memoized estimate for `key`, evaluating
     /// [`estimate`]`(workload, core)` on a miss.
     pub fn get_or_compute(
@@ -177,16 +172,6 @@ impl EstimateCache {
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Records a hit without probing the table. Execution engines that
-    /// validate a privately cached estimate (e.g. the batched slice
-    /// engine's per-task run state) call this instead of re-probing, so
-    /// the `hits + misses == total lookups` telemetry invariant holds
-    /// identically whether the estimate was replayed from the table or
-    /// from engine-local state derived from it.
-    pub fn note_hit(&mut self) {
-        self.hits += 1;
     }
 
     /// Lookups served from the table.
@@ -291,7 +276,6 @@ mod tests {
     fn disabled_cache_stores_nothing() {
         let mut cache = EstimateCache::new();
         cache.set_enabled(false);
-        assert!(!cache.is_enabled());
         let w = WorkloadCharacteristics::balanced();
         let cfg = CoreConfig::small();
         let a = cache.get_or_compute(key(0, 0, 3, 0), &w, &cfg);

@@ -68,31 +68,6 @@ impl SensorBank {
         self.elapsed_ns[core.0] += elapsed_ns;
     }
 
-    /// Accumulates only the scalar half of a slice (energy and wall
-    /// time) into core `core`'s bank. The batched slice engine charges
-    /// energy per slice — `f64` addition order is observable — but
-    /// defers the 16 counter adds, delivering them later through
-    /// [`SensorBank::record_counters`]. The split is exact because the
-    /// three accumulators are independent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn record_scalar(&mut self, core: CoreId, energy_j: f64, elapsed_ns: u64) {
-        self.energy_j[core.0] += energy_j;
-        self.elapsed_ns[core.0] += elapsed_ns;
-    }
-
-    /// Accumulates a deferred counter delta into core `core`'s bank —
-    /// the counter half of [`SensorBank::record_scalar`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn record_counters(&mut self, core: CoreId, delta: CounterSample) {
-        self.counters[core.0] += delta;
-    }
-
     /// Number of cores covered by the bank.
     pub fn num_cores(&self) -> usize {
         self.counters.len()
@@ -170,30 +145,5 @@ mod tests {
         assert_eq!(bank.elapsed_ns(CoreId(1)), 1_000);
         assert!((bank.total_energy_j() - 7.0e-3).abs() < 1e-15);
         assert_eq!(bank.total_instructions(), 30);
-    }
-
-    #[test]
-    fn split_record_matches_combined_record() {
-        // record_scalar + record_counters must be observationally
-        // identical (bit-for-bit for the f64 half) to one record call
-        // in the same order — the contract the batched engine rests on.
-        let platform = Platform::quad_heterogeneous();
-        let mut combined = SensorBank::new(&platform);
-        let mut split = SensorBank::new(&platform);
-        let d = CounterSample {
-            instructions: 42,
-            cy_busy: 21,
-            ..Default::default()
-        };
-        combined.record(CoreId(2), d, 1.5e-3, 700);
-        combined.record(CoreId(2), d, 2.5e-3, 300);
-        split.record_scalar(CoreId(2), 1.5e-3, 700);
-        split.record_scalar(CoreId(2), 2.5e-3, 300);
-        split.record_counters(CoreId(2), d.scaled(2));
-        assert_eq!(combined, split);
-        assert_eq!(
-            combined.energy_j(CoreId(2)).to_bits(),
-            split.energy_j(CoreId(2)).to_bits()
-        );
     }
 }

@@ -1,7 +1,7 @@
 //! `campaign` — crash-safe resumable campaign sweep over the paper's
 //! evaluation grid.
 //!
-//! Expands a (benchmark × parallelism × policy × engine) grid into
+//! Expands a (benchmark × parallelism × policy) grid into
 //! content-addressed cells, runs them through the `campaign` crate's
 //! checkpointing retry/quarantine runner, and writes
 //! `BENCH_campaign.json` (override with `--json <path>`). The grid
@@ -45,7 +45,6 @@
 use campaign::{Campaign, CampaignConfig, CampaignJob, CampaignReport, CheckpointJournal};
 
 use archsim::Platform;
-use kernelsim::EngineKind;
 use serde::Serialize;
 use smartbalance::{ExperimentSpec, Policy};
 use workloads::parsec;
@@ -97,14 +96,6 @@ fn build_grid(smoke: bool, scale: Option<f64>, epochs: Option<u64>) -> Vec<Campa
                 let index = jobs.len();
                 jobs.push(CampaignJob::new(index, spec.clone(), policy));
             }
-            // One batched-engine cell per spec: engines are part of the
-            // cell identity, so this never collides with the reference
-            // cell above.
-            let index = jobs.len();
-            jobs.push(
-                CampaignJob::new(index, spec.clone(), Policy::Smart)
-                    .with_engine(EngineKind::Batched),
-            );
         }
     }
     // The designated poisoned cell: IKS asserts a paired big.LITTLE

@@ -1,22 +1,21 @@
 //! `perfstat` — hot-loop performance counter for the simulation engine.
 //!
 //! Runs the reference epoch-loop scenario (quad heterogeneous platform,
-//! 24 mixed batch/interactive multi-phase tasks, 2000 epochs) three
-//! times — the reference slice engine with the memoized estimate cache
-//! enabled and disabled, and the batched slice engine — and reports
+//! 24 mixed batch/interactive multi-phase tasks, 2000 epochs) twice —
+//! with the memoized estimate cache enabled and disabled — and reports
 //! slices/sec, epochs/sec and the estimate-cache hit statistics for
 //! each round, plus the wall-clock of a small [`ExperimentSuite`] grid.
 //! Results are written to `BENCH_hotpath.json` (override with
 //! `--json <path>`).
 //!
-//! The rounds double as a parity gate: all three must commit the same
+//! The rounds double as a parity gate: both must commit the same
 //! instructions, dispatch the same slice count, and land bit-identical
 //! total energy (`f64::to_bits`). A divergence aborts the process, so
-//! the CI smoke run fails if either engine drifts.
+//! the CI smoke run fails if the memo drifts from the uncached model.
 //!
-//! Report schema v2: per-engine rounds (`engine` + `energy_bits` fields
-//! on each row), `speedup` (estimate memoization, uncached/cached) and
-//! `speedup_batched` (batched engine over the cached reference round).
+//! Report schema v3: a `cached` and an `uncached` round (each with an
+//! `energy_bits` field) and `speedup` (estimate memoization,
+//! uncached/cached).
 //!
 //! Flags:
 //!
@@ -27,7 +26,7 @@
 use std::time::Instant;
 
 use archsim::Platform;
-use kernelsim::{EngineKind, NullBalancer, System, SystemConfig};
+use kernelsim::{NullBalancer, System, SystemConfig};
 use serde::Serialize;
 use smartbalance::{ExperimentSpec, ExperimentSuite, Policy};
 use workloads::{ImbConfig, Level, SyntheticGenerator};
@@ -38,8 +37,6 @@ const SEED: u64 = 0xB007;
 /// One measured run of the epoch loop.
 #[derive(Debug, Clone, Serialize)]
 struct RoundStats {
-    /// Slice engine the round ran on (`reference` / `batched`).
-    engine: String,
     /// Whether the estimate cache was enabled.
     cached: bool,
     /// Wall-clock of the measured round, seconds.
@@ -65,7 +62,7 @@ struct RoundStats {
     cache_hit_rate: f64,
 }
 
-/// The full `BENCH_hotpath.json` document (schema v2).
+/// The full `BENCH_hotpath.json` document (schema v3).
 #[derive(Debug, Clone, Serialize)]
 struct HotpathReport {
     /// Report schema version.
@@ -76,17 +73,12 @@ struct HotpathReport {
     tasks: usize,
     /// Epochs per round in the epoch-loop scenario.
     epochs: u64,
-    /// Reference engine, estimate cache enabled.
+    /// Estimate cache enabled.
     cached: RoundStats,
-    /// Reference engine, estimate cache disabled.
+    /// Estimate cache disabled.
     uncached: RoundStats,
-    /// Batched engine, estimate cache enabled.
-    batched: RoundStats,
     /// `uncached.wall_s / cached.wall_s` — the memoization speedup.
     speedup: f64,
-    /// `cached.wall_s / batched.wall_s` — the batched-engine speedup
-    /// over the cached reference round.
-    speedup_batched: f64,
     /// Jobs in the suite wall-clock grid.
     suite_jobs: usize,
     /// Workers the suite ran on.
@@ -98,12 +90,8 @@ struct HotpathReport {
 }
 
 /// Runs one full round of the reference scenario and measures it.
-fn run_round(engine: EngineKind, cached: bool, epochs: u64, tasks: usize) -> RoundStats {
-    let config = SystemConfig {
-        engine,
-        ..SystemConfig::default()
-    };
-    let mut sys = System::new(Platform::quad_heterogeneous(), config);
+fn run_round(cached: bool, epochs: u64, tasks: usize) -> RoundStats {
+    let mut sys = System::new(Platform::quad_heterogeneous(), SystemConfig::default());
     sys.set_estimate_caching(cached);
     let mut gen = SyntheticGenerator::new(SEED);
     for i in 0..tasks {
@@ -119,7 +107,6 @@ fn run_round(engine: EngineKind, cached: bool, epochs: u64, tasks: usize) -> Rou
     let slices = sys.total_slices();
     let cache = sys.estimate_cache();
     RoundStats {
-        engine: engine.as_str().to_owned(),
         cached,
         wall_s,
         epochs,
@@ -134,24 +121,21 @@ fn run_round(engine: EngineKind, cached: bool, epochs: u64, tasks: usize) -> Rou
     }
 }
 
-/// Asserts the parity contract between two rounds: identical committed
-/// work and bit-identical energy. Process-aborting on purpose — this is
-/// the CI divergence gate.
-fn assert_parity(a: &RoundStats, b: &RoundStats) {
+/// Asserts the parity contract between the cached and uncached rounds:
+/// identical committed work and bit-identical energy. Process-aborting
+/// on purpose — this is the CI divergence gate.
+fn assert_parity(cached: &RoundStats, uncached: &RoundStats) {
     assert_eq!(
-        a.instructions, b.instructions,
-        "instruction divergence: {}(cached={}) vs {}(cached={})",
-        a.engine, a.cached, b.engine, b.cached
+        cached.instructions, uncached.instructions,
+        "instruction divergence between cached and uncached rounds"
     );
     assert_eq!(
-        a.slices, b.slices,
-        "slice-count divergence: {}(cached={}) vs {}(cached={})",
-        a.engine, a.cached, b.engine, b.cached
+        cached.slices, uncached.slices,
+        "slice-count divergence between cached and uncached rounds"
     );
     assert_eq!(
-        a.energy_bits, b.energy_bits,
-        "energy bit divergence: {}(cached={}) vs {}(cached={})",
-        a.engine, a.cached, b.engine, b.cached
+        cached.energy_bits, uncached.energy_bits,
+        "energy bit divergence between cached and uncached rounds"
     );
 }
 
@@ -197,33 +181,23 @@ fn main() {
     };
 
     // Warm-up round: page in code, warm the allocator.
-    run_round(EngineKind::Reference, true, epochs.min(200), tasks);
+    run_round(true, epochs.min(200), tasks);
 
-    let cached = run_round(EngineKind::Reference, true, epochs, tasks);
-    let uncached = run_round(EngineKind::Reference, false, epochs, tasks);
-    let batched = run_round(EngineKind::Batched, true, epochs, tasks);
-    // Memoization must not change simulated execution, and the batched
-    // engine must be bit-identical to the reference interpreter.
+    let cached = run_round(true, epochs, tasks);
+    let uncached = run_round(false, epochs, tasks);
+    // Memoization must not change simulated execution.
     assert_parity(&cached, &uncached);
-    assert_parity(&cached, &batched);
-    assert_eq!(
-        (batched.cache_hits, batched.cache_misses),
-        (cached.cache_hits, cached.cache_misses),
-        "estimate-cache telemetry divergence between engines"
-    );
 
     let (suite_jobs, suite_workers, suite_wall_s, suite_jobs_per_s) = run_suite(suite_scale);
 
     let report = HotpathReport {
-        schema: 2,
+        schema: 3,
         smoke,
         tasks,
         epochs,
         speedup: uncached.wall_s / cached.wall_s,
-        speedup_batched: cached.wall_s / batched.wall_s,
         cached,
         uncached,
-        batched,
         suite_jobs,
         suite_workers,
         suite_wall_s,
@@ -231,17 +205,13 @@ fn main() {
     };
 
     println!(
-        "{:<20} {:>9} {:>12} {:>14} {:>10} {:>9}",
+        "{:<10} {:>9} {:>12} {:>14} {:>10} {:>9}",
         "round", "wall_s", "epochs/s", "slices/s", "hit_rate", "slices"
     );
-    for r in [&report.cached, &report.uncached, &report.batched] {
+    for r in [&report.cached, &report.uncached] {
         println!(
-            "{:<20} {:>9.4} {:>12.1} {:>14.1} {:>10.4} {:>9}",
-            format!(
-                "{}/{}",
-                r.engine,
-                if r.cached { "cached" } else { "uncached" }
-            ),
+            "{:<10} {:>9.4} {:>12.1} {:>14.1} {:>10.4} {:>9}",
+            if r.cached { "cached" } else { "uncached" },
             r.wall_s,
             r.epochs_per_s,
             r.slices_per_s,
@@ -250,9 +220,8 @@ fn main() {
         );
     }
     println!(
-        "speedup: {:.2}x memoization, {:.2}x batched engine  |  suite: {} jobs on {} workers in {:.2} s ({:.2} jobs/s)",
+        "speedup: {:.2}x memoization  |  suite: {} jobs on {} workers in {:.2} s ({:.2} jobs/s)",
         report.speedup,
-        report.speedup_batched,
         report.suite_jobs,
         report.suite_workers,
         report.suite_wall_s,

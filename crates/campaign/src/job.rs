@@ -1,18 +1,17 @@
 //! Content-addressed campaign cells.
 //!
 //! A cell's identity is derived from what it *means* — the canonical
-//! JSON of its spec, policy, execution overrides and seed — not from
+//! JSON of its spec, policy, shard override and seed — not from
 //! where it sits in the grid. Reordering or extending a campaign
 //! therefore never invalidates completed work: unchanged cells keep
 //! their IDs and are skipped on resume.
 
-use kernelsim::EngineKind;
 use serde::{Deserialize, Serialize};
 use smartbalance::{splitmix64, ExperimentSpec, Policy, ShardConfig, SuiteJob};
 
 /// One campaign cell: an experiment spec bound to a policy, a
-/// deterministic seed and optional engine/shard overrides, at a fixed
-/// grid index.
+/// deterministic seed and an optional shard override, at a fixed grid
+/// index.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CampaignJob {
     /// Position in the expanded grid; the seed's source and the
@@ -25,8 +24,6 @@ pub struct CampaignJob {
     /// Deterministic seed (splitmix64 of the grid index by default) —
     /// part of the cell's identity, so retries replay the exact run.
     pub seed: u64,
-    /// Slice-execution backend override, as in [`SuiteJob::engine`].
-    pub engine: Option<EngineKind>,
     /// Hierarchical-sharding override, as in [`SuiteJob::shard`].
     pub shard: Option<ShardConfig>,
 }
@@ -40,15 +37,8 @@ impl CampaignJob {
             spec,
             policy,
             seed: splitmix64(index as u64),
-            engine: None,
             shard: None,
         }
-    }
-
-    /// Overrides the slice-execution backend (builder style).
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = Some(engine);
-        self
     }
 
     /// Enables hierarchical sharding (builder style).
@@ -60,7 +50,7 @@ impl CampaignJob {
     /// The cell's content-addressed identity: 16 hex digits, stable
     /// across grid reordering, process restarts and machines.
     pub fn id(&self) -> String {
-        job_id(&self.spec, self.policy, self.engine, self.shard, self.seed)
+        job_id(&self.spec, self.policy, self.shard, self.seed)
     }
 
     /// Lowers the cell to the suite's execution unit. Campaign cells
@@ -74,7 +64,6 @@ impl CampaignJob {
             seed: self.seed,
             trace: None,
             observe: false,
-            engine: self.engine,
             shard: self.shard,
         }
     }
@@ -87,15 +76,13 @@ impl CampaignJob {
 pub fn job_id(
     spec: &ExperimentSpec,
     policy: Policy,
-    engine: Option<EngineKind>,
     shard: Option<ShardConfig>,
     seed: u64,
 ) -> String {
     let canonical = format!(
-        "{{\"spec\":{},\"policy\":{},\"engine\":{},\"shard\":{},\"seed\":{seed}}}",
+        "{{\"spec\":{},\"policy\":{},\"shard\":{},\"seed\":{seed}}}",
         canonical_json(spec),
         canonical_json(&policy),
-        canonical_json(&engine),
         canonical_json(&shard),
     );
     format!("{:016x}", fnv1a64(canonical.as_bytes()))
@@ -154,9 +141,9 @@ mod tests {
         assert_ne!(a.id(), other_spec.id(), "spec is part of identity");
         let other_seed = CampaignJob::new(1, spec("x"), Policy::Vanilla);
         assert_ne!(a.id(), other_seed.id(), "seed is part of identity");
-        let other_engine =
-            CampaignJob::new(0, spec("x"), Policy::Vanilla).with_engine(EngineKind::Batched);
-        assert_ne!(a.id(), other_engine.id(), "engine is part of identity");
+        let sharded =
+            CampaignJob::new(0, spec("x"), Policy::Vanilla).with_shard(ShardConfig::default());
+        assert_ne!(a.id(), sharded.id(), "shard is part of identity");
     }
 
     #[test]

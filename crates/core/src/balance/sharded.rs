@@ -566,7 +566,7 @@ mod tests {
                 _ => WorkloadCharacteristics::balanced(),
             };
             sys.spawn_on(
-                WorkloadProfile::uniform(&format!("t{k}"), w, u64::MAX / 8),
+                WorkloadProfile::uniform(format!("t{k}"), w, u64::MAX / 8),
                 CoreId(k % platform.num_cores()),
             );
         }
@@ -602,7 +602,7 @@ mod tests {
         for k in 0..8 {
             sys.spawn_on(
                 WorkloadProfile::uniform(
-                    &format!("c{k}"),
+                    format!("c{k}"),
                     WorkloadCharacteristics::compute_bound(),
                     u64::MAX / 8,
                 ),

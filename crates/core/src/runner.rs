@@ -4,9 +4,7 @@
 //! around it.
 
 use archsim::Platform;
-use kernelsim::{
-    EngineKind, LoadBalancer, NullBalancer, System, SystemConfig, SystemStats, TraceLevel,
-};
+use kernelsim::{LoadBalancer, NullBalancer, System, SystemConfig, SystemStats, TraceLevel};
 use serde::{Deserialize, Serialize};
 use workloads::WorkloadProfile;
 
@@ -110,14 +108,6 @@ impl ExperimentSpec {
         self
     }
 
-    /// Selects the slice-execution backend for this spec (a shortcut
-    /// for setting `sys_config.engine`). A per-run
-    /// [`RunOptions::with_engine`] override wins over this.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.sys_config.engine = engine;
-        self
-    }
-
     /// Enables hierarchical sharding for this spec's [`Policy::Smart`]
     /// runs (creates a default policy config when none is set yet).
     pub fn with_shard(mut self, shard: ShardConfig) -> Self {
@@ -201,9 +191,9 @@ pub struct TraceCapture {
     pub dropped: u64,
 }
 
-/// Per-run knobs for [`run_experiment_with`]: scheduler-event tracing,
-/// closed-loop observability and a slice-engine override. The default
-/// is a bare measurement run.
+/// Per-run knobs for [`run_experiment_with`]: scheduler-event tracing
+/// and closed-loop observability. The default is a bare measurement
+/// run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions {
     /// Scheduler-event trace to capture, if any. A request at
@@ -214,14 +204,10 @@ pub struct RunOptions {
     /// system and the balancer and its capture (summary + JSONL +
     /// Prometheus snapshot) lands in the outcome.
     pub observe: bool,
-    /// Slice-execution backend override; `None` runs whatever the
-    /// spec's `sys_config.engine` selects.
-    pub engine: Option<EngineKind>,
 }
 
 impl RunOptions {
-    /// A bare measurement run: no trace, no observability, the spec's
-    /// own engine.
+    /// A bare measurement run: no trace, no observability.
     pub fn new() -> Self {
         Self::default()
     }
@@ -235,13 +221,6 @@ impl RunOptions {
     /// Requests closed-loop observability (builder style).
     pub fn with_observability(mut self) -> Self {
         self.observe = true;
-        self
-    }
-
-    /// Overrides the slice-execution backend for this run only
-    /// (builder style); wins over the spec's `sys_config.engine`.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = Some(engine);
         self
     }
 }
@@ -261,8 +240,8 @@ pub struct RunOutcome {
 /// Runs `spec` under the given balancer until all tasks complete (or
 /// the epoch limit hits) and returns everything the run produced.
 ///
-/// This is the single experiment entry point: tracing, observability
-/// and the engine override are all [`RunOptions`] knobs.
+/// This is the single experiment entry point: tracing and
+/// observability are both [`RunOptions`] knobs.
 pub fn run_experiment_with(
     spec: &ExperimentSpec,
     balancer: &mut dyn LoadBalancer,
@@ -312,11 +291,7 @@ fn run_experiment_core(
     hub: Option<&telemetry::TelemetryHandle>,
 ) -> (RunResult, Option<TraceCapture>) {
     let trace = options.trace.filter(|req| req.level != TraceLevel::Off);
-    let mut sys_config = spec.sys_config;
-    if let Some(engine) = options.engine {
-        sys_config.engine = engine;
-    }
-    let mut sys = System::new(spec.platform.clone(), sys_config);
+    let mut sys = System::new(spec.platform.clone(), spec.sys_config);
     if let Some(hub) = hub {
         sys.set_telemetry(hub.clone());
         balancer.attach_telemetry(hub);
@@ -514,24 +489,5 @@ mod tests {
         // Efficiency ratio helper.
         let ratio = results[2].efficiency_vs(&results[1]);
         assert!(ratio > 0.0);
-    }
-
-    #[test]
-    fn engine_choice_threads_through_spec_and_options() {
-        let spec = small_spec().with_engine(EngineKind::Batched);
-        assert_eq!(spec.sys_config.engine, EngineKind::Batched);
-        let mut b = Policy::Vanilla.build(&spec.platform, None);
-        let batched = run_experiment_with(&spec, b.as_mut(), RunOptions::new()).result;
-
-        // A per-run override beats the spec's engine — and whichever
-        // backend runs, the measurements are observationally identical.
-        let mut b = Policy::Vanilla.build(&spec.platform, None);
-        let reference = run_experiment_with(
-            &spec,
-            b.as_mut(),
-            RunOptions::new().with_engine(EngineKind::Reference),
-        )
-        .result;
-        assert_eq!(batched, reference, "engines must be indistinguishable");
     }
 }

@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-use kernelsim::{EngineKind, LoadBalancer};
+use kernelsim::LoadBalancer;
 use serde::{Deserialize, Serialize};
 
 use crate::config::SmartBalanceConfig;
@@ -74,9 +74,6 @@ pub struct SuiteJob {
     /// When set, the job runs with a telemetry hub attached and its
     /// [`ObsCapture`] lands in the [`JobResult`].
     pub observe: bool,
-    /// Slice-execution backend override for this job; `None` runs
-    /// whatever the spec's `sys_config.engine` selects.
-    pub engine: Option<EngineKind>,
     /// Hierarchical-sharding override for this job; `Some(..)` makes a
     /// [`Policy::Smart`] job run the cluster-sharded balancer
     /// regardless of the spec's policy config.
@@ -93,13 +90,6 @@ impl SuiteJob {
     /// Requests closed-loop observability for this job (builder style).
     pub fn with_observability(mut self) -> Self {
         self.observe = true;
-        self
-    }
-
-    /// Overrides the slice-execution backend for this job (builder
-    /// style); wins over the spec's `sys_config.engine`.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = Some(engine);
         self
     }
 
@@ -150,7 +140,6 @@ impl SuiteJob {
             RunOptions {
                 trace: self.trace,
                 observe: self.observe,
-                engine: self.engine,
             },
         );
         JobResult {
@@ -181,7 +170,6 @@ impl SuiteJob {
             RunOptions {
                 trace: self.trace,
                 observe: self.observe,
-                engine: self.engine,
             },
             hub,
         );
@@ -474,19 +462,6 @@ impl ExperimentSuite {
         index
     }
 
-    /// [`push`](Self::push) with a slice-engine override: the job runs
-    /// on `engine` regardless of the spec's `sys_config.engine`.
-    pub fn push_with_engine(
-        &mut self,
-        spec: ExperimentSpec,
-        policy: Policy,
-        engine: EngineKind,
-    ) -> usize {
-        let index = self.push_job(spec, policy, None);
-        self.jobs[index].engine = Some(engine);
-        index
-    }
-
     /// [`push`](Self::push) with a sharding override: the job runs the
     /// cluster-sharded balancer under [`Policy::Smart`].
     pub fn push_with_shard(
@@ -513,7 +488,6 @@ impl ExperimentSuite {
             seed: splitmix64(index as u64),
             trace,
             observe: false,
-            engine: None,
             shard: None,
         });
         index
@@ -786,21 +760,6 @@ mod tests {
         suite.push(tiny_spec("w"), Policy::Smart);
         let job = &suite.jobs()[1];
         assert_eq!(job.effective_config().sensor_seed, Some(job.seed));
-    }
-
-    #[test]
-    fn per_job_engine_override_is_observationally_invisible() {
-        // The same spec pushed once per engine must produce
-        // bit-identical canonicalized results — suite-level parity.
-        let mut suite = ExperimentSuite::new().with_workers(2);
-        let a = suite.push_with_engine(tiny_spec("w"), Policy::Vanilla, EngineKind::Reference);
-        let b = suite.push_with_engine(tiny_spec("w"), Policy::Vanilla, EngineKind::Batched);
-        assert_eq!(suite.jobs()[a].engine, Some(EngineKind::Reference));
-        assert_eq!(suite.jobs()[b].engine, Some(EngineKind::Batched));
-        let report = suite.run();
-        let ja = serde_json::to_string(&report.jobs[a].result).expect("serialize");
-        let jb = serde_json::to_string(&report.jobs[b].result).expect("serialize");
-        assert_eq!(ja, jb, "engine choice leaked into the measurements");
     }
 
     #[test]

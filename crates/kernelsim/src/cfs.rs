@@ -106,20 +106,6 @@ impl CfsRunQueue {
         self.queue.first().map(|&(_, t)| t)
     }
 
-    /// Removes and returns the leftmost `(vruntime, task)` entry —
-    /// `pick_next` fused with its `dequeue`, saving the binary search
-    /// when the caller is about to dispatch whatever it picked. The
-    /// caller supplies the picked task's `weight` (the queue does not
-    /// store weights).
-    pub fn dequeue_front(&mut self, weight: u64) -> Option<(u64, TaskId)> {
-        if self.queue.is_empty() {
-            return None;
-        }
-        let entry = self.queue.remove(0);
-        self.total_weight = self.total_weight.saturating_sub(weight);
-        Some(entry)
-    }
-
     /// Updates the queue's `min_vruntime` floor after `leftmost_v` has
     /// executed; the floor never decreases.
     pub fn advance_min_vruntime(&mut self, leftmost_v: u64) {
@@ -244,23 +230,6 @@ mod tests {
         assert_eq!(rq.total_weight(), 0);
         assert!(rq.is_empty());
         assert_eq!(rq.pick_next(), None);
-    }
-
-    #[test]
-    fn dequeue_front_matches_pick_then_dequeue() {
-        let mut front = CfsRunQueue::new();
-        let mut classic = CfsRunQueue::new();
-        for rq in [&mut front, &mut classic] {
-            rq.enqueue(TaskId(1), 30, 1024);
-            rq.enqueue(TaskId(2), 10, 512);
-            rq.enqueue(TaskId(3), 20, 2048);
-        }
-        let picked = classic.pick_next().unwrap();
-        assert!(classic.dequeue(picked, 10, 512));
-        assert_eq!(front.dequeue_front(512), Some((10, TaskId(2))));
-        assert_eq!(front, classic);
-        assert_eq!(front.total_weight(), classic.total_weight());
-        assert_eq!(CfsRunQueue::new().dequeue_front(1024), None);
     }
 
     #[test]

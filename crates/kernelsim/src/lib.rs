@@ -36,7 +36,6 @@
 
 pub mod balancer;
 pub mod cfs;
-pub mod engine;
 pub mod stats;
 pub mod system;
 pub mod task;
@@ -48,7 +47,6 @@ pub use balancer::{
     MigrationTotals, NullBalancer, TaskEpochStats,
 };
 pub use cfs::CfsRunQueue;
-pub use engine::{BatchedEngine, EngineKind, ReferenceEngine, SliceEngine};
 pub use stats::{CoreStats, SystemStats};
 pub use system::{System, SystemConfig};
 pub use task::{Task, TaskId, TaskState};

@@ -24,7 +24,6 @@ use crate::balancer::{
     MigrationTotals, TaskEpochStats,
 };
 use crate::cfs::CfsRunQueue;
-use crate::engine::{EngineKind, SliceEngine};
 use crate::stats::SystemStats;
 use crate::task::{Task, TaskId, TaskState};
 use crate::topology::Topology;
@@ -44,10 +43,6 @@ pub struct SystemConfig {
     pub migration_cost_ns: u64,
     /// Activity factor billed while a migrated thread refills caches.
     pub migration_activity: f64,
-    /// Which slice-execution backend drives the per-core scheduling
-    /// loop (defaults to [`EngineKind::Reference`]; both backends are
-    /// bit-identical, see `crate::engine`).
-    pub engine: EngineKind,
 }
 
 impl SystemConfig {
@@ -64,22 +59,21 @@ impl Default for SystemConfig {
             epoch_periods: 10,
             migration_cost_ns: 50_000,
             migration_activity: 0.3,
-            engine: EngineKind::default(),
         }
     }
 }
 
 /// Smallest slice the scheduler will dispatch, ns; bounds the event
 /// loop's work per period.
-pub(crate) const SLICE_FLOOR_NS: u64 = 10_000;
+const SLICE_FLOOR_NS: u64 = 10_000;
 
 /// Per-core accounting accumulated within the current epoch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub(crate) struct CoreEpochAccum {
-    pub(crate) counters: CounterSample,
-    pub(crate) busy_ns: u64,
-    pub(crate) sleep_ns: u64,
-    pub(crate) energy_j: f64,
+struct CoreEpochAccum {
+    counters: CounterSample,
+    busy_ns: u64,
+    sleep_ns: u64,
+    energy_j: f64,
 }
 
 /// Probabilistic failure of the migration apply path (the simulator's
@@ -133,21 +127,21 @@ impl MigrationFaultModel {
 /// ```
 #[derive(Debug)]
 pub struct System {
-    pub(crate) platform: Platform,
-    pub(crate) config: SystemConfig,
-    pub(crate) tasks: Vec<Task>,
+    platform: Platform,
+    config: SystemConfig,
+    tasks: Vec<Task>,
     /// Ids of the tasks live at the last epoch boundary plus those
     /// spawned since, ascending. Tasks that exit mid-epoch stay until
     /// [`System::finish_epoch`] compacts the list, so the epoch report
     /// still carries their final row. Every per-epoch and per-spawn
     /// walk goes through this list, never the whole `tasks` table.
     live: Vec<TaskId>,
-    pub(crate) queues: Vec<CfsRunQueue>,
-    pub(crate) meter: EnergyMeter,
-    pub(crate) sensors: SensorBank,
+    queues: Vec<CfsRunQueue>,
+    meter: EnergyMeter,
+    sensors: SensorBank,
     now_ns: u64,
     epoch_index: u64,
-    pub(crate) core_epoch: Vec<CoreEpochAccum>,
+    core_epoch: Vec<CoreEpochAccum>,
     total_migrations: u64,
     /// Cluster decomposition of the platform (contiguous same-type
     /// runs), derived once at boot. Purely descriptive: scheduling and
@@ -157,13 +151,13 @@ pub struct System {
     /// Migrations that crossed a cluster boundary (the expensive kind
     /// on real parts: remote caches, interconnect hops).
     cross_cluster_migrations: u64,
-    pub(crate) tracer: Tracer,
+    tracer: Tracer,
     /// Memoized pipeline-model evaluations for the dispatch hot path.
-    pub(crate) estimates: EstimateCache,
+    estimates: EstimateCache,
     /// Per-core-type DVFS generation counter; part of every cache key,
     /// bumped by [`System::set_operating_point`] so an operating-point
     /// change can never serve a stale estimate.
-    pub(crate) dvfs_level: Vec<u32>,
+    dvfs_level: Vec<u32>,
     /// Every core type's configuration at boot: each operating point
     /// is derived from these, never from the current point.
     nominal_types: Vec<CoreConfig>,
@@ -171,15 +165,10 @@ pub struct System {
     /// lazy deletion: migration and re-sleep leave stale entries that
     /// are dropped when popped. Replaces the O(tasks) scan the idle
     /// path and slice bounding used to perform per slice.
-    pub(crate) wake_heaps: Vec<BinaryHeap<Reverse<(u64, TaskId)>>>,
+    wake_heaps: Vec<BinaryHeap<Reverse<(u64, TaskId)>>>,
     /// Scheduling slices dispatched since boot (hot-loop throughput
     /// denominator for the perf harness).
-    pub(crate) total_slices: u64,
-    /// The instantiated slice-execution backend, lazily created from
-    /// `config.engine` on the first period (`None` after construction
-    /// or an engine switch so stale engine-local state can never
-    /// survive a [`System::set_engine`] call).
-    engine: Option<Box<dyn SliceEngine>>,
+    total_slices: u64,
     /// Per-core hotplug state; offline cores schedule nothing and draw
     /// no power.
     core_online: Vec<bool>,
@@ -245,7 +234,6 @@ impl System {
             nominal_types,
             wake_heaps: vec![BinaryHeap::new(); n],
             total_slices: 0,
-            engine: None,
             core_online: vec![true; n],
             core_duty: vec![1.0; n],
             faults: None,
@@ -434,41 +422,20 @@ impl System {
     pub fn run_period(&mut self) {
         let period = self.config.period_ns;
         let start = self.now_ns;
-        // Take the engine out of `self` for the duration of the period
-        // so it can borrow the system mutably alongside its own state.
-        let mut engine = self
-            .engine
-            .take()
-            .unwrap_or_else(|| self.config.engine.instantiate());
         for j in 0..self.platform.num_cores() {
             if !self.core_online[j] {
                 continue;
             }
             let duty = self.core_duty[j];
             if duty >= 1.0 {
-                engine.run_core_period(self, CoreId(j), start, start + period);
+                self.simulate_core_period(CoreId(j), start, start + period);
             } else {
                 let active_ns = ((period as f64 * duty).round() as u64).clamp(1, period);
-                engine.run_core_period(self, CoreId(j), start, start + active_ns);
+                self.simulate_core_period(CoreId(j), start, start + active_ns);
                 self.account_sleep(CoreId(j), period - active_ns);
             }
         }
-        self.engine = Some(engine);
         self.now_ns = start + period;
-    }
-
-    /// Selects the slice-execution backend for all subsequent periods.
-    /// Any engine-local acceleration state is discarded, so switching
-    /// engines mid-run is always safe (both backends are bit-identical
-    /// anyway — see `crate::engine`).
-    pub fn set_engine(&mut self, kind: EngineKind) {
-        self.config.engine = kind;
-        self.engine = None;
-    }
-
-    /// The currently configured slice-execution backend.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.config.engine
     }
 
     /// Runs a full epoch (L periods), then performs the
@@ -504,7 +471,7 @@ impl System {
     // Core-local scheduling
     // ------------------------------------------------------------------
 
-    pub(crate) fn simulate_core_period(&mut self, core: CoreId, start_ns: u64, end_ns: u64) {
+    fn simulate_core_period(&mut self, core: CoreId, start_ns: u64, end_ns: u64) {
         let mut t = start_ns;
         while t < end_ns {
             self.wake_due(core, t);
@@ -696,7 +663,7 @@ impl System {
 
     /// Attributes a slice's counters/time/energy to both the task and
     /// the core (they must always agree — the estimation invariant).
-    pub(crate) fn charge(
+    fn charge(
         &mut self,
         core: CoreId,
         tid: TaskId,
@@ -718,7 +685,7 @@ impl System {
         self.sensors.record(core, counters, energy_j, duration_ns);
     }
 
-    pub(crate) fn account_sleep(&mut self, core: CoreId, duration_ns: u64) {
+    fn account_sleep(&mut self, core: CoreId, duration_ns: u64) {
         let cfg = self.platform.core_config(core);
         let cycles = (duration_ns as f64 * 1e-9 * cfg.freq_hz).round() as u64;
         let counters = CounterSample {
@@ -745,7 +712,7 @@ impl System {
             && matches!(task.state, TaskState::Sleeping { wake_at_ns } if wake_at_ns == wake_ns)
     }
 
-    pub(crate) fn wake_due(&mut self, core: CoreId, t: u64) {
+    fn wake_due(&mut self, core: CoreId, t: u64) {
         while let Some(&Reverse((wake_ns, tid))) = self.wake_heaps[core.0].peek() {
             if wake_ns > t {
                 break;
@@ -767,7 +734,7 @@ impl System {
         }
     }
 
-    pub(crate) fn next_wake_ns(&mut self, core: CoreId) -> Option<u64> {
+    fn next_wake_ns(&mut self, core: CoreId) -> Option<u64> {
         while let Some(&Reverse((wake_ns, tid))) = self.wake_heaps[core.0].peek() {
             if self.wake_entry_valid(core, wake_ns, tid) {
                 return Some(wake_ns);
@@ -1224,6 +1191,21 @@ mod tests {
         assert!(t.total_instructions() >= 1_000_000);
         assert!(t.exited_at_ns().is_some());
         assert_eq!(sys.live_tasks(), 0);
+    }
+
+    #[test]
+    fn stale_engine_field_is_ignored() {
+        // Configs serialized while a slice-engine selector existed carry
+        // an `engine` key; they must still load, as the same config.
+        let base = r#""period_ns":6000000,"epoch_periods":10,
+                      "migration_cost_ns":50000,"migration_activity":0.3"#;
+        let plain: SystemConfig = serde_json::from_str(&format!("{{{base}}}")).unwrap();
+        assert_eq!(plain, SystemConfig::default());
+        for engine in ["batched", "reference"] {
+            let json = format!(r#"{{{base},"engine":"{engine}"}}"#);
+            let stale: SystemConfig = serde_json::from_str(&json).unwrap();
+            assert_eq!(stale, plain, "engine {engine:?}");
+        }
     }
 
     #[test]

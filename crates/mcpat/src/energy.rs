@@ -83,22 +83,6 @@ impl EnergyMeter {
         e
     }
 
-    /// Integrates a pre-computed active-state energy amount for
-    /// `duration_ns` of core `core` — the replay half of
-    /// [`EnergyMeter::accumulate`]. The batched slice engine captures
-    /// the energy an `accumulate` call returned for a (model, activity,
-    /// duration) triple and replays it for identical slices, skipping
-    /// the power-model evaluation; the add itself happens here so the
-    /// per-core `f64` accumulation order is exactly the reference one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn accumulate_replay(&mut self, core: CoreId, energy_j: f64, duration_ns: u64) {
-        self.energy_j[core.0] += energy_j;
-        self.busy_ns[core.0] += duration_ns;
-    }
-
     /// Energy consumed by one core so far, joules.
     pub fn core_energy_j(&self, core: CoreId) -> f64 {
         self.energy_j[core.0]
@@ -202,27 +186,6 @@ mod tests {
             (added - slow.peak_power_w).abs() < 1e-9,
             "future energy integrates the new operating point"
         );
-    }
-
-    #[test]
-    fn replay_matches_fresh_accumulation_bitwise() {
-        let p = Platform::quad_heterogeneous();
-        let mut fresh = EnergyMeter::new(&p);
-        let mut replayed = EnergyMeter::new(&p);
-        let state = PowerState::Active { activity: 0.37 };
-        let e = fresh.accumulate(CoreId(2), state, 1_250_000);
-        replayed.accumulate_replay(CoreId(2), e, 1_250_000);
-        for _ in 0..5 {
-            let e2 = fresh.accumulate(CoreId(2), state, 1_250_000);
-            assert_eq!(e2.to_bits(), e.to_bits(), "energy is a pure function");
-            replayed.accumulate_replay(CoreId(2), e, 1_250_000);
-        }
-        assert_eq!(
-            fresh.core_energy_j(CoreId(2)).to_bits(),
-            replayed.core_energy_j(CoreId(2)).to_bits()
-        );
-        assert_eq!(fresh.busy_ns(CoreId(2)), replayed.busy_ns(CoreId(2)));
-        assert_eq!(fresh.sleep_ns(CoreId(2)), 0);
     }
 
     #[test]

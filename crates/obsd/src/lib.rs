@@ -247,8 +247,7 @@ mod tests {
     }
 
     fn publish_sample(cell: &SnapshotCell) {
-        let mut snapshot = ObsSnapshot::default();
-        snapshot.progress = CampaignProgress {
+        let mut progress = CampaignProgress {
             cells_total: 6,
             cells_completed: 2,
             cells_pending: 4,
@@ -256,9 +255,11 @@ mod tests {
             wall_cells: 2,
             ..CampaignProgress::default()
         };
-        snapshot.progress.finalize_eta();
-        snapshot.prometheus = "sb_campaign_completed_total 2\n".to_string();
-        cell.publish(snapshot);
+        progress.finalize_eta();
+        cell.publish(ObsSnapshot {
+            progress,
+            prometheus: "sb_campaign_completed_total 2\n".to_string(),
+        });
     }
 
     #[test]

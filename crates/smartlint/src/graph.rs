@@ -85,7 +85,6 @@ fn split_unit(path: &str) -> (Option<String>, Option<String>, Vec<String>) {
 pub const ROOT_SPECS: &[(&str, &str)] = &[
     ("System", "run_epoch"),
     ("LoadBalancer", "rebalance"),
-    ("SliceEngine", "run_core_period"),
     ("SuiteJob", "execute"),
     ("Campaign", "run"),
 ];

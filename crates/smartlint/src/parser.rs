@@ -572,7 +572,7 @@ mod tests {
 
     #[test]
     fn fn_items_capture_impl_and_trait_context() {
-        let src = "impl LoadBalancer for VanillaBalancer {\n    fn rebalance(&mut self) -> u64 { helper() }\n}\nimpl System {\n    pub fn run_epoch(&mut self) {}\n}\ntrait SliceEngine {\n    fn run_core_period(&mut self);\n    fn kind(&self) -> u64 { 0 }\n}\nfn free() {}\n";
+        let src = "impl LoadBalancer for VanillaBalancer {\n    fn rebalance(&mut self) -> u64 { helper() }\n}\nimpl System {\n    pub fn run_epoch(&mut self) {}\n}\ntrait Stepper {\n    fn step(&mut self);\n    fn kind(&self) -> u64 { 0 }\n}\nfn free() {}\n";
         let pf = parse(src);
         let names: Vec<(String, Option<String>, Option<String>)> = pf
             .fns
@@ -588,8 +588,8 @@ mod tests {
                     Some("LoadBalancer".into())
                 ),
                 ("run_epoch".into(), Some("System".into()), None),
-                ("run_core_period".into(), None, Some("SliceEngine".into())),
-                ("kind".into(), None, Some("SliceEngine".into())),
+                ("step".into(), None, Some("Stepper".into())),
+                ("kind".into(), None, Some("Stepper".into())),
                 ("free".into(), None, None),
             ]
         );

@@ -116,7 +116,6 @@ fn every_named_simulation_root_is_discovered() {
     for needle in [
         "System::run_epoch",
         "::rebalance",
-        "::run_core_period",
         "SuiteJob::execute",
         "Campaign::run",
         "analyze_workspace",

@@ -580,3 +580,50 @@ fn reordered_grid_replays_into_the_report_of_a_fresh_run() {
         "a replayed reordered grid reports exactly what a fresh run of it does"
     );
 }
+
+#[test]
+fn resume_over_a_journal_from_another_grid_reruns_every_cell() {
+    // A journal written for other specs (here: other instruction counts,
+    // the same names, policies and seeds) shares no cell id with the
+    // grid — which is what every journal written before a change to the
+    // id's inputs looks like. A resume must execute every cell, report
+    // exactly what a fresh run does, and leave the foreign records in
+    // the file without ever reporting them.
+    let path = journal_path("foreign-grid");
+    let foreign: Vec<CampaignJob> = ["alpha", "beta", "gamma"]
+        .iter()
+        .enumerate()
+        .map(|(index, name)| CampaignJob::new(index, tiny_spec(name, 250_000), Policy::Vanilla))
+        .collect();
+    let foreign_cells = foreign.len();
+    let journal = CheckpointJournal::load(&path).expect("fresh journal");
+    Campaign::new(foreign, CampaignConfig::default(), journal)
+        .run()
+        .expect("journal flushes");
+
+    let journal = CheckpointJournal::load(&path).expect("journal replays");
+    assert_eq!(journal.len(), foreign_cells);
+    let mut resumed = Campaign::new(grid(), CampaignConfig::default(), journal);
+    let resumed_report = resumed.run().expect("journal flushes");
+    assert!(resumed_report.is_complete());
+    assert_eq!(resumed_report.resumed_cells, 0, "no foreign record reused");
+    assert_eq!(resumed_report.executed_cells, 6, "every cell executed");
+    assert_eq!(
+        resumed.journal().len(),
+        6 + foreign_cells,
+        "foreign records stay in the journal"
+    );
+    let reloaded = CheckpointJournal::load(&path).expect("journal replays");
+    assert_eq!(reloaded.len(), 6 + foreign_cells, "and on disk");
+
+    let fresh_path = journal_path("foreign-grid-fresh");
+    let journal = CheckpointJournal::load(&fresh_path).expect("fresh journal");
+    let fresh_report = Campaign::new(grid(), CampaignConfig::default(), journal)
+        .run()
+        .expect("journal flushes");
+    assert_eq!(
+        canonical_bytes(&resumed_report),
+        canonical_bytes(&fresh_report),
+        "foreign records never reach the report"
+    );
+}

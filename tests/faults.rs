@@ -5,7 +5,7 @@
 //! *transparent when empty*: wrapping the sensor bank with a no-op
 //! `FaultPlan` must leave every reading and every `EpochReport`
 //! bit-identical (same serde_json fingerprint discipline as
-//! `hotpath_parity.rs`). Second, under real faults the balancer
+//! `engine_parity.rs`). Second, under real faults the balancer
 //! *degrades instead of derailing*: it never panics, never places work
 //! on an offline core, and retains most of the fault-free energy
 //! efficiency (the issue's ≥ 70 % acceptance bar).

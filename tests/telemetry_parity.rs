@@ -5,7 +5,7 @@
 //! and the telemetry output itself must be deterministic across reruns
 //! and across suite worker counts.
 //!
-//! Same fingerprint technique as `tests/hotpath_parity.rs`: string
+//! Same fingerprint technique as `tests/engine_parity.rs`: string
 //! equality of serde_json output implies bit equality of every `f64`
 //! inside (shortest-roundtrip formatting).
 
