@@ -14,19 +14,14 @@
 //!   scheduler events), loadable in Perfetto / `chrome://tracing`.
 //! * `obs_metrics.prom` — Prometheus text snapshot of the registry.
 //!
-//! Telemetry overhead on the perfstat reference scenario is measured
-//! and printed to stdout only (wall-clock never lands in the JSON).
-//!
 //! Flags:
 //!
 //! * `--smoke` — CI-sized run (60 epochs, 8 tasks, small suite).
 //! * `--json <path>` / `--jsonl <path>` / `--trace <path>` /
 //!   `--prom <path>` — output path overrides.
 
-use std::time::Instant;
-
 use archsim::Platform;
-use kernelsim::{LoadBalancer, NullBalancer, System, SystemConfig, TraceLevel};
+use kernelsim::{LoadBalancer, System, SystemConfig, TraceLevel};
 use serde::Serialize;
 use smartbalance::{ExperimentSpec, ExperimentSuite, ObsSummary, Policy, SmartBalance};
 use telemetry::StageProfile;
@@ -134,25 +129,6 @@ fn run_observed(epochs: u64, tasks: usize, trace_capacity: usize) -> ScenarioOut
     }
 }
 
-/// Measures slices/s of the perfstat reference scenario (NullBalancer,
-/// estimate cache on), optionally with a telemetry hub attached.
-fn run_reference(observed: bool, epochs: u64, tasks: usize) -> f64 {
-    let mut sys = System::new(Platform::quad_heterogeneous(), SystemConfig::default());
-    if observed {
-        sys.set_telemetry(telemetry::shared());
-    }
-    let mut gen = SyntheticGenerator::new(0xB007);
-    for i in 0..tasks {
-        sys.spawn(gen.profile(format!("t{i}"), 4, u64::MAX / 64, i % 2 == 0));
-    }
-    let mut nb = NullBalancer;
-    let t0 = Instant::now();
-    for _ in 0..epochs {
-        sys.run_epoch(&mut nb);
-    }
-    sys.total_slices() as f64 / t0.elapsed().as_secs_f64()
-}
-
 /// Runs the observed suite grid: two synthetic experiments, each under
 /// Vanilla and SmartBalance, all jobs with telemetry attached.
 fn run_suite(max_epochs: u64) -> Vec<SuiteObsRow> {
@@ -206,21 +182,6 @@ fn main() {
     };
 
     let scenario = run_observed(epochs, tasks, trace_capacity);
-
-    // Telemetry overhead on the perfstat reference scenario (stdout
-    // only — wall-clock must never reach the deterministic JSON).
-    // Best-of-3 per configuration: single-shot timings on a shared
-    // host jitter more than the effect being measured.
-    run_reference(false, epochs.min(100), tasks); // warm-up
-    let best = |observed: bool| {
-        (0..3)
-            .map(|_| run_reference(observed, epochs, tasks))
-            .fold(0.0f64, f64::max)
-    };
-    let base_sps = best(false);
-    let obs_sps = best(true);
-    let overhead_pct = (1.0 - obs_sps / base_sps) * 100.0;
-
     let suite = run_suite(suite_epochs);
 
     let report = ObsReport {
@@ -270,9 +231,6 @@ fn main() {
     for line in &scenario.event_tail {
         println!("    {line}");
     }
-    println!(
-        "  overhead         : reference {base_sps:.0} slices/s, observed {obs_sps:.0} slices/s ({overhead_pct:+.2}%)"
-    );
     for row in &report.suite {
         println!(
             "  suite {:<8} {:<12} {:>4} epochs, {} samples, mean |ips err| {:.4}",

@@ -2,8 +2,9 @@
 //!
 //! Shared infrastructure for the binaries that regenerate every table
 //! and figure of the paper's evaluation (Section 6). Each binary
-//! prints a paper-style table to stdout and, when `--json <path>` is
-//! given, writes the raw rows as JSON for downstream plotting.
+//! prints a paper-style table to stdout; the figure binaries, when
+//! `--json <path>` is given, also write the raw rows as JSON for
+//! downstream plotting.
 //!
 //! | Target | Reproduces |
 //! |--------|------------|
@@ -14,20 +15,21 @@
 //! | `table4` | Table 4: the Θ predictor coefficient matrix |
 //! | `fig7`   | Fig. 7: phase overheads and scalability |
 //! | `fig8`   | Fig. 8: iteration budgets and distance-to-optimal |
+//! | `ablation` | Section 4.3 design choices: fixed-point SA, incremental objective, prediction vs oracle, SA vs exhaustive |
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::time::Instant;
 
-use archsim::Platform;
-use kernelsim::{EpochReport, LoadBalancer, System, SystemConfig};
+use archsim::{CoreId, CoreTypeId, Platform};
+use kernelsim::{EpochReport, LoadBalancer, System, SystemConfig, TaskId};
 use serde::Serialize;
 use smartbalance::{
-    anneal, build_matrices, AnnealParams, ExperimentSpec, ExperimentSuite, Goal, Objective, Policy,
-    PredictorSet, Sensor, SuiteProgress, SuiteReport,
+    anneal, build_matrices, AnnealOutcome, AnnealParams, CharacterizationMatrices, ExperimentSpec,
+    ExperimentSuite, Goal, Objective, Policy, PredictorSet, Sensor, SuiteProgress, SuiteReport,
 };
-use workloads::{ImbConfig, MixId, WorkloadProfile};
+use workloads::{ImbConfig, MixId, SyntheticGenerator, WorkloadProfile};
 
 /// Scale factor applied to benchmark profiles so a full evaluation run
 /// stays in the tens of simulated seconds.
@@ -160,14 +162,81 @@ pub fn print_rows(title: &str, rows: &[ComparisonRow]) {
 
 /// Writes any serializable value to `path` as pretty JSON when the
 /// `--json <path>` flag is present in `args`.
+///
+/// # Panics
+///
+/// When `--json` has no path after it, or the file cannot be written.
 pub fn maybe_dump_json<T: Serialize>(args: &[String], value: &T) {
-    if let Some(pos) = args.iter().position(|a| a == "--json") {
-        if let Some(path) = args.get(pos + 1) {
-            let json = serde_json::to_string_pretty(value).expect("serialize rows");
-            std::fs::write(path, json).unwrap_or_else(|e| eprintln!("json dump failed: {e}"));
-            println!("(rows written to {path})");
+    let Some(pos) = args.iter().position(|a| a == "--json") else {
+        return;
+    };
+    let path = args.get(pos + 1).expect("--json needs a path");
+    let json = serde_json::to_string_pretty(value).expect("serialize rows");
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("write --json {path}: {e}"));
+    println!("(rows written to {path})");
+}
+
+/// Ground-truth and Θ-predicted characterization matrices of one
+/// scenario, the input of the prediction-vs-oracle ablation: eight
+/// synthetic threads on the quad heterogeneous platform, each
+/// signature sampled on the Big core.
+pub struct AblationMatrices {
+    /// Exact model evaluation of every (thread, core) pair.
+    pub oracle: CharacterizationMatrices,
+    /// What the trained predictors infer from each Big-core signature.
+    pub predicted: CharacterizationMatrices,
+}
+
+/// Builds [`AblationMatrices`] from fixed seeds.
+pub fn ablation_matrices() -> AblationMatrices {
+    let platform = Platform::quad_heterogeneous();
+    let predictors = PredictorSet::train(&platform, 400, 11);
+    let mut gen = SyntheticGenerator::new(13);
+    let workloads: Vec<_> = (0..8).map(|_| gen.characteristics()).collect();
+
+    let mut oracle = CharacterizationMatrices::new(
+        (0..8).map(TaskId).collect(),
+        platform.cores().map(|c| platform.core_type(c)).collect(),
+        platform
+            .cores()
+            .map(|c| mcpat::CorePowerModel::calibrated(platform.core_config(c)).sleep_power_w())
+            .collect(),
+    );
+    let mut predicted = oracle.clone();
+    let src_ty = CoreTypeId(1);
+    let src_cfg = platform.type_config(src_ty);
+    for (i, w) in workloads.iter().enumerate() {
+        let slice = archsim::run_slice(w, src_cfg, 10_000_000);
+        let feats = smartbalance::sense::features_from_counters(&slice.counters, src_cfg.freq_hz);
+        for j in 0..platform.num_cores() {
+            let cfg = platform.core_config(CoreId(j));
+            let est = archsim::estimate(w, cfg);
+            let power = mcpat::CorePowerModel::calibrated(cfg).active_power_w(est.activity);
+            oracle.set(i, j, est.ipc * cfg.freq_hz, power, true);
+            let dst_ty = platform.core_type(CoreId(j));
+            let ipc = predictors.predict_ipc(&feats, src_ty, dst_ty);
+            let power = predictors.predict_power_w(ipc, dst_ty);
+            predicted.set(i, j, ipc * cfg.freq_hz, power, false);
         }
     }
+    AblationMatrices { oracle, predicted }
+}
+
+/// Algorithm 1 as the prediction-vs-oracle ablation runs it: every
+/// thread starts on core 0, with the budget for 4 cores × 8 threads
+/// and a fixed seed.
+pub fn ablation_anneal(objective: &Objective<'_>) -> AnnealOutcome {
+    anneal(objective, &[0; 8], AnnealParams::scaled_for(4, 8), 21)
+}
+
+/// The share of the oracle allocation's objective lost by annealing on
+/// predicted matrices instead: `1 − J(predicted) / J(oracle)`, both
+/// allocations scored under the oracle matrices.
+pub fn prediction_gap(m: &AblationMatrices) -> f64 {
+    let oracle = Objective::new(&m.oracle, Goal::EnergyEfficiency);
+    let predicted = Objective::new(&m.predicted, Goal::EnergyEfficiency);
+    let best = ablation_anneal(&oracle).objective;
+    1.0 - oracle.evaluate(&ablation_anneal(&predicted).allocation) / best
 }
 
 /// Timings of one SmartBalance epoch, broken into the paper's phases
@@ -188,9 +257,9 @@ pub struct PhaseTimings {
 }
 
 /// A SmartBalance re-implementation with per-phase instrumentation,
-/// built from the library's public pieces; used by `fig7` and the
-/// criterion benches. Behaviourally equivalent to
-/// [`smartbalance::SmartBalance`] with default config.
+/// built from the library's public pieces; used by `fig7`.
+/// Behaviourally equivalent to [`smartbalance::SmartBalance`] with
+/// default config.
 pub struct InstrumentedSmart {
     predictors: PredictorSet,
     sensor: Sensor,
@@ -253,7 +322,7 @@ impl LoadBalancer for InstrumentedSmart {
             .zip(outcome.allocation.iter().zip(initial.iter()))
         {
             if new_core != old_core {
-                alloc.assign(sense.task, archsim::CoreId(new_core));
+                alloc.assign(sense.task, CoreId(new_core));
             }
         }
         t.migrations = alloc.len();
@@ -329,6 +398,25 @@ mod tests {
                 assert_eq!(job.result.experiment, format!("{label}/{threads}t"));
             }
         }
+    }
+
+    #[test]
+    fn predicted_matrices_anneal_within_two_percent_of_the_oracle() {
+        let gap = prediction_gap(&ablation_matrices());
+        assert!((0.0..0.02).contains(&gap), "prediction gap {gap:.4}");
+    }
+
+    #[test]
+    #[should_panic(expected = "/nonexistent/dir/x.json")]
+    fn json_dump_to_an_unwritable_path_panics() {
+        let args = ["--json".to_owned(), "/nonexistent/dir/x.json".to_owned()];
+        maybe_dump_json(&args, &[1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--json needs a path")]
+    fn json_flag_without_a_path_panics() {
+        maybe_dump_json(&["--json".to_owned()], &[1, 2, 3]);
     }
 
     #[test]

@@ -110,8 +110,8 @@ pub enum Goal {
     /// pristine — improving `J_E` while worsening the measured
     /// instructions/joule. The system ratio has no such pathology. The
     /// literal Eq. 11 remains available as
-    /// [`Goal::PerCoreEfficiencySum`] and is compared in the ablation
-    /// bench.
+    /// [`Goal::PerCoreEfficiencySum`]; `tests/end_to_end.rs` compares
+    /// the two against vanilla.
     #[default]
     EnergyEfficiency,
     /// Maximize `Σ ω_j IPS_j / P_j` — the paper's Eq. 11 as written

@@ -90,6 +90,38 @@ fn energy_accounting_is_consistent() {
 }
 
 #[test]
+fn literal_eq11_goal_loses_to_vanilla_where_the_system_ratio_wins() {
+    // DESIGN.md deviation 4: the per-core ratio sum of Eq. 11 lets the
+    // annealer park hopeless threads on a "dump site" core and lowers
+    // the measured instructions/joule below vanilla; the system ratio
+    // `Goal::EnergyEfficiency` does not.
+    use smartbalance::{run_experiment_with, Goal, RunOptions, SmartBalance, SmartBalanceConfig};
+    let spec = mixed_spec(Platform::quad_heterogeneous(), 0.2, 2);
+    let vanilla = compare_policies(&spec, &[Policy::Vanilla]).remove(0);
+    assert!(vanilla.completed, "vanilla run finishes");
+    let ratio = |goal| {
+        let cfg = SmartBalanceConfig {
+            goal,
+            ..SmartBalanceConfig::default()
+        };
+        let mut policy = SmartBalance::with_config(&spec.platform, cfg);
+        let result = run_experiment_with(&spec, &mut policy, RunOptions::new()).result;
+        assert!(result.completed, "{goal:?} run finishes");
+        result.efficiency_vs(&vanilla)
+    };
+    let per_core_sum = ratio(Goal::PerCoreEfficiencySum);
+    let system_ratio = ratio(Goal::EnergyEfficiency);
+    assert!(
+        per_core_sum < 1.0,
+        "literal Eq. 11 should end below vanilla, got {per_core_sum:.3}"
+    );
+    assert!(
+        system_ratio > 1.10,
+        "the system ratio should beat vanilla by >10%, got {system_ratio:.3}"
+    );
+}
+
+#[test]
 fn throughput_goal_finishes_faster_than_energy_goal() {
     use smartbalance::{run_experiment_with, Goal, RunOptions, SmartBalance, SmartBalanceConfig};
     let spec = mixed_spec(Platform::quad_heterogeneous(), 0.2, 2);

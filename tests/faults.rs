@@ -112,8 +112,8 @@ fn run_closed_loop(plan: Option<FaultPlan>, epochs: u64) -> (Vec<String>, u64, u
 }
 
 /// The no-harness path and an installed-but-empty harness must produce
-/// bit-identical `EpochReport` streams end to end (acceptance criterion
-/// and satellite (c) at the closed-loop level).
+/// bit-identical `EpochReport` streams end to end: an empty plan is
+/// inert at the closed-loop level, not only at the sensor bank.
 #[test]
 fn empty_plan_closed_loop_is_bit_identical() {
     let (without, instr_a, energy_a) = run_closed_loop(None, 10);

@@ -1,12 +1,13 @@
 //! Scalability integration tests: the full stack on larger platforms
 //! (the Fig. 7(b)/Fig. 8 regime) — correctness at scale, not speed.
 
-use archsim::Platform;
+use archsim::{CoreId, Platform, WorkloadCharacteristics};
 use kernelsim::{System, SystemConfig};
 use smartbalance::{
-    anneal, known_optimum_case, AnnealParams, Goal, Objective, ShardedBalancer, SmartBalance,
+    anneal, known_optimum_case, AnnealParams, Goal, Objective, Policy, ShardConfig,
+    ShardedBalancer, SmartBalance, SmartBalanceConfig,
 };
-use workloads::SyntheticGenerator;
+use workloads::{SyntheticGenerator, WorkloadProfile};
 
 #[test]
 fn thirty_two_core_platform_runs_end_to_end() {
@@ -57,6 +58,51 @@ fn clustered_256_core_platform_runs_end_to_end_sharded() {
     // The sharded balancer must actually exchange across clusters on a
     // mixed synthetic workload.
     assert!(stats.migrations > 0);
+}
+
+/// Achieved IPS/W of SmartBalance (flat, or sharded with `shard`) on
+/// `platform`: 1.5 threads per core, compute/memory/balanced dealt
+/// round-robin onto the cores, budgets no task exhausts, 24 epochs.
+fn smart_ips_per_w(platform: &Platform, shard: Option<ShardConfig>) -> f64 {
+    let cfg = SmartBalanceConfig {
+        shard,
+        ..SmartBalanceConfig::default()
+    };
+    let mut balancer = Policy::Smart.build(platform, Some(&cfg));
+    let mut sys = System::new(platform.clone(), SystemConfig::default());
+    let cores = platform.num_cores();
+    for k in 0..cores + cores / 2 {
+        let w = match k % 3 {
+            0 => WorkloadCharacteristics::compute_bound(),
+            1 => WorkloadCharacteristics::memory_bound(),
+            _ => WorkloadCharacteristics::balanced(),
+        };
+        sys.spawn_on(
+            WorkloadProfile::uniform(format!("t{k}"), w, u64::MAX / 64),
+            CoreId(k % cores),
+        );
+    }
+    for _ in 0..24 {
+        sys.run_epoch(balancer.as_mut());
+    }
+    sys.stats().instructions_per_joule()
+}
+
+#[test]
+fn sharded_balancer_keeps_95_percent_of_flat_ips_per_watt() {
+    // The price of sharding in allocation quality, at the 64- and
+    // 256-core clustered tiers. Without the cross-cluster exchange
+    // (`exchange_rounds: 0`) the 64-core tier falls to ~0.57.
+    for (clusters, per_cluster) in [(4, 16), (8, 32)] {
+        let platform = Platform::clustered_heterogeneous(clusters, per_cluster);
+        let flat = smart_ips_per_w(&platform, None);
+        let sharded = smart_ips_per_w(&platform, Some(ShardConfig::default()));
+        let ratio = sharded / flat;
+        assert!(
+            ratio >= 0.95,
+            "{clusters}x{per_cluster}: sharded/flat IPS/W {ratio:.4}"
+        );
+    }
 }
 
 #[test]
