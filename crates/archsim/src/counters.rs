@@ -8,6 +8,8 @@
 //! derived rates used by the predictor (`I_msh`, `I_bsh`, `mr_*`) are
 //! computed.
 
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
+
 use std::ops::{Add, AddAssign, Sub};
 
 use serde::{Deserialize, Serialize};
@@ -169,24 +171,31 @@ impl CounterSample {
 }
 
 /// Converts an event count to `f64`, the one sanctioned `u64 -> f64`
-/// crossing in the accounting paths (smartlint rule N1).
+/// crossing in the accounting paths (the modules that warn on
+/// `clippy::as_conversions`).
 ///
 /// Counter deltas over a scheduling epoch stay far below 2^53, so the
 /// conversion is exact; the debug assertion documents (and, in tests,
 /// enforces) that envelope rather than letting a silent rounding creep
 /// into energy totals.
+#[expect(
+    clippy::as_conversions,
+    reason = "the sanctioned u64->f64 crossing; exactness debug-asserted below"
+)]
 pub fn count_to_f64(n: u64) -> f64 {
     debug_assert!(
         n <= (1 << f64::MANTISSA_DIGITS),
         "count {n} exceeds the exact f64 integer range"
     );
-    // smartlint: allow(numeric-cast, "the sanctioned u64->f64 crossing; exactness debug-asserted above")
     n as f64
 }
 
 /// Converts a collection length to `f64` exactly (see [`count_to_f64`]).
+#[expect(
+    clippy::as_conversions,
+    reason = "usize -> u64 is lossless on every supported target"
+)]
 pub fn len_to_f64(n: usize) -> f64 {
-    // smartlint: allow(numeric-cast, "usize -> u64 is lossless on every supported target")
     count_to_f64(n as u64)
 }
 

@@ -17,9 +17,6 @@
 //! | `fig8`   | Fig. 8: iteration budgets and distance-to-optimal |
 //! | `ablation` | Section 4.3 design choices: fixed-point SA, incremental objective, prediction vs oracle, SA vs exhaustive |
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 use std::time::Instant;
 
 use archsim::{CoreId, CoreTypeId, Platform};

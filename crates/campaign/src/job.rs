@@ -90,9 +90,11 @@ pub fn job_id(
 
 /// Compact JSON of plain in-memory data: the rendering cell ids hash
 /// and journal lines store.
-#[allow(clippy::expect_used)]
+#[expect(
+    clippy::expect_used,
+    reason = "serializing in-memory plain-data structs cannot fail"
+)]
 pub(crate) fn canonical_json<T: Serialize>(value: &T) -> String {
-    // smartlint: allow(panic, "serializing in-memory plain-data structs cannot fail")
     serde_json::to_string(value).expect("plain data serializes")
 }
 

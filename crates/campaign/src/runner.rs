@@ -219,7 +219,7 @@ impl Campaign {
         std::thread::scope(|scope| {
             for _ in 0..workers.min(work.len()) {
                 let (tx, claim) = (tx.clone(), &claim);
-                // smartlint: allow(taint-path, "pipelined cell pool: records are keyed by id in the journal's BTreeMap and the report is built in grid order, so completion order never reaches an output byte")
+                // smartlint: allow(nondeterminism, "pipelined cell pool: records are keyed by id in the journal's BTreeMap and the report is built in grid order, so completion order never reaches an output byte")
                 scope.spawn(move || {
                     // smartlint: allow(worker-capture, "atomic claim counter hands each work-list cell to exactly one worker; outcomes are keyed by id and reported in grid order")
                     while let Some(&index) = work.get(claim.fetch_add(1, Ordering::Relaxed)) {

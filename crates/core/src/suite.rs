@@ -509,65 +509,38 @@ impl ExperimentSuite {
         self.run_pool().0
     }
 
-    #[allow(clippy::expect_used)] // slot-fill invariant justified inline
     fn run_pool(&self) -> (Vec<JobOutcome>, usize, f64) {
         // smartlint: allow(nondeterminism, "suite wall-clock metadata only; job results come from seeded execute()")
         let start = Instant::now();
         let total = self.jobs.len();
         let workers = self.workers.min(total).max(1);
-        let next = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<JobOutcome>>> = Mutex::new((0..total).map(|_| None).collect());
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                // smartlint: allow(taint-path, "the suite's sanctioned worker pool: per-index seeds keep results pool-size-invariant")
-                scope.spawn(|| loop {
-                    // smartlint: allow(worker-capture, "atomic work-queue counter is the pool's deterministic job hand-off")
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= total {
-                        break;
-                    }
-                    let job = &self.jobs[index];
-                    let outcome = match catch_unwind(AssertUnwindSafe(|| job.execute(index))) {
-                        Ok(result) => JobOutcome::Completed(Box::new(result)),
-                        Err(payload) => JobOutcome::Failed(JobFailure {
-                            job_index: index,
-                            seed: job.seed,
-                            policy: job.policy,
-                            experiment: job.spec.name.clone(),
-                            panic: panic_message(payload.as_ref()),
-                        }),
-                    };
-                    // smartlint: allow(worker-capture, "progress counter feeds the UI hook only, never results")
-                    let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if let (Some(hook), JobOutcome::Completed(result)) = (&self.progress, &outcome)
-                    {
-                        hook(&SuiteProgress {
-                            completed,
-                            total,
-                            job_index: index,
-                            experiment: result.result.experiment.clone(),
-                            policy: result.policy,
-                            wall_s: result.wall_s,
-                        });
-                    }
-                    // A panic inside the progress hook poisons the mutex
-                    // but cannot corrupt the Vec (each slot is written
-                    // once, under the lock); recover and keep going.
-                    // smartlint: allow(worker-capture, "indexed slot write under the lock is the pool's deterministic merge point")
-                    slots.lock().unwrap_or_else(PoisonError::into_inner)[index] = Some(outcome);
+        let outcomes = parallel_indexed(total, workers, |index| {
+            let job = &self.jobs[index];
+            let outcome = match catch_unwind(AssertUnwindSafe(|| job.execute(index))) {
+                Ok(result) => JobOutcome::Completed(Box::new(result)),
+                Err(payload) => JobOutcome::Failed(JobFailure {
+                    job_index: index,
+                    seed: job.seed,
+                    policy: job.policy,
+                    experiment: job.spec.name.clone(),
+                    panic: panic_message(payload.as_ref()),
+                }),
+            };
+            // smartlint: allow(worker-capture, "progress counter feeds the UI hook only, never results")
+            let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
+            if let (Some(hook), JobOutcome::Completed(result)) = (&self.progress, &outcome) {
+                hook(&SuiteProgress {
+                    completed,
+                    total,
+                    job_index: index,
+                    experiment: result.result.experiment.clone(),
+                    policy: result.policy,
+                    wall_s: result.wall_s,
                 });
             }
+            outcome
         });
-
-        let outcomes: Vec<JobOutcome> = slots
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .into_iter()
-            // smartlint: allow(panic, "the atomic job counter hands every index below count to exactly one worker, so each slot is filled")
-            .map(|slot| slot.expect("every job index was executed"))
-            .collect();
         (outcomes, workers, start.elapsed().as_secs_f64())
     }
 
@@ -584,8 +557,11 @@ impl ExperimentSuite {
         for outcome in outcomes {
             match outcome {
                 JobOutcome::Completed(result) => jobs.push(*result),
+                #[expect(
+                    clippy::panic,
+                    reason = "run() documents abort-on-failure semantics; failure-tolerant callers use run_outcomes"
+                )]
                 JobOutcome::Failed(failure) => {
-                    // smartlint: allow(panic, "run() documents abort-on-failure semantics; failure-tolerant callers use run_outcomes")
                     panic!(
                         "suite job {} ({} under {:?}) panicked: {}",
                         failure.job_index, failure.experiment, failure.policy, failure.panic
@@ -607,7 +583,10 @@ impl ExperimentSuite {
 /// `workers` threads and returns the results in index order — the
 /// suite's work-distribution core, reusable for non-experiment sweeps
 /// (predictor-error grids, annealer-quality scans, ...).
-#[allow(clippy::expect_used)] // slot-fill invariant justified inline
+#[expect(
+    clippy::expect_used,
+    reason = "the atomic index counter hands every index below count to exactly one worker, so each slot is filled"
+)]
 pub fn parallel_indexed<T, F>(count: usize, workers: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -621,7 +600,7 @@ where
     let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..count).map(|_| None).collect());
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            // smartlint: allow(taint-path, "parallel_indexed is the sanctioned indexed pool: slot k holds f(k) regardless of completion order")
+            // smartlint: allow(nondeterminism, "parallel_indexed is the sanctioned indexed pool: slot k holds f(k) regardless of completion order")
             scope.spawn(|| loop {
                 // smartlint: allow(worker-capture, "atomic work-queue counter is the pool's deterministic job hand-off")
                 let index = next.fetch_add(1, Ordering::Relaxed);
@@ -638,7 +617,6 @@ where
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner)
         .into_iter()
-        // smartlint: allow(panic, "the atomic index counter hands every index below count to exactly one worker, so each slot is filled")
         .map(|slot| slot.expect("every index was executed"))
         .collect()
 }

@@ -30,9 +30,8 @@
 //! println!("efficiency: {:.3e} instr/J", stats.instructions_per_joule());
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::unreachable))]
 
 pub mod balancer;
 pub mod cfs;

@@ -989,7 +989,10 @@ impl System {
     /// Picks the evacuation core for `tid`: the least-loaded online
     /// core its affinity allows, else the least-loaded online core
     /// outright (affinity is broken rather than losing the task).
-    #[allow(clippy::expect_used)] // last-core invariant justified inline
+    #[expect(
+        clippy::expect_used,
+        reason = "set_core_online refuses to offline the last core, so at least one online core always exists"
+    )]
     fn evacuation_target(&self, tid: TaskId) -> CoreId {
         let weights = self.core_weights();
         let mut best: Option<(u64, CoreId)> = None;
@@ -1006,7 +1009,6 @@ impl System {
                 best = Some((w, c));
             }
         }
-        // smartlint: allow(panic, "set_core_online refuses to offline the last core, so at least one online core always exists")
         best.or(best_any).expect("at least one online core").1
     }
 

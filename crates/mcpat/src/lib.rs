@@ -24,9 +24,9 @@
 //! assert!(huge.power_w(PowerState::Sleeping) < 0.2);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
 
 pub mod energy;
 pub mod model;

@@ -82,6 +82,10 @@ impl PowerSensor {
     }
 
     /// xorshift64* step returning a uniform in [0, 1).
+    #[expect(
+        clippy::as_conversions,
+        reason = "53-bit value and 2^53 are both exact in f64; the standard bits-to-unit-interval idiom"
+    )]
     fn uniform(&mut self) -> f64 {
         let mut x = self.rng_state;
         x ^= x >> 12;
@@ -89,7 +93,6 @@ impl PowerSensor {
         x ^= x >> 27;
         self.rng_state = x;
         let bits = x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11;
-        // smartlint: allow(numeric-cast, "53-bit value and 2^53 are both exact in f64; the standard bits-to-unit-interval idiom")
         bits as f64 / (1u64 << 53) as f64
     }
 

@@ -2,7 +2,7 @@
 // smartlint annotations that do not parse must be findings themselves,
 // or a typo silently disables enforcement.
 
-// smartlint: allow(panic)
+// smartlint: allow(nondeterminism)
 pub fn missing_reason(x: Option<u64>) -> u64 {
     x.unwrap_or(0)
 }

@@ -3,7 +3,7 @@
 
 pub fn pool(slots: &mut [f64]) {
     std::thread::scope(|scope| {
-        scope.spawn(|| {
+        scope.spawn(|| { // smartlint: allow(nondeterminism, "fixture pool; this file exercises F2")
             let mut local = 0.0;
             let mut k = 0;
             while k < 8 {

@@ -1,5 +1,5 @@
-//! T1 fixture: a two-hop call chain from a simulation root to a
-//! wall-clock sink.
+//! Call-path fixture: a two-hop call chain from a simulation root to a
+//! wall-clock sink; its one D2 finding carries the chain.
 
 pub struct System;
 

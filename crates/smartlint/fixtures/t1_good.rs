@@ -1,4 +1,4 @@
-//! T1 clean fixture: the same chain advances the simulated clock, a
+//! Call-path clean fixture: the same chain advances the simulated clock, a
 //! pure function of explicit state.
 
 pub struct System {

@@ -6,7 +6,7 @@ use std::sync::Mutex;
 
 pub fn pool(count: usize, slots: &Mutex<Vec<Option<u64>>>, next: &AtomicUsize) {
     std::thread::scope(|scope| {
-        scope.spawn(|| loop {
+        scope.spawn(|| loop { // smartlint: allow(nondeterminism, "fixture pool; this file exercises W1")
             // smartlint: allow(worker-capture, "atomic work-queue counter is the pool's deterministic job hand-off")
             let index = next.fetch_add(1, Ordering::Relaxed);
             if index >= count {

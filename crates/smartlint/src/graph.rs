@@ -130,7 +130,7 @@ pub struct Reachability {
 /// was exempt from the old hand-pinned lists.
 pub const EXEMPT_D_UNITS: &[&str] = &["crates/bench/src/"];
 
-/// Binary roots are exempt from D2/T1: a CLI may read clocks, args and
+/// Binary roots are exempt from D2: a CLI may read clocks, args and
 /// env freely.
 pub fn is_binary_root(path: &str) -> bool {
     path.ends_with("/main.rs") || path.contains("/src/bin/")

@@ -169,8 +169,9 @@ impl Lexer {
     }
 
     /// `'a` (lifetime/label) vs `'x'` / `'\n'` (char literal). A quote
-    /// introduces a char literal when the quoted content closes with
-    /// another quote; `'ident` with no closing quote is a lifetime.
+    /// followed by any one char and a closing quote is a char literal
+    /// (`'"'` and `'{'` included); `'ident` with no closing quote is a
+    /// lifetime.
     fn quote(&mut self, line: u32) {
         self.bump(); // the opening '
         match self.peek() {
@@ -185,24 +186,22 @@ impl Lexer {
                 }
                 self.push_token(TokenKind::Literal, String::new(), line);
             }
+            Some(_) if self.peek_at(1) == Some('\'') => {
+                self.bump();
+                self.bump();
+                self.push_token(TokenKind::Literal, String::new(), line);
+            }
             Some(c) if c == '_' || c.is_alphanumeric() => {
-                if self.peek_at(1) == Some('\'') {
-                    // 'x' — a one-character char literal.
-                    self.bump();
-                    self.bump();
-                    self.push_token(TokenKind::Literal, String::new(), line);
-                } else {
-                    let mut name = String::new();
-                    while let Some(c) = self.peek() {
-                        if c == '_' || c.is_alphanumeric() {
-                            name.push(c);
-                            self.bump();
-                        } else {
-                            break;
-                        }
+                let mut name = String::new();
+                while let Some(c) = self.peek() {
+                    if c == '_' || c.is_alphanumeric() {
+                        name.push(c);
+                        self.bump();
+                    } else {
+                        break;
                     }
-                    self.push_token(TokenKind::Lifetime, name, line);
                 }
+                self.push_token(TokenKind::Lifetime, name, line);
             }
             _ => {
                 // Stray quote; emit as punctuation and move on.
@@ -378,14 +377,15 @@ mod tests {
                 .count(),
             3
         );
-        let c = lex("let c = 'x';");
+        let c = lex("let c = 'x'; k.push('{'); let q = '\"';");
         assert_eq!(
             c.tokens
                 .iter()
                 .filter(|t| t.kind == TokenKind::Literal)
                 .count(),
-            1
+            3
         );
+        assert!(!c.tokens.iter().any(|t| t.text == "{"), "'{{' is no brace");
     }
 
     #[test]

@@ -5,20 +5,21 @@
 //! byte-identical, an empty fault plan is bit-transparent, and suite
 //! reruns fingerprint identically. Those guarantees rest on invariants
 //! no off-the-shelf tool enforces — no unordered-container iteration
-//! leaking into reports, no wall-clock or ambient randomness in
-//! simulation code, no lossy casts in counter/energy accounting, and
-//! disciplined panic hygiene in library crates.
+//! leaking into reports, no wall-clock, ambient randomness or
+//! free-running threads in simulation code, no torn checkpoint writes.
+//! Lexical policy (casts, panics, `f32`, crate headers) lives in rustc
+//! and clippy configuration instead; smartlint keeps the rules that
+//! need its call graph.
 //!
 //! smartlint is a dependency-free semantic pass: a hand-rolled lexer
 //! feeds an item-level [`parser`], a whole-workspace call [`graph`] is
-//! built from the parsed items, and rule scope for the determinism
-//! rules is *derived* from reachability off the simulation roots
-//! rather than declared in path lists. On top of the graph runs a
-//! taint analysis (rule `T1`) that reports the exact call path from a
-//! root to every nondeterminism sink, plus worker-pool rules (`W1`,
-//! `F2`) over closures handed to spawn-reaching functions. See
-//! [`rules::RULES`] for the rule set and `DESIGN.md` for the
-//! rationale.
+//! built from the parsed items, and rule scope for the sink rules
+//! (`D1`, `D2`, `C1`) is *derived* from reachability off the simulation
+//! roots rather than declared in path lists. A sink inside a
+//! root-reachable fn reports the exact call path from the root; the
+//! worker-pool rules (`W1`, `F2`) cover closures handed to
+//! spawn-reaching functions. See [`rules::RULES`] for the rule set and
+//! `DESIGN.md` for the rationale.
 //!
 //! Run it locally with:
 //!
@@ -26,11 +27,9 @@
 //! cargo run -p smartlint -- --deny
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::unreachable))]
 
-pub mod baseline;
 pub mod graph;
 pub mod lexer;
 pub mod output;
@@ -41,7 +40,6 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-pub use baseline::{Baseline, BaselineEntry};
 pub use graph::DerivedScope;
 pub use rules::{analyze_source, rule_info, Finding, RuleInfo, RULES};
 
@@ -58,54 +56,37 @@ pub struct SourceFile {
 /// The outcome of analyzing a workspace tree.
 #[derive(Debug, Clone, Default)]
 pub struct Analysis {
-    /// Every finding, in path order, with `baselined` already set when
-    /// a baseline was applied.
+    /// Every finding, in path order — what `--deny` fails on.
     pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Baseline entries that no longer match any finding.
-    pub stale_baseline: Vec<BaselineEntry>,
     /// The scope the call graph derived (roots found, crate units the
     /// determinism rules covered).
     pub scope: DerivedScope,
-}
-
-impl Analysis {
-    /// Findings not covered by the baseline — what `--deny` fails on.
-    pub fn new_findings(&self) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(|f| !f.baselined)
-    }
 }
 
 /// Directories (workspace-relative) that are never scanned.
 const SKIP_DIRS: &[&str] = &["vendor", "target", ".git", ".github"];
 
 /// Analyzes an explicit file set as one workspace: builds the call
-/// graph across all files, derives rule scope from root reachability,
-/// runs every rule, and applies `baseline`. `crate_names` maps a unit
-/// prefix (`crates/core/src/`) to the crate's library name from its
+/// graph across all files, derives rule scope from root reachability
+/// and runs every rule. `crate_names` maps a unit prefix
+/// (`crates/core/src/`) to the crate's library name from its
 /// `Cargo.toml` (pass an empty map when unknown; directory names still
 /// resolve).
-pub fn analyze_file_set(
-    files: &[SourceFile],
-    crate_names: &BTreeMap<String, String>,
-    baseline: &Baseline,
-) -> Analysis {
+pub fn analyze_file_set(files: &[SourceFile], crate_names: &BTreeMap<String, String>) -> Analysis {
     let (findings, scope) = rules::analyze_set(files, crate_names);
-    let mut analysis = Analysis {
+    Analysis {
         findings,
         files_scanned: files.len(),
-        stale_baseline: Vec::new(),
         scope,
-    };
-    analysis.stale_baseline = baseline.apply(&mut analysis.findings);
-    analysis
+    }
 }
 
-/// Walks the workspace at `root`, analyzes every tracked `.rs` file as
-/// one call graph and applies `baseline`. Files are visited in sorted
-/// path order so output (and JSON/SARIF reports) are deterministic.
-pub fn analyze_workspace(root: &Path, baseline: &Baseline) -> Result<Analysis, String> {
+/// Walks the workspace at `root` and analyzes every tracked `.rs` file
+/// as one call graph. Files are visited in sorted path order so output
+/// (and JSON/SARIF reports) are deterministic.
+pub fn analyze_workspace(root: &Path) -> Result<Analysis, String> {
     let mut paths = Vec::new();
     collect_rust_files(root, root, &mut paths)?;
     paths.sort();
@@ -120,7 +101,7 @@ pub fn analyze_workspace(root: &Path, baseline: &Baseline) -> Result<Analysis, S
         });
     }
     let crate_names = collect_crate_names(root)?;
-    Ok(analyze_file_set(&files, &crate_names, baseline))
+    Ok(analyze_file_set(&files, &crate_names))
 }
 
 /// Reads each `crates/*/Cargo.toml` and maps the unit prefix to the
@@ -205,7 +186,7 @@ mod tests {
     #[test]
     fn walker_skips_vendor_and_fixtures() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
-        let analysis = analyze_workspace(&root, &Baseline::default()).expect("workspace analyzes");
+        let analysis = analyze_workspace(&root).expect("workspace analyzes");
         assert!(analysis.files_scanned > 40, "scans the whole workspace");
         for f in &analysis.findings {
             assert!(!f.file.starts_with("vendor/"), "vendor is skipped: {f:?}");

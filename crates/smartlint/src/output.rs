@@ -10,12 +10,11 @@
 
 use serde::{Serialize, Value};
 
-use crate::baseline::BaselineEntry;
 use crate::rules::{Finding, RULES};
 
-/// The versioned JSON report (`--format json` / `--json FILE`).
-/// Version 2 added the derived-scope roots and per-finding taint
-/// traces.
+/// The versioned JSON report (`--format json`). Version 2 added the
+/// derived-scope roots and per-finding call paths; version 3 dropped
+/// the baseline fields.
 #[derive(Debug, Serialize)]
 pub struct Report {
     /// Report schema version.
@@ -24,18 +23,12 @@ pub struct Report {
     pub files_scanned: usize,
     /// The derived simulation roots (`path:line [Type::]fn`), sorted.
     pub roots: Vec<String>,
-    /// Count of findings not covered by the baseline.
-    pub new_count: usize,
-    /// Count of findings covered by the baseline.
-    pub baselined_count: usize,
-    /// Baseline entries that matched nothing (candidates for pruning).
-    pub stale_baseline: Vec<BaselineEntry>,
-    /// Every finding, baselined or not.
+    /// Every finding.
     pub findings: Vec<Finding>,
 }
 
 /// Current JSON report schema version.
-pub const REPORT_VERSION: u32 = 2;
+pub const REPORT_VERSION: u32 = 3;
 
 /// Renders the JSON report (pretty, trailing newline).
 pub fn render_json(report: &Report) -> String {
@@ -52,9 +45,8 @@ fn s(text: &str) -> Value {
     Value::Str(text.to_string())
 }
 
-/// Renders the findings as SARIF 2.1.0 (pretty, trailing newline).
-/// Baselined findings are emitted at `note` level so code scanning
-/// shows them without failing the run; new findings are `error`.
+/// Renders the findings as SARIF 2.1.0 (pretty, trailing newline),
+/// every result at `error` level.
 pub fn render_sarif(report: &Report) -> String {
     let rules: Vec<Value> = RULES
         .iter()
@@ -74,10 +66,9 @@ pub fn render_sarif(report: &Report) -> String {
                 text.push_str("; call path: ");
                 text.push_str(&f.trace.join(" -> "));
             }
-            let level = if f.baselined { "note" } else { "error" };
             obj(vec![
                 ("ruleId", s(&f.rule)),
-                ("level", s(level)),
+                ("level", s("error")),
                 ("message", obj(vec![("text", s(&text))])),
                 (
                     "locations",
@@ -132,16 +123,12 @@ mod tests {
             version: REPORT_VERSION,
             files_scanned: 2,
             roots: vec!["crates/kernelsim/src/system.rs:448 System::run_epoch".to_string()],
-            new_count: 1,
-            baselined_count: 0,
-            stale_baseline: Vec::new(),
             findings: vec![Finding {
-                rule: "T1".to_string(),
+                rule: "D2".to_string(),
                 file: "crates/core/src/sense.rs".to_string(),
                 line: 7,
-                message: "wall-clock time (`Instant`) is reachable".to_string(),
+                message: "`Instant` introduces wall-clock time".to_string(),
                 excerpt: "let t = Instant::now();".to_string(),
-                baselined: false,
                 trace: vec![
                     "crates/kernelsim/src/system.rs:448 System::run_epoch".to_string(),
                     "crates/core/src/sense.rs:7 stamp".to_string(),
@@ -161,7 +148,8 @@ mod tests {
             &s("smartlint")
         );
         let result = run.map_get("results").seq_get(0).expect("one result");
-        assert_eq!(result.map_get("ruleId"), &s("T1"));
+        assert_eq!(result.map_get("ruleId"), &s("D2"));
+        assert_eq!(result.map_get("level"), &s("error"));
         let region = result
             .map_get("locations")
             .seq_get(0)
@@ -172,7 +160,7 @@ mod tests {
         let msg = result.map_get("message").map_get("text");
         assert!(
             matches!(msg, Value::Str(t) if t.contains("call path")),
-            "taint traces surface in the SARIF message: {msg:?}"
+            "call paths surface in the SARIF message: {msg:?}"
         );
         let declared = run.map_get("tool").map_get("driver").map_get("rules");
         assert!(

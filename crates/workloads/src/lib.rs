@@ -23,9 +23,8 @@
 //! assert_eq!(hthi.name(), "HTHI");
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::unreachable))]
 
 pub mod imb;
 pub mod mixes;

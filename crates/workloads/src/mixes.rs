@@ -62,9 +62,12 @@ impl MixId {
     ///
     /// Panics if the id is not in `1..=6`; use [`MixId::try_members`]
     /// for ids that are not known-valid.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract for known-valid ids; checked callers use try_members"
+    )]
     pub fn members(&self) -> Vec<WorkloadProfile> {
         self.try_members()
-            // smartlint: allow(panic, "documented contract for known-valid ids; checked callers use try_members")
             .unwrap_or_else(|| panic!("no such mix: Mix{} (valid: Mix1..Mix6)", self.0))
     }
 }
