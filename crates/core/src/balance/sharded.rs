@@ -9,8 +9,9 @@
 //! 1. partitions the sensed threads by the cluster of their current
 //!    core ([`kernelsim::Topology`]),
 //! 2. runs one task per occupied cluster on a deterministic scoped
-//!    worker pool: predict the cluster's threads' per-type rates, build
-//!    the cluster-local `m_c × n_c` matrices and anneal them
+//!    worker pool: turn the preamble's prediction rows of the cluster's
+//!    threads into per-type rates, build the cluster-local `m_c × n_c`
+//!    matrices and anneal them
 //!    (per-cluster splitmix64 seeds, index-ordered collection: results
 //!    never depend on the worker count),
 //! 3. runs a global *exchange* stage that moves the top-K most
@@ -58,6 +59,9 @@ struct ClusterTasks<'s> {
     topology: &'s Topology,
     predictors: &'s PredictorSet,
     senses: &'s [ThreadSense],
+    /// The preamble's prediction rows, one per core type and thread,
+    /// in sense order.
+    rows: &'s [f64],
     online: &'s [bool],
     /// Per thread: not quarantined, so free to leave its core.
     movable: &'s [bool],
@@ -71,16 +75,20 @@ struct ClusterTasks<'s> {
 }
 
 impl ClusterTasks<'_> {
+    /// Thread `i`'s rates, from its prediction row.
+    fn rates(&self, i: usize) -> TypeRates {
+        let q = self.platform.num_types();
+        let row = &self.rows[i * q..(i + 1) * q];
+        TypeRates::build(self.platform, &self.senses[i], row, self.predictors)
+    }
+
     /// Cluster `c`'s whole share of the pass, run as one pool task: the
     /// rates of its `group` of threads (returned in group order), then
     /// the cluster-local matrices and their anneal. The matrices die
     /// with the task; the solution is `None` when no thread's
     /// constraint is expressible locally.
     fn solve(&self, c: usize, group: &[usize]) -> (Vec<TypeRates>, Option<ClusterSolution>) {
-        let rates: Vec<TypeRates> = group
-            .iter()
-            .map(|&i| TypeRates::build(self.platform, &self.senses[i], self.predictors))
-            .collect();
+        let rates: Vec<TypeRates> = group.iter().map(|&i| self.rates(i)).collect();
         let solution = self.anneal_cluster(c, group, &rates);
         (rates, solution)
     }
@@ -243,11 +251,12 @@ impl ShardedBalancer {
     }
 
     /// The hierarchical back half: per-cluster anneal fan-out plus the
-    /// global exchange stage.
+    /// global exchange stage, on the preamble's prediction `rows`.
     fn sharded_balance(
         &mut self,
         platform: &Platform,
         senses: &[ThreadSense],
+        rows: &[f64],
         online: &[bool],
     ) -> Option<Allocation> {
         let goal = self.inner.config().goal;
@@ -269,9 +278,10 @@ impl ShardedBalancer {
         }
 
         // --- One pool task per occupied cluster ----------------------
-        // Each task predicts its threads' compact per-type rows (O(m·q)
-        // memory where the flat path's dense matrices are O(m·n)),
-        // builds the cluster-local matrices from them and anneals.
+        // Each task turns its threads' prediction rows into compact
+        // per-type rates (O(m·q) memory where the flat path's dense
+        // matrices are O(m·n)), builds the cluster-local matrices from
+        // them and anneals.
         let epoch_seed = self.inner.next_epoch_seed();
         let global_weights = self.inner.effective_core_weights(platform);
         let occupied: Vec<usize> = (0..clusters).filter(|&c| !groups[c].is_empty()).collect();
@@ -280,6 +290,7 @@ impl ShardedBalancer {
             topology: &self.topology,
             predictors: self.inner.predictors(),
             senses,
+            rows,
             online,
             movable: &movable,
             sleep_power_w: &self.sleep_power_w,
@@ -308,11 +319,11 @@ impl ShardedBalancer {
             solutions.extend(solution);
         }
         // A thread in no group still takes part in the global
-        // objective; its row is predicted here.
+        // objective; its rates are built here.
         let rates: Vec<TypeRates> = slots
             .into_iter()
-            .zip(senses)
-            .map(|(r, s)| r.unwrap_or_else(|| TypeRates::build(platform, s, tasks.predictors)))
+            .enumerate()
+            .map(|(i, r)| r.unwrap_or_else(|| tasks.rates(i)))
             .collect();
         if solutions.is_empty() {
             self.inner.set_last_outcome(None);
@@ -543,9 +554,11 @@ impl LoadBalancer for ShardedBalancer {
     fn rebalance(&mut self, platform: &Platform, report: &EpochReport) -> Option<Allocation> {
         match self.inner.preamble(platform, report) {
             PreambleOutcome::Skip(alloc) => alloc,
-            PreambleOutcome::Proceed { senses, online } => {
-                self.sharded_balance(platform, &senses, &online)
-            }
+            PreambleOutcome::Proceed {
+                senses,
+                rows,
+                online,
+            } => self.sharded_balance(platform, &senses, &rows, &online),
         }
     }
 }

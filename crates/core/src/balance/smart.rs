@@ -5,14 +5,16 @@
 //! Per epoch:
 //! 1. **sense** — distil the epoch's per-thread counters into workload
 //!    signatures ([`crate::sense::Sensor`]);
-//! 2. **estimate/predict** — build the full `S(k)`/`P(k)`
-//!    characterization matrices, measuring on the current core type and
-//!    predicting everywhere else ([`crate::estimate::build_matrices`]);
+//! 2. **estimate/predict** — predict each sensed thread's IPC on every
+//!    core type once (reusing last epoch's row when its signature
+//!    repeats), then build the full `S(k)`/`P(k)` characterization
+//!    matrices, measuring on the current core type and predicting
+//!    everywhere else ([`crate::estimate::build_matrices`]);
 //! 3. **balance** — run Algorithm 1 ([`crate::anneal::anneal`]) from
 //!    the current allocation and emit the migrations it decides on.
 
-use archsim::Platform;
-use kernelsim::{Allocation, EpochReport, LoadBalancer, TelemetryHandle};
+use archsim::{CoreTypeId, Platform};
+use kernelsim::{Allocation, EpochReport, LoadBalancer, TaskId, TelemetryHandle};
 use mcpat::ThermalModel;
 
 use crate::anneal::{anneal, AnnealOutcome, AnnealParams};
@@ -20,10 +22,10 @@ use crate::balance::vanilla::VanillaBalancer;
 use crate::config::SmartBalanceConfig;
 use crate::degrade::QuarantineTracker;
 use crate::degrade::{predict_free_greedy, DegradeController, DegradeMode, EpochHealth};
-use crate::estimate::build_matrices;
+use crate::estimate::build_matrices_with_rows;
 use crate::objective::Objective;
 use crate::predict::PredictorSet;
-use crate::sense::{SenseHealth, Sensor, ThreadSense};
+use crate::sense::{SenseHealth, Sensor, ThreadSense, NUM_FEATURES};
 
 /// Outcome of the shared per-epoch preamble (audit, thermal step,
 /// sensing, degradation ladder, affinity constriction): either the
@@ -38,9 +40,77 @@ pub(crate) enum PreambleOutcome {
     Proceed {
         /// Sensed, constriction-adjusted per-thread rows.
         senses: Vec<ThreadSense>,
+        /// Each sensed thread's predicted IPC on every core type
+        /// ([`PredictorSet::predict_ipc_by_type`]), flat,
+        /// `platform.num_types()` entries per thread in sense order.
+        rows: Vec<f64>,
         /// Per-core availability (`online[j]`), from the epoch report.
         online: Vec<bool>,
     },
+}
+
+/// What a prediction row is a pure function of, for a fixed
+/// [`PredictorSet`]: the thread, its source core type and the bit
+/// patterns of its signature.
+type RowKey = (TaskId, CoreTypeId, [u64; NUM_FEATURES]);
+
+/// The epoch's prediction rows: one
+/// [`PredictorSet::predict_ipc_by_type`] row per sensed thread, the only
+/// predictions an epoch makes. The quarantine residual, the flat
+/// matrices, each cluster's rates and the sharded stray-thread path all
+/// read them.
+///
+/// The table is rebuilt from every epoch's senses, so it holds exactly
+/// the live sensed threads. A thread whose key equals last epoch's
+/// takes last epoch's row instead of inverting its signature again: a
+/// `SmartBalance` never changes its predictor set, so the row is a
+/// pure function of the key. A DVFS change moves the signature's
+/// frequency feature and so the key.
+#[derive(Debug, Default)]
+struct PredictionRows {
+    /// One key per row, in sense order.
+    keys: Vec<RowKey>,
+    /// The rows, flat: `platform.num_types()` entries per key.
+    rows: Vec<f64>,
+}
+
+impl PredictionRows {
+    /// Rebuilds the table for `senses` and returns how many rows came
+    /// from last epoch's table. Last epoch's entry is found by binary
+    /// search on the task id, which relies on senses arriving in
+    /// ascending task order (the kernel's live list is ascending); a
+    /// hit also requires the whole key to be equal, so an unordered
+    /// epoch only misses, never serves a wrong row. Misses are
+    /// predicted here, serially.
+    fn refresh(
+        &mut self,
+        platform: &Platform,
+        senses: &[ThreadSense],
+        predictors: &PredictorSet,
+    ) -> usize {
+        let q = platform.num_types();
+        let mut keys = Vec::with_capacity(senses.len());
+        let mut rows = Vec::with_capacity(senses.len() * q);
+        let mut reused = 0;
+        for sense in senses {
+            let src = platform.core_type(sense.core);
+            let key = (sense.task, src, sense.features.map(f64::to_bits));
+            match self.keys.binary_search_by(|k| k.0.cmp(&sense.task)) {
+                Ok(p) if self.keys[p] == key => {
+                    rows.extend_from_slice(&self.rows[p * q..(p + 1) * q]);
+                    reused += 1;
+                }
+                _ => {
+                    let row = predictors.predict_ipc_by_type(&sense.features, src);
+                    rows.extend_from_slice(&row[..q]);
+                }
+            }
+            keys.push(key);
+        }
+        self.keys = keys;
+        self.rows = rows;
+        reused
+    }
 }
 
 /// The SmartBalance policy.
@@ -74,6 +144,7 @@ pub struct SmartBalance {
     thermal: Option<ThermalModel>,
     degrade: DegradeController,
     quarantine: QuarantineTracker,
+    predictions: PredictionRows,
     fallback: VanillaBalancer,
     /// Shared observability hub, when the host system attached one.
     /// Purely write-only from the policy's perspective: recording never
@@ -116,6 +187,7 @@ impl SmartBalance {
             thermal: config.thermal.map(|_| ThermalModel::new(platform)),
             degrade: DegradeController::new(config.degrade),
             quarantine: QuarantineTracker::new(),
+            predictions: PredictionRows::default(),
             fallback: VanillaBalancer::new(),
             config,
             last_outcome: None,
@@ -135,6 +207,7 @@ impl SmartBalance {
             thermal: None,
             degrade: DegradeController::new(config.degrade),
             quarantine: QuarantineTracker::new(),
+            predictions: PredictionRows::default(),
             fallback: VanillaBalancer::new(),
             config,
             last_outcome: None,
@@ -274,14 +347,22 @@ impl SmartBalance {
         if !self.config.include_kernel_threads {
             senses.retain(|s| !s.kernel_thread);
         }
+        // --- Predict: one row per sensed thread, reused while its
+        // signature repeats ----------------------------------------------
+        self.predictions
+            .refresh(platform, &senses, &self.predictors);
         if senses.is_empty() {
             self.last_outcome = None;
             return PreambleOutcome::Skip(None);
         }
 
         // --- Degradation ladder: distrust what failed --------------------
-        self.quarantine
-            .observe(platform, &senses, &self.predictors, &self.config.degrade);
+        self.quarantine.observe(
+            platform,
+            &senses,
+            &self.predictions.rows,
+            &self.config.degrade,
+        );
         let sense_health = self.sensor.health();
         let health = EpochHealth {
             candidates: sense_health.candidates,
@@ -359,14 +440,24 @@ impl SmartBalance {
             }
         }
 
-        PreambleOutcome::Proceed { senses, online }
+        PreambleOutcome::Proceed {
+            senses,
+            rows: self.predictions.rows.clone(),
+            online,
+        }
     }
 
-    /// The flat (single-domain) back half: build the dense matrices,
-    /// run Algorithm 1 over all cores at once and emit the diff.
-    fn flat_balance(&mut self, platform: &Platform, senses: &[ThreadSense]) -> Option<Allocation> {
-        // --- Estimate & predict: S(k), P(k) ----------------------------
-        let matrices = build_matrices(platform, senses, &self.predictors);
+    /// The flat (single-domain) back half: build the dense matrices
+    /// from the preamble's prediction `rows`, run Algorithm 1 over all
+    /// cores at once and emit the diff.
+    fn flat_balance(
+        &mut self,
+        platform: &Platform,
+        senses: &[ThreadSense],
+        rows: &[f64],
+    ) -> Option<Allocation> {
+        // --- Estimate: S(k), P(k) --------------------------------------
+        let matrices = build_matrices_with_rows(platform, senses, rows, &self.predictors);
 
         // --- Balance: Algorithm 1 from the current allocation ----------
         let initial: Vec<usize> = senses.iter().map(|s| s.core.0).collect();
@@ -435,7 +526,9 @@ impl LoadBalancer for SmartBalance {
     fn rebalance(&mut self, platform: &Platform, report: &EpochReport) -> Option<Allocation> {
         match self.preamble(platform, report) {
             PreambleOutcome::Skip(alloc) => alloc,
-            PreambleOutcome::Proceed { senses, .. } => self.flat_balance(platform, &senses),
+            PreambleOutcome::Proceed { senses, rows, .. } => {
+                self.flat_balance(platform, &senses, &rows)
+            }
         }
     }
 }
@@ -568,6 +661,99 @@ mod tests {
             "transitions: {}",
             policy.mode_transitions()
         );
+    }
+
+    /// A scripted sense of `task` on `core`, with the signature of `w`
+    /// sampled on that core.
+    fn scripted_sense(
+        platform: &Platform,
+        task: usize,
+        core: usize,
+        w: &WorkloadCharacteristics,
+    ) -> ThreadSense {
+        let cfg = platform.core_config(archsim::CoreId(core));
+        let slice = archsim::run_slice(w, cfg, 10_000_000);
+        ThreadSense {
+            task: TaskId(task),
+            core: archsim::CoreId(core),
+            features: crate::sense::features_from_counters(&slice.counters, cfg.freq_hz),
+            measured_ips: slice.ips(),
+            measured_power_w: 1.0,
+            utilization: 0.8,
+            weight: 1024,
+            kernel_thread: false,
+            allowed: u64::MAX,
+            fresh: true,
+        }
+    }
+
+    /// Epochs of scripted senses through the prediction row table: a
+    /// row is reused only when the thread's whole key repeats, every
+    /// row equals a fresh prediction bit for bit, the table holds
+    /// exactly the epoch's senses, and the flat matrices built from it
+    /// equal the public `build_matrices`.
+    #[test]
+    fn prediction_rows_are_reused_only_while_the_key_repeats() {
+        let platform = Platform::quad_heterogeneous();
+        let predictors = PredictorSet::train(&platform, 150, 0xDAC_2015);
+        let q = platform.num_types();
+        let a = scripted_sense(&platform, 0, 0, &WorkloadCharacteristics::compute_bound());
+        let b = scripted_sense(&platform, 1, 1, &WorkloadCharacteristics::memory_bound());
+        let c = scripted_sense(&platform, 2, 2, &WorkloadCharacteristics::balanced());
+        let d = scripted_sense(&platform, 3, 0, &WorkloadCharacteristics::memory_bound());
+        // Thread 1's signature changes in one feature.
+        let mut b2 = b;
+        b2.features[3] += 0.01;
+        // Thread 2 migrates to another core type; its features stay.
+        let c2 = ThreadSense {
+            core: archsim::CoreId(3),
+            ..c
+        };
+        // Thread 0 is replayed from the sensing cache: first on its
+        // core, then after a migration to another core type.
+        let a_replayed = ThreadSense { fresh: false, ..a };
+        let a_moved = ThreadSense {
+            core: archsim::CoreId(1),
+            ..a_replayed
+        };
+        let epochs: [(Vec<ThreadSense>, usize); 4] = [
+            (vec![a, b, c], 0),
+            // Repeat; changed feature; migration with equal features.
+            (vec![a, b2, c2], 1),
+            // Replay in place; repeat; thread 2 exits; thread 3 starts.
+            (vec![a_replayed, b2, d], 2),
+            // Replay after a migration; repeat; thread 2 is back with
+            // its last key, but its row left the table when it exited.
+            (vec![a_moved, b2, c2, d], 2),
+        ];
+
+        let mut table = PredictionRows::default();
+        for (k, (senses, want_reused)) in epochs.iter().enumerate() {
+            let reused = table.refresh(&platform, senses, &predictors);
+            assert_eq!(reused, *want_reused, "epoch {k}: reused rows");
+            let tasks: Vec<TaskId> = table.keys.iter().map(|key| key.0).collect();
+            let sensed: Vec<TaskId> = senses.iter().map(|s| s.task).collect();
+            assert_eq!(tasks, sensed, "epoch {k}: the table holds the senses");
+            assert_eq!(table.rows.len(), senses.len() * q, "epoch {k}");
+            let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for (i, s) in senses.iter().enumerate() {
+                let fresh = predictors.predict_ipc_by_type(&s.features, platform.core_type(s.core));
+                let row = &table.rows[i * q..(i + 1) * q];
+                assert_eq!(bits(row), bits(&fresh), "epoch {k}: thread {i}'s row");
+            }
+            // Every value here is finite, and serialized floats
+            // round-trip exactly, so equal JSON means equal bits.
+            let shared = build_matrices_with_rows(&platform, senses, &table.rows, &predictors);
+            let public = crate::estimate::build_matrices(&platform, senses, &predictors);
+            assert_eq!(
+                serde_json::to_string(&shared).expect("serialize"),
+                serde_json::to_string(&public).expect("serialize"),
+                "epoch {k}: matrices from the table's rows"
+            );
+        }
+        // An idle epoch empties the table.
+        assert_eq!(table.refresh(&platform, &[], &predictors), 0);
+        assert!(table.keys.is_empty() && table.rows.is_empty());
     }
 
     #[test]

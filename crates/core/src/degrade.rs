@@ -39,13 +39,12 @@
 //!   the statically most-efficient online cores without touching the
 //!   regression predictors.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use archsim::{CoreId, Platform};
 use kernelsim::{Allocation, TaskId};
 use serde::{Deserialize, Serialize};
 
-use crate::predict::PredictorSet;
 use crate::sense::ThreadSense;
 
 /// Rung of the degradation ladder, ordered from most to least
@@ -281,8 +280,9 @@ impl DegradeController {
 /// below half the threshold.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct QuarantineTracker {
-    residuals: BTreeMap<TaskId, f64>,
-    quarantined: BTreeMap<TaskId, bool>,
+    /// Per tracked thread: the residual EWMA and whether the thread is
+    /// quarantined.
+    tracked: BTreeMap<TaskId, (f64, bool)>,
 }
 
 impl QuarantineTracker {
@@ -292,64 +292,68 @@ impl QuarantineTracker {
     }
 
     /// Folds one epoch of senses into the residual EWMAs and updates
-    /// the quarantine set. Only fresh, positively-measured samples
-    /// contribute; replayed or prior-backed senses leave the residual
-    /// untouched. Threads absent from `senses` are forgotten.
+    /// the quarantine set. `rows` holds each sense's
+    /// [`PredictorSet::predict_ipc_by_type`](crate::predict::PredictorSet::predict_ipc_by_type)
+    /// row, flat, `platform.num_types()` entries per sense in sense
+    /// order; the identity prediction is the entry of the sense's own
+    /// core type. Only fresh, positively-measured samples contribute;
+    /// replayed or prior-backed senses leave the residual untouched.
+    /// Threads absent from `senses` are forgotten.
     pub fn observe(
         &mut self,
         platform: &Platform,
         senses: &[ThreadSense],
-        predictors: &PredictorSet,
+        rows: &[f64],
         config: &DegradeConfig,
     ) {
         let alpha = config.residual_alpha.clamp(1e-3, 1.0);
-        for sense in senses {
-            if !sense.fresh || sense.measured_ips <= 0.0 {
-                continue;
-            }
-            let src = platform.core_type(sense.core);
-            let ipc = predictors.predict_ipc(&sense.features, src, src);
-            let predicted_ips = ipc * platform.type_config(src).freq_hz;
-            let rel = (predicted_ips - sense.measured_ips).abs() / sense.measured_ips.max(1.0);
-            let ewma = match self.residuals.get(&sense.task) {
-                Some(&prev) => alpha * rel + (1.0 - alpha) * prev,
-                None => rel,
+        let q = platform.num_types();
+        // Rebuilt from this epoch's senses: an entry moves over only
+        // for a thread that is still sensed, so exited threads drop
+        // out and the quarantine fraction tracks the live population.
+        let mut previous = std::mem::take(&mut self.tracked);
+        for (i, sense) in senses.iter().enumerate() {
+            let prev = previous.remove(&sense.task);
+            let entry = if sense.fresh && sense.measured_ips > 0.0 {
+                let src = platform.core_type(sense.core);
+                let predicted_ips = rows[i * q + src.0] * platform.type_config(src).freq_hz;
+                let rel = (predicted_ips - sense.measured_ips).abs() / sense.measured_ips.max(1.0);
+                let (ewma, mut flagged) = match prev {
+                    Some((residual, flagged)) => (alpha * rel + (1.0 - alpha) * residual, flagged),
+                    None => (rel, false),
+                };
+                if ewma > config.quarantine_residual {
+                    flagged = true;
+                } else if ewma < config.quarantine_residual / 2.0 {
+                    flagged = false;
+                }
+                Some((ewma, flagged))
+            } else {
+                prev
             };
-            self.residuals.insert(sense.task, ewma);
-            let flagged = self.quarantined.entry(sense.task).or_insert(false);
-            if ewma > config.quarantine_residual {
-                *flagged = true;
-            } else if ewma < config.quarantine_residual / 2.0 {
-                *flagged = false;
+            if let Some(entry) = entry {
+                self.tracked.insert(sense.task, entry);
             }
         }
-        // Forget exited threads so the quarantine fraction tracks the
-        // live population.
-        let live: BTreeSet<TaskId> = senses.iter().map(|s| s.task).collect();
-        self.residuals.retain(|t, _| live.contains(t));
-        self.quarantined.retain(|t, _| live.contains(t));
     }
 
     /// Whether this thread's predictions are currently distrusted.
     pub fn is_quarantined(&self, task: TaskId) -> bool {
-        self.quarantined.get(&task).copied().unwrap_or(false)
+        self.tracked.get(&task).is_some_and(|&(_, q)| q)
     }
 
     /// Number of threads currently under quarantine.
     pub fn quarantined_count(&self) -> usize {
-        self.quarantined.values().filter(|&&q| q).count()
+        self.tracked.values().filter(|&&(_, q)| q).count()
     }
 
     /// Quarantined thread ids, in ascending order.
     pub fn quarantined_tasks(&self) -> Vec<TaskId> {
-        let mut ids: Vec<TaskId> = self
-            .quarantined
+        self.tracked
             .iter()
-            .filter(|(_, &q)| q)
+            .filter(|(_, &(_, q))| q)
             .map(|(&t, _)| t)
-            .collect();
-        ids.sort_unstable_by_key(|t| t.0);
-        ids
+            .collect()
     }
 }
 
@@ -442,6 +446,7 @@ pub fn predict_free_greedy(
 #[allow(clippy::float_cmp)] // exact assertions are the determinism contract
 mod tests {
     use super::*;
+    use crate::predict::PredictorSet;
     use crate::sense::Features;
 
     fn healthy() -> EpochHealth {
@@ -695,8 +700,18 @@ mod tests {
         let mut bad = sense(1, 1, 0.5);
         bad.measured_ips = 1e3;
 
+        // Each sense's prediction row, as the balancer's preamble
+        // hands them over: flat, one row per sense in sense order.
+        let rows_of = |senses: &[ThreadSense]| -> Vec<f64> {
+            senses
+                .iter()
+                .flat_map(|s| {
+                    predictors.predict_ipc_by_type(&s.features, platform.core_type(s.core))
+                })
+                .collect()
+        };
         for _ in 0..4 {
-            q.observe(&platform, &[good, bad], &predictors, &cfg);
+            q.observe(&platform, &[good, bad], &rows_of(&[good, bad]), &cfg);
         }
         assert!(!q.is_quarantined(TaskId(0)));
         assert!(q.is_quarantined(TaskId(1)));
@@ -711,14 +726,50 @@ mod tests {
         // The EWMA halves each epoch (alpha 0.5); decaying a ~1e6
         // relative residual below the release threshold takes a while.
         for _ in 0..40 {
-            q.observe(&platform, &[good, bad], &predictors, &cfg);
+            q.observe(&platform, &[good, bad], &rows_of(&[good, bad]), &cfg);
         }
         assert!(!q.is_quarantined(TaskId(1)), "residual decayed below half");
 
         // Exited threads are forgotten.
-        q.observe(&platform, &[good], &predictors, &cfg);
+        q.observe(&platform, &[good], &rows_of(&[good]), &cfg);
         assert_eq!(q.quarantined_count(), 0);
         assert!(!q.is_quarantined(TaskId(1)));
+    }
+
+    /// A replayed sense keeps its thread's residual and flag, a fresh
+    /// one updates them, and only a thread missing from the senses is
+    /// forgotten.
+    #[test]
+    fn replayed_senses_keep_their_quarantine_state() {
+        let platform = Platform::quad_heterogeneous();
+        let q = platform.num_types();
+        let cfg = DegradeConfig::default();
+        let mut tracker = QuarantineTracker::new();
+        // Identity rows of 1.0 IPC against a wildly lower measurement.
+        let mut bad = sense(1, 1, 0.5);
+        bad.measured_ips = 1e3;
+        let never_fresh = ThreadSense {
+            fresh: false,
+            ..sense(2, 2, 0.5)
+        };
+        let rows = vec![1.0; 2 * q];
+        tracker.observe(&platform, &[bad, never_fresh], &rows, &cfg);
+        assert_eq!(tracker.quarantined_tasks(), vec![TaskId(1)]);
+        let quarantined = tracker.clone();
+
+        // Replayed with rows that would clear the residual: untouched.
+        let replayed = ThreadSense {
+            fresh: false,
+            ..bad
+        };
+        tracker.observe(&platform, &[replayed, never_fresh], &vec![0.0; 2 * q], &cfg);
+        assert_eq!(tracker, quarantined, "a replay leaves the entry as it was");
+        assert_eq!(tracker.quarantined_count(), 1);
+
+        // Gone for an epoch: forgotten, so it restarts unflagged.
+        tracker.observe(&platform, &[never_fresh], &rows[..q], &cfg);
+        assert!(!tracker.is_quarantined(TaskId(1)));
+        assert_eq!(tracker, QuarantineTracker::new());
     }
 
     #[test]

@@ -33,8 +33,15 @@ impl TypeRates {
     /// core's type carries the *measured* values when the sample is
     /// fresh and sane, every other type the Θ/α predictions of
     /// Eq. 8–9 (with the same non-finite fallbacks as
-    /// [`build_matrices`] has always applied).
-    pub fn build(platform: &Platform, sense: &ThreadSense, predictors: &PredictorSet) -> Self {
+    /// [`build_matrices`] has always applied). `ipc_row` is the
+    /// thread's [`PredictorSet::predict_ipc_by_type`] row for its
+    /// signature and current core type, one entry per core type.
+    pub fn build(
+        platform: &Platform,
+        sense: &ThreadSense,
+        ipc_row: &[f64],
+        predictors: &PredictorSet,
+    ) -> Self {
         let src_type = platform.core_type(sense.core);
         // Non-finite or non-positive measurements (corrupt sensors that
         // slipped past the sensing stage) fall back to prediction.
@@ -43,20 +50,13 @@ impl TypeRates {
             && sense.measured_ips > 0.0
             && sense.measured_power_w.is_finite()
             && sense.measured_power_w > 0.0;
-        // One shared-inversion prediction row per thread (computed
-        // lazily: an all-measured thread never pays for it), then each
-        // entry is a per-type table lookup.
-        let mut ipc_row: Option<Vec<f64>> = None;
         let cols = platform
             .types()
             .map(|(dst_type, cfg)| {
                 if has_measurement && dst_type == src_type {
                     (sense.measured_ips, sense.measured_power_w.max(1e-6), true)
                 } else {
-                    let row = ipc_row.get_or_insert_with(|| {
-                        predictors.predict_ipc_by_type(&sense.features, src_type)
-                    });
-                    let ipc = row[dst_type.0];
+                    let ipc = ipc_row[dst_type.0];
                     let mut ips = ipc * cfg.freq_hz;
                     if !ips.is_finite() {
                         // A corrupt signature can drive the regression
@@ -118,6 +118,24 @@ pub fn build_matrices(
     senses: &[ThreadSense],
     predictors: &PredictorSet,
 ) -> CharacterizationMatrices {
+    let q = platform.num_types();
+    let mut rows = Vec::with_capacity(senses.len() * q);
+    for sense in senses {
+        let row = predictors.predict_ipc_by_type(&sense.features, platform.core_type(sense.core));
+        rows.extend_from_slice(&row[..q]);
+    }
+    build_matrices_with_rows(platform, senses, &rows, predictors)
+}
+
+/// [`build_matrices`] from already predicted rows: `rows` holds each
+/// sensed thread's [`PredictorSet::predict_ipc_by_type`] row, flat,
+/// `platform.num_types()` entries per thread in sense order.
+pub(crate) fn build_matrices_with_rows(
+    platform: &Platform,
+    senses: &[ThreadSense],
+    rows: &[f64],
+    predictors: &PredictorSet,
+) -> CharacterizationMatrices {
     let core_types: Vec<_> = platform.cores().map(|c| platform.core_type(c)).collect();
     let sleep_power: Vec<f64> = platform
         .cores()
@@ -126,8 +144,9 @@ pub fn build_matrices(
     let tasks = senses.iter().map(|s| s.task).collect();
     let mut m = CharacterizationMatrices::new(tasks, core_types.clone(), sleep_power);
 
+    let q = platform.num_types();
     for (i, sense) in senses.iter().enumerate() {
-        let rates = TypeRates::build(platform, sense, predictors);
+        let rates = TypeRates::build(platform, sense, &rows[i * q..(i + 1) * q], predictors);
         for (j, &dst_type) in core_types.iter().enumerate() {
             m.set(
                 i,

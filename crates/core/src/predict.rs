@@ -305,6 +305,11 @@ impl PredictorSet {
     /// characterization matrix costs one inversion per thread instead
     /// of one per (thread, core) cell. Each entry is bit-identical to
     /// the corresponding [`Self::predict_ipc`] call.
+    ///
+    /// SmartBalance calls this once per sensed thread per epoch, and
+    /// not at all for a thread whose signature and source core type
+    /// repeat last epoch's: the quarantine residual and every
+    /// characterization row read that one shared row.
     pub fn predict_ipc_by_type(&self, features: &Features, src: CoreTypeId) -> Vec<f64> {
         let mut features = *features;
         if self.sparse {

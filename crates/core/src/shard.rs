@@ -187,6 +187,21 @@ mod tests {
     use kernelsim::TaskId;
     use mcpat::CorePowerModel;
 
+    /// Each sense's compact rates, from a fresh prediction row.
+    fn rates_of(
+        platform: &Platform,
+        senses: &[ThreadSense],
+        predictors: &PredictorSet,
+    ) -> Vec<TypeRates> {
+        senses
+            .iter()
+            .map(|s| {
+                let row = predictors.predict_ipc_by_type(&s.features, platform.core_type(s.core));
+                TypeRates::build(platform, s, &row, predictors)
+            })
+            .collect()
+    }
+
     fn sense_for(platform: &Platform, core: CoreId, w: &WorkloadCharacteristics) -> ThreadSense {
         let cfg = platform.core_config(core);
         let slice = run_slice(w, cfg, 10_000_000);
@@ -223,10 +238,7 @@ mod tests {
             })
             .collect();
         let matrices = crate::estimate::build_matrices(&platform, &senses, &predictors);
-        let rates: Vec<TypeRates> = senses
-            .iter()
-            .map(|s| TypeRates::build(&platform, s, &predictors))
-            .collect();
+        let rates = rates_of(&platform, &senses, &predictors);
         let util: Vec<f64> = (0..senses.len()).map(|i| matrices.utilization(i)).collect();
         let types: Vec<CoreTypeId> = platform.cores().map(|c| platform.core_type(c)).collect();
         let sleep: Vec<f64> = platform
@@ -274,10 +286,7 @@ mod tests {
             .map(|c| sense_for(&platform, c, &WorkloadCharacteristics::balanced()))
             .collect();
         let matrices = crate::estimate::build_matrices(&platform, &senses, &predictors);
-        let rates: Vec<TypeRates> = senses
-            .iter()
-            .map(|s| TypeRates::build(&platform, s, &predictors))
-            .collect();
+        let rates = rates_of(&platform, &senses, &predictors);
         let util: Vec<f64> = (0..senses.len()).map(|i| matrices.utilization(i)).collect();
         let types: Vec<CoreTypeId> = platform.cores().map(|c| platform.core_type(c)).collect();
         let sleep: Vec<f64> = platform
@@ -322,10 +331,7 @@ mod tests {
                 s
             })
             .collect();
-        let rates: Vec<TypeRates> = senses
-            .iter()
-            .map(|s| TypeRates::build(&platform, s, &predictors))
-            .collect();
+        let rates = rates_of(&platform, &senses, &predictors);
         let util: Vec<f64> = senses.iter().map(|s| s.utilization).collect();
         let types: Vec<CoreTypeId> = platform.cores().map(|c| platform.core_type(c)).collect();
         let sleep: Vec<f64> = platform
