@@ -125,7 +125,7 @@ fn run_scenario(
 ) -> RunOutcome {
     let platform = Platform::quad_heterogeneous();
     let config = SmartBalanceConfig::default();
-    let mut policy = SmartBalance::with_predictors(predictors.clone(), config);
+    let mut policy = SmartBalance::with_predictors(&platform, config, predictors.clone());
     let mut sys = System::new(platform, SystemConfig::default());
     sys.enable_tracing(TraceLevel::Lifecycle, 64);
     if !setup.plan.is_empty() {

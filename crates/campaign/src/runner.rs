@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
-use smartbalance::{default_workers, panic_message, parallel_indexed, JobResult};
+use smartbalance::{default_workers, panic_message, parallel_indexed, JobResult, PredictorCache};
 use telemetry::live::{CampaignProgress, ObsSnapshot, SnapshotCell};
 use telemetry::TelemetryHandle;
 
@@ -155,8 +155,11 @@ impl Campaign {
     /// the calling thread journals and publishes each outcome as it
     /// arrives and checkpoints the journal every
     /// [`CampaignConfig::flush_every`] resolved cells without pausing
-    /// the workers. Returns `Err` only on journal I/O failure (after
-    /// the workers have joined); cell failures are data, not errors.
+    /// the workers. The cells this run executes share one predictor set
+    /// per training key ([`PredictorCache`]), so a resumed run trains
+    /// only for its pending SmartBalance cells. Returns `Err` only on
+    /// journal I/O failure (after the workers have joined); cell
+    /// failures are data, not errors.
     pub fn run(&mut self) -> io::Result<CampaignReport> {
         if let Some(hub) = &self.observers.telemetry {
             hub.borrow_mut().record_campaign_started();
@@ -214,11 +217,14 @@ impl Campaign {
     ) -> io::Result<usize> {
         let flush_every = self.config.flush_every.max(1);
         let (jobs, config) = (&self.jobs, &self.config);
+        // Slots for this run's keys only: journaled cells train nothing.
+        let predictors =
+            PredictorCache::for_cells(work.iter().map(|&i| (&jobs[i].spec, jobs[i].policy)));
         let claim = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel();
         std::thread::scope(|scope| {
             for _ in 0..workers.min(work.len()) {
-                let (tx, claim) = (tx.clone(), &claim);
+                let (tx, claim, predictors) = (tx.clone(), &claim, &predictors);
                 // smartlint: allow(nondeterminism, "pipelined cell pool: records are keyed by id in the journal's BTreeMap and the report is built in grid order, so completion order never reaches an output byte")
                 scope.spawn(move || {
                     // smartlint: allow(worker-capture, "atomic claim counter hands each work-list cell to exactly one worker; outcomes are keyed by id and reported in grid order")
@@ -226,7 +232,7 @@ impl Campaign {
                         if tx.send(Event::Claimed(index)).is_err() {
                             break;
                         }
-                        let record = execute_cell(&jobs[index], &ids[index], config);
+                        let record = execute_cell(&jobs[index], &ids[index], config, predictors);
                         if tx.send(Event::Resolved(record)).is_err() {
                             break;
                         }
@@ -437,8 +443,15 @@ fn fold_into_progress(progress: &mut CampaignProgress, record: &JournalRecord) {
 /// attempt runs with a capacity-capped telemetry hub (the flight
 /// recorder); attaching one is bit-transparent, so results are
 /// byte-identical to an unrecorded run, and on quarantine the final
-/// attempt's ring plus the full attempt log land in the record.
-fn execute_cell(job: &CampaignJob, id: &str, config: &CampaignConfig) -> JournalRecord {
+/// attempt's ring plus the full attempt log land in the record. A
+/// SmartBalance cell takes its predictor set from the run's
+/// `predictors`; a training panic stays inside the attempt that made it.
+fn execute_cell(
+    job: &CampaignJob,
+    id: &str,
+    config: &CampaignConfig,
+    predictors: &PredictorCache,
+) -> JournalRecord {
     let mut suite_job = job.to_suite_job();
     if let Some(cap) = config.max_epochs_per_job {
         suite_job.spec.max_epochs = suite_job.spec.max_epochs.min(cap);
@@ -451,7 +464,7 @@ fn execute_cell(job: &CampaignJob, id: &str, config: &CampaignConfig) -> Journal
         hub.borrow_mut()
             .set_span_capacity(config.flight_recorder_epochs);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            suite_job.execute_recorded(job.index, &hub)
+            suite_job.execute_with(job.index, Some(&hub), predictors)
         }));
         let error = match outcome {
             Ok(result) => match budget_violation(&result, config) {

@@ -31,7 +31,7 @@ use mcpat::CorePowerModel;
 use telemetry::TelemetryHandle;
 
 use crate::anneal::{anneal, AnnealOutcome, AnnealParams};
-use crate::balance::smart::{PreambleOutcome, SmartBalance};
+use crate::balance::smart::{train_predictors, PreambleOutcome, SmartBalance};
 use crate::config::SmartBalanceConfig;
 use crate::estimate::TypeRates;
 use crate::matrices::CharacterizationMatrices;
@@ -218,8 +218,25 @@ impl ShardedBalancer {
     }
 
     /// Creates a sharded balancer with explicit configuration
-    /// (`config.shard` of `None` just means [`ShardConfig::default`]).
+    /// (`config.shard` of `None` just means [`ShardConfig::default`]),
+    /// training its predictor set as [`SmartBalance::with_config`] does.
     pub fn with_config(platform: &Platform, config: SmartBalanceConfig) -> Self {
+        let predictors = train_predictors(platform, &config);
+        Self::with_predictors(platform, config, predictors)
+    }
+
+    /// [`with_config`](Self::with_config) around an already trained
+    /// predictor set, as [`SmartBalance::with_predictors`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `predictors` does not fit `platform` and `config`,
+    /// as [`SmartBalance::with_predictors`] does.
+    pub fn with_predictors(
+        platform: &Platform,
+        config: SmartBalanceConfig,
+        predictors: PredictorSet,
+    ) -> Self {
         let shard = config.shard.unwrap_or_default();
         let topology = Topology::from_platform(platform);
         let sleep_power_w = platform
@@ -227,7 +244,7 @@ impl ShardedBalancer {
             .map(|c| CorePowerModel::calibrated(platform.core_config(c)).sleep_power_w())
             .collect();
         ShardedBalancer {
-            inner: SmartBalance::with_config(platform, config),
+            inner: SmartBalance::with_predictors(platform, config, predictors),
             shard,
             topology,
             sleep_power_w,

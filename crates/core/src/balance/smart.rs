@@ -152,8 +152,7 @@ pub struct SmartBalance {
     telemetry: Option<TelemetryHandle>,
 }
 
-/// Builds the sensing stage from the configuration (shared by both
-/// constructors).
+/// Builds the sensing stage from the configuration.
 fn sensor_from_config(config: &SmartBalanceConfig) -> Sensor {
     Sensor::new(config.min_sample_runtime_ns)
         .with_power_noise(
@@ -161,6 +160,18 @@ fn sensor_from_config(config: &SmartBalanceConfig) -> Sensor {
             config.sensor_seed.unwrap_or(0xBAD_5EED),
         )
         .with_signature_ttl(config.degrade.signature_ttl_epochs)
+}
+
+/// The offline training step (Section 4.2.2) for `platform` under
+/// `config`: a pure function of the platform's core types and the
+/// config's `train_corpus`, `train_seed` and `sparse_sensing`.
+pub(crate) fn train_predictors(platform: &Platform, config: &SmartBalanceConfig) -> PredictorSet {
+    PredictorSet::train_with_sparsity(
+        platform,
+        config.train_corpus,
+        config.train_seed,
+        config.sparse_sensing,
+    )
 }
 
 impl SmartBalance {
@@ -171,12 +182,40 @@ impl SmartBalance {
         Self::with_config(platform, SmartBalanceConfig::default())
     }
 
-    /// Creates the policy with an explicit configuration.
+    /// Creates the policy with an explicit configuration, training its
+    /// predictor set from `config.train_corpus`, `config.train_seed`
+    /// and `config.sparse_sensing`.
     pub fn with_config(platform: &Platform, config: SmartBalanceConfig) -> Self {
-        let predictors = PredictorSet::train_with_sparsity(
-            platform,
-            config.train_corpus,
-            config.train_seed,
+        let predictors = train_predictors(platform, &config);
+        Self::with_predictors(platform, config, predictors)
+    }
+
+    /// Creates the policy around an already trained predictor set, for
+    /// example one set shared by every run of a suite. Given the set
+    /// [`with_config`](Self::with_config) would train, the policy is
+    /// exactly the one `with_config` builds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `predictors` was trained on other core types than
+    /// `platform`'s, or on the sparse counter set when
+    /// `config.sparse_sensing` is off (or the reverse).
+    pub fn with_predictors(
+        platform: &Platform,
+        config: SmartBalanceConfig,
+        predictors: PredictorSet,
+    ) -> Self {
+        let trained = predictors.type_configs();
+        assert!(
+            platform.types().map(|(_, c)| c).eq(trained),
+            "predictor set was trained on core types {:?}, but the platform has {:?}",
+            trained.iter().map(|c| &c.name).collect::<Vec<_>>(),
+            platform.types().map(|(_, c)| &c.name).collect::<Vec<_>>(),
+        );
+        assert!(
+            predictors.is_sparse() == config.sparse_sensing,
+            "predictor set sparse = {}, but config.sparse_sensing = {}",
+            predictors.is_sparse(),
             config.sparse_sensing,
         );
         SmartBalance {
@@ -185,26 +224,6 @@ impl SmartBalance {
             seed: config.anneal_seed.unwrap_or(0x5A17_B0B5),
             epochs_balanced: 0,
             thermal: config.thermal.map(|_| ThermalModel::new(platform)),
-            degrade: DegradeController::new(config.degrade),
-            quarantine: QuarantineTracker::new(),
-            predictions: PredictionRows::default(),
-            fallback: VanillaBalancer::new(),
-            config,
-            last_outcome: None,
-            telemetry: None,
-        }
-    }
-
-    /// Creates the policy reusing an already trained predictor set
-    /// (e.g. shared across experiment runs). Thermal tracking is not
-    /// available through this constructor (it needs the platform).
-    pub fn with_predictors(predictors: PredictorSet, config: SmartBalanceConfig) -> Self {
-        SmartBalance {
-            sensor: sensor_from_config(&config),
-            predictors,
-            seed: config.anneal_seed.unwrap_or(0x5A17_B0B5),
-            epochs_balanced: 0,
-            thermal: None,
             degrade: DegradeController::new(config.degrade),
             quarantine: QuarantineTracker::new(),
             predictions: PredictionRows::default(),
@@ -754,6 +773,31 @@ mod tests {
         // An idle epoch empties the table.
         assert_eq!(table.refresh(&platform, &[], &predictors), 0);
         assert!(table.keys.is_empty() && table.rows.is_empty());
+    }
+
+    #[test]
+    #[should_panic(
+        expected = r#"predictor set was trained on core types ["bigA15", "littleA7"], but the platform has ["Huge", "Big", "Medium", "Small"]"#
+    )]
+    fn a_set_trained_for_other_core_types_is_rejected() {
+        let big_little = PredictorSet::train(&Platform::octa_big_little(), 20, 1);
+        SmartBalance::with_predictors(
+            &Platform::quad_heterogeneous(),
+            SmartBalanceConfig::default(),
+            big_little,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "predictor set sparse = false, but config.sparse_sensing = true")]
+    fn a_dense_set_is_rejected_by_a_sparse_config() {
+        let platform = Platform::quad_heterogeneous();
+        let dense = PredictorSet::train(&platform, 20, 1);
+        let sparse = SmartBalanceConfig {
+            sparse_sensing: true,
+            ..SmartBalanceConfig::default()
+        };
+        SmartBalance::with_predictors(&platform, sparse, dense);
     }
 
     #[test]

@@ -269,6 +269,12 @@ impl PredictorSet {
         self.type_configs.len()
     }
 
+    /// The core-type configurations the set was trained on, in type
+    /// order: a platform whose types equal these gets the same set.
+    pub(crate) fn type_configs(&self) -> &[CoreConfig] {
+        &self.type_configs
+    }
+
     /// The Θ coefficient row for predicting from `src` to `dst`.
     ///
     /// # Panics

@@ -3,13 +3,17 @@
 //! evaluation figure; the bench crate's binaries are thin wrappers
 //! around it.
 
-use archsim::Platform;
+use std::sync::OnceLock;
+
+use archsim::{CoreConfig, Platform};
 use kernelsim::{LoadBalancer, NullBalancer, System, SystemConfig, SystemStats, TraceLevel};
 use serde::{Deserialize, Serialize};
 use workloads::WorkloadProfile;
 
+use crate::balance::smart::train_predictors;
 use crate::balance::{GtsBalancer, IksBalancer, ShardedBalancer, SmartBalance, VanillaBalancer};
 use crate::config::SmartBalanceConfig;
+use crate::predict::PredictorSet;
 use crate::shard::ShardConfig;
 use telemetry::ObsCapture;
 
@@ -31,27 +35,137 @@ pub enum Policy {
 impl Policy {
     /// Instantiates the policy for `platform`. A configuration only
     /// affects [`Policy::Smart`]; `None` (or any config handed to a
-    /// baseline policy) selects the defaults.
+    /// baseline policy) selects the defaults. SmartBalance trains its
+    /// predictor set here.
     pub fn build(
         &self,
         platform: &Platform,
         cfg: Option<&SmartBalanceConfig>,
+    ) -> Box<dyn LoadBalancer> {
+        self.build_with(platform, cfg, &PredictorCache::default())
+    }
+
+    /// [`build`](Self::build), with SmartBalance's predictor set taken
+    /// from `predictors`: the run's shared set when the cache holds a
+    /// slot for its training key, a fresh training otherwise. The
+    /// balancer is the same either way.
+    pub(crate) fn build_with(
+        &self,
+        platform: &Platform,
+        cfg: Option<&SmartBalanceConfig>,
+        predictors: &PredictorCache,
     ) -> Box<dyn LoadBalancer> {
         match self {
             Policy::None => Box::new(NullBalancer),
             Policy::Vanilla => Box::new(VanillaBalancer::new()),
             Policy::Gts => Box::new(GtsBalancer::new()),
             Policy::Iks => Box::new(IksBalancer::new()),
-            Policy::Smart => match cfg {
+            Policy::Smart => {
+                let cfg = cfg.cloned().unwrap_or_default();
+                let set = predictors.predictors_for(platform, &cfg);
                 // The shard knob selects the hierarchical balancer; its
                 // absence keeps the flat annealer bit-identical.
-                Some(cfg) if cfg.shard.is_some() => {
-                    Box::new(ShardedBalancer::with_config(platform, cfg.clone()))
+                if cfg.shard.is_some() {
+                    Box::new(ShardedBalancer::with_predictors(platform, cfg, set))
+                } else {
+                    Box::new(SmartBalance::with_predictors(platform, cfg, set))
                 }
-                Some(cfg) => Box::new(SmartBalance::with_config(platform, cfg.clone())),
-                None => Box::new(SmartBalance::new(platform)),
-            },
+            }
         }
+    }
+}
+
+/// The predictor sets one suite or campaign run shares.
+///
+/// Training (Section 4.2.2's offline profiling) is a pure function of
+/// its key: the platform's core-type configurations plus the config's
+/// `train_corpus`, `train_seed` and `sparse_sensing`. A run lists the
+/// distinct keys of its pending [`Policy::Smart`] cells before its
+/// workers start and makes one empty once-cell per key; nothing trains
+/// then. The first cell that needs a key trains it on its own worker,
+/// under its own panic isolation, and every later cell takes a clone.
+/// A training that panics leaves its once-cell empty, so only that
+/// key's cells fail, each exactly as it would alone.
+///
+/// The cache lives for one run, not for the process: a process-wide
+/// memo would hide the training from every later run in the process,
+/// although each run on its own pays for it. An empty cache (the
+/// [`Default`]) shares nothing: every lookup trains afresh.
+#[derive(Debug, Default)]
+pub struct PredictorCache {
+    slots: Vec<(TrainingKey, OnceLock<PredictorSet>)>,
+}
+
+/// What a trained predictor set is a pure function of.
+#[derive(Debug, PartialEq)]
+struct TrainingKey {
+    type_configs: Vec<CoreConfig>,
+    corpus: usize,
+    seed: u64,
+    sparse: bool,
+}
+
+impl TrainingKey {
+    fn new(platform: &Platform, config: &SmartBalanceConfig) -> Self {
+        TrainingKey {
+            type_configs: platform.types().map(|(_, c)| c.clone()).collect(),
+            corpus: config.train_corpus,
+            seed: config.train_seed,
+            sparse: config.sparse_sensing,
+        }
+    }
+}
+
+impl PredictorCache {
+    /// One empty slot per distinct training key among the
+    /// [`Policy::Smart`] cells of `cells`. Trains nothing.
+    pub fn for_cells<'a>(cells: impl IntoIterator<Item = (&'a ExperimentSpec, Policy)>) -> Self {
+        let default = SmartBalanceConfig::default();
+        let mut cache = PredictorCache::default();
+        for (spec, _) in cells.into_iter().filter(|&(_, p)| p == Policy::Smart) {
+            let config = spec.policy_config.as_ref().unwrap_or(&default);
+            let key = TrainingKey::new(&spec.platform, config);
+            if cache.slot(&key).is_none() {
+                cache.slots.push((key, OnceLock::new()));
+            }
+        }
+        cache
+    }
+
+    /// Number of distinct training keys the cache has a slot for.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether the cache has no slot, and so shares nothing.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Number of slots trained so far.
+    pub fn trained(&self) -> usize {
+        self.slots
+            .iter()
+            .filter(|(_, set)| set.get().is_some())
+            .count()
+    }
+
+    /// The predictor set for `platform` under `config`: a clone of the
+    /// key's shared set, trained here by the first caller, or a fresh
+    /// training when the cache has no slot for the key.
+    pub fn predictors_for(&self, platform: &Platform, config: &SmartBalanceConfig) -> PredictorSet {
+        let train = || train_predictors(platform, config);
+        match self.slot(&TrainingKey::new(platform, config)) {
+            Some(set) => set.get_or_init(train).clone(),
+            None => train(),
+        }
+    }
+
+    fn slot(&self, key: &TrainingKey) -> Option<&OnceLock<PredictorSet>> {
+        self.slots
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, set)| set)
     }
 }
 

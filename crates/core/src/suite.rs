@@ -41,8 +41,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::SmartBalanceConfig;
 use crate::runner::{
-    run_experiment_into_hub, run_experiment_with, ExperimentSpec, Policy, RunOptions, RunResult,
-    TraceCapture, TraceRequest,
+    run_experiment_into_hub, run_experiment_with, ExperimentSpec, Policy, PredictorCache,
+    RunOptions, RunResult, TraceCapture, TraceRequest,
 };
 use crate::shard::ShardConfig;
 use telemetry::{ObsCapture, TelemetryHandle};
@@ -119,60 +119,65 @@ impl SuiteJob {
     }
 
     /// Builds this job's balancer exactly as the suite will — the
-    /// canonical constructor for serial reruns and parity checks.
+    /// canonical constructor for serial reruns and parity checks. A
+    /// SmartBalance job trains its own predictor set here; the suite
+    /// shares one per training key, which builds the same balancer.
     pub fn build_balancer(&self) -> Box<dyn LoadBalancer> {
-        self.policy
-            .build(&self.spec.platform, Some(&self.effective_config()))
+        self.build_balancer_with(&PredictorCache::default())
     }
 
-    /// Runs the job to completion — the per-job execution hook the
-    /// suite's workers use, public so orchestration layers above the
-    /// suite (the campaign runner) can execute a single job under
-    /// their own isolation/retry policy and still get the exact
-    /// byte-stream a pooled run would have produced.
+    /// [`build_balancer`](Self::build_balancer) with SmartBalance's
+    /// predictor set taken from `predictors` ([`Policy::build_with`]).
+    fn build_balancer_with(&self, predictors: &PredictorCache) -> Box<dyn LoadBalancer> {
+        self.policy.build_with(
+            &self.spec.platform,
+            Some(&self.effective_config()),
+            predictors,
+        )
+    }
+
+    /// Runs the job to completion, training its own predictor set —
+    /// the serial oracle for a pooled run of the same job, which
+    /// produces exactly these measurements.
     pub fn execute(&self, index: usize) -> JobResult {
-        // smartlint: allow(nondeterminism, "feeds only wall_s execution metadata, zeroed by canonicalized() before any fingerprint")
-        let start = Instant::now();
-        let mut balancer = self.build_balancer();
-        let outcome = run_experiment_with(
-            &self.spec,
-            balancer.as_mut(),
-            RunOptions {
-                trace: self.trace,
-                observe: self.observe,
-            },
-        );
-        JobResult {
-            job_index: index,
-            seed: self.seed,
-            policy: self.policy,
-            result: outcome.result,
-            trace: outcome.trace,
-            obs: outcome.observability,
-            wall_s: start.elapsed().as_secs_f64(),
-        }
+        self.execute_with(index, None, &PredictorCache::default())
     }
 
     /// [`SuiteJob::execute`], but recording into a caller-owned
-    /// telemetry hub — the campaign runner's flight-recorder hook. The
-    /// hub keeps accumulating across the run (cap it with
-    /// `set_span_capacity` for a bounded ring); `JobResult::obs` stays
-    /// `None` because the caller already holds the richer handle.
+    /// telemetry hub. The hub keeps accumulating across the run (cap it
+    /// with `set_span_capacity` for a bounded ring); `JobResult::obs`
+    /// stays `None` because the caller already holds the richer handle.
     /// Attach is bit-transparent, so the measurements are byte-identical
     /// to a plain [`SuiteJob::execute`] of the same job.
     pub fn execute_recorded(&self, index: usize, hub: &TelemetryHandle) -> JobResult {
+        self.execute_with(index, Some(hub), &PredictorCache::default())
+    }
+
+    /// The one job execution path: runs the job to completion, taking
+    /// SmartBalance's predictor set from `predictors` and recording
+    /// into `hub` when one is given. Public so orchestration layers
+    /// above the suite (the campaign runner) can execute a single job
+    /// under their own isolation/retry policy and still get the exact
+    /// byte-stream a pooled run would have produced. `wall_s` includes
+    /// the balancer's construction, so the job that trains a shared set
+    /// carries that training.
+    pub fn execute_with(
+        &self,
+        index: usize,
+        hub: Option<&TelemetryHandle>,
+        predictors: &PredictorCache,
+    ) -> JobResult {
         // smartlint: allow(nondeterminism, "feeds only wall_s execution metadata, zeroed by canonicalized() before any fingerprint")
         let start = Instant::now();
-        let mut balancer = self.build_balancer();
-        let outcome = run_experiment_into_hub(
-            &self.spec,
-            balancer.as_mut(),
-            RunOptions {
-                trace: self.trace,
-                observe: self.observe,
-            },
-            hub,
-        );
+        let mut balancer = self.build_balancer_with(predictors);
+        let options = RunOptions {
+            trace: self.trace,
+            observe: self.observe,
+        };
+        let outcome = match hub {
+            Some(hub) => run_experiment_into_hub(&self.spec, balancer.as_mut(), options, hub),
+            None => run_experiment_with(&self.spec, balancer.as_mut(), options),
+        };
         JobResult {
             job_index: index,
             seed: self.seed,
@@ -200,7 +205,10 @@ pub struct JobResult {
     pub trace: Option<TraceCapture>,
     /// Captured observability bundle, if the job requested one.
     pub obs: Option<ObsCapture>,
-    /// Wall-clock duration of this job alone, seconds.
+    /// Wall-clock duration of this job alone, seconds, balancer
+    /// construction included. Within a suite or campaign run, the first
+    /// SmartBalance job of each training key also carries the training
+    /// of the set its siblings share.
     pub wall_s: f64,
 }
 
@@ -303,7 +311,9 @@ pub struct SuiteReport {
     /// Wall-clock duration of the whole suite, seconds.
     pub wall_s: f64,
     /// Sum of per-job wall-clock durations — what a serial run of the
-    /// same jobs would have cost.
+    /// same jobs would have cost. Each training key's predictor set is
+    /// trained once per run, and that time sits in the job that
+    /// trained it (see [`JobResult::wall_s`]).
     pub serial_wall_s: f64,
 }
 
@@ -505,19 +515,24 @@ impl ExperimentSuite {
     /// aborts a sweep. Jobs are handed out through a shared counter,
     /// so workers stay busy regardless of per-job cost; the per-job
     /// seeds make the outcomes identical for any pool size.
+    /// SmartBalance jobs share one predictor set per training key for
+    /// the length of the run ([`PredictorCache`]); a training that
+    /// panics fails only the jobs of its key.
     pub fn run_outcomes(&self) -> Vec<JobOutcome> {
         self.run_pool().0
     }
 
     fn run_pool(&self) -> (Vec<JobOutcome>, usize, f64) {
-        // smartlint: allow(nondeterminism, "suite wall-clock metadata only; job results come from seeded execute()")
+        // smartlint: allow(nondeterminism, "suite wall-clock metadata only; job results come from seeded execute_with()")
         let start = Instant::now();
         let total = self.jobs.len();
         let workers = self.workers.min(total).max(1);
         let done = AtomicUsize::new(0);
+        let predictors = PredictorCache::for_cells(self.jobs.iter().map(|j| (&j.spec, j.policy)));
         let outcomes = parallel_indexed(total, workers, |index| {
             let job = &self.jobs[index];
-            let outcome = match catch_unwind(AssertUnwindSafe(|| job.execute(index))) {
+            let execute = || job.execute_with(index, None, &predictors);
+            let outcome = match catch_unwind(AssertUnwindSafe(execute)) {
                 Ok(result) => JobOutcome::Completed(Box::new(result)),
                 Err(payload) => JobOutcome::Failed(JobFailure {
                     job_index: index,

@@ -13,7 +13,9 @@ use std::sync::Arc;
 
 use archsim::{Platform, WorkloadCharacteristics};
 use campaign::{Campaign, CampaignConfig, CampaignJob, CampaignReport, CheckpointJournal};
-use smartbalance::{ExperimentSpec, Policy};
+use smartbalance::{
+    ExperimentSpec, ExperimentSuite, JobResult, Policy, ShardConfig, SmartBalanceConfig,
+};
 use telemetry::SnapshotCell;
 use workloads::WorkloadProfile;
 
@@ -188,6 +190,112 @@ fn deterministic_panic_is_retried_then_quarantined_and_grid_survives() {
     // span closes — the flight recorder is present but empty.
     let flight = cell.flight.as_ref().expect("flight recorder present");
     assert!(flight.spans.is_empty());
+}
+
+#[test]
+fn a_training_failure_stays_the_failure_of_its_own_cells() {
+    // Three training samples cannot fit ten coefficients, so training
+    // panics. Both cells share that key; the grid's three SmartBalance
+    // cells share another, healthy one.
+    const UNDERDETERMINED: &str = "need at least 10 training samples, got 3";
+    let untrainable = SmartBalanceConfig {
+        train_corpus: 3,
+        ..SmartBalanceConfig::default()
+    };
+    let mut jobs = grid();
+    for name in ["untrainable-a", "untrainable-b"] {
+        let spec = tiny_spec(name, 400_000).with_policy_config(untrainable.clone());
+        jobs.push(CampaignJob::new(jobs.len(), spec, Policy::Smart));
+    }
+
+    let path = journal_path("training-failure");
+    let journal = CheckpointJournal::load(&path).expect("fresh journal");
+    let config = CampaignConfig {
+        workers: 2,
+        max_retries: 2,
+        ..CampaignConfig::default()
+    };
+    let report = Campaign::new(jobs.clone(), config, journal)
+        .run()
+        .expect("journal flushes");
+    assert!(report.is_complete());
+    let completed: Vec<usize> = report.completed.iter().map(|c| c.index).collect();
+    assert_eq!(
+        completed,
+        vec![0, 1, 2, 3, 4, 5],
+        "healthy cells all finished"
+    );
+    let poisoned: Vec<usize> = report.poisoned.iter().map(|c| c.index).collect();
+    assert_eq!(poisoned, vec![6, 7]);
+    for cell in &report.poisoned {
+        assert_eq!(cell.attempts, 3, "first try + max_retries retries");
+        assert!(cell.error.contains(UNDERDETERMINED), "{}", cell.error);
+        let log = cell.attempts_log.as_ref().expect("attempt log present");
+        assert_eq!(log.len(), 3);
+        for attempt in log {
+            assert!(attempt.error.contains(UNDERDETERMINED), "{}", attempt.error);
+        }
+    }
+
+    // The suite isolates the same failure the same way.
+    let mut suite = ExperimentSuite::new().with_workers(2);
+    for job in &jobs {
+        suite.push(job.spec.clone(), job.policy);
+    }
+    let outcomes = suite.run_outcomes();
+    assert_eq!(outcomes.len(), jobs.len());
+    for (index, outcome) in outcomes.iter().enumerate() {
+        match outcome.failure() {
+            Some(failure) => {
+                assert!(index >= 6, "job {index} failed: {}", failure.panic);
+                assert!(failure.panic.contains(UNDERDETERMINED), "{}", failure.panic);
+            }
+            None => assert!(index < 6, "job {index} trained on 3 samples"),
+        }
+    }
+}
+
+/// A completed cell's result with its execution metadata zeroed.
+fn measured_bytes(result: &JobResult) -> String {
+    let mut result = result.clone();
+    result.wall_s = 0.0;
+    serde_json::to_string(&result).expect("result serializes")
+}
+
+#[test]
+fn cells_that_share_a_training_measure_like_cells_that_train_alone() {
+    // The grid's SmartBalance cells share one key; a sparse-sensing
+    // cell and a sharded cell join it with a second key and the first.
+    let mut jobs = grid();
+    let sparse = tiny_spec("sparse", 500_000).with_policy_config(SmartBalanceConfig {
+        sparse_sensing: true,
+        ..SmartBalanceConfig::default()
+    });
+    jobs.push(CampaignJob::new(jobs.len(), sparse, Policy::Smart));
+    let sharded = CampaignJob::new(jobs.len(), tiny_spec("sharded", 500_000), Policy::Smart)
+        .with_shard(ShardConfig::default());
+    jobs.push(sharded);
+
+    let path = journal_path("shared-training");
+    let journal = CheckpointJournal::load(&path).expect("fresh journal");
+    let config = CampaignConfig {
+        workers: 2,
+        ..CampaignConfig::default()
+    };
+    let report = Campaign::new(jobs.clone(), config, journal)
+        .run()
+        .expect("journal flushes");
+    assert_eq!(report.completed.len(), jobs.len());
+    for cell in &report.completed {
+        let alone = jobs[cell.index].to_suite_job().execute(cell.index);
+        assert_eq!(
+            measured_bytes(&cell.result),
+            measured_bytes(&alone),
+            "cell {} ({:?})",
+            cell.index,
+            jobs[cell.index].policy
+        );
+    }
 }
 
 #[test]

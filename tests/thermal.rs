@@ -5,7 +5,7 @@
 use archsim::{CoreId, Platform, WorkloadCharacteristics};
 use kernelsim::{System, SystemConfig};
 use mcpat::{ThermalModel, AMBIENT_C};
-use smartbalance::{SmartBalance, SmartBalanceConfig, ThermalConfig};
+use smartbalance::{PredictorSet, SmartBalance, SmartBalanceConfig, ThermalConfig};
 use workloads::WorkloadProfile;
 
 fn hot_workload() -> Vec<WorkloadProfile> {
@@ -77,6 +77,46 @@ fn thermal_weights_steer_load_off_a_hot_core() {
         aware <= blind,
         "thermal derating must not increase hot-core usage: {aware} vs {blind}"
     );
+}
+
+#[test]
+fn a_shared_predictor_set_keeps_thermal_tracking() {
+    // The same thermal policy twice: training its own predictors, and
+    // around a set trained elsewhere. Both track temperature, and the
+    // runs match bit for bit.
+    let platform = Platform::quad_heterogeneous();
+    let cfg = SmartBalanceConfig {
+        thermal: Some(ThermalConfig {
+            soft_limit_c: 45.0,
+            hard_limit_c: 60.0,
+        }),
+        ..SmartBalanceConfig::default()
+    };
+    let shared = PredictorSet::train(&platform, cfg.train_corpus, cfg.train_seed);
+    let run = |mut policy: SmartBalance| {
+        let mut sys = System::new(platform.clone(), SystemConfig::default());
+        for (i, p) in hot_workload().into_iter().enumerate() {
+            sys.spawn_on(p, CoreId(i % 4));
+        }
+        for _ in 0..20 {
+            sys.run_epoch(&mut policy);
+        }
+        let temps: Vec<u64> = platform
+            .cores()
+            .map(|c| policy.temperature_c(c).expect("thermal enabled").to_bits())
+            .collect();
+        (sys.stats(), temps)
+    };
+    let (own_stats, own_temps) = run(SmartBalance::with_config(&platform, cfg.clone()));
+    let (shared_stats, shared_temps) = run(SmartBalance::with_predictors(&platform, cfg, shared));
+    assert!(
+        own_temps
+            .iter()
+            .any(|&t| f64::from_bits(t) > AMBIENT_C + 2.0),
+        "sustained load must heat something up"
+    );
+    assert_eq!(shared_temps, own_temps, "same temperature trajectory");
+    assert_eq!(shared_stats, own_stats, "same run");
 }
 
 #[test]
