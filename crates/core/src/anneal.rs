@@ -29,6 +29,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::fixed::{fx_exp_neg, Fx, Randi};
+use crate::matrices::CharacterizationMatrices;
 use crate::objective::{IncrementalObjective, Objective};
 
 /// Every this-many iterations the annealer performs a greedy pull
@@ -137,8 +138,11 @@ impl AnnealOutcome {
 ///
 /// # Panics
 ///
-/// Panics if `initial.len()` differs from the matrices' thread count,
-/// any entry is out of core range, or the matrices have no cores.
+/// Panics if `params.daccept` is not finite and positive (a
+/// non-positive decay would turn the acceptance temperature
+/// non-positive mid-run), if `initial.len()` differs from the
+/// matrices' thread count, any entry is out of core range, or the
+/// matrices have no cores.
 ///
 /// # Examples
 ///
@@ -166,6 +170,11 @@ pub fn anneal(
     params: AnnealParams,
     seed: u32,
 ) -> AnnealOutcome {
+    assert!(
+        params.daccept.is_finite() && params.daccept > 0.0,
+        "AnnealParams::daccept must be finite and > 0, got {}",
+        params.daccept
+    );
     let m = initial.len();
     let n = objective.matrices().num_cores();
     assert!(n > 0, "need at least one core");
@@ -184,39 +193,30 @@ pub fn anneal(
         };
     }
 
+    let matrices = objective.matrices();
     let mut rng = Randi::new(seed);
     let mut best_alloc = initial.to_vec();
     let mut best_value = initial_objective;
     let mut perturb = params.perturb.clamp(0.0, 1.0);
     let mut accept = params.accept.max(1.0e-9);
     let mut accepted_moves = 0;
+    // One thread's delta to every core, refilled by each scan.
+    let mut deltas = vec![0.0; n];
 
     for iter in 0..params.max_iter {
         let i = rng.randi_range(0, m as i64) as usize;
         let cur = state.alloc()[i];
-        let matrices = objective.matrices();
-        let (to, diff) = if iter % GREEDY_PULL_PERIOD == GREEDY_PULL_PERIOD - 1 {
+        let mv = if iter % GREEDY_PULL_PERIOD == GREEDY_PULL_PERIOD - 1 {
             // --- Greedy pull: the thread's best single allowed move,
             // its from-core half shared across the scan.
             let leave = state.leave(i);
-            let mut best_core = cur;
-            let mut best_delta = 0.0;
-            for j in 0..n {
-                if j == cur || !matrices.is_allowed(i, j) {
-                    continue;
-                }
-                let d = state.delta_to(&leave, j);
-                if d > best_delta {
-                    best_delta = d;
-                    best_core = j;
-                }
-            }
-            if best_core == cur {
+            state.scan(&leave, &mut deltas);
+            let Some(to) = best_destination(matrices, i, cur, &deltas, 0.0) else {
                 perturb *= params.dperturb;
                 accept *= params.daccept;
                 continue;
-            }
-            (best_core, best_delta)
+            };
+            state.evaluate(&leave, to)
         } else {
             // --- Perturb: propose a core within the shrinking window.
             let window = ((perturb.sqrt() * n as f64).ceil() as i64).max(1);
@@ -236,8 +236,9 @@ pub fn anneal(
                 continue;
             }
             // --- Evaluate: incremental delta for the proposed move.
-            (to, state.delta_for_move(i, to))
+            state.evaluate(&state.leave(i), to)
         };
+        let diff = mv.delta;
 
         let take = if diff > 0.0 {
             true
@@ -257,7 +258,7 @@ pub fn anneal(
         };
 
         if take {
-            state.commit_move(i, to);
+            state.apply(&mv);
             accepted_moves += 1;
             if state.value() > best_value {
                 best_value = state.value();
@@ -274,27 +275,18 @@ pub fn anneal(
     // tail of threads the randomized schedule never happened to visit.
     // Cost is O(rounds·m·n) delta evaluations: at 96 threads on 64
     // cores one sweep is ~6k, the same order as the whole SA loop, so
-    // each thread's from-core half is computed once per sweep.
+    // each thread's from-core half is computed once per sweep and
+    // completed for every core in one row scan.
     let mut state = IncrementalObjective::new(objective, &best_alloc);
     for _ in 0..POLISH_ROUNDS {
         let mut improved = false;
         for i in 0..m {
             let cur = state.alloc()[i];
             let leave = state.leave(i);
-            let mut best_core = cur;
-            let mut best_delta = 1.0e-12;
-            for j in 0..n {
-                if j == cur || !objective.matrices().is_allowed(i, j) {
-                    continue;
-                }
-                let d = state.delta_to(&leave, j);
-                if d > best_delta {
-                    best_delta = d;
-                    best_core = j;
-                }
-            }
-            if best_core != cur {
-                state.commit_move(i, best_core);
+            state.scan(&leave, &mut deltas);
+            if let Some(to) = best_destination(matrices, i, cur, &deltas, 1.0e-12) {
+                let mv = state.evaluate(&leave, to);
+                state.apply(&mv);
                 improved = true;
             }
         }
@@ -316,10 +308,33 @@ pub fn anneal(
     }
 }
 
+/// The first core with the largest of `deltas` above `floor` among the
+/// cores other than `cur` that thread `i` may move to, or `None` when
+/// no such move clears `floor`.
+fn best_destination(
+    matrices: &CharacterizationMatrices,
+    i: usize,
+    cur: usize,
+    deltas: &[f64],
+    floor: f64,
+) -> Option<usize> {
+    let mut best = None;
+    let mut best_delta = floor;
+    for (j, &d) in deltas.iter().enumerate() {
+        if j == cur || !matrices.is_allowed(i, j) {
+            continue;
+        }
+        if d > best_delta {
+            best_delta = d;
+            best = Some(j);
+        }
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrices::CharacterizationMatrices;
     use crate::objective::Goal;
     use archsim::CoreTypeId;
     use kernelsim::TaskId;
@@ -449,6 +464,139 @@ mod tests {
         assert!(small.max_iter < large.max_iter);
         assert!(large.max_iter <= 4_000, "budget is capped for scalability");
         assert!(small.max_iter >= 200);
+    }
+
+    /// Synthetic `threads × cores` matrices over `types` core types in
+    /// contiguous blocks, each thread's rates depending only on the
+    /// core type like the balancer's predicted rows. A few rates are
+    /// zero, so the idle-core and zero-ratio cases arise; with `masks`
+    /// a third of the threads get a random affinity mask.
+    fn golden_matrices(
+        threads: usize,
+        cores: usize,
+        types: usize,
+        masks: bool,
+        rng: &mut Randi,
+    ) -> CharacterizationMatrices {
+        let unit = |rng: &mut Randi| f64::from(rng.randi()) / 4_294_967_296.0;
+        let type_of = |j: usize| j * types / cores;
+        let sleep: Vec<f64> = (0..types).map(|t| 0.01 + 0.05 * t as f64).collect();
+        let mut m = CharacterizationMatrices::new(
+            (0..threads).map(TaskId).collect(),
+            (0..cores).map(|j| CoreTypeId(type_of(j))).collect(),
+            (0..cores).map(|j| sleep[type_of(j)]).collect(),
+        );
+        for i in 0..threads {
+            let mut row = Vec::with_capacity(types);
+            for t in 0..types {
+                let ips = if unit(rng) < 0.05 {
+                    0.0
+                } else {
+                    (0.2 + 3.0 * unit(rng)) * (1.0 + t as f64) * 1.0e9
+                };
+                let power = if unit(rng) < 0.05 {
+                    0.0
+                } else {
+                    (0.05 + 1.5 * unit(rng)) * (1.0 + 0.8 * t as f64)
+                };
+                row.push((ips, power));
+            }
+            for j in 0..cores {
+                let (ips, power) = row[type_of(j)];
+                m.set(i, j, ips, power, j % 3 == 0);
+            }
+            let u = unit(rng);
+            m.set_utilization(i, if u < 0.2 { 1.0 } else { u });
+            if masks && unit(rng) < 0.34 {
+                let bits = (u64::from(rng.randi()) << 32) | u64::from(rng.randi());
+                let usable = if cores >= 64 {
+                    bits
+                } else {
+                    bits & ((1 << cores) - 1)
+                };
+                m.set_allowed(i, if usable == 0 { 1 } else { usable });
+            }
+        }
+        m
+    }
+
+    /// A hash of `anneal`'s outcomes over a grid of shapes (1 × 2 up
+    /// to one 96 × 64 single-type cluster), every goal, ω on and off,
+    /// affinity masks, default and hot parameters and several seeds.
+    /// The constant was recorded before the row scan, the evaluated
+    /// commit and the table-driven `fx_exp_neg`; any change to
+    /// Algorithm 1's arithmetic, its selection order or its random
+    /// stream moves it.
+    #[test]
+    fn outcomes_match_the_recorded_golden_hash() {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |word: u64| {
+            for b in word.to_le_bytes() {
+                hash ^= u64::from(b);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let hot = AnnealParams {
+            daccept: 1.0,
+            ..AnnealParams::default()
+        };
+        let shapes = [(1, 2, 2), (8, 4, 2), (32, 4, 4), (40, 16, 4), (96, 64, 1)];
+        let mut anneals = 0;
+        for (k, &(threads, cores, types)) in shapes.iter().enumerate() {
+            for masks in [false, true] {
+                for seed in 1..=3u32 {
+                    let mut rng = Randi::new(seed * 7_919 + k as u32 * 104_729 + u32::from(masks));
+                    let m = golden_matrices(threads, cores, types, masks, &mut rng);
+                    let initial: Vec<usize> = (0..threads)
+                        .map(|_| rng.randi_range(0, cores as i64) as usize)
+                        .collect();
+                    let weights: Vec<f64> = (0..cores)
+                        .map(|_| f64::from(rng.randi() % 9) * 0.25)
+                        .collect();
+                    for goal in [
+                        Goal::EnergyEfficiency,
+                        Goal::PerCoreEfficiencySum,
+                        Goal::Throughput,
+                        Goal::MinPower,
+                        Goal::EnergyDelayProduct,
+                    ] {
+                        for weighted in [false, true] {
+                            let mut obj = Objective::new(&m, goal);
+                            if weighted {
+                                obj = obj.with_weights(weights.clone());
+                            }
+                            for params in [AnnealParams::default(), hot] {
+                                let out = anneal(&obj, &initial, params, seed);
+                                for &c in &out.allocation {
+                                    mix(c as u64);
+                                }
+                                mix(out.objective.to_bits());
+                                mix(out.initial_objective.to_bits());
+                                mix(u64::from(out.accepted_moves));
+                                anneals += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(anneals, 600);
+        assert_eq!(
+            hash, 0x0a4f_83a6_6851_d36a,
+            "golden hash over {anneals} anneals"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "AnnealParams::daccept must be finite and > 0, got -0.5")]
+    fn negative_daccept_is_rejected_at_entry() {
+        let m = diagonal_matrices();
+        let obj = Objective::new(&m, Goal::EnergyEfficiency);
+        let params = AnnealParams {
+            daccept: -0.5,
+            ..AnnealParams::scaled_for(4, 8)
+        };
+        anneal(&obj, &[0, 0, 0, 0], params, 1);
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! compromising the quality of the final solution."
 //!
 //! [`Fx`] is a Q47.16 signed fixed-point value; [`fx_exp_neg`] computes
-//! `e^{-x}` by binary decomposition against a 16-entry table of
-//! `e^{-2^k}` constants (shift-and-multiply, no division, no floats at
-//! run time); [`Randi`] is the paper's `randi()` — a 32-bit xorshift
-//! uniform generator with `randi(x, y)` range variant.
+//! `e^{-x}` by binary decomposition against a table of `e^{-2^k}`
+//! constants (shift-and-multiply, no division, no floats at run time);
+//! [`Randi`] is the paper's `randi()` — a 32-bit xorshift uniform
+//! generator with `randi(x, y)` range variant.
 
 use serde::{Deserialize, Serialize};
 
@@ -55,7 +55,7 @@ impl Fx {
 
     /// Fixed-point multiply (rounds toward zero).
     #[allow(clippy::should_implement_trait)]
-    pub fn mul(self, rhs: Fx) -> Fx {
+    pub const fn mul(self, rhs: Fx) -> Fx {
         Fx(((self.0 as i128 * rhs.0 as i128) >> FRAC_BITS) as i64)
     }
 
@@ -82,12 +82,46 @@ const EXP_TABLE: [i64; 21] = [
     51039, 39749, 24109, 8869, 1200, 22, 0,
 ];
 
+/// Raw inputs at or above this (12 in Q16) give 0: `e^{-12} < 2^{-16}`.
+const EXP_CUTOFF: i64 = 12 << FRAC_BITS;
+
+/// Bits of `x` whose factors [`EXP_LOW`] folds into one lookup.
+const EXP_LOW_BITS: usize = 10;
+
+/// Bits below [`EXP_CUTOFF`]: `x < 12·2^16 < 2^20`.
+const EXP_BITS: usize = 20;
+
+/// `EXP_LOW[b]` is the product of `EXP_TABLE[k]` over the set bits `k`
+/// of `b`, one truncating multiply per set bit in ascending order: the
+/// decomposition [`fx_exp_neg`] evaluates, restricted to the low
+/// [`EXP_LOW_BITS`] bits and run at compile time.
+const EXP_LOW: [i64; 1 << EXP_LOW_BITS] = {
+    let mut table = [0; 1 << EXP_LOW_BITS];
+    let mut b = 0;
+    while b < table.len() {
+        let mut product = Fx::ONE;
+        let mut k = 0;
+        while k < EXP_LOW_BITS {
+            if b & (1 << k) != 0 {
+                product = product.mul(Fx(EXP_TABLE[k]));
+            }
+            k += 1;
+        }
+        table[b] = product.0;
+        b += 1;
+    }
+    table
+};
+
 /// Computes `e^{-x}` in fixed point for `x >= 0`.
 ///
 /// Decomposes `x = Σ 2^{k-16}` over its set bits and multiplies the
-/// tabulated `e^{-2^{k-16}}` factors — 21 multiplies worst case, no
-/// floating point. Returns 0 for `x` beyond the table's range (where
-/// `e^{-x} < 2^{-16}` anyway).
+/// tabulated `e^{-2^{k-16}}` factors in ascending bit order, truncating
+/// after each multiply, no floating point. The low 10 bits' product is
+/// one lookup in a 1 024-entry table; the other 10 bits each take one
+/// multiply by their factor or by `ONE`, which the truncating multiply
+/// leaves exact, so the loop has no data-dependent branch. Returns 0
+/// for `x` beyond the table's range (where `e^{-x} < 2^{-16}` anyway).
 ///
 /// # Panics
 ///
@@ -103,22 +137,19 @@ const EXP_TABLE: [i64; 21] = [
 /// ```
 pub fn fx_exp_neg(x: Fx) -> Fx {
     assert!(x.0 >= 0, "fx_exp_neg requires x >= 0, got {}", x.to_f64());
-    // e^-x < 2^-16 once x > ~11.1; everything above ~2^21 in raw units
-    // is zero.
-    if x.0 >= (12 << FRAC_BITS) {
+    if x.0 >= EXP_CUTOFF {
         return Fx::ZERO;
     }
-    let mut result = Fx::ONE;
     let bits = x.0 as u64;
-    for (k, &factor) in EXP_TABLE.iter().enumerate() {
-        if bits & (1 << k) != 0 {
-            result = result.mul(Fx(factor));
-            if result.0 == 0 {
-                return Fx::ZERO;
-            }
-        }
+    let mut result = EXP_LOW[(bits & ((1 << EXP_LOW_BITS) - 1)) as usize];
+    let high = bits >> EXP_LOW_BITS;
+    for (k, &factor) in EXP_TABLE[EXP_LOW_BITS..EXP_BITS].iter().enumerate() {
+        let factor = if (high >> k) & 1 != 0 { factor } else { ONE };
+        // Both operands lie in [0, ONE], so the product fits in i64 and
+        // this is exactly `Fx::mul`'s truncating product.
+        result = (result * factor) >> FRAC_BITS;
     }
-    result
+    Fx(result)
 }
 
 /// The paper's `randi()`: a uniformly distributed integer generator.
@@ -204,6 +235,37 @@ mod tests {
                 // few Q16 ULPs is the paper's accepted precision loss.
                 assert!((got - want).abs() < 1e-3, "x={x}: got {got}, want {want}");
             }
+        }
+    }
+
+    /// The bit-serial decomposition `fx_exp_neg` used to run: one
+    /// branch per bit and an early exit on a zero product. The
+    /// table-driven version must equal it on every input.
+    fn bit_serial_exp_neg(x: Fx) -> Fx {
+        if x.0 >= (12 << FRAC_BITS) {
+            return Fx::ZERO;
+        }
+        let mut result = Fx::ONE;
+        let bits = x.0 as u64;
+        for (k, &factor) in EXP_TABLE.iter().enumerate() {
+            if bits & (1 << k) != 0 {
+                result = result.mul(Fx(factor));
+                if result.0 == 0 {
+                    return Fx::ZERO;
+                }
+            }
+        }
+        result
+    }
+
+    #[test]
+    fn exp_neg_equals_the_bit_serial_loop_on_every_input() {
+        for raw in 0..(14 << FRAC_BITS) {
+            assert_eq!(
+                fx_exp_neg(Fx(raw)),
+                bit_serial_exp_neg(Fx(raw)),
+                "x = {raw}"
+            );
         }
     }
 

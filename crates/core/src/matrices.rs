@@ -142,6 +142,18 @@ impl CharacterizationMatrices {
         self.p[self.idx(i, j)]
     }
 
+    /// Row `i` of `S(k)`: thread `i`'s throughput on every core.
+    pub(crate) fn ips_row(&self, i: usize) -> &[f64] {
+        let n = self.num_cores();
+        &self.s[i * n..(i + 1) * n]
+    }
+
+    /// Row `i` of `P(k)`: thread `i`'s power on every core.
+    pub(crate) fn power_row(&self, i: usize) -> &[f64] {
+        let n = self.num_cores();
+        &self.p[i * n..(i + 1) * n]
+    }
+
     /// Whether entry `(i, j)` was measured this epoch.
     pub fn is_measured(&self, i: usize, j: usize) -> bool {
         self.measured[self.idx(i, j)]

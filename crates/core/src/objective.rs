@@ -9,11 +9,14 @@
 //!
 //! The incremental state caches each core's demand/rate sums and its
 //! weighted goal aggregates, so a candidate move re-evaluates only the
-//! two cores it touches. A scan that tries one thread on many
-//! destinations (the annealer's greedy pull and polish, the sharded
-//! exchange) also shares the move's from-core half: [`Leave`] is
-//! computed once per thread and completed once per destination, with
-//! the same arithmetic, bit for bit, as evaluating each move whole.
+//! two cores it touches. Trying one thread on many destinations (the
+//! annealer's greedy pull and polish, the sharded exchange) also
+//! shares the move's from-core half: [`Leave`] is computed once per
+//! thread and completed once per destination, with the same
+//! arithmetic, bit for bit, as evaluating each move whole. The annealer
+//! completes it for every core at once, in one pass over the thread's
+//! `S`/`P` rows, and a commit stores the values its evaluation
+//! computed instead of computing them again.
 //!
 //! Per-core model under an allocation Ψ: threads time-share a core
 //! under CFS, so with per-thread demands `u_i` and per-thread full-speed
@@ -40,37 +43,56 @@ const GIPS: f64 = 1.0e9;
 /// its demand/rate sums — the free-function form of the per-core model
 /// in the module docs, shared by [`Objective`] and the sharded
 /// balancer's cross-cluster exchange state so both evaluate identical
-/// arithmetic. An empty core (`u_sum <= 0`) sleeps.
+/// arithmetic. An empty core (`u_sum <= 0`) sleeps: its `(0, P_sleep)`
+/// is selected over the busy-core arithmetic rather than returned
+/// early, so a scan's loop body is one expression per core.
+#[inline]
 pub fn effective_core_terms(
     u_sum: f64,
     ips_sum: f64,
     pow_sum: f64,
     sleep_power_w: f64,
 ) -> (f64, f64) {
-    if u_sum <= 0.0 {
-        return (0.0, sleep_power_w);
-    }
     let busy = u_sum.min(1.0);
     let scale = busy / u_sum;
     let ips = ips_sum * scale;
     let power = pow_sum * scale + (1.0 - busy) * sleep_power_w;
-    (ips, power)
+    if u_sum <= 0.0 {
+        (0.0, sleep_power_w)
+    } else {
+        (ips, power)
+    }
 }
 
 /// One core's weighted contribution to the goal aggregates:
 /// `(ω·IPS, ω·P, ω·(IPS/P)/GIPS)`; the ratio term is 0 for an idle or
 /// powerless core.
-pub fn weighted_aggregates(weight: f64, (ips, p): (f64, f64)) -> (f64, f64, f64) {
-    let ratio = if ips <= 0.0 || p <= 0.0 {
+pub fn weighted_aggregates(weight: f64, terms: (f64, f64)) -> (f64, f64, f64) {
+    let (ips, p) = weighted_terms(weight, terms);
+    (ips, p, weighted_ratio(weight, terms))
+}
+
+/// `(ω·IPS, ω·P)`: the part of [`weighted_aggregates`] every goal reads.
+#[inline]
+fn weighted_terms(weight: f64, (ips, p): (f64, f64)) -> (f64, f64) {
+    (weight * ips, weight * p)
+}
+
+/// `ω·(IPS/P)/GIPS`, 0 for an idle or powerless core: the part of
+/// [`weighted_aggregates`] only [`Goal::PerCoreEfficiencySum`] reads.
+#[inline]
+fn weighted_ratio(weight: f64, (ips, p): (f64, f64)) -> f64 {
+    let ratio = weight * (ips / p) / GIPS;
+    if ips <= 0.0 || p <= 0.0 {
         0.0
     } else {
-        weight * (ips / p) / GIPS
-    };
-    (weight * ips, weight * p, ratio)
+        ratio
+    }
 }
 
 /// Combines summed per-core aggregates into the scalar objective for
 /// `goal`.
+#[inline]
 pub fn goal_total(goal: Goal, sum_ips: f64, sum_p: f64, sum_ratio: f64) -> f64 {
     match goal {
         Goal::EnergyEfficiency => {
@@ -182,9 +204,10 @@ impl<'a> Objective<'a> {
 }
 
 /// The from-core half of moving one thread off its current core: the
-/// goal aggregates with that core re-evaluated as if the thread had
-/// left. A scan over candidate destinations computes it once per
-/// thread ([`IncrementalObjective::leave`]) and completes it once per
+/// from-core's sums and aggregates without the thread, and the goal
+/// aggregates with that core patched. A scan over candidate
+/// destinations computes it once per thread
+/// ([`IncrementalObjective::leave`]) and completes it once per
 /// destination ([`IncrementalObjective::delta_to`]). It describes the
 /// state it was taken from, so a committed move invalidates it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -193,8 +216,92 @@ pub struct Leave {
     from: usize,
     /// The thread's utilization (its demand on either core).
     u: f64,
+    /// The from-core's demand/rate sums without the thread.
+    from_sums: Sums,
+    /// The from-core's weighted aggregates of `from_sums`.
+    from_aggs: Aggs,
     /// `(ΣωIPS, ΣωP, Σratio)` with the from-core term patched.
-    sums: (f64, f64, f64),
+    sums: Aggs,
+}
+
+/// A fully evaluated move: both touched cores' new sums and aggregates,
+/// the patched goal aggregates and the new total. Committing a move
+/// ([`CoreLedger::apply`]) stores these values, so the committed state
+/// is, bit for bit, the one the move was evaluated and accepted on.
+/// Like [`Leave`], it describes the state it was taken from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Move {
+    leave: Leave,
+    to: usize,
+    to_sums: Sums,
+    to_aggs: Aggs,
+    sums: Aggs,
+    total: f64,
+    /// The objective delta: the new total minus the current one.
+    pub(crate) delta: f64,
+}
+
+/// A core's demand/rate sums `(ΣU, Σu·ips, Σu·p)`.
+type Sums = (f64, f64, f64);
+
+/// Weighted goal aggregates `(ωIPS, ωP, ratio)` of one core, or their
+/// sums across cores.
+type Aggs = (f64, f64, f64);
+
+/// `total` with one core's aggregates `old` replaced by `new`.
+#[inline]
+fn patch(total: Aggs, old: Aggs, new: Aggs) -> Aggs {
+    (
+        total.0 + (new.0 - old.0),
+        total.1 + (new.1 - old.1),
+        total.2 + (new.2 - old.2),
+    )
+}
+
+/// One core of a [`CoreLedger`]: its weight and sleep power, the
+/// demand/rate sums of the threads placed on it, and the cached
+/// weighted aggregates of those sums.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct LedgerCore {
+    weight: f64,
+    sleep_w: f64,
+    sums: Sums,
+    aggs: Aggs,
+}
+
+impl LedgerCore {
+    /// The sums with a thread of utilization `u` and full-speed rates
+    /// `ips`/`pow` added.
+    #[inline]
+    fn arrive(&self, u: f64, ips: f64, pow: f64) -> Sums {
+        (
+            self.sums.0 + u,
+            self.sums.1 + u * ips,
+            self.sums.2 + u * pow,
+        )
+    }
+
+    /// The sums with that thread removed.
+    #[inline]
+    fn depart(&self, u: f64, ips: f64, pow: f64) -> Sums {
+        (
+            self.sums.0 - u,
+            self.sums.1 - u * ips,
+            self.sums.2 - u * pow,
+        )
+    }
+
+    /// The effective `(ips, power)` of this core with `sums`.
+    #[inline]
+    fn terms(&self, (u, ips, pow): Sums) -> (f64, f64) {
+        effective_core_terms(u, ips, pow, self.sleep_w)
+    }
+
+    /// The weighted aggregates this core contributes with `sums`.
+    #[inline]
+    fn aggregates(&self, sums: Sums) -> Aggs {
+        weighted_aggregates(self.weight, self.terms(sums))
+    }
 }
 
 /// Per-core demand/rate sums of an allocation plus each core's cached
@@ -206,19 +313,10 @@ pub struct Leave {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CoreLedger {
     goal: Goal,
-    weights: Vec<f64>,
-    sleep_w: Vec<f64>,
-    u_sum: Vec<f64>,
-    ips_sum: Vec<f64>,
-    pow_sum: Vec<f64>,
-    /// Cached `weighted_aggregates` of each core's effective terms.
-    aggs: Vec<(f64, f64, f64)>,
-    /// Weighted ΣIPS across cores.
-    sum_ips: f64,
-    /// Weighted ΣP across cores.
-    sum_p: f64,
-    /// Weighted Σ(IPS/P) across cores (Eq. 11 aggregate).
-    sum_ratio: f64,
+    cores: Vec<LedgerCore>,
+    /// Weighted `(ΣIPS, ΣP, Σ(IPS/P))` across cores; the last is the
+    /// Eq. 11 aggregate.
+    sums: Aggs,
     total: f64,
 }
 
@@ -231,40 +329,35 @@ impl CoreLedger {
         sleep_w: Vec<f64>,
         placed: impl IntoIterator<Item = (usize, f64, f64, f64)>,
     ) -> Self {
-        let n = sleep_w.len();
-        let mut u_sum = vec![0.0; n];
-        let mut ips_sum = vec![0.0; n];
-        let mut pow_sum = vec![0.0; n];
-        for (j, u, ips, pow) in placed {
-            u_sum[j] += u;
-            ips_sum[j] += u * ips;
-            pow_sum[j] += u * pow;
-        }
-        let aggs: Vec<(f64, f64, f64)> = (0..n)
-            .map(|j| {
-                let terms = effective_core_terms(u_sum[j], ips_sum[j], pow_sum[j], sleep_w[j]);
-                weighted_aggregates(weights[j], terms)
+        assert_eq!(weights.len(), sleep_w.len(), "one ω per core");
+        let mut cores: Vec<LedgerCore> = weights
+            .iter()
+            .zip(&sleep_w)
+            .map(|(&weight, &sleep_w)| LedgerCore {
+                weight,
+                sleep_w,
+                sums: (0.0, 0.0, 0.0),
+                aggs: (0.0, 0.0, 0.0),
             })
             .collect();
-        let (mut sum_ips, mut sum_p, mut sum_ratio) = (0.0, 0.0, 0.0);
-        for &(i, p, r) in &aggs {
-            sum_ips += i;
-            sum_p += p;
-            sum_ratio += r;
+        for (j, u, ips, pow) in placed {
+            let sums = &mut cores[j].sums;
+            sums.0 += u;
+            sums.1 += u * ips;
+            sums.2 += u * pow;
         }
-        let total = goal_total(goal, sum_ips, sum_p, sum_ratio);
+        let mut sums = (0.0, 0.0, 0.0);
+        for core in &mut cores {
+            core.aggs = core.aggregates(core.sums);
+            sums.0 += core.aggs.0;
+            sums.1 += core.aggs.1;
+            sums.2 += core.aggs.2;
+        }
         CoreLedger {
             goal,
-            weights,
-            sleep_w,
-            u_sum,
-            ips_sum,
-            pow_sum,
-            aggs,
-            sum_ips,
-            sum_p,
-            sum_ratio,
-            total,
+            cores,
+            sums,
+            total: goal_total(goal, sums.0, sums.1, sums.2),
         }
     }
 
@@ -275,94 +368,135 @@ impl CoreLedger {
 
     /// Total demand currently placed on core `j`.
     pub(crate) fn load_of(&self, j: usize) -> f64 {
-        self.u_sum[j]
-    }
-
-    /// Weighted aggregates core `j` would contribute with these sums.
-    fn aggregates_at(&self, j: usize, u_sum: f64, ips_sum: f64, pow_sum: f64) -> (f64, f64, f64) {
-        weighted_aggregates(
-            self.weights[j],
-            effective_core_terms(u_sum, ips_sum, pow_sum, self.sleep_w[j]),
-        )
+        self.cores[j].sums.0
     }
 
     /// The from-core half of moving `thread` (utilization `u`, rates
     /// `ips`/`pow` on `from`) off core `from`.
     pub(crate) fn leave(&self, thread: usize, from: usize, u: f64, ips: f64, pow: f64) -> Leave {
-        let (ni, np, nr) = self.aggregates_at(
-            from,
-            self.u_sum[from] - u,
-            self.ips_sum[from] - u * ips,
-            self.pow_sum[from] - u * pow,
-        );
-        let (oi, op, or) = self.aggs[from];
+        let core = &self.cores[from];
+        let from_sums = core.depart(u, ips, pow);
+        let from_aggs = core.aggregates(from_sums);
         Leave {
             thread,
             from,
             u,
-            sums: (
-                self.sum_ips + (ni - oi),
-                self.sum_p + (np - op),
-                self.sum_ratio + (nr - or),
-            ),
+            from_sums,
+            from_aggs,
+            sums: patch(self.sums, core.aggs, from_aggs),
         }
     }
 
-    /// The to-core half: the objective delta of `leave`'s thread
-    /// arriving on core `to` with rates `ips`/`pow` there; 0 for a
-    /// self-move.
+    /// The to-core half: `leave`'s thread arriving on core `to`, a
+    /// different core, with rates `ips`/`pow` there.
+    #[inline]
+    pub(crate) fn evaluate(&self, leave: &Leave, to: usize, ips: f64, pow: f64) -> Move {
+        debug_assert_ne!(to, leave.from, "a move changes the thread's core");
+        let core = &self.cores[to];
+        let to_sums = core.arrive(leave.u, ips, pow);
+        let to_aggs = core.aggregates(to_sums);
+        let sums = patch(leave.sums, core.aggs, to_aggs);
+        let total = goal_total(self.goal, sums.0, sums.1, sums.2);
+        Move {
+            leave: *leave,
+            to,
+            to_sums,
+            to_aggs,
+            sums,
+            total,
+            delta: total - self.total,
+        }
+    }
+
+    /// The objective delta of `leave`'s thread arriving on core `to`
+    /// with rates `ips`/`pow` there; 0 for a self-move.
+    #[inline]
     pub(crate) fn delta_to(&self, leave: &Leave, to: usize, ips: f64, pow: f64) -> f64 {
         if to == leave.from {
             return 0.0;
         }
-        let u = leave.u;
-        let (ni, np, nr) = self.aggregates_at(
-            to,
-            self.u_sum[to] + u,
-            self.ips_sum[to] + u * ips,
-            self.pow_sum[to] + u * pow,
-        );
-        let (oi, op, or) = self.aggs[to];
-        let (s_ips, s_p, s_r) = leave.sums;
-        goal_total(
-            self.goal,
-            s_ips + (ni - oi),
-            s_p + (np - op),
-            s_r + (nr - or),
-        ) - self.total
+        self.evaluate(leave, to, ips, pow).delta
     }
 
-    /// Moves a thread of utilization `u` from core `from` (where it
-    /// runs at `at_from` = `(ips, power)`) to a different core `to`
-    /// (at `at_to`), returning the realized delta.
-    pub(crate) fn commit(
-        &mut self,
-        from: usize,
-        to: usize,
-        u: f64,
-        at_from: (f64, f64),
-        at_to: (f64, f64),
-    ) -> f64 {
-        self.u_sum[from] -= u;
-        self.ips_sum[from] -= u * at_from.0;
-        self.pow_sum[from] -= u * at_from.1;
-        self.u_sum[to] += u;
-        self.ips_sum[to] += u * at_to.0;
-        self.pow_sum[to] += u * at_to.1;
-        // O(1): patch the three goal aggregates for the two cores.
-        for j in [from, to] {
-            let (ni, np, nr) =
-                self.aggregates_at(j, self.u_sum[j], self.ips_sum[j], self.pow_sum[j]);
-            let (oi, op, or) = self.aggs[j];
-            self.sum_ips += ni - oi;
-            self.sum_p += np - op;
-            self.sum_ratio += nr - or;
-            self.aggs[j] = (ni, np, nr);
+    /// Fills `out[j]` with the objective delta of `leave`'s thread
+    /// arriving on core `j` at rates `ips_row[j]`/`pow_row[j]`, for
+    /// every core, and `out[from]` with 0 — the value
+    /// [`CoreLedger::delta_to`] returns for each, bit for bit. The goal
+    /// is dispatched once per scan, and the Eq. 11 ratio is computed
+    /// only for the goal that reads it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless all three slices hold one entry per core.
+    pub(crate) fn scan(&self, leave: &Leave, ips_row: &[f64], pow_row: &[f64], out: &mut [f64]) {
+        let n = self.cores.len();
+        assert!(
+            ips_row.len() == n && pow_row.len() == n && out.len() == n,
+            "one rate pair and one delta per core"
+        );
+        match self.goal {
+            Goal::EnergyEfficiency => self.scan_with::<false>(leave, ips_row, pow_row, out, |s| {
+                goal_total(Goal::EnergyEfficiency, s.0, s.1, s.2)
+            }),
+            Goal::PerCoreEfficiencySum => {
+                self.scan_with::<true>(leave, ips_row, pow_row, out, |s| {
+                    goal_total(Goal::PerCoreEfficiencySum, s.0, s.1, s.2)
+                })
+            }
+            Goal::Throughput => self.scan_with::<false>(leave, ips_row, pow_row, out, |s| {
+                goal_total(Goal::Throughput, s.0, s.1, s.2)
+            }),
+            Goal::MinPower => self.scan_with::<false>(leave, ips_row, pow_row, out, |s| {
+                goal_total(Goal::MinPower, s.0, s.1, s.2)
+            }),
+            Goal::EnergyDelayProduct => {
+                self.scan_with::<false>(leave, ips_row, pow_row, out, |s| {
+                    goal_total(Goal::EnergyDelayProduct, s.0, s.1, s.2)
+                })
+            }
         }
-        let new_total = goal_total(self.goal, self.sum_ips, self.sum_p, self.sum_ratio);
-        let delta = new_total - self.total;
-        self.total = new_total;
-        delta
+        out[leave.from] = 0.0;
+    }
+
+    /// [`CoreLedger::scan`]'s loop for one goal, given as `total`;
+    /// `RATIO` says whether that goal reads the ratio aggregate. Without
+    /// it the ratio is not computed, and the third sum `total` receives
+    /// is meaningless.
+    #[inline(always)]
+    fn scan_with<const RATIO: bool>(
+        &self,
+        leave: &Leave,
+        ips_row: &[f64],
+        pow_row: &[f64],
+        out: &mut [f64],
+        total: impl Fn(Aggs) -> f64,
+    ) {
+        let rows = ips_row.iter().zip(pow_row);
+        for ((core, (&ips, &pow)), delta) in self.cores.iter().zip(rows).zip(out) {
+            let terms = core.terms(core.arrive(leave.u, ips, pow));
+            let (wi, wp) = weighted_terms(core.weight, terms);
+            let wr = if RATIO {
+                weighted_ratio(core.weight, terms)
+            } else {
+                0.0
+            };
+            *delta = total(patch(leave.sums, core.aggs, (wi, wp, wr))) - self.total;
+        }
+    }
+
+    /// Commits an evaluated move: stores both cores' sums and
+    /// aggregates, the goal aggregates and the total it computed, and
+    /// returns its delta.
+    pub(crate) fn apply(&mut self, mv: &Move) -> f64 {
+        let from = &mut self.cores[mv.leave.from];
+        from.sums = mv.leave.from_sums;
+        from.aggs = mv.leave.from_aggs;
+        let to = &mut self.cores[mv.to];
+        to.sums = mv.to_sums;
+        to.aggs = mv.to_aggs;
+        self.sums = mv.sums;
+        self.total = mv.total;
+        mv.delta
     }
 }
 
@@ -436,6 +570,27 @@ impl<'a, 'b> IncrementalObjective<'a, 'b> {
             .delta_to(leave, to, m.ips(i, to), m.power(i, to))
     }
 
+    /// Fills `out[j]` with [`IncrementalObjective::delta_to`] of
+    /// `leave`'s thread for every core `j`, in one pass over its rows.
+    pub(crate) fn scan(&self, leave: &Leave, out: &mut [f64]) {
+        let (i, m) = (leave.thread, self.objective.matrices);
+        self.ledger.scan(leave, m.ips_row(i), m.power_row(i), out);
+    }
+
+    /// The evaluated move of `leave`'s thread to core `to`, a different
+    /// core, for [`IncrementalObjective::apply`].
+    pub(crate) fn evaluate(&self, leave: &Leave, to: usize) -> Move {
+        let (i, m) = (leave.thread, self.objective.matrices);
+        self.ledger
+            .evaluate(leave, to, m.ips(i, to), m.power(i, to))
+    }
+
+    /// Commits an evaluated move, returning its delta.
+    pub(crate) fn apply(&mut self, mv: &Move) -> f64 {
+        self.alloc[mv.leave.thread] = mv.to;
+        self.ledger.apply(mv)
+    }
+
     /// The objective delta if thread `i` moved to core `to` (no state
     /// change). Returns 0 for a self-move.
     ///
@@ -449,19 +604,11 @@ impl<'a, 'b> IncrementalObjective<'a, 'b> {
     /// Commits the move of thread `i` to core `to`, returning the
     /// realized delta.
     pub fn commit_move(&mut self, i: usize, to: usize) -> f64 {
-        let from = self.alloc[i];
-        if from == to {
+        if self.alloc[i] == to {
             return 0.0;
         }
-        let m = self.objective.matrices;
-        self.alloc[i] = to;
-        self.ledger.commit(
-            from,
-            to,
-            m.utilization(i),
-            (m.ips(i, from), m.power(i, from)),
-            (m.ips(i, to), m.power(i, to)),
-        )
+        let mv = self.evaluate(&self.leave(i), to);
+        self.apply(&mv)
     }
 }
 
@@ -489,28 +636,24 @@ mod tests {
             if from == to {
                 return 0.0;
             }
+            let (cf, ct) = (&self.cores[from], &self.cores[to]);
             let new_from = effective_core_terms(
-                self.u_sum[from] - u,
-                self.ips_sum[from] - u * at_from.0,
-                self.pow_sum[from] - u * at_from.1,
-                self.sleep_w[from],
+                cf.sums.0 - u,
+                cf.sums.1 - u * at_from.0,
+                cf.sums.2 - u * at_from.1,
+                cf.sleep_w,
             );
             let new_to = effective_core_terms(
-                self.u_sum[to] + u,
-                self.ips_sum[to] + u * at_to.0,
-                self.pow_sum[to] + u * at_to.1,
-                self.sleep_w[to],
+                ct.sums.0 + u,
+                ct.sums.1 + u * at_to.0,
+                ct.sums.2 + u * at_to.1,
+                ct.sleep_w,
             );
-            let (mut s_ips, mut s_p, mut s_r) = (self.sum_ips, self.sum_p, self.sum_ratio);
-            for (j, new) in [(from, new_from), (to, new_to)] {
-                let old = effective_core_terms(
-                    self.u_sum[j],
-                    self.ips_sum[j],
-                    self.pow_sum[j],
-                    self.sleep_w[j],
-                );
-                let (oi, op, or) = weighted_aggregates(self.weights[j], old);
-                let (ni, np, nr) = weighted_aggregates(self.weights[j], new);
+            let (mut s_ips, mut s_p, mut s_r) = self.sums;
+            for (c, new) in [(cf, new_from), (ct, new_to)] {
+                let old = effective_core_terms(c.sums.0, c.sums.1, c.sums.2, c.sleep_w);
+                let (oi, op, or) = weighted_aggregates(c.weight, old);
+                let (ni, np, nr) = weighted_aggregates(c.weight, new);
                 s_ips += ni - oi;
                 s_p += np - op;
                 s_r += nr - or;
@@ -520,15 +663,10 @@ mod tests {
 
         pub(crate) fn assert_cache_is_fresh(&self) {
             let bits = |(a, b, c): (f64, f64, f64)| (a.to_bits(), b.to_bits(), c.to_bits());
-            for (j, &cached) in self.aggs.iter().enumerate() {
-                let terms = effective_core_terms(
-                    self.u_sum[j],
-                    self.ips_sum[j],
-                    self.pow_sum[j],
-                    self.sleep_w[j],
-                );
-                let fresh = weighted_aggregates(self.weights[j], terms);
-                assert_eq!(bits(cached), bits(fresh), "core {j}: stale aggregates");
+            for (j, c) in self.cores.iter().enumerate() {
+                let terms = effective_core_terms(c.sums.0, c.sums.1, c.sums.2, c.sleep_w);
+                let fresh = weighted_aggregates(c.weight, terms);
+                assert_eq!(bits(c.aggs), bits(fresh), "core {j}: stale aggregates");
             }
         }
     }
@@ -685,11 +823,13 @@ mod tests {
         m
     }
 
-    /// The split evaluation (`leave` once, `delta_to` per destination)
-    /// reproduces the one-shot two-core patch bit for bit, for every
-    /// goal, with and without ω, on every (thread, core) pair along a
-    /// scripted commit sequence; and every commit leaves the per-core
-    /// aggregate cache equal to a fresh evaluation.
+    /// The split evaluation (`leave` once, then `delta_to` per
+    /// destination or one row scan over all of them) reproduces the
+    /// one-shot two-core patch bit for bit, for every goal, with and
+    /// without ω, on every (thread, core) pair along a scripted commit
+    /// sequence; and every evaluated commit returns the predicted delta
+    /// and leaves the per-core aggregate cache equal to a fresh
+    /// evaluation.
     #[test]
     fn split_delta_is_bit_identical_to_the_one_shot_patch() {
         let m = uneven();
@@ -717,11 +857,13 @@ mod tests {
                 }
                 let mut state = IncrementalObjective::new(&obj, &[0, 0, 2, 2, 2]);
                 state.ledger.assert_cache_is_fresh();
+                let mut scanned = [f64::NAN; 4];
                 for (mi, mto) in script {
                     for i in 0..5 {
                         let leave = state.leave(i);
                         let from = state.alloc()[i];
-                        for to in 0..4 {
+                        state.scan(&leave, &mut scanned);
+                        for (to, scan) in scanned.iter().enumerate() {
                             let one_shot = state.ledger.one_shot_delta(
                                 from,
                                 to,
@@ -736,6 +878,11 @@ mod tests {
                                 "{goal:?} {weights:?}: move ({i},{to})"
                             );
                             assert_eq!(state.delta_for_move(i, to).to_bits(), split.to_bits());
+                            assert_eq!(
+                                scan.to_bits(),
+                                one_shot.to_bits(),
+                                "{goal:?} {weights:?}: scan ({i},{to})"
+                            );
                         }
                     }
                     let predicted = state.delta_for_move(mi, mto);

@@ -160,19 +160,15 @@ impl<'a> ExchangeState<'a> {
     /// Commits the move of thread `i` to core `to`, returning the
     /// realized delta.
     pub(crate) fn commit_move(&mut self, i: usize, to: usize) -> f64 {
-        let from = self.alloc[i];
-        if from == to {
+        if self.alloc[i] == to {
             return 0.0;
         }
-        let (r, tf, tt) = (&self.rates[i], self.types[from], self.types[to]);
+        let (r, t) = (&self.rates[i], self.types[to]);
+        let mv = self
+            .ledger
+            .evaluate(&self.leave(i), to, r.ips(t), r.power_w(t));
         self.alloc[i] = to;
-        self.ledger.commit(
-            from,
-            to,
-            self.util[i],
-            (r.ips(tf), r.power_w(tf)),
-            (r.ips(tt), r.power_w(tt)),
-        )
+        self.ledger.apply(&mv)
     }
 }
 
@@ -312,8 +308,10 @@ mod tests {
 
     /// The exchange state's split evaluation reproduces the one-shot
     /// two-core patch bit for bit — every goal, with and without ω,
-    /// every (thread, core) pair along a scripted commit sequence —
-    /// and its per-core aggregate cache stays fresh after each commit.
+    /// every (thread, core) pair along a scripted commit sequence, per
+    /// destination and as one scan over the thread's per-core rows —
+    /// and each evaluated commit returns the predicted delta and
+    /// leaves the per-core aggregate cache fresh.
     #[test]
     fn split_exchange_delta_is_bit_identical_to_the_one_shot_patch() {
         let platform = Platform::quad_heterogeneous();
@@ -367,11 +365,15 @@ mod tests {
                     &initial,
                 );
                 state.ledger.assert_cache_is_fresh();
+                let mut scanned = [f64::NAN; 4];
                 for (mi, mto) in script {
                     for (i, r) in rates.iter().enumerate() {
                         let leave = state.leave(i);
                         let from = state.core_of(i);
                         let tf = types[from];
+                        let ips_row: Vec<f64> = types.iter().map(|&t| r.ips(t)).collect();
+                        let pow_row: Vec<f64> = types.iter().map(|&t| r.power_w(t)).collect();
+                        state.ledger.scan(&leave, &ips_row, &pow_row, &mut scanned);
                         for (to, &tt) in types.iter().enumerate() {
                             let one_shot = state.ledger.one_shot_delta(
                                 from,
@@ -384,6 +386,11 @@ mod tests {
                                 state.delta_to(&leave, to).to_bits(),
                                 one_shot.to_bits(),
                                 "{goal:?} {weights:?}: move ({i},{to})"
+                            );
+                            assert_eq!(
+                                scanned[to].to_bits(),
+                                one_shot.to_bits(),
+                                "{goal:?} {weights:?}: scan ({i},{to})"
                             );
                         }
                     }
