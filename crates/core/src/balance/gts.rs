@@ -13,7 +13,7 @@
 //! Fig. 5 measures.
 
 use archsim::{CoreId, CoreTypeId, Platform};
-use kernelsim::{Allocation, EpochReport, LoadBalancer};
+use kernelsim::{affinity_allows, Allocation, EpochReport, LoadBalancer};
 
 /// ARM GTS: utilization-threshold up/down migration between a big and
 /// a little cluster, with least-loaded placement inside each cluster.
@@ -133,7 +133,7 @@ impl LoadBalancer for GtsBalancer {
                 cores
                     .iter()
                     .copied()
-                    .filter(|&c| t.allows_core(c))
+                    .filter(|&c| affinity_allows(t.allowed, c))
                     .min_by(|a, b| {
                         load[a.0]
                             .partial_cmp(&load[b.0])

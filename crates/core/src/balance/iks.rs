@@ -11,7 +11,7 @@
 //! utilization awareness only).
 
 use archsim::{CoreId, CoreTypeId, Platform};
-use kernelsim::{Allocation, EpochReport, LoadBalancer};
+use kernelsim::{affinity_allows, Allocation, EpochReport, LoadBalancer};
 
 /// The IKS policy: paired big/little virtual CPUs with a per-pair
 /// utilization switch.
@@ -112,7 +112,7 @@ impl LoadBalancer for IksBalancer {
                 on_big
             };
             let target = if want_big { big } else { little };
-            if target != t.core && t.allows_core(target) {
+            if target != t.core && affinity_allows(t.allowed, target) {
                 alloc.assign(t.task, target);
             }
         }

@@ -1,44 +1,43 @@
 //! The hierarchical sharded balancer: per-cluster annealers in
 //! parallel plus a global exchange stage, for 256–4096-core platforms.
 //!
-//! Flat [`SmartBalance`] rebuilds an `m × n` dense problem every epoch
-//! and anneals over all cores at once — fine at 4–32 cores, painful at
-//! 1024. [`ShardedBalancer`] reuses the exact same sensing front half
-//! ([`SmartBalance::preamble`]), then:
+//! Flat [`SmartBalance`] anneals over all cores at once — fine at 4–32
+//! cores, painful at 1024. [`ShardedBalancer`] reuses the exact same
+//! sensing front half ([`SmartBalance::preamble`]) and the flat path's
+//! characterization matrices (one entry per thread and core type,
+//! built from the preamble's prediction rows), then:
 //!
 //! 1. partitions the sensed threads by the cluster of their current
 //!    core ([`kernelsim::Topology`]),
 //! 2. runs one task per occupied cluster on a deterministic scoped
-//!    worker pool: turn the preamble's prediction rows of the cluster's
-//!    threads into per-type rates, build the cluster-local `m_c × n_c`
-//!    matrices and anneal them
-//!    (per-cluster splitmix64 seeds, index-ordered collection: results
-//!    never depend on the worker count),
-//! 3. runs a global *exchange* stage that moves the top-K most
-//!    misplaced threads per cluster toward the least-loaded core of a
-//!    better cluster, each candidate evaluated as an O(1) incremental
-//!    objective patch ([`crate::shard::ExchangeState`]) — never a full
-//!    re-evaluation — with each thread's from-core half shared across
-//!    its candidate destinations.
+//!    worker pool: copy the cluster's rows out of the global matrices
+//!    into an `m_c × n_c` sub-problem over its online cores and anneal
+//!    it (per-cluster splitmix64 seeds, index-ordered collection:
+//!    results never depend on the worker count),
+//! 3. runs a global *exchange* stage over an
+//!    [`IncrementalObjective`] of the global matrices that moves the
+//!    top-K most misplaced threads per cluster toward the least-loaded
+//!    core of a better cluster, each candidate evaluated as an O(1)
+//!    incremental patch — never a full re-evaluation — with each
+//!    thread's from-core half shared across its candidate destinations.
 //!
 //! With sharding disabled (`config.shard == None` the policy layer
 //! never constructs this type), the flat path is untouched and remains
 //! bit-identical to every previous release.
 
 use archsim::{CoreId, CoreTypeId, Platform};
-use kernelsim::{Allocation, ClusterId, EpochReport, LoadBalancer, Topology};
-use mcpat::CorePowerModel;
+use kernelsim::{affinity_allows, Allocation, ClusterId, EpochReport, LoadBalancer, Topology};
 use telemetry::TelemetryHandle;
 
 use crate::anneal::{anneal, AnnealOutcome, AnnealParams};
 use crate::balance::smart::{train_predictors, PreambleOutcome, SmartBalance};
 use crate::config::SmartBalanceConfig;
-use crate::estimate::TypeRates;
+use crate::estimate::build_matrices_with_rows;
 use crate::matrices::CharacterizationMatrices;
-use crate::objective::{Goal, Objective};
+use crate::objective::{Goal, IncrementalObjective, Objective};
 use crate::predict::PredictorSet;
 use crate::sense::ThreadSense;
-use crate::shard::{mask_allows, ExchangeState, ShardConfig};
+use crate::shard::ShardConfig;
 use crate::suite::{default_workers, parallel_indexed, splitmix64};
 
 /// One cluster's solved anneal, handed back by its pool task.
@@ -55,17 +54,13 @@ struct ClusterSolution {
 
 /// The read-only epoch inputs every per-cluster pool task shares.
 struct ClusterTasks<'s> {
-    platform: &'s Platform,
     topology: &'s Topology,
-    predictors: &'s PredictorSet,
     senses: &'s [ThreadSense],
-    /// The preamble's prediction rows, one per core type and thread,
-    /// in sense order.
-    rows: &'s [f64],
+    /// The epoch's global matrices, one row per sense.
+    global: &'s CharacterizationMatrices,
     online: &'s [bool],
     /// Per thread: not quarantined, so free to leave its core.
     movable: &'s [bool],
-    sleep_power_w: &'s [f64],
     /// Global per-core `ω`, if any.
     weights: Option<&'s [f64]>,
     /// Configured anneal parameters; `None` scales them per cluster.
@@ -75,32 +70,11 @@ struct ClusterTasks<'s> {
 }
 
 impl ClusterTasks<'_> {
-    /// Thread `i`'s rates, from its prediction row.
-    fn rates(&self, i: usize) -> TypeRates {
-        let q = self.platform.num_types();
-        let row = &self.rows[i * q..(i + 1) * q];
-        TypeRates::build(self.platform, &self.senses[i], row, self.predictors)
-    }
-
-    /// Cluster `c`'s whole share of the pass, run as one pool task: the
-    /// rates of its `group` of threads (returned in group order), then
-    /// the cluster-local matrices and their anneal. The matrices die
-    /// with the task; the solution is `None` when no thread's
-    /// constraint is expressible locally.
-    fn solve(&self, c: usize, group: &[usize]) -> (Vec<TypeRates>, Option<ClusterSolution>) {
-        let rates: Vec<TypeRates> = group.iter().map(|&i| self.rates(i)).collect();
-        let solution = self.anneal_cluster(c, group, &rates);
-        (rates, solution)
-    }
-
-    /// Builds cluster `c`'s local matrices from the rates of its
-    /// `group` and anneals them.
-    fn anneal_cluster(
-        &self,
-        c: usize,
-        group: &[usize],
-        rates: &[TypeRates],
-    ) -> Option<ClusterSolution> {
+    /// Cluster `c`'s share of the pass, run as one pool task: copies the
+    /// rows of its `group` of threads into cluster-local matrices and
+    /// anneals them. The matrices die with the task; the solution is
+    /// `None` when no thread's constraint is expressible locally.
+    fn solve(&self, c: usize, group: &[usize]) -> Option<ClusterSolution> {
         let senses = self.senses;
         let columns: Vec<CoreId> = self
             .topology
@@ -113,10 +87,10 @@ impl ClusterTasks<'_> {
         // Translate each thread's global affinity mask into the
         // cluster-local column space (same bit semantics as the dense
         // matrices); threads whose constraint cannot be expressed
-        // locally are pinned or skipped. Kept as (group position,
-        // current column, local mask).
+        // locally are pinned or skipped. Kept as (sense index, current
+        // column, local mask).
         let mut kept: Vec<(usize, usize, u64)> = Vec::new();
-        for (k, &i) in group.iter().enumerate() {
+        for &i in group {
             // `columns` ascends like `cores_of`, and a row's current
             // core is online and in this cluster, so the search finds it.
             let Ok(cur) = columns.binary_search(&senses[i].core) else {
@@ -126,7 +100,7 @@ impl ClusterTasks<'_> {
                 let mut mk = 0u64;
                 if self.movable[i] {
                     for (j, &core) in columns.iter().enumerate() {
-                        if mask_allows(senses[i].allowed, core.0) {
+                        if affinity_allows(senses[i].allowed, core) {
                             mk |= 1 << j;
                         }
                     }
@@ -144,33 +118,19 @@ impl ClusterTasks<'_> {
                 // >64-core cluster: no expressible pin, leave it be.
                 continue;
             };
-            kept.push((k, cur, mask));
+            kept.push((i, cur, mask));
         }
         if kept.is_empty() {
             return None;
         }
-        let core_types: Vec<CoreTypeId> = columns
-            .iter()
-            .map(|&core| self.platform.core_type(core))
-            .collect();
-        let sleep: Vec<f64> = columns
-            .iter()
-            .map(|&core| self.sleep_power_w[core.0])
-            .collect();
-        let tasks = kept.iter().map(|&(k, ..)| senses[group[k]].task).collect();
-        let mut matrices = CharacterizationMatrices::new(tasks, core_types.clone(), sleep);
+        let global = self.global;
+        let core_types: Vec<CoreTypeId> = columns.iter().map(|c| global.core_type(c.0)).collect();
+        let sleep = columns.iter().map(|c| global.sleep_power_w(c.0)).collect();
+        let tasks = kept.iter().map(|&(i, ..)| senses[i].task).collect();
+        let mut matrices = CharacterizationMatrices::new(tasks, core_types, sleep);
         let mut initial = Vec::with_capacity(kept.len());
-        for (r, &(k, cur, mask)) in kept.iter().enumerate() {
-            for (j, &t) in core_types.iter().enumerate() {
-                matrices.set(
-                    r,
-                    j,
-                    rates[k].ips(t),
-                    rates[k].power_w(t),
-                    rates[k].is_measured(t),
-                );
-            }
-            matrices.set_utilization(r, senses[group[k]].utilization);
+        for (r, &(i, cur, mask)) in kept.iter().enumerate() {
+            matrices.copy_row(r, global, i);
             matrices.set_allowed(r, mask);
             initial.push(cur);
         }
@@ -188,7 +148,7 @@ impl ClusterTasks<'_> {
         Some(ClusterSolution {
             cluster: c,
             columns,
-            rows: kept.iter().map(|&(k, ..)| group[k]).collect(),
+            rows: kept.iter().map(|&(i, ..)| i).collect(),
             outcome,
         })
     }
@@ -205,9 +165,6 @@ pub struct ShardedBalancer {
     inner: SmartBalance,
     shard: ShardConfig,
     topology: Topology,
-    /// Per-core sleep power, cached once (identical to what
-    /// [`crate::estimate::build_matrices`] computes every epoch).
-    sleep_power_w: Vec<f64>,
 }
 
 impl ShardedBalancer {
@@ -237,17 +194,10 @@ impl ShardedBalancer {
         config: SmartBalanceConfig,
         predictors: PredictorSet,
     ) -> Self {
-        let shard = config.shard.unwrap_or_default();
-        let topology = Topology::from_platform(platform);
-        let sleep_power_w = platform
-            .cores()
-            .map(|c| CorePowerModel::calibrated(platform.core_config(c)).sleep_power_w())
-            .collect();
         ShardedBalancer {
+            shard: config.shard.unwrap_or_default(),
+            topology: Topology::from_platform(platform),
             inner: SmartBalance::with_predictors(platform, config, predictors),
-            shard,
-            topology,
-            sleep_power_w,
         }
     }
 
@@ -295,22 +245,19 @@ impl ShardedBalancer {
         }
 
         // --- One pool task per occupied cluster ----------------------
-        // Each task turns its threads' prediction rows into compact
-        // per-type rates (O(m·q) memory where the flat path's dense
-        // matrices are O(m·n)), builds the cluster-local matrices from
-        // them and anneals.
+        // The global matrices hold O(m·q) entries, one per thread and
+        // core type; each task copies its threads' rows into the
+        // cluster-local matrices and anneals.
+        let global = build_matrices_with_rows(platform, senses, rows, self.inner.predictors());
         let epoch_seed = self.inner.next_epoch_seed();
         let global_weights = self.inner.effective_core_weights(platform);
         let occupied: Vec<usize> = (0..clusters).filter(|&c| !groups[c].is_empty()).collect();
         let tasks = ClusterTasks {
-            platform,
             topology: &self.topology,
-            predictors: self.inner.predictors(),
             senses,
-            rows,
+            global: &global,
             online,
             movable: &movable,
-            sleep_power_w: &self.sleep_power_w,
             weights: global_weights.as_deref(),
             anneal: self.inner.config().anneal,
             goal,
@@ -321,52 +268,28 @@ impl ShardedBalancer {
         } else {
             self.shard.workers
         };
-        let results = parallel_indexed(occupied.len(), workers, |k| {
+        // Outcomes stay in cluster order.
+        let solutions: Vec<ClusterSolution> = parallel_indexed(occupied.len(), workers, |k| {
             tasks.solve(occupied[k], &groups[occupied[k]])
-        });
-
-        // Scatter the rates back into thread order; outcomes stay in
-        // cluster order.
-        let mut slots: Vec<Option<TypeRates>> = vec![None; m];
-        let mut solutions: Vec<ClusterSolution> = Vec::new();
-        for (&c, (group_rates, solution)) in occupied.iter().zip(results) {
-            for (&i, r) in groups[c].iter().zip(group_rates) {
-                slots[i] = Some(r);
-            }
-            solutions.extend(solution);
-        }
-        // A thread in no group still takes part in the global
-        // objective; its rates are built here.
-        let rates: Vec<TypeRates> = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| r.unwrap_or_else(|| tasks.rates(i)))
-            .collect();
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         if solutions.is_empty() {
             self.inner.set_last_outcome(None);
             return None;
         }
-        // The exact clamp CharacterizationMatrices applies.
-        let util: Vec<f64> = senses
-            .iter()
-            .map(|s| s.utilization.clamp(1.0e-3, 1.0))
-            .collect();
-        let types: Vec<CoreTypeId> = platform.cores().map(|c| platform.core_type(c)).collect();
 
         // --- Global exchange stage ------------------------------------
-        // Replay the per-cluster results onto an incrementally
+        // Replay the per-cluster results onto the incrementally
         // maintained *global* objective, then move the most misplaced
         // threads across cluster boundaries while each move pays.
+        let mut objective = Objective::new(&global, goal);
+        if let Some(w) = global_weights {
+            objective = objective.with_weights(w);
+        }
         let current: Vec<usize> = senses.iter().map(|s| s.core.0).collect();
-        let mut state = ExchangeState::new(
-            goal,
-            &rates,
-            &util,
-            &types,
-            &self.sleep_power_w,
-            global_weights.clone(),
-            &current,
-        );
+        let mut state = IncrementalObjective::new(&objective, &current);
         let initial_total = state.value();
         // Replay each cluster's annealed allocation onto the global
         // objective, keeping it only when it pays globally: under the
@@ -378,7 +301,7 @@ impl ShardedBalancer {
             let mut net = 0.0;
             for (r, &i) in p.rows.iter().enumerate() {
                 let dest = p.columns[p.outcome.allocation[r]].0;
-                let from = state.core_of(i);
+                let from = state.alloc()[i];
                 if dest != from {
                     net += state.commit_move(i, dest);
                     applied.push((i, from));
@@ -393,7 +316,7 @@ impl ShardedBalancer {
 
         // Least-loaded online core per cluster (deterministic: strict
         // load-then-index ordering), refreshed after each commit.
-        let least_loaded = |state: &ExchangeState<'_>, c: usize| -> Option<CoreId> {
+        let least_loaded = |state: &IncrementalObjective<'_, '_>, c: usize| -> Option<CoreId> {
             self.topology
                 .cores_of(ClusterId(c))
                 .iter()
@@ -428,15 +351,15 @@ impl ShardedBalancer {
                 if !movable[i] {
                     continue;
                 }
-                let c = self.topology.cluster_of(CoreId(state.core_of(i))).0;
+                let c = self.topology.cluster_of(CoreId(state.alloc()[i])).0;
                 let leave = state.leave(i);
                 let mut best = f64::NEG_INFINITY;
                 for (c2, dest) in least.iter().enumerate() {
                     if c2 == c {
                         continue;
                     }
-                    let Some(dest) = dest else { continue };
-                    if !mask_allows(senses[i].allowed, dest.0) {
+                    let Some(dest) = *dest else { continue };
+                    if !affinity_allows(senses[i].allowed, dest) {
                         continue;
                     }
                     best = best.max(state.delta_to(&leave, dest.0));
@@ -459,7 +382,7 @@ impl ShardedBalancer {
 
             let mut round_moves: u64 = 0;
             for &(_, i) in &candidates {
-                let from_cluster = self.topology.cluster_of(CoreId(state.core_of(i))).0;
+                let from_cluster = self.topology.cluster_of(CoreId(state.alloc()[i])).0;
                 let leave = state.leave(i);
                 let mut best: Option<(f64, CoreId)> = None;
                 for (c2, dest) in least.iter().enumerate() {
@@ -467,7 +390,7 @@ impl ShardedBalancer {
                         continue;
                     }
                     let Some(dest) = *dest else { continue };
-                    if !mask_allows(senses[i].allowed, dest.0) {
+                    if !affinity_allows(senses[i].allowed, dest) {
                         continue;
                     }
                     let delta = state.delta_to(&leave, dest.0);
@@ -494,7 +417,7 @@ impl ShardedBalancer {
         }
 
         // --- Emit the diff and the books ------------------------------
-        let final_alloc: Vec<usize> = (0..m).map(|i| state.core_of(i)).collect();
+        let final_alloc = state.alloc().to_vec();
         let final_total = state.value();
         let total_iterations: u64 = solutions
             .iter()
@@ -507,8 +430,8 @@ impl ShardedBalancer {
             + exchange_moves;
         if let Some(tel) = self.inner.telemetry_handle() {
             let mut tel = tel.borrow_mut();
-            // Predict-stage work = per-cluster matrix cells actually
-            // materialized: Σ rows × columns over the solved clusters.
+            // Predict-stage work = per-cluster matrix cells annealed:
+            // Σ rows × columns over the solved clusters.
             let predict_cells: u64 = solutions
                 .iter()
                 .map(|p| (p.rows.len() * p.columns.len()) as u64)
@@ -524,14 +447,14 @@ impl ShardedBalancer {
                 );
             }
             tel.record_shard_exchange(solutions.len() as u64, exchange_candidates, exchange_moves);
-            // Forecast next epoch from the compact rows.
+            // Forecast next epoch: thread i should achieve the global
+            // matrix entries of its chosen core.
             for (i, sense) in senses.iter().enumerate() {
-                let t = types[final_alloc[i]];
                 tel.record_prediction(
                     sense.task.0 as u64,
                     final_alloc[i] as u64,
-                    rates[i].ips(t),
-                    rates[i].power_w(t),
+                    global.ips(i, final_alloc[i]),
+                    global.power(i, final_alloc[i]),
                 );
             }
         }

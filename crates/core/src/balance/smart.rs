@@ -9,7 +9,7 @@
 //!    core type once (reusing last epoch's row when its signature
 //!    repeats), then build the full `S(k)`/`P(k)` characterization
 //!    matrices, measuring on the current core type and predicting
-//!    everywhere else ([`crate::estimate::build_matrices`]);
+//!    every other type ([`crate::estimate::build_matrices`]);
 //! 3. **balance** — run Algorithm 1 ([`crate::anneal::anneal`]) from
 //!    the current allocation and emit the migrations it decides on.
 
@@ -56,9 +56,8 @@ type RowKey = (TaskId, CoreTypeId, [u64; NUM_FEATURES]);
 
 /// The epoch's prediction rows: one
 /// [`PredictorSet::predict_ipc_by_type`] row per sensed thread, the only
-/// predictions an epoch makes. The quarantine residual, the flat
-/// matrices, each cluster's rates and the sharded stray-thread path all
-/// read them.
+/// predictions an epoch makes. The quarantine residual and the
+/// characterization matrices (flat or sharded) read them.
 ///
 /// The table is rebuilt from every epoch's senses, so it holds exactly
 /// the live sensed threads. A thread whose key equals last epoch's
@@ -760,15 +759,11 @@ mod tests {
                 let row = &table.rows[i * q..(i + 1) * q];
                 assert_eq!(bits(row), bits(&fresh), "epoch {k}: thread {i}'s row");
             }
-            // Every value here is finite, and serialized floats
-            // round-trip exactly, so equal JSON means equal bits.
+            // Every value here is finite, so equal matrices hold equal
+            // values.
             let shared = build_matrices_with_rows(&platform, senses, &table.rows, &predictors);
             let public = crate::estimate::build_matrices(&platform, senses, &predictors);
-            assert_eq!(
-                serde_json::to_string(&shared).expect("serialize"),
-                serde_json::to_string(&public).expect("serialize"),
-                "epoch {k}: matrices from the table's rows"
-            );
+            assert_eq!(shared, public, "epoch {k}: matrices from the table's rows");
         }
         // An idle epoch empties the table.
         assert_eq!(table.refresh(&platform, &[], &predictors), 0);

@@ -42,7 +42,7 @@
 use std::collections::BTreeMap;
 
 use archsim::{CoreId, Platform};
-use kernelsim::{Allocation, TaskId};
+use kernelsim::{affinity_allows, Allocation, TaskId};
 use serde::{Deserialize, Serialize};
 
 use crate::sense::ThreadSense;
@@ -357,11 +357,6 @@ impl QuarantineTracker {
     }
 }
 
-/// Affinity-mask check matching the kernel simulator's semantics.
-fn allows_core(mask: u64, core: usize) -> bool {
-    core < 64 && mask & (1 << core) != 0 || core >= 64 && mask == u64::MAX
-}
-
 /// The `PredictFree` rung's allocator: deterministic
 /// first-fit-decreasing packing onto the statically most
 /// IPS-per-Watt-efficient online cores.
@@ -414,11 +409,11 @@ pub fn predict_free_greedy(
         let fits = order
             .iter()
             .copied()
-            .filter(|&j| is_online(j) && allows_core(sense.allowed, j))
+            .filter(|&j| is_online(j) && affinity_allows(sense.allowed, CoreId(j)))
             .find(|&j| capacity[j] >= demand);
         let target = fits.or_else(|| {
             (0..n)
-                .filter(|&j| is_online(j) && allows_core(sense.allowed, j))
+                .filter(|&j| is_online(j) && affinity_allows(sense.allowed, CoreId(j)))
                 .max_by(|&a, &b| {
                     capacity[a]
                         .partial_cmp(&capacity[b])

@@ -1,7 +1,10 @@
 //! The **estimate** phase glue: combine per-thread measurements on the
 //! current core (sense) with cross-core-type predictions (predict) into
-//! the full `S(k)` / `P(k)` characterization matrices the optimizer
-//! consumes (paper Section 4.2, Fig. 2 steps 2–3).
+//! the `S(k)` / `P(k)` characterization matrices the optimizer consumes
+//! (paper Section 4.2, Fig. 2 steps 2–3). Each thread gets one entry
+//! per core type, which every core of that type reads; the flat
+//! annealer, the sharded balancer's cluster sub-problems and its
+//! exchange all start from the one instance built here.
 
 #![cfg_attr(not(test), warn(clippy::as_conversions))]
 
@@ -12,93 +15,13 @@ use crate::matrices::CharacterizationMatrices;
 use crate::predict::PredictorSet;
 use crate::sense::ThreadSense;
 
-/// One thread's characterization row in compact per-core-**type** form:
-/// `(ips, power, measured)` per type rather than per core. Both
-/// measurement and prediction depend only on the destination core's
-/// type (same type ⇒ same micro-architecture and operating point), so
-/// this `m × q` representation carries exactly the information of the
-/// dense `m × n` matrices at a fraction of the memory — the form the
-/// sharded balancer uses to stay sublinear on 256–4096-core platforms.
-/// [`build_matrices`] expands the same rows densely, so flat and
-/// sharded paths share one source of numeric truth.
-#[derive(Debug, Clone)]
-pub struct TypeRates {
-    /// `(ips, power_w, measured)` per core type, indexed by
-    /// [`CoreTypeId`].
-    cols: Vec<(f64, f64, bool)>,
-}
-
-impl TypeRates {
-    /// Builds the per-type row for one sensed thread: the current
-    /// core's type carries the *measured* values when the sample is
-    /// fresh and sane, every other type the Θ/α predictions of
-    /// Eq. 8–9 (with the same non-finite fallbacks as
-    /// [`build_matrices`] has always applied). `ipc_row` is the
-    /// thread's [`PredictorSet::predict_ipc_by_type`] row for its
-    /// signature and current core type, one entry per core type.
-    pub fn build(
-        platform: &Platform,
-        sense: &ThreadSense,
-        ipc_row: &[f64],
-        predictors: &PredictorSet,
-    ) -> Self {
-        let src_type = platform.core_type(sense.core);
-        // Non-finite or non-positive measurements (corrupt sensors that
-        // slipped past the sensing stage) fall back to prediction.
-        let has_measurement = sense.fresh
-            && sense.measured_ips.is_finite()
-            && sense.measured_ips > 0.0
-            && sense.measured_power_w.is_finite()
-            && sense.measured_power_w > 0.0;
-        let cols = platform
-            .types()
-            .map(|(dst_type, cfg)| {
-                if has_measurement && dst_type == src_type {
-                    (sense.measured_ips, sense.measured_power_w.max(1e-6), true)
-                } else {
-                    let ipc = ipc_row[dst_type.0];
-                    let mut ips = ipc * cfg.freq_hz;
-                    if !ips.is_finite() {
-                        // A corrupt signature can drive the regression
-                        // to NaN/Inf; a zero-throughput entry merely
-                        // makes the core look unattractive instead of
-                        // poisoning the objective arithmetic.
-                        ips = 0.0;
-                    }
-                    let mut p = predictors.predict_power_w(ipc, dst_type);
-                    if !p.is_finite() {
-                        p = 0.0;
-                    }
-                    (ips, p.max(1e-6), false)
-                }
-            })
-            .collect();
-        TypeRates { cols }
-    }
-
-    /// Throughput of the thread on a core of type `t`, instr/s.
-    pub fn ips(&self, t: CoreTypeId) -> f64 {
-        self.cols[t.0].0
-    }
-
-    /// Power of the thread on a core of type `t`, watts.
-    pub fn power_w(&self, t: CoreTypeId) -> f64 {
-        self.cols[t.0].1
-    }
-
-    /// Whether the type-`t` entry is a measurement (vs a prediction).
-    pub fn is_measured(&self, t: CoreTypeId) -> bool {
-        self.cols[t.0].2
-    }
-}
-
 /// Builds `S(k)` and `P(k)` for the given sensed threads.
 ///
-/// For every thread, columns whose core type equals the thread's
-/// current core type carry the *measured* values (same type ⇒ same
-/// micro-architecture and operating point); every other column is
-/// filled with the Θ/α predictions of Eq. 8–9. Threads whose sample is
-/// stale or a prior fall back to prediction everywhere.
+/// For every thread, the entry of its current core type carries the
+/// *measured* values (same type ⇒ same micro-architecture and operating
+/// point); every other type is filled with the Θ/α predictions of
+/// Eq. 8–9. Threads whose sample is stale or a prior, or not finite
+/// and positive, fall back to prediction everywhere.
 ///
 /// # Examples
 ///
@@ -129,32 +52,57 @@ pub fn build_matrices(
 
 /// [`build_matrices`] from already predicted rows: `rows` holds each
 /// sensed thread's [`PredictorSet::predict_ipc_by_type`] row, flat,
-/// `platform.num_types()` entries per thread in sense order.
+/// `platform.num_types()` entries per thread in sense order. Sleep
+/// power comes from the platform's current operating points.
 pub(crate) fn build_matrices_with_rows(
     platform: &Platform,
     senses: &[ThreadSense],
     rows: &[f64],
     predictors: &PredictorSet,
 ) -> CharacterizationMatrices {
-    let core_types: Vec<_> = platform.cores().map(|c| platform.core_type(c)).collect();
+    let core_types = platform.cores().map(|c| platform.core_type(c)).collect();
     let sleep_power: Vec<f64> = platform
         .cores()
         .map(|c| CorePowerModel::calibrated(platform.core_config(c)).sleep_power_w())
         .collect();
     let tasks = senses.iter().map(|s| s.task).collect();
-    let mut m = CharacterizationMatrices::new(tasks, core_types.clone(), sleep_power);
+    let mut m = CharacterizationMatrices::new(tasks, core_types, sleep_power);
 
-    let q = platform.num_types();
+    let stride = platform.num_types();
     for (i, sense) in senses.iter().enumerate() {
-        let rates = TypeRates::build(platform, sense, &rows[i * q..(i + 1) * q], predictors);
-        for (j, &dst_type) in core_types.iter().enumerate() {
-            m.set(
-                i,
-                j,
-                rates.ips(dst_type),
-                rates.power_w(dst_type),
-                rates.is_measured(dst_type),
-            );
+        let src_type = platform.core_type(sense.core);
+        // Non-finite or non-positive measurements (corrupt sensors that
+        // slipped past the sensing stage) fall back to prediction.
+        let has_measurement = sense.fresh
+            && sense.measured_ips.is_finite()
+            && sense.measured_ips > 0.0
+            && sense.measured_power_w.is_finite()
+            && sense.measured_power_w > 0.0;
+        for t in (0..m.num_type_entries()).map(CoreTypeId) {
+            if has_measurement && t == src_type {
+                m.set_type(
+                    i,
+                    t,
+                    sense.measured_ips,
+                    sense.measured_power_w.max(1e-6),
+                    true,
+                );
+                continue;
+            }
+            let ipc = rows[i * stride + t.0];
+            let mut ips = ipc * platform.type_config(t).freq_hz;
+            if !ips.is_finite() {
+                // A corrupt signature can drive the regression to
+                // NaN/Inf; a zero-throughput entry merely makes the
+                // core look unattractive instead of poisoning the
+                // objective arithmetic.
+                ips = 0.0;
+            }
+            let mut p = predictors.predict_power_w(ipc, t);
+            if !p.is_finite() {
+                p = 0.0;
+            }
+            m.set_type(i, t, ips, p.max(1e-6), false);
         }
         m.set_utilization(i, sense.utilization);
         m.set_allowed(i, sense.allowed);
@@ -167,7 +115,7 @@ pub(crate) fn build_matrices_with_rows(
 mod tests {
     use super::*;
     use crate::sense::{features_from_counters, ThreadSense};
-    use archsim::{run_slice, CoreId, WorkloadCharacteristics};
+    use archsim::{run_slice, CoreConfig, CoreId, WorkloadCharacteristics};
     use kernelsim::TaskId;
 
     fn sense_for(
@@ -271,6 +219,54 @@ mod tests {
         );
         assert!(m.ips(0, 3) < m.ips(0, 2), "Small < Medium");
         assert!(m.power(0, 0) > m.power(0, 3) * 10.0, "power gap is extreme");
+    }
+
+    /// `Platform::new` allows core types no core uses, here types 1
+    /// and 3 of four: every core still reads its own type's entry, a
+    /// measurement on the current type or its thread's prediction row.
+    #[test]
+    fn types_no_core_uses_leave_every_core_its_own_entry() {
+        let types = vec![
+            CoreConfig::huge(),
+            CoreConfig::big(),
+            CoreConfig::medium(),
+            CoreConfig::small(),
+        ];
+        let gamma = vec![CoreTypeId(2), CoreTypeId(0), CoreTypeId(2)];
+        let platform = Platform::new(types, gamma);
+        let predictors = PredictorSet::train(&platform, 200, 3);
+        let senses = [
+            sense_for(
+                &platform,
+                CoreId(1),
+                &WorkloadCharacteristics::compute_bound(),
+                true,
+            ),
+            sense_for(
+                &platform,
+                CoreId(2),
+                &WorkloadCharacteristics::memory_bound(),
+                false,
+            ),
+        ];
+        let m = build_matrices(&platform, &senses, &predictors);
+        for (i, s) in senses.iter().enumerate() {
+            let src = platform.core_type(s.core);
+            let row = predictors.predict_ipc_by_type(&s.features, src);
+            for j in 0..3 {
+                let t = platform.core_type(CoreId(j));
+                let measured = s.fresh && t == src;
+                assert_eq!(m.is_measured(i, j), measured, "({i},{j})");
+                let (ips, power) = if measured {
+                    (s.measured_ips, s.measured_power_w)
+                } else {
+                    let ipc = row[t.0];
+                    let power = predictors.predict_power_w(ipc, t).max(1e-6);
+                    (ipc * platform.type_config(t).freq_hz, power)
+                };
+                assert_eq!((m.ips(i, j), m.power(i, j)), (ips, power), "({i},{j})");
+            }
+        }
     }
 
     #[test]

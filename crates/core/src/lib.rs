@@ -91,7 +91,7 @@ pub use degrade::{
     predict_free_greedy, DegradeConfig, DegradeController, DegradeMode, EpochHealth,
     QuarantineTracker,
 };
-pub use estimate::{build_matrices, TypeRates};
+pub use estimate::build_matrices;
 pub use matrices::CharacterizationMatrices;
 pub use objective::{Goal, Objective};
 pub use optimal::{exhaustive_best, known_optimum_case, KnownCase};

@@ -3,15 +3,22 @@
 //! the (measured or predicted) average throughput `ips_ij` and power
 //! `p_ij` of `t_i` executing on `c_j`, plus the per-thread utilization
 //! vector `U` that Algorithm 1 takes as input.
+//!
+//! Every entry depends only on the core's *type*: a measurement on one
+//! type stands for all of its cores, and Θ/α predict per type pair
+//! (Eq. 8–9). So each thread's row holds one entry per core type
+//! (`m × q`, `q` = largest type id + 1), and core `j` reads the entry
+//! of its type. The flat annealer, each sharded cluster's sub-problem
+//! and the sharded exchange all evaluate this one representation.
 
-use archsim::CoreTypeId;
-use kernelsim::TaskId;
-use serde::{Deserialize, Serialize};
+use archsim::{CoreId, CoreTypeId};
+use kernelsim::{affinity_allows, TaskId};
 
 /// The per-epoch characterization state handed to the optimizer.
 ///
-/// Rows are threads, columns are cores; storage is dense row-major
-/// because the optimizer's objective evaluation reads whole rows.
+/// Rows are threads; entries are stored per core type and read per
+/// core through the core's type, so [`set`](Self::set) on core `j`
+/// sets every core of `j`'s type.
 ///
 /// # Examples
 ///
@@ -22,26 +29,29 @@ use serde::{Deserialize, Serialize};
 ///
 /// let mut m = CharacterizationMatrices::new(
 ///     vec![TaskId(0), TaskId(1)],
-///     vec![CoreTypeId(0), CoreTypeId(1)],
-///     vec![0.1, 0.1],
+///     vec![CoreTypeId(0), CoreTypeId(1), CoreTypeId(1)],
+///     vec![0.1, 0.1, 0.1],
 /// );
 /// m.set(0, 1, 2.0e9, 0.4, true);
 /// assert_eq!(m.ips(0, 1), 2.0e9);
+/// assert_eq!(m.ips(0, 2), 2.0e9, "core 2 shares core 1's type");
 /// assert!(m.is_measured(0, 1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CharacterizationMatrices {
     tasks: Vec<TaskId>,
+    /// Core type of each core: the type entry core `j` reads.
     core_types: Vec<CoreTypeId>,
+    /// Type entries per row: the largest type id in `core_types` + 1.
+    q: usize,
     /// Sleep power per core, watts (for the idle term of the objective).
     sleep_power_w: Vec<f64>,
-    /// `S(k)`: ips_ij, row-major `m × n`.
-    s: Vec<f64>,
-    /// `P(k)`: p_ij, row-major `m × n`.
-    p: Vec<f64>,
+    /// `S(k)` and `P(k)`: `(ips, power)` per thread and core type,
+    /// row-major `m × q`.
+    rates: Vec<(f64, f64)>,
     /// Utilization vector `U`: per-thread CPU demand in `(0, 1]`.
     utilization: Vec<f64>,
-    /// True where the entry was measured this epoch (vs predicted).
+    /// True where the type entry was measured this epoch (vs predicted).
     measured: Vec<bool>,
     /// Per-thread affinity masks (bit `j` = core `j` allowed).
     allowed: Vec<u64>,
@@ -63,15 +73,15 @@ impl CharacterizationMatrices {
             "one sleep power per core"
         );
         let m = tasks.len();
-        let n = core_types.len();
+        let q = core_types.iter().map(|t| t.0 + 1).max().unwrap_or(1);
         CharacterizationMatrices {
             tasks,
             core_types,
+            q,
             sleep_power_w,
-            s: vec![0.0; m * n],
-            p: vec![0.0; m * n],
+            rates: vec![(0.0, 0.0); m * q],
             utilization: vec![1.0; m],
-            measured: vec![false; m * n],
+            measured: vec![false; m * q],
             allowed: vec![u64::MAX; m],
         }
     }
@@ -84,6 +94,11 @@ impl CharacterizationMatrices {
     /// Number of cores `n`.
     pub fn num_cores(&self) -> usize {
         self.core_types.len()
+    }
+
+    /// Type entries per row, `q`.
+    pub(crate) fn num_type_entries(&self) -> usize {
+        self.q
     }
 
     /// The thread ids, in row order.
@@ -100,24 +115,47 @@ impl CharacterizationMatrices {
         self.core_types[j]
     }
 
+    /// The core type of every core, in core order.
+    pub(crate) fn core_types(&self) -> &[CoreTypeId] {
+        &self.core_types
+    }
+
     /// Row index of `task`, if present.
     pub fn row_of(&self, task: TaskId) -> Option<usize> {
         self.tasks.iter().position(|&t| t == task)
     }
 
+    /// Index of thread `i`'s entry for core `j`'s type.
     #[inline]
     fn idx(&self, i: usize, j: usize) -> usize {
-        debug_assert!(i < self.num_threads() && j < self.num_cores());
-        i * self.core_types.len() + j
+        debug_assert!(i < self.num_threads());
+        i * self.q + self.core_types[j].0
     }
 
-    /// Sets entry `(i, j)` of both matrices.
+    /// Sets entry `(i, j)` of both matrices, and with it the entry of
+    /// every other core of `j`'s type.
     ///
     /// # Panics
     ///
     /// Panics if indices are out of range, or `ips`/`power_w` are
     /// negative or non-finite.
     pub fn set(&mut self, i: usize, j: usize, ips: f64, power_w: f64, measured: bool) {
+        self.set_type(i, self.core_types[j], ips, power_w, measured);
+    }
+
+    /// Sets thread `i`'s entry for every core of type `t`.
+    ///
+    /// # Panics
+    ///
+    /// As [`set`](Self::set), or if `t` is beyond the row width.
+    pub(crate) fn set_type(
+        &mut self,
+        i: usize,
+        t: CoreTypeId,
+        ips: f64,
+        power_w: f64,
+        measured: bool,
+    ) {
         assert!(
             ips.is_finite() && ips >= 0.0,
             "ips must be finite and >= 0, got {ips}"
@@ -126,32 +164,48 @@ impl CharacterizationMatrices {
             power_w.is_finite() && power_w >= 0.0,
             "power must be finite and >= 0, got {power_w}"
         );
-        let k = self.idx(i, j);
-        self.s[k] = ips;
-        self.p[k] = power_w;
+        assert!(i < self.num_threads() && t.0 < self.q, "entry out of range");
+        let k = i * self.q + t.0;
+        self.rates[k] = (ips, power_w);
         self.measured[k] = measured;
+    }
+
+    /// Copies row `k` of `src` into row `i`: the type entries this
+    /// instance has room for and the utilization. The affinity mask is
+    /// not copied, since it is per core.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src`'s rows are narrower than this instance's.
+    pub(crate) fn copy_row(&mut self, i: usize, src: &CharacterizationMatrices, k: usize) {
+        let q = self.q;
+        assert!(q <= src.q, "source rows are narrower than {q} types");
+        let (to, from) = (i * q..(i + 1) * q, k * src.q..k * src.q + q);
+        self.rates[to.clone()].copy_from_slice(&src.rates[from.clone()]);
+        self.measured[to].copy_from_slice(&src.measured[from]);
+        self.utilization[i] = src.utilization[k];
     }
 
     /// Throughput of thread `i` on core `j`, instructions per second.
     pub fn ips(&self, i: usize, j: usize) -> f64 {
-        self.s[self.idx(i, j)]
+        self.rates(i, j).0
     }
 
     /// Power of thread `i` on core `j`, watts.
     pub fn power(&self, i: usize, j: usize) -> f64 {
-        self.p[self.idx(i, j)]
+        self.rates(i, j).1
     }
 
-    /// Row `i` of `S(k)`: thread `i`'s throughput on every core.
-    pub(crate) fn ips_row(&self, i: usize) -> &[f64] {
-        let n = self.num_cores();
-        &self.s[i * n..(i + 1) * n]
+    /// `(ips, power)` of thread `i` on core `j`.
+    #[inline]
+    pub(crate) fn rates(&self, i: usize, j: usize) -> (f64, f64) {
+        self.rates[self.idx(i, j)]
     }
 
-    /// Row `i` of `P(k)`: thread `i`'s power on every core.
-    pub(crate) fn power_row(&self, i: usize) -> &[f64] {
-        let n = self.num_cores();
-        &self.p[i * n..(i + 1) * n]
+    /// Row `i` of `S(k)` and `P(k)`: thread `i`'s `(ips, power)` per
+    /// core type.
+    pub(crate) fn rates_row(&self, i: usize) -> &[(f64, f64)] {
+        &self.rates[i * self.q..(i + 1) * self.q]
     }
 
     /// Whether entry `(i, j)` was measured this epoch.
@@ -192,17 +246,26 @@ impl CharacterizationMatrices {
     }
 
     /// Whether thread `i` may be placed on core `j` per its affinity.
+    #[inline]
     pub fn is_allowed(&self, i: usize, j: usize) -> bool {
-        j < 64 && self.allowed[i] & (1 << j) != 0 || j >= 64 && self.allowed[i] == u64::MAX
+        affinity_allows(self.allowed[i], CoreId(j))
     }
 
-    /// Fraction of all entries that were measured (the rest were
-    /// predicted) — a sensing-coverage diagnostic.
+    /// Fraction of all `(thread, core)` entries that were measured (the
+    /// rest were predicted) — a sensing-coverage diagnostic.
     pub fn measured_fraction(&self) -> f64 {
-        if self.measured.is_empty() {
+        let cells = self.num_threads() * self.num_cores();
+        if cells == 0 {
             return 0.0;
         }
-        self.measured.iter().filter(|&&b| b).count() as f64 / self.measured.len() as f64
+        let measured = (0..self.num_threads())
+            .map(|i| {
+                (0..self.num_cores())
+                    .filter(|&j| self.is_measured(i, j))
+                    .count()
+            })
+            .sum::<usize>();
+        measured as f64 / cells as f64
     }
 }
 
@@ -242,6 +305,44 @@ mod tests {
         assert!(m.is_measured(1, 0));
         assert!(!m.is_measured(1, 1));
         assert!((m.measured_fraction() - 1.0 / 6.0).abs() < 1e-12);
+    }
+
+    /// An entry is stored once per core type: setting it on one core
+    /// sets every core of that type, a type id no core uses leaves a
+    /// zero gap in the rows, and `copy_row` copies a row's leading type
+    /// entries and its utilization exactly.
+    #[test]
+    fn entries_are_stored_per_core_type() {
+        let mut m = CharacterizationMatrices::new(
+            vec![TaskId(0), TaskId(1)],
+            vec![CoreTypeId(2), CoreTypeId(0), CoreTypeId(2)],
+            vec![0.03, 0.17, 0.03],
+        );
+        assert_eq!(m.num_type_entries(), 3);
+        m.set(1, 2, 1.5e9, 0.4, true);
+        m.set(1, 1, 3.0e9, 2.5, false);
+        assert_eq!((m.ips(1, 0), m.power(1, 0)), (1.5e9, 0.4));
+        assert!(m.is_measured(1, 0) && !m.is_measured(1, 1));
+        assert_eq!(m.rates_row(1), &[(3.0e9, 2.5), (0.0, 0.0), (1.5e9, 0.4)]);
+        assert!((m.measured_fraction() - 2.0 / 6.0).abs() < 1e-12);
+        m.set_utilization(1, 0.4);
+
+        // Sub-problems over some of the cores, as a sharded cluster
+        // copies them.
+        let mut big = CharacterizationMatrices::new(
+            vec![TaskId(1)],
+            vec![CoreTypeId(2), CoreTypeId(2)],
+            vec![0.03, 0.03],
+        );
+        big.copy_row(0, &m, 1);
+        assert_eq!((big.ips(0, 1), big.power(0, 0)), (1.5e9, 0.4));
+        assert!(big.is_measured(0, 1));
+        assert_eq!(big.utilization(0), 0.4);
+        let mut small =
+            CharacterizationMatrices::new(vec![TaskId(1)], vec![CoreTypeId(0)], vec![0.17]);
+        small.copy_row(0, &m, 1);
+        assert_eq!(small.rates_row(0), &[(3.0e9, 2.5)]);
+        assert!(!small.is_measured(0, 0));
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! shares the move's from-core half: [`Leave`] is computed once per
 //! thread and completed once per destination, with the same
 //! arithmetic, bit for bit, as evaluating each move whole. The annealer
-//! completes it for every core at once, in one pass over the thread's
-//! `S`/`P` rows, and a commit stores the values its evaluation
-//! computed instead of computing them again.
+//! completes it for every core at once, in one pass over the cores that
+//! reads each core's entry of the thread's per-type `S`/`P` rows, and a
+//! commit stores the values its evaluation computed instead of
+//! computing them again.
 //!
 //! Per-core model under an allocation Ψ: threads time-share a core
 //! under CFS, so with per-thread demands `u_i` and per-thread full-speed
@@ -32,6 +33,7 @@
 //! Objective values are expressed in GIPS/W so the annealer's
 //! fixed-point acceptance test operates on O(1) magnitudes.
 
+use archsim::CoreTypeId;
 use serde::{Deserialize, Serialize};
 
 use crate::matrices::CharacterizationMatrices;
@@ -41,11 +43,9 @@ const GIPS: f64 = 1.0e9;
 
 /// Effective (post-time-sharing) throughput and power of one core given
 /// its demand/rate sums — the free-function form of the per-core model
-/// in the module docs, shared by [`Objective`] and the sharded
-/// balancer's cross-cluster exchange state so both evaluate identical
-/// arithmetic. An empty core (`u_sum <= 0`) sleeps: its `(0, P_sleep)`
-/// is selected over the busy-core arithmetic rather than returned
-/// early, so a scan's loop body is one expression per core.
+/// in the module docs. An empty core (`u_sum <= 0`) sleeps: its
+/// `(0, P_sleep)` is selected over the busy-core arithmetic rather than
+/// returned early, so a scan's loop body is one expression per core.
 #[inline]
 pub fn effective_core_terms(
     u_sum: f64,
@@ -226,9 +226,10 @@ pub struct Leave {
 
 /// A fully evaluated move: both touched cores' new sums and aggregates,
 /// the patched goal aggregates and the new total. Committing a move
-/// ([`CoreLedger::apply`]) stores these values, so the committed state
-/// is, bit for bit, the one the move was evaluated and accepted on.
-/// Like [`Leave`], it describes the state it was taken from.
+/// ([`IncrementalObjective::apply`]) stores these values, so the
+/// committed state is, bit for bit, the one the move was evaluated and
+/// accepted on. Like [`Leave`], it describes the state it was taken
+/// from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Move {
     leave: Leave,
@@ -258,8 +259,8 @@ fn patch(total: Aggs, old: Aggs, new: Aggs) -> Aggs {
     )
 }
 
-/// One core of a [`CoreLedger`]: its weight and sleep power, the
-/// demand/rate sums of the threads placed on it, and the cached
+/// One core of an [`IncrementalObjective`]: its weight and sleep power,
+/// the demand/rate sums of the threads placed on it, and the cached
 /// weighted aggregates of those sums.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct LedgerCore {
@@ -304,15 +305,17 @@ impl LedgerCore {
     }
 }
 
-/// Per-core demand/rate sums of an allocation plus each core's cached
-/// weighted goal aggregates: the O(1)-per-move arithmetic shared by
-/// [`IncrementalObjective`] (dense matrix rows) and the sharded
-/// balancer's exchange state (compact per-type rows). Callers pass a
-/// thread's utilization and its full-speed `(ips, power)` on the core
-/// in question, so both representations evaluate identical arithmetic.
+/// Incrementally maintained objective state for a working allocation:
+/// per-core demand/rate sums plus each core's cached weighted goal
+/// aggregates, updated in O(1) per move instead of O(m·n) per
+/// evaluation.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct CoreLedger {
+pub struct IncrementalObjective<'a, 'b> {
+    objective: &'b Objective<'a>,
+    /// `objective`'s goal, copied so each evaluation reads it without
+    /// going through the reference.
     goal: Goal,
+    alloc: Vec<usize>,
     cores: Vec<LedgerCore>,
     /// Weighted `(ΣIPS, ΣP, Σ(IPS/P))` across cores; the last is the
     /// Eq. 11 aggregate.
@@ -320,27 +323,31 @@ pub(crate) struct CoreLedger {
     total: f64,
 }
 
-impl CoreLedger {
-    /// Builds the ledger from each thread's `(core, u, ips, power)` on
-    /// its current core, in thread order.
-    pub(crate) fn new(
-        goal: Goal,
-        weights: Vec<f64>,
-        sleep_w: Vec<f64>,
-        placed: impl IntoIterator<Item = (usize, f64, f64, f64)>,
-    ) -> Self {
-        assert_eq!(weights.len(), sleep_w.len(), "one ω per core");
-        let mut cores: Vec<LedgerCore> = weights
+impl<'a, 'b> IncrementalObjective<'a, 'b> {
+    /// Builds the state for an initial allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alloc.len()` differs from the thread count or any
+    /// entry is out of core range.
+    pub fn new(objective: &'b Objective<'a>, alloc: &[usize]) -> Self {
+        let m = objective.matrices;
+        assert_eq!(alloc.len(), m.num_threads(), "one core per thread");
+        let n = m.num_cores();
+        let mut cores: Vec<LedgerCore> = objective
+            .weights
             .iter()
-            .zip(&sleep_w)
-            .map(|(&weight, &sleep_w)| LedgerCore {
+            .enumerate()
+            .map(|(j, &weight)| LedgerCore {
                 weight,
-                sleep_w,
+                sleep_w: m.sleep_power_w(j),
                 sums: (0.0, 0.0, 0.0),
                 aggs: (0.0, 0.0, 0.0),
             })
             .collect();
-        for (j, u, ips, pow) in placed {
+        for (i, &j) in alloc.iter().enumerate() {
+            assert!(j < n, "thread {i} assigned to non-existent core {j}");
+            let (u, (ips, pow)) = (m.utilization(i), m.rates(i, j));
             let sums = &mut cores[j].sums;
             sums.0 += u;
             sums.1 += u * ips;
@@ -353,17 +360,24 @@ impl CoreLedger {
             sums.1 += core.aggs.1;
             sums.2 += core.aggs.2;
         }
-        CoreLedger {
-            goal,
+        IncrementalObjective {
+            objective,
+            goal: objective.goal,
+            alloc: alloc.to_vec(),
             cores,
             sums,
-            total: goal_total(goal, sums.0, sums.1, sums.2),
+            total: goal_total(objective.goal, sums.0, sums.1, sums.2),
         }
     }
 
     /// Current objective value.
-    pub(crate) fn value(&self) -> f64 {
+    pub fn value(&self) -> f64 {
         self.total
+    }
+
+    /// Current allocation.
+    pub fn alloc(&self) -> &[usize] {
+        &self.alloc
     }
 
     /// Total demand currently placed on core `j`.
@@ -371,14 +385,22 @@ impl CoreLedger {
         self.cores[j].sums.0
     }
 
-    /// The from-core half of moving `thread` (utilization `u`, rates
-    /// `ips`/`pow` on `from`) off core `from`.
-    pub(crate) fn leave(&self, thread: usize, from: usize, u: f64, ips: f64, pow: f64) -> Leave {
+    /// The from-core half of moving thread `i` off its current core,
+    /// to pair with [`IncrementalObjective::delta_to`] for every
+    /// candidate destination.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn leave(&self, i: usize) -> Leave {
+        let from = self.alloc[i];
+        let m = self.objective.matrices;
+        let (u, (ips, pow)) = (m.utilization(i), m.rates(i, from));
         let core = &self.cores[from];
         let from_sums = core.depart(u, ips, pow);
         let from_aggs = core.aggregates(from_sums);
         Leave {
-            thread,
+            thread: i,
             from,
             u,
             from_sums,
@@ -387,11 +409,87 @@ impl CoreLedger {
         }
     }
 
-    /// The to-core half: `leave`'s thread arriving on core `to`, a
-    /// different core, with rates `ips`/`pow` there.
+    /// The objective delta if `leave`'s thread moved to core `to` (no
+    /// state change): the to-core half on top of the shared from-core
+    /// half. Returns 0 for a self-move.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is out of range.
+    pub fn delta_to(&self, leave: &Leave, to: usize) -> f64 {
+        if to == leave.from {
+            return 0.0;
+        }
+        self.evaluate(leave, to).delta
+    }
+
+    /// Fills `out[j]` with [`IncrementalObjective::delta_to`] of
+    /// `leave`'s thread for every core `j`, bit for bit, in one pass
+    /// over the cores that reads each core's `(ips, power)` from the
+    /// thread's per-type row through the core's type. The goal is
+    /// dispatched once per scan, and the Eq. 11 ratio is computed only
+    /// for the goal that reads it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out` holds one entry per core.
+    pub(crate) fn scan(&self, leave: &Leave, out: &mut [f64]) {
+        assert_eq!(out.len(), self.cores.len(), "one delta per core");
+        let m = self.objective.matrices;
+        let (row, types) = (m.rates_row(leave.thread), m.core_types());
+        match self.goal {
+            Goal::EnergyEfficiency => self.scan_with::<false>(leave, row, types, out, |s| {
+                goal_total(Goal::EnergyEfficiency, s.0, s.1, s.2)
+            }),
+            Goal::PerCoreEfficiencySum => self.scan_with::<true>(leave, row, types, out, |s| {
+                goal_total(Goal::PerCoreEfficiencySum, s.0, s.1, s.2)
+            }),
+            Goal::Throughput => self.scan_with::<false>(leave, row, types, out, |s| {
+                goal_total(Goal::Throughput, s.0, s.1, s.2)
+            }),
+            Goal::MinPower => self.scan_with::<false>(leave, row, types, out, |s| {
+                goal_total(Goal::MinPower, s.0, s.1, s.2)
+            }),
+            Goal::EnergyDelayProduct => self.scan_with::<false>(leave, row, types, out, |s| {
+                goal_total(Goal::EnergyDelayProduct, s.0, s.1, s.2)
+            }),
+        }
+        out[leave.from] = 0.0;
+    }
+
+    /// [`IncrementalObjective::scan`]'s loop for one goal, given as
+    /// `total`; `RATIO` says whether that goal reads the ratio
+    /// aggregate. Without it the ratio is not computed, and the third
+    /// sum `total` receives is meaningless.
+    #[inline(always)]
+    fn scan_with<const RATIO: bool>(
+        &self,
+        leave: &Leave,
+        row: &[(f64, f64)],
+        types: &[CoreTypeId],
+        out: &mut [f64],
+        total: impl Fn(Aggs) -> f64,
+    ) {
+        for ((core, t), delta) in self.cores.iter().zip(types).zip(out) {
+            let (ips, pow) = row[t.0];
+            let terms = core.terms(core.arrive(leave.u, ips, pow));
+            let (wi, wp) = weighted_terms(core.weight, terms);
+            let wr = if RATIO {
+                weighted_ratio(core.weight, terms)
+            } else {
+                0.0
+            };
+            *delta = total(patch(leave.sums, core.aggs, (wi, wp, wr))) - self.total;
+        }
+    }
+
+    /// The evaluated move of `leave`'s thread to core `to`, a different
+    /// core, for [`IncrementalObjective::apply`]: the to-core half on
+    /// top of `leave`.
     #[inline]
-    pub(crate) fn evaluate(&self, leave: &Leave, to: usize, ips: f64, pow: f64) -> Move {
+    pub(crate) fn evaluate(&self, leave: &Leave, to: usize) -> Move {
         debug_assert_ne!(to, leave.from, "a move changes the thread's core");
+        let (ips, pow) = self.objective.matrices.rates(leave.thread, to);
         let core = &self.cores[to];
         let to_sums = core.arrive(leave.u, ips, pow);
         let to_aggs = core.aggregates(to_sums);
@@ -408,86 +506,11 @@ impl CoreLedger {
         }
     }
 
-    /// The objective delta of `leave`'s thread arriving on core `to`
-    /// with rates `ips`/`pow` there; 0 for a self-move.
-    #[inline]
-    pub(crate) fn delta_to(&self, leave: &Leave, to: usize, ips: f64, pow: f64) -> f64 {
-        if to == leave.from {
-            return 0.0;
-        }
-        self.evaluate(leave, to, ips, pow).delta
-    }
-
-    /// Fills `out[j]` with the objective delta of `leave`'s thread
-    /// arriving on core `j` at rates `ips_row[j]`/`pow_row[j]`, for
-    /// every core, and `out[from]` with 0 — the value
-    /// [`CoreLedger::delta_to`] returns for each, bit for bit. The goal
-    /// is dispatched once per scan, and the Eq. 11 ratio is computed
-    /// only for the goal that reads it.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless all three slices hold one entry per core.
-    pub(crate) fn scan(&self, leave: &Leave, ips_row: &[f64], pow_row: &[f64], out: &mut [f64]) {
-        let n = self.cores.len();
-        assert!(
-            ips_row.len() == n && pow_row.len() == n && out.len() == n,
-            "one rate pair and one delta per core"
-        );
-        match self.goal {
-            Goal::EnergyEfficiency => self.scan_with::<false>(leave, ips_row, pow_row, out, |s| {
-                goal_total(Goal::EnergyEfficiency, s.0, s.1, s.2)
-            }),
-            Goal::PerCoreEfficiencySum => {
-                self.scan_with::<true>(leave, ips_row, pow_row, out, |s| {
-                    goal_total(Goal::PerCoreEfficiencySum, s.0, s.1, s.2)
-                })
-            }
-            Goal::Throughput => self.scan_with::<false>(leave, ips_row, pow_row, out, |s| {
-                goal_total(Goal::Throughput, s.0, s.1, s.2)
-            }),
-            Goal::MinPower => self.scan_with::<false>(leave, ips_row, pow_row, out, |s| {
-                goal_total(Goal::MinPower, s.0, s.1, s.2)
-            }),
-            Goal::EnergyDelayProduct => {
-                self.scan_with::<false>(leave, ips_row, pow_row, out, |s| {
-                    goal_total(Goal::EnergyDelayProduct, s.0, s.1, s.2)
-                })
-            }
-        }
-        out[leave.from] = 0.0;
-    }
-
-    /// [`CoreLedger::scan`]'s loop for one goal, given as `total`;
-    /// `RATIO` says whether that goal reads the ratio aggregate. Without
-    /// it the ratio is not computed, and the third sum `total` receives
-    /// is meaningless.
-    #[inline(always)]
-    fn scan_with<const RATIO: bool>(
-        &self,
-        leave: &Leave,
-        ips_row: &[f64],
-        pow_row: &[f64],
-        out: &mut [f64],
-        total: impl Fn(Aggs) -> f64,
-    ) {
-        let rows = ips_row.iter().zip(pow_row);
-        for ((core, (&ips, &pow)), delta) in self.cores.iter().zip(rows).zip(out) {
-            let terms = core.terms(core.arrive(leave.u, ips, pow));
-            let (wi, wp) = weighted_terms(core.weight, terms);
-            let wr = if RATIO {
-                weighted_ratio(core.weight, terms)
-            } else {
-                0.0
-            };
-            *delta = total(patch(leave.sums, core.aggs, (wi, wp, wr))) - self.total;
-        }
-    }
-
     /// Commits an evaluated move: stores both cores' sums and
     /// aggregates, the goal aggregates and the total it computed, and
     /// returns its delta.
     pub(crate) fn apply(&mut self, mv: &Move) -> f64 {
+        self.alloc[mv.leave.thread] = mv.to;
         let from = &mut self.cores[mv.leave.from];
         from.sums = mv.leave.from_sums;
         from.aggs = mv.leave.from_aggs;
@@ -497,98 +520,6 @@ impl CoreLedger {
         self.sums = mv.sums;
         self.total = mv.total;
         mv.delta
-    }
-}
-
-/// Incrementally maintained objective state for a working allocation:
-/// per-core partial sums plus cached per-core aggregates, updated in
-/// O(1) per move instead of O(m·n) per evaluation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IncrementalObjective<'a, 'b> {
-    objective: &'b Objective<'a>,
-    alloc: Vec<usize>,
-    ledger: CoreLedger,
-}
-
-impl<'a, 'b> IncrementalObjective<'a, 'b> {
-    /// Builds the state for an initial allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alloc.len()` differs from the thread count or any
-    /// entry is out of core range.
-    pub fn new(objective: &'b Objective<'a>, alloc: &[usize]) -> Self {
-        let m = objective.matrices;
-        assert_eq!(alloc.len(), m.num_threads(), "one core per thread");
-        let n = m.num_cores();
-        let placed = alloc.iter().enumerate().map(|(i, &j)| {
-            assert!(j < n, "thread {i} assigned to non-existent core {j}");
-            (j, m.utilization(i), m.ips(i, j), m.power(i, j))
-        });
-        let sleep_w = (0..n).map(|j| m.sleep_power_w(j)).collect();
-        IncrementalObjective {
-            objective,
-            alloc: alloc.to_vec(),
-            ledger: CoreLedger::new(objective.goal, objective.weights.clone(), sleep_w, placed),
-        }
-    }
-
-    /// Current objective value.
-    pub fn value(&self) -> f64 {
-        self.ledger.value()
-    }
-
-    /// Current allocation.
-    pub fn alloc(&self) -> &[usize] {
-        &self.alloc
-    }
-
-    /// The from-core half of moving thread `i` off its current core,
-    /// to pair with [`IncrementalObjective::delta_to`] for every
-    /// candidate destination.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn leave(&self, i: usize) -> Leave {
-        let from = self.alloc[i];
-        let m = self.objective.matrices;
-        self.ledger
-            .leave(i, from, m.utilization(i), m.ips(i, from), m.power(i, from))
-    }
-
-    /// The objective delta if `leave`'s thread moved to core `to` (no
-    /// state change): the to-core half on top of the shared from-core
-    /// half. Returns 0 for a self-move.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` is out of range.
-    pub fn delta_to(&self, leave: &Leave, to: usize) -> f64 {
-        let (i, m) = (leave.thread, self.objective.matrices);
-        self.ledger
-            .delta_to(leave, to, m.ips(i, to), m.power(i, to))
-    }
-
-    /// Fills `out[j]` with [`IncrementalObjective::delta_to`] of
-    /// `leave`'s thread for every core `j`, in one pass over its rows.
-    pub(crate) fn scan(&self, leave: &Leave, out: &mut [f64]) {
-        let (i, m) = (leave.thread, self.objective.matrices);
-        self.ledger.scan(leave, m.ips_row(i), m.power_row(i), out);
-    }
-
-    /// The evaluated move of `leave`'s thread to core `to`, a different
-    /// core, for [`IncrementalObjective::apply`].
-    pub(crate) fn evaluate(&self, leave: &Leave, to: usize) -> Move {
-        let (i, m) = (leave.thread, self.objective.matrices);
-        self.ledger
-            .evaluate(leave, to, m.ips(i, to), m.power(i, to))
-    }
-
-    /// Commits an evaluated move, returning its delta.
-    pub(crate) fn apply(&mut self, mv: &Move) -> f64 {
-        self.alloc[mv.leave.thread] = mv.to;
-        self.ledger.apply(mv)
     }
 
     /// The objective delta if thread `i` moved to core `to` (no state
@@ -624,7 +555,7 @@ mod tests {
     /// (both cores' old and new terms from the sums, patched
     /// from-then-to). And a check that the per-core cache equals a
     /// fresh evaluation of each core's sums.
-    impl CoreLedger {
+    impl IncrementalObjective<'_, '_> {
         pub(crate) fn one_shot_delta(
             &self,
             from: usize,
@@ -823,76 +754,122 @@ mod tests {
         m
     }
 
+    /// Six threads × six cores of three types, two cores each and not
+    /// in type order, with uneven per-type rates and partial demand: the
+    /// scan, `delta_to` and commits read each core's entry through its
+    /// type, and the sleep power stays per core.
+    fn shared_types() -> CharacterizationMatrices {
+        let types = [2, 0, 1, 0, 2, 1];
+        let mut m = CharacterizationMatrices::new(
+            (0..6).map(TaskId).collect(),
+            types.iter().map(|&t| CoreTypeId(t)).collect(),
+            vec![0.02, 0.2, 0.05, 0.18, 0.03, 0.06],
+        );
+        for i in 0..6 {
+            for (j, &t) in types.iter().enumerate() {
+                let ips = (0.8 + 0.29 * i as f64 + 1.4 * (2 - t) as f64) * 1.0e9;
+                let power = 0.04 + 1.1 * (2 - t) as f64 + 0.07 * i as f64;
+                m.set(i, j, ips, power, t == i % 3);
+            }
+            m.set_utilization(i, [0.9, 0.3, 1.0, 0.45, 0.7, 0.15][i]);
+        }
+        m
+    }
+
     /// The split evaluation (`leave` once, then `delta_to` per
     /// destination or one row scan over all of them) reproduces the
     /// one-shot two-core patch bit for bit, for every goal, with and
     /// without ω, on every (thread, core) pair along a scripted commit
     /// sequence; and every evaluated commit returns the predicted delta
     /// and leaves the per-core aggregate cache equal to a fresh
-    /// evaluation.
+    /// evaluation. One input gives each core its own type, the other
+    /// lets cores share types.
     #[test]
     fn split_delta_is_bit_identical_to_the_one_shot_patch() {
-        let m = uneven();
-        let script = [
-            (0, 1),
-            (3, 1),
-            (1, 0),
-            (4, 3),
-            (2, 3),
-            (0, 3),
-            (3, 2),
-            (1, 1),
-        ];
-        for goal in [
-            Goal::EnergyEfficiency,
-            Goal::PerCoreEfficiencySum,
-            Goal::Throughput,
-            Goal::MinPower,
-            Goal::EnergyDelayProduct,
-        ] {
-            for weights in [None, Some(vec![1.5, 1.0, 0.25, 0.0])] {
-                let mut obj = Objective::new(&m, goal);
-                if let Some(w) = weights.clone() {
-                    obj = obj.with_weights(w);
-                }
-                let mut state = IncrementalObjective::new(&obj, &[0, 0, 2, 2, 2]);
-                state.ledger.assert_cache_is_fresh();
-                let mut scanned = [f64::NAN; 4];
-                for (mi, mto) in script {
-                    for i in 0..5 {
-                        let leave = state.leave(i);
-                        let from = state.alloc()[i];
-                        state.scan(&leave, &mut scanned);
-                        for (to, scan) in scanned.iter().enumerate() {
-                            let one_shot = state.ledger.one_shot_delta(
-                                from,
-                                to,
-                                m.utilization(i),
-                                (m.ips(i, from), m.power(i, from)),
-                                (m.ips(i, to), m.power(i, to)),
-                            );
-                            let split = state.delta_to(&leave, to);
-                            assert_eq!(
-                                split.to_bits(),
-                                one_shot.to_bits(),
-                                "{goal:?} {weights:?}: move ({i},{to})"
-                            );
-                            assert_eq!(state.delta_for_move(i, to).to_bits(), split.to_bits());
-                            assert_eq!(
-                                scan.to_bits(),
-                                one_shot.to_bits(),
-                                "{goal:?} {weights:?}: scan ({i},{to})"
-                            );
-                        }
+        let own_types = (
+            uneven(),
+            vec![1.5, 1.0, 0.25, 0.0],
+            vec![0, 0, 2, 2, 2],
+            vec![
+                (0, 1),
+                (3, 1),
+                (1, 0),
+                (4, 3),
+                (2, 3),
+                (0, 3),
+                (3, 2),
+                (1, 1),
+            ],
+        );
+        let shared = (
+            shared_types(),
+            vec![1.5, 0.5, 1.0, 0.0, 2.0, 0.75],
+            vec![0, 0, 1, 3, 3, 4],
+            vec![
+                (0, 4),
+                (2, 3),
+                (5, 2),
+                (1, 5),
+                (3, 0),
+                (4, 1),
+                (2, 5),
+                (0, 2),
+                (1, 1),
+            ],
+        );
+        for (m, omega, initial, script) in [own_types, shared] {
+            let n = m.num_cores();
+            for goal in [
+                Goal::EnergyEfficiency,
+                Goal::PerCoreEfficiencySum,
+                Goal::Throughput,
+                Goal::MinPower,
+                Goal::EnergyDelayProduct,
+            ] {
+                for weights in [None, Some(omega.clone())] {
+                    let mut obj = Objective::new(&m, goal);
+                    if let Some(w) = weights.clone() {
+                        obj = obj.with_weights(w);
                     }
-                    let predicted = state.delta_for_move(mi, mto);
-                    let realized = state.commit_move(mi, mto);
-                    assert_eq!(
-                        realized.to_bits(),
-                        predicted.to_bits(),
-                        "{goal:?} {weights:?}"
-                    );
-                    state.ledger.assert_cache_is_fresh();
+                    let mut state = IncrementalObjective::new(&obj, &initial);
+                    state.assert_cache_is_fresh();
+                    let mut scanned = vec![f64::NAN; n];
+                    for &(mi, mto) in &script {
+                        for i in 0..m.num_threads() {
+                            let leave = state.leave(i);
+                            let from = state.alloc()[i];
+                            state.scan(&leave, &mut scanned);
+                            for (to, scan) in scanned.iter().enumerate() {
+                                let one_shot = state.one_shot_delta(
+                                    from,
+                                    to,
+                                    m.utilization(i),
+                                    (m.ips(i, from), m.power(i, from)),
+                                    (m.ips(i, to), m.power(i, to)),
+                                );
+                                let split = state.delta_to(&leave, to);
+                                assert_eq!(
+                                    split.to_bits(),
+                                    one_shot.to_bits(),
+                                    "{n} cores, {goal:?} {weights:?}: move ({i},{to})"
+                                );
+                                assert_eq!(state.delta_for_move(i, to).to_bits(), split.to_bits());
+                                assert_eq!(
+                                    scan.to_bits(),
+                                    one_shot.to_bits(),
+                                    "{n} cores, {goal:?} {weights:?}: scan ({i},{to})"
+                                );
+                            }
+                        }
+                        let predicted = state.delta_for_move(mi, mto);
+                        let realized = state.commit_move(mi, mto);
+                        assert_eq!(
+                            realized.to_bits(),
+                            predicted.to_bits(),
+                            "{n} cores, {goal:?} {weights:?}"
+                        );
+                        state.assert_cache_is_fresh();
+                    }
                 }
             }
         }

@@ -12,7 +12,6 @@
 
 use archsim::CoreTypeId;
 use kernelsim::TaskId;
-use serde::{Deserialize, Serialize};
 use workloads::SyntheticGenerator;
 
 use crate::matrices::CharacterizationMatrices;
@@ -79,7 +78,7 @@ pub fn exhaustive_best(objective: &Objective<'_>) -> Result<(Vec<usize>, f64), u
 }
 
 /// A constructed instance with a known optimum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KnownCase {
     /// The characterization matrices of the instance.
     pub matrices: CharacterizationMatrices,

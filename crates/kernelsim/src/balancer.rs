@@ -40,11 +40,6 @@ pub struct TaskEpochStats {
 }
 
 impl TaskEpochStats {
-    /// Whether the task may run on `core` per its affinity mask.
-    pub fn allows_core(&self, core: CoreId) -> bool {
-        core.0 < 64 && self.allowed & (1 << core.0) != 0 || core.0 >= 64 && self.allowed == u64::MAX
-    }
-
     /// Measured throughput over the task's own runtime, instructions
     /// per second (`ips_ij(k)` of paper Eq. 4); 0 if it never ran or
     /// the rate is not finite (corrupted sensors must not leak NaN/Inf

@@ -48,7 +48,7 @@ pub use balancer::{
 pub use cfs::CfsRunQueue;
 pub use stats::{CoreStats, SystemStats};
 pub use system::{System, SystemConfig};
-pub use task::{Task, TaskId, TaskState};
+pub use task::{affinity_allows, Task, TaskId, TaskState};
 pub use telemetry::TelemetryHandle;
 pub use topology::{ClusterId, Topology};
 pub use trace::{TraceEvent, TraceLevel, Tracer};

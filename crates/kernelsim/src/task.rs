@@ -33,6 +33,14 @@ pub type AffinityMask = u64;
 /// The unconstrained affinity mask (any core).
 pub const ALL_CORES: AffinityMask = u64::MAX;
 
+/// Whether `mask` allows `core`: bit `j` for cores below 64, and only
+/// [`ALL_CORES`] for cores beyond bit 63. The one affinity predicate;
+/// the balancers' own masks use it too.
+#[inline]
+pub fn affinity_allows(mask: AffinityMask, core: CoreId) -> bool {
+    core.0 < 64 && mask & (1 << core.0) != 0 || core.0 >= 64 && mask == ALL_CORES
+}
+
 /// Linux nice-to-weight table excerpt (kernel `sched_prio_to_weight`):
 /// nice 0 = 1024; each nice level is a ~1.25x step.
 pub const NICE_0_WEIGHT: u64 = 1024;
@@ -209,8 +217,7 @@ impl Task {
 
     /// Whether `core` is allowed by the task's affinity mask.
     pub fn allows_core(&self, core: CoreId) -> bool {
-        core.0 < 64 && self.allowed & (1 << core.0) != 0
-            || core.0 >= 64 && self.allowed == ALL_CORES
+        affinity_allows(self.allowed, core)
     }
 
     /// Task id.

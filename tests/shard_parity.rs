@@ -9,15 +9,19 @@
 //!   shard — no placement ever targets them;
 //! * a thread whose predictions are quarantined never moves;
 //! * shard worker count (1 vs N) never changes results, also under
-//!   hotplug, sensor noise and threads stranded on offline cores.
+//!   hotplug, sensor noise and threads stranded on offline cores;
+//! * after a DVFS change the sharded objective uses the same sleep
+//!   power as the flat one.
 
 use std::collections::BTreeSet;
 
-use archsim::{CoreId, FaultKind, FaultPlan, Platform};
-use kernelsim::{Allocation, EpochReport, LoadBalancer, System, SystemConfig, TaskId};
+use archsim::{CoreId, CoreTypeId, FaultKind, FaultPlan, Platform};
+use kernelsim::{
+    Allocation, EpochReport, LoadBalancer, NullBalancer, System, SystemConfig, TaskId,
+};
 use smartbalance::{
-    DegradeMode, ExperimentSpec, ExperimentSuite, Policy, ShardConfig, ShardedBalancer,
-    SmartBalance, SmartBalanceConfig,
+    AnnealOutcome, DegradeMode, ExperimentSpec, ExperimentSuite, Policy, ShardConfig,
+    ShardedBalancer, SmartBalance, SmartBalanceConfig,
 };
 use workloads::{SyntheticGenerator, WorkloadProfile};
 
@@ -314,5 +318,38 @@ fn shard_worker_count_is_invisible_under_hotplug_noise_and_stranding() {
     let one = run(1);
     for workers in [2, 4] {
         assert_eq!(one, run(workers), "{workers} shard workers changed results");
+    }
+}
+
+/// The sharded path reads sleep power from the live platform, as the
+/// flat path does: the same report, fed to both each epoch, gives
+/// bit-equal initial objectives before and after a DVFS change of one
+/// cluster's core type (`System::set_operating_point` rescales its
+/// sleep power).
+#[test]
+fn sharded_sleep_power_follows_a_dvfs_change_like_the_flat_path() {
+    let platform = Platform::clustered_heterogeneous(2, 4);
+    let mut sys = System::new(platform.clone(), SystemConfig::default());
+    spawn_all(&mut sys, &mixed_profiles(5, 41, u64::MAX / 64));
+    let mut flat = SmartBalance::new(&platform);
+    let mut sharded = ShardedBalancer::new(&platform);
+    for epoch in 0..6 {
+        if epoch == 3 {
+            sys.set_operating_point(CoreTypeId(1), 1.0e9, 0.72);
+        }
+        let report = sys.run_epoch(&mut NullBalancer);
+        flat.rebalance(sys.platform(), &report);
+        sharded.rebalance(sys.platform(), &report);
+        let initial = |outcome: Option<&AnnealOutcome>| {
+            outcome
+                .expect("every epoch anneals")
+                .initial_objective
+                .to_bits()
+        };
+        assert_eq!(
+            initial(flat.last_outcome()),
+            initial(sharded.inner().last_outcome()),
+            "epoch {epoch}: initial objectives differ"
+        );
     }
 }
