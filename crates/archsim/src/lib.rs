@@ -63,7 +63,7 @@ pub use faults::{
     FaultAction, FaultClass, FaultEvent, FaultHarness, FaultKind, FaultPlan, FaultStats,
     FaultySensorBank,
 };
-pub use memo::{EstimateCache, EstimateKey};
+pub use memo::{EstimateCache, EstimateKey, MemoStats};
 pub use pipeline::{estimate, PipelineEstimate};
-pub use sensing::{SensorBank, SensorInterface};
+pub use sensing::{CoreSensors, SensorBank, SensorInterface};
 pub use workload::WorkloadCharacteristics;

@@ -4,70 +4,32 @@
 //! intrinsic characteristics and the core configuration, yet the
 //! scheduler hot loop historically re-evaluated the model — five
 //! transcendental miss-rate curves plus struct rebuilds — on *every*
-//! simulated slice. The [`EstimateCache`] keys one evaluation per
-//! (workload phase, core type, DVFS level) and replays it, turning the
-//! inner simulation loop into pure arithmetic.
+//! simulated slice. An [`EstimateCache`] belongs to one workload (in
+//! `kernelsim`, one per task) and keeps one evaluation per (phase, core
+//! type, DVFS level) the workload has visited, turning the inner
+//! simulation loop into pure arithmetic. Hit and miss counts go to a
+//! caller-held [`MemoStats`], so caches that live in different places
+//! (tasks simulated on different threads) sum into one telemetry.
 //!
 //! Correctness contract: `estimate` is a deterministic pure function,
 //! so replaying a cached result is bit-identical to re-evaluating it —
-//! *provided the key captures every input*. The key therefore carries
-//! a caller-assigned workload identity (typically task id), the phase
-//! index within that workload, the core-type id, and a DVFS level that
-//! the owner must bump (or explicitly invalidate) whenever a core
-//! type's operating point changes. Stale-entry bugs are keying bugs;
-//! `kernelsim` proves parity with an uncached run in its test suite.
+//! *provided the key captures every input*. The owner keeps one cache
+//! per workload, so the key carries the phase index within that
+//! workload, the core-type id, and a DVFS level that the owner must bump
+//! (or explicitly invalidate) whenever a core type's operating point
+//! changes. Stale-entry bugs are keying bugs; `kernelsim` proves parity
+//! with an uncached run in its test suite.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use serde::{Deserialize, Serialize};
 
 use crate::core_type::CoreConfig;
 use crate::pipeline::{estimate, PipelineEstimate};
 use crate::workload::WorkloadCharacteristics;
 
-/// Deterministic multiply-fold hasher for the fixed-width
-/// [`EstimateKey`]. The cache sits on the per-slice hot path where
-/// SipHash's DoS resistance buys nothing (keys are internal ids, not
-/// attacker-controlled input) but costs more than the probe itself.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct KeyHasher(u64);
-
-impl KeyHasher {
-    const MUL: u64 = 0x517c_c1b7_2722_0a95;
-
-    fn fold(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(Self::MUL);
-    }
-}
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.fold(u64::from_le_bytes(buf));
-        }
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.fold(v as u64);
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.fold(v);
-    }
-}
-
-/// Cache key: every input that determines a [`PipelineEstimate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Cache key: every input that determines a [`PipelineEstimate`]
+/// besides the workload that owns the cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EstimateKey {
-    /// Caller-assigned identity of the workload (e.g. a task id). Two
-    /// keys with the same `(workload_id, phase)` must always refer to
-    /// the same [`WorkloadCharacteristics`].
-    pub workload_id: u64,
     /// Phase index within the workload.
     pub phase: u32,
     /// Core-type id the estimate was evaluated for.
@@ -77,68 +39,61 @@ pub struct EstimateKey {
     pub dvfs_level: u32,
 }
 
-/// Memo table for pipeline-model evaluations with hit/miss telemetry.
+/// One workload's memo of pipeline-model evaluations: sparse entries,
+/// one per key the workload has visited, searched linearly (a task
+/// visits a handful of phases on a handful of core types).
 ///
 /// # Examples
 ///
 /// ```
-/// use archsim::{estimate, CoreConfig, EstimateCache, EstimateKey, WorkloadCharacteristics};
+/// use archsim::{estimate, CoreConfig, EstimateCache, EstimateKey, MemoStats, WorkloadCharacteristics};
 ///
 /// let mut cache = EstimateCache::new();
+/// let mut stats = MemoStats::default();
 /// let w = WorkloadCharacteristics::balanced();
 /// let cfg = CoreConfig::big();
-/// let key = EstimateKey { workload_id: 0, phase: 0, core_type: 1, dvfs_level: 0 };
-/// let a = cache.get_or_compute(key, &w, &cfg);
-/// let b = cache.get_or_compute(key, &w, &cfg);
+/// let key = EstimateKey { phase: 0, core_type: 1, dvfs_level: 0 };
+/// let a = cache.get_or_compute(key, &w, &cfg, &mut stats);
+/// let b = cache.get_or_compute(key, &w, &cfg, &mut stats);
 /// assert_eq!(a, b);
-/// assert_eq!(cache.hits(), 1);
+/// assert_eq!(stats.hits(), 1);
 /// assert_eq!(a, estimate(&w, &cfg));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct EstimateCache {
-    map: HashMap<EstimateKey, PipelineEstimate, BuildHasherDefault<KeyHasher>>,
-    enabled: bool,
-    hits: u64,
-    misses: u64,
+    /// Boxed, so an empty memo costs one pointer: every task keeps its
+    /// memo for life, exited tasks included.
+    #[expect(
+        clippy::box_collection,
+        reason = "a boxed table keeps the empty memo of every exited task at 8 bytes"
+    )]
+    entries: Option<Box<Vec<(EstimateKey, PipelineEstimate)>>>,
 }
 
 impl EstimateCache {
-    /// Creates an empty, enabled cache.
+    /// Creates an empty cache (no storage until the first miss).
     pub fn new() -> Self {
-        EstimateCache {
-            map: HashMap::default(),
-            enabled: true,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Enables or disables memoization. While disabled every lookup
-    /// evaluates the model afresh and stores nothing — the reference
-    /// path parity tests compare against.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
+        EstimateCache::default()
     }
 
     /// Returns the memoized estimate for `key`, evaluating
-    /// [`estimate`]`(workload, core)` on a miss.
+    /// [`estimate`]`(workload, core)` on a miss; counts the lookup in
+    /// `stats`. The table grows by exactly one entry per miss.
     pub fn get_or_compute(
         &mut self,
         key: EstimateKey,
         workload: &WorkloadCharacteristics,
         core: &CoreConfig,
+        stats: &mut MemoStats,
     ) -> PipelineEstimate {
-        if !self.enabled {
-            self.misses += 1;
-            return estimate(workload, core);
-        }
-        if let Some(est) = self.map.get(&key) {
-            self.hits += 1;
+        let entries = self.entries.get_or_insert_with(Box::default);
+        if let Some((_, est)) = entries.iter().find(|(k, _)| *k == key) {
+            stats.hits += 1;
             return *est;
         }
-        self.misses += 1;
-        let est = estimate(workload, core);
-        self.map.insert(key, est);
+        let est = stats.evaluate_uncached(workload, core);
+        entries.reserve_exact(1);
+        entries.push((key, est));
         est
     }
 
@@ -146,35 +101,57 @@ impl EstimateCache {
     /// hook for operating-point changes (belt to the DVFS-level key's
     /// braces: it also keeps the table from accumulating dead levels).
     pub fn invalidate_core_type(&mut self, core_type: u32) {
-        // smartlint: allow(unordered-iter, "retain filters by a pure key predicate; the surviving set is independent of visit order")
-        self.map.retain(|k, _| k.core_type != core_type);
+        if let Some(entries) = &mut self.entries {
+            entries.retain(|(k, _)| k.core_type != core_type);
+        }
     }
 
-    /// Drops every entry for `workload_id` (e.g. when a task exits and
-    /// can never be dispatched again).
-    pub fn invalidate_workload(&mut self, workload_id: u64) {
-        // smartlint: allow(unordered-iter, "retain filters by a pure key predicate; the surviving set is independent of visit order")
-        self.map.retain(|k, _| k.workload_id != workload_id);
-    }
-
-    /// Removes all entries and resets telemetry.
+    /// Removes every entry and releases the storage (e.g. when the
+    /// owning task exits and can never be dispatched again).
     pub fn clear(&mut self) {
-        self.map.clear();
-        self.hits = 0;
-        self.misses = 0;
+        self.entries = None;
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.as_ref().map_or(0, |entries| entries.len())
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
+    }
+}
+
+/// Hit/miss telemetry of estimate lookups, summed over any number of
+/// [`EstimateCache`]s.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    hits: u64,
+    misses: u64,
+}
+
+impl MemoStats {
+    /// Evaluates the model without consulting any cache and counts the
+    /// lookup as a miss — the uncached reference path parity tests
+    /// compare against, and the miss path of
+    /// [`EstimateCache::get_or_compute`].
+    pub fn evaluate_uncached(
+        &mut self,
+        workload: &WorkloadCharacteristics,
+        core: &CoreConfig,
+    ) -> PipelineEstimate {
+        self.misses += 1;
+        estimate(workload, core)
     }
 
-    /// Lookups served from the table.
+    /// Adds `other`'s counts.
+    pub fn absorb(&mut self, other: MemoStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+    }
+
+    /// Lookups served from a table.
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -184,7 +161,7 @@ impl EstimateCache {
         self.misses
     }
 
-    /// Fraction of lookups served from the table (0 when unused).
+    /// Fraction of lookups served from a table (0 when unused).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -200,9 +177,8 @@ impl EstimateCache {
 mod tests {
     use super::*;
 
-    fn key(workload: u64, phase: u32, core_type: u32, dvfs: u32) -> EstimateKey {
+    fn key(phase: u32, core_type: u32, dvfs: u32) -> EstimateKey {
         EstimateKey {
-            workload_id: workload,
             phase,
             core_type,
             dvfs_level: dvfs,
@@ -212,6 +188,7 @@ mod tests {
     #[test]
     fn cached_equals_fresh_bitwise() {
         let mut cache = EstimateCache::new();
+        let mut stats = MemoStats::default();
         let cfg = CoreConfig::huge();
         for (i, w) in [
             WorkloadCharacteristics::compute_bound(),
@@ -221,17 +198,17 @@ mod tests {
         .iter()
         .enumerate()
         {
-            let k = key(7, i as u32, 0, 0);
-            let first = cache.get_or_compute(k, w, &cfg);
-            let second = cache.get_or_compute(k, w, &cfg);
+            let k = key(i as u32, 0, 0);
+            let first = cache.get_or_compute(k, w, &cfg, &mut stats);
+            let second = cache.get_or_compute(k, w, &cfg, &mut stats);
             let fresh = estimate(w, &cfg);
             assert_eq!(first, second);
             assert!(first.ipc.to_bits() == fresh.ipc.to_bits());
             assert_eq!(first, fresh);
         }
-        assert_eq!(cache.hits(), 3);
-        assert_eq!(cache.misses(), 3);
-        assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(stats.hits(), 3);
+        assert_eq!(stats.misses(), 3);
+        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -239,11 +216,12 @@ mod tests {
         // A frequency change re-keys the estimate: serving the old
         // entry would replay the old frequency's IPC-cycles curve.
         let mut cache = EstimateCache::new();
+        let mut stats = MemoStats::default();
         let w = WorkloadCharacteristics::memory_bound();
         let nominal = CoreConfig::big();
         let slow = nominal.at_operating_point(0.75e9, 0.65);
-        let at_nominal = cache.get_or_compute(key(1, 0, 1, 0), &w, &nominal);
-        let at_slow = cache.get_or_compute(key(1, 0, 1, 1), &w, &slow);
+        let at_nominal = cache.get_or_compute(key(0, 1, 0), &w, &nominal, &mut stats);
+        let at_slow = cache.get_or_compute(key(0, 1, 1), &w, &slow, &mut stats);
         assert_ne!(
             at_nominal, at_slow,
             "memory-bound estimates must differ across operating points"
@@ -251,38 +229,56 @@ mod tests {
         assert_eq!(at_slow, estimate(&w, &slow));
         // The stale-key path would have returned `at_nominal` — that is
         // exactly the bug the dvfs_level key component guards against.
-        assert_eq!(cache.get_or_compute(key(1, 0, 1, 0), &w, &slow), at_nominal);
+        assert_eq!(
+            cache.get_or_compute(key(0, 1, 0), &w, &slow, &mut stats),
+            at_nominal
+        );
     }
 
     #[test]
     fn invalidation_drops_only_the_target() {
         let mut cache = EstimateCache::new();
+        let mut stats = MemoStats::default();
         let w = WorkloadCharacteristics::balanced();
-        cache.get_or_compute(key(1, 0, 0, 0), &w, &CoreConfig::huge());
-        cache.get_or_compute(key(1, 0, 1, 0), &w, &CoreConfig::big());
-        cache.get_or_compute(key(2, 0, 1, 0), &w, &CoreConfig::big());
+        cache.get_or_compute(key(0, 0, 0), &w, &CoreConfig::huge(), &mut stats);
+        cache.get_or_compute(key(0, 1, 0), &w, &CoreConfig::big(), &mut stats);
+        cache.get_or_compute(key(1, 1, 0), &w, &CoreConfig::big(), &mut stats);
         assert_eq!(cache.len(), 3);
         cache.invalidate_core_type(1);
         assert_eq!(cache.len(), 1);
-        cache.get_or_compute(key(2, 0, 0, 0), &w, &CoreConfig::huge());
-        cache.invalidate_workload(2);
-        assert_eq!(cache.len(), 1);
+        cache.get_or_compute(key(1, 0, 0), &w, &CoreConfig::huge(), &mut stats);
+        assert_eq!(cache.len(), 2);
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(cache.hits() + cache.misses(), 0);
+        assert_eq!(stats.hits() + stats.misses(), 4, "counts outlive entries");
     }
 
     #[test]
     fn disabled_cache_stores_nothing() {
-        let mut cache = EstimateCache::new();
-        cache.set_enabled(false);
+        // The uncached path consults no table and stores nothing.
+        let cache = EstimateCache::new();
+        let mut stats = MemoStats::default();
         let w = WorkloadCharacteristics::balanced();
         let cfg = CoreConfig::small();
-        let a = cache.get_or_compute(key(0, 0, 3, 0), &w, &cfg);
-        let b = cache.get_or_compute(key(0, 0, 3, 0), &w, &cfg);
+        let a = stats.evaluate_uncached(&w, &cfg);
+        let b = stats.evaluate_uncached(&w, &cfg);
         assert_eq!(a, b);
         assert!(cache.is_empty());
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(stats.hits(), 0);
+        assert_eq!(stats.misses(), 2);
+    }
+
+    #[test]
+    fn counts_from_separate_caches_sum() {
+        let w = WorkloadCharacteristics::balanced();
+        let cfg = CoreConfig::big();
+        let (mut a, mut b) = (EstimateCache::new(), EstimateCache::new());
+        let (mut sa, mut sb) = (MemoStats::default(), MemoStats::default());
+        for _ in 0..3 {
+            a.get_or_compute(key(0, 1, 0), &w, &cfg, &mut sa);
+        }
+        b.get_or_compute(key(2, 1, 0), &w, &cfg, &mut sb);
+        sa.absorb(sb);
+        assert_eq!((sa.hits(), sa.misses()), (2, 2));
     }
 }

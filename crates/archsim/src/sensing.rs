@@ -26,6 +26,26 @@ pub trait SensorInterface {
     fn elapsed_ns(&self, core: CoreId) -> u64;
 }
 
+/// One core's free-running sensors: counters, energy and elapsed
+/// time. The unit a range of the scheduler's slice loop borrows
+/// exclusively (see [`SensorBank::cores_mut`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct CoreSensors {
+    counters: CounterSample,
+    energy_j: f64,
+    elapsed_ns: u64,
+}
+
+impl CoreSensors {
+    /// Accumulates a slice result into this core's bank.
+    #[inline]
+    pub fn record(&mut self, delta: CounterSample, energy_j: f64, elapsed_ns: u64) {
+        self.counters += delta;
+        self.energy_j += energy_j;
+        self.elapsed_ns += elapsed_ns;
+    }
+}
+
 /// Free-running per-core sensor bank.
 ///
 /// # Examples
@@ -41,19 +61,14 @@ pub trait SensorInterface {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SensorBank {
-    counters: Vec<CounterSample>,
-    energy_j: Vec<f64>,
-    elapsed_ns: Vec<u64>,
+    cores: Vec<CoreSensors>,
 }
 
 impl SensorBank {
     /// Creates an all-zero sensor bank for the given platform.
     pub fn new(platform: &Platform) -> Self {
-        let n = platform.num_cores();
         SensorBank {
-            counters: vec![CounterSample::default(); n],
-            energy_j: vec![0.0; n],
-            elapsed_ns: vec![0; n],
+            cores: vec![CoreSensors::default(); platform.num_cores()],
         }
     }
 
@@ -63,38 +78,42 @@ impl SensorBank {
     ///
     /// Panics if `core` is out of range.
     pub fn record(&mut self, core: CoreId, delta: CounterSample, energy_j: f64, elapsed_ns: u64) {
-        self.counters[core.0] += delta;
-        self.energy_j[core.0] += energy_j;
-        self.elapsed_ns[core.0] += elapsed_ns;
+        self.cores[core.0].record(delta, energy_j, elapsed_ns);
+    }
+
+    /// Every core's sensors, indexed by core id, for callers that split
+    /// the bank into disjoint core ranges.
+    pub fn cores_mut(&mut self) -> &mut [CoreSensors] {
+        &mut self.cores
     }
 
     /// Number of cores covered by the bank.
     pub fn num_cores(&self) -> usize {
-        self.counters.len()
+        self.cores.len()
     }
 
     /// Total energy across all cores, joules.
     pub fn total_energy_j(&self) -> f64 {
-        self.energy_j.iter().sum()
+        self.cores.iter().map(|c| c.energy_j).sum()
     }
 
     /// Total committed instructions across all cores.
     pub fn total_instructions(&self) -> u64 {
-        self.counters.iter().map(|c| c.instructions).sum()
+        self.cores.iter().map(|c| c.counters.instructions).sum()
     }
 }
 
 impl SensorInterface for SensorBank {
     fn counters(&self, core: CoreId) -> CounterSample {
-        self.counters[core.0]
+        self.cores[core.0].counters
     }
 
     fn energy_j(&self, core: CoreId) -> f64 {
-        self.energy_j[core.0]
+        self.cores[core.0].energy_j
     }
 
     fn elapsed_ns(&self, core: CoreId) -> u64 {
-        self.elapsed_ns[core.0]
+        self.cores[core.0].elapsed_ns
     }
 }
 

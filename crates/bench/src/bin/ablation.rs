@@ -18,14 +18,17 @@ use std::time::{Duration, Instant};
 
 use archsim::CoreTypeId;
 use kernelsim::TaskId;
-use smartbalance::fixed::{fx_exp_neg, Fx, Randi};
+use smartbalance::fixed::{fx_exp_neg, Fx, Randi, FRAC_BITS, ONE};
 use smartbalance::objective::IncrementalObjective;
 use smartbalance::{
-    anneal, exhaustive_best, known_optimum_case, AnnealParams, CharacterizationMatrices, Goal,
-    Objective,
+    anneal, exhaustive_best, known_optimum_case, splitmix64, AnnealParams,
+    CharacterizationMatrices, Goal, Objective,
 };
 use smartbalance_bench::{ablation_anneal, ablation_matrices, prediction_gap};
 use workloads::SyntheticGenerator;
+
+/// Inputs per timed iteration of item 1.
+const SCATTERED: usize = 4096;
 
 /// Prints the mean wall-clock time per call of `f`: one untimed
 /// warm-up call, then calls until at least 200 ms have passed.
@@ -59,17 +62,22 @@ fn random_matrices(n: usize, m: usize, seed: u64) -> CharacterizationMatrices {
 }
 
 fn main() {
-    println!("== 1. fixed point (256 calls per iteration) ==");
-    let xs: Vec<f64> = (0..256).map(|i| f64::from(i) * 0.04).collect();
+    println!("== 1. fixed point ({SCATTERED} calls per iteration) ==");
+    // Raw inputs scattered over the annealer's domain [0, 12·2¹⁶] by
+    // splitmix64, so the branch predictor cannot learn them.
+    let domain = (12 << FRAC_BITS) + 1;
+    let raws: Vec<i64> = (0..SCATTERED)
+        .map(|k| (splitmix64(k as u64) % domain) as i64)
+        .collect();
     time("fx_exp_neg", || {
-        xs.iter().fold(0i64, |acc, &x| {
-            acc.wrapping_add(fx_exp_neg(Fx::from_f64(x)).0)
-        })
+        raws.iter()
+            .fold(0i64, |acc, &raw| acc.wrapping_add(fx_exp_neg(Fx(raw)).0))
     });
+    let xs: Vec<f64> = raws.iter().map(|&raw| raw as f64 / ONE as f64).collect();
     time("f64_exp", || xs.iter().map(|&x| (-x).exp()).sum::<f64>());
     let mut r = Randi::new(7);
     time("randi_xorshift", || {
-        (0..256).fold(0u32, |acc, _| acc.wrapping_add(r.randi()))
+        (0..SCATTERED).fold(0u32, |acc, _| acc.wrapping_add(r.randi()))
     });
 
     println!("\n== 2. incremental objective (32 move deltas per iteration) ==");

@@ -219,7 +219,7 @@ pub fn anneal(
             state.evaluate(&leave, to)
         } else {
             // --- Perturb: propose a core within the shrinking window.
-            let window = ((perturb.sqrt() * n as f64).ceil() as i64).max(1);
+            let window = ceil_to_i64(perturb.sqrt() * n as f64).max(1);
             let lo = (cur as i64 - window).max(0);
             let hi = (cur as i64 + window + 1).min(n as i64);
             let mut to = rng.randi_range(lo, hi) as usize;
@@ -332,12 +332,50 @@ fn best_destination(
     best
 }
 
+/// `x.ceil() as i64`, computed exactly without libm's `ceil` (a call
+/// on the baseline x86-64 target, which lacks SSE4.1's `roundsd`): the
+/// saturating cast truncates towards zero and maps NaN to 0, and a
+/// value with a fraction cut off gets one more. Truncation already is
+/// the ceiling of a negative value, and every float of magnitude 2⁵³ or
+/// more is an integer, so `t as f64` is exactly the truncated value
+/// wherever the cast did not saturate.
+fn ceil_to_i64(x: f64) -> i64 {
+    let t = x as i64;
+    if (t as f64) < x {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::objective::Goal;
     use archsim::CoreTypeId;
     use kernelsim::TaskId;
+
+    #[test]
+    fn integer_ceiling_matches_f64_ceil() {
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let mut xs = vec![0.0, -0.0, 0.5, 1.0e-300, f64::INFINITY, f64::NAN];
+        for k in [1u32, 2, 3, 7, 63, 64, 96, 255, 256, 1024, 4096] {
+            let x = f64::from(k);
+            xs.extend([x, below(x), x + 0.5]);
+            // `n` times the square roots the perturb window sees.
+            for perturb in [1.0, 0.5, 0.25, 1.0e-3, 1.0e-9] {
+                xs.push(f64::sqrt(perturb) * x);
+            }
+        }
+        for p in [52, 53, 62, 63, 64] {
+            let x = 2f64.powi(p);
+            xs.extend([x, below(x)]);
+        }
+        xs.extend([1.0e19, -1.5, -2.0, f64::NEG_INFINITY]);
+        for x in xs {
+            assert_eq!(ceil_to_i64(x), x.ceil() as i64, "x = {x:e}");
+        }
+    }
 
     /// 4 threads × 4 cores where thread i is uniquely efficient on
     /// core i; global optimum is the identity allocation.

@@ -26,7 +26,9 @@
 //! bit-identical to every previous release.
 
 use archsim::{CoreId, CoreTypeId, Platform};
-use kernelsim::{affinity_allows, Allocation, ClusterId, EpochReport, LoadBalancer, Topology};
+use kernelsim::{
+    affinity_allows, parallel_indexed, Allocation, ClusterId, EpochReport, LoadBalancer, Topology,
+};
 use telemetry::TelemetryHandle;
 
 use crate::anneal::{anneal, AnnealOutcome, AnnealParams};
@@ -38,7 +40,7 @@ use crate::objective::{Goal, IncrementalObjective, Objective};
 use crate::predict::PredictorSet;
 use crate::sense::ThreadSense;
 use crate::shard::ShardConfig;
-use crate::suite::{default_workers, parallel_indexed, splitmix64};
+use crate::suite::{default_workers, splitmix64};
 
 /// One cluster's solved anneal, handed back by its pool task.
 struct ClusterSolution {
@@ -164,6 +166,9 @@ impl ClusterTasks<'_> {
 pub struct ShardedBalancer {
     inner: SmartBalance,
     shard: ShardConfig,
+    /// `shard.workers`, with `0` resolved at construction to the
+    /// machine's available parallelism.
+    workers: usize,
     topology: Topology,
 }
 
@@ -194,8 +199,13 @@ impl ShardedBalancer {
         config: SmartBalanceConfig,
         predictors: PredictorSet,
     ) -> Self {
+        let shard = config.shard.unwrap_or_default();
         ShardedBalancer {
-            shard: config.shard.unwrap_or_default(),
+            shard,
+            workers: match shard.workers {
+                0 => default_workers(),
+                w => w,
+            },
             topology: Topology::from_platform(platform),
             inner: SmartBalance::with_predictors(platform, config, predictors),
         }
@@ -263,13 +273,8 @@ impl ShardedBalancer {
             goal,
             epoch_seed,
         };
-        let workers = if self.shard.workers == 0 {
-            default_workers()
-        } else {
-            self.shard.workers
-        };
         // Outcomes stay in cluster order.
-        let solutions: Vec<ClusterSolution> = parallel_indexed(occupied.len(), workers, |k| {
+        let solutions: Vec<ClusterSolution> = parallel_indexed(occupied.len(), self.workers, |k| {
             tasks.solve(occupied[k], &groups[occupied[k]])
         })
         .into_iter()
@@ -489,6 +494,13 @@ impl LoadBalancer for ShardedBalancer {
 
     fn attach_telemetry(&mut self, handle: &TelemetryHandle) {
         self.inner.set_telemetry_handle(handle);
+    }
+
+    /// [`ShardConfig::workers`], with `0` resolved to the machine's
+    /// available parallelism: the per-cluster anneal's pool size, and
+    /// the slice loop's.
+    fn workers(&self) -> usize {
+        self.workers
     }
 
     fn rebalance(&mut self, platform: &Platform, report: &EpochReport) -> Option<Allocation> {

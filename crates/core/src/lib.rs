@@ -92,6 +92,7 @@ pub use degrade::{
     QuarantineTracker,
 };
 pub use estimate::build_matrices;
+pub use kernelsim::{parallel_indexed, parallel_map};
 pub use matrices::CharacterizationMatrices;
 pub use objective::{Goal, Objective};
 pub use optimal::{exhaustive_best, known_optimum_case, KnownCase};
@@ -103,7 +104,7 @@ pub use runner::{
 pub use sense::{SenseHealth, Sensor, ThreadSense, FEATURE_NAMES, NUM_FEATURES};
 pub use shard::ShardConfig;
 pub use suite::{
-    default_workers, panic_message, parallel_indexed, splitmix64, EfficiencyGain, ExperimentSuite,
-    JobFailure, JobOutcome, JobResult, SuiteJob, SuiteProgress, SuiteReport,
+    default_workers, panic_message, splitmix64, EfficiencyGain, ExperimentSuite, JobFailure,
+    JobOutcome, JobResult, SuiteJob, SuiteProgress, SuiteReport,
 };
 pub use telemetry::{ObsCapture, ObsSummary, TelemetryHandle};

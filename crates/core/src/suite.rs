@@ -33,10 +33,9 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-use kernelsim::LoadBalancer;
+use kernelsim::{parallel_indexed, LoadBalancer};
 use serde::{Deserialize, Serialize};
 
 use crate::config::SmartBalanceConfig;
@@ -592,48 +591,6 @@ impl ExperimentSuite {
             serial_wall_s,
         }
     }
-}
-
-/// Fans `count` independent index-parameterized computations out over
-/// `workers` threads and returns the results in index order — the
-/// suite's work-distribution core, reusable for non-experiment sweeps
-/// (predictor-error grids, annealer-quality scans, ...).
-#[expect(
-    clippy::expect_used,
-    reason = "the atomic index counter hands every index below count to exactly one worker, so each slot is filled"
-)]
-pub fn parallel_indexed<T, F>(count: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if count == 0 {
-        return Vec::new();
-    }
-    let workers = workers.min(count).max(1);
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..count).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            // smartlint: allow(nondeterminism, "parallel_indexed is the sanctioned indexed pool: slot k holds f(k) regardless of completion order")
-            scope.spawn(|| loop {
-                // smartlint: allow(worker-capture, "atomic work-queue counter is the pool's deterministic job hand-off")
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= count {
-                    break;
-                }
-                let value = f(index);
-                // smartlint: allow(worker-capture, "indexed slot write under the lock is the pool's deterministic merge point")
-                slots.lock().unwrap_or_else(PoisonError::into_inner)[index] = Some(value);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_iter()
-        .map(|slot| slot.expect("every index was executed"))
-        .collect()
 }
 
 #[cfg(test)]

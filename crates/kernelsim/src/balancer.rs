@@ -314,6 +314,15 @@ pub trait LoadBalancer {
     /// predictions) into the epoch span the system opened. The default
     /// is a no-op: policies without internals to report ignore it.
     fn attach_telemetry(&mut self, _handle: &telemetry::TelemetryHandle) {}
+
+    /// The worker budget the run configured for this policy, which
+    /// [`crate::System::run_epoch`] also spends on the epoch's slice
+    /// loop (core ranges on [`crate::parallel_map`]). Results never
+    /// depend on it. The default of 1 keeps the loop on the calling
+    /// thread; wrappers should forward their inner policy's budget.
+    fn workers(&self) -> usize {
+        1
+    }
 }
 
 /// The null balancer: never migrates anything. Useful as an

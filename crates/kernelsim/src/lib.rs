@@ -35,6 +35,7 @@
 
 pub mod balancer;
 pub mod cfs;
+pub mod pool;
 pub mod stats;
 pub mod system;
 pub mod task;
@@ -46,6 +47,7 @@ pub use balancer::{
     MigrationTotals, NullBalancer, TaskEpochStats,
 };
 pub use cfs::CfsRunQueue;
+pub use pool::{parallel_indexed, parallel_map};
 pub use stats::{CoreStats, SystemStats};
 pub use system::{System, SystemConfig};
 pub use task::{affinity_allows, Task, TaskId, TaskState};

@@ -3,7 +3,9 @@
 //!
 //! Each core independently schedules its run queue within every CFS
 //! scheduling period (`T_jk(l)` in the paper); per-slice execution is
-//! delegated to `archsim` and energy to `mcpat`. At every epoch
+//! delegated to `archsim` and energy to `mcpat`. Because tasks move
+//! only between epochs, an epoch's periods run over contiguous core
+//! ranges on the worker pool, bit-identically at any worker count. At every epoch
 //! boundary (L periods, Fig. 2) the system builds an [`EpochReport`]
 //! — the sense phase — hands it to the pluggable balancer, and applies
 //! the returned allocation through the migration path.
@@ -12,10 +14,11 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use archsim::{
-    synthesize, time_to_complete_ns_with, CoreConfig, CoreId, CoreTypeId, CounterSample,
-    EstimateCache, EstimateKey, FaultHarness, FaultPlan, FaultStats, Platform, SensorBank,
+    synthesize, time_to_complete_ns_with, CoreConfig, CoreId, CoreSensors, CoreTypeId,
+    CounterSample, EstimateKey, FaultHarness, FaultPlan, FaultStats, MemoStats, Platform,
+    SensorBank,
 };
-use mcpat::{EnergyMeter, PowerState};
+use mcpat::{CoreMeter, EnergyMeter, PowerState};
 use serde::{Deserialize, Serialize};
 use workloads::WorkloadProfile;
 
@@ -24,6 +27,7 @@ use crate::balancer::{
     MigrationTotals, TaskEpochStats,
 };
 use crate::cfs::CfsRunQueue;
+use crate::pool::parallel_map;
 use crate::stats::SystemStats;
 use crate::task::{Task, TaskId, TaskState};
 use crate::topology::Topology;
@@ -66,6 +70,19 @@ impl Default for SystemConfig {
 /// Smallest slice the scheduler will dispatch, ns; bounds the event
 /// loop's work per period.
 const SLICE_FLOOR_NS: u64 = 10_000;
+
+/// Fewest cores a range of the epoch's slice loop may hold: below it a
+/// range does not repay the pool's thread hand-off (DESIGN.md "Slice
+/// loop" has the measurement).
+const MIN_RANGE_CORES: usize = 64;
+
+/// Load a live task adds to its core when the slice loop balances its
+/// core ranges; an empty core counts 1 (its per-period sleep
+/// bookkeeping), and a task costs a few slices per period.
+const TASK_LOAD: usize = 4;
+
+/// Per-core min-heap of pending `(wake_at_ns, task)` events.
+type WakeHeap = BinaryHeap<Reverse<(u64, TaskId)>>;
 
 /// Per-core accounting accumulated within the current epoch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -152,8 +169,17 @@ pub struct System {
     /// on real parts: remote caches, interconnect hops).
     cross_cluster_migrations: u64,
     tracer: Tracer,
-    /// Memoized pipeline-model evaluations for the dispatch hot path.
-    estimates: EstimateCache,
+    /// Whether dispatch reads and fills the tasks' estimate memos
+    /// (off only for the uncached parity oracle).
+    caching: bool,
+    /// Hit/miss counts of every estimate lookup since boot, summed
+    /// over the slice loop's core ranges.
+    memo: MemoStats,
+    /// Per task id: the task's index among its core range's tasks
+    /// during the current call of the slice loop (stale otherwise).
+    /// Lets a range find its own tasks, and recognize any other task
+    /// as not its own, without touching them.
+    slot: Vec<u32>,
     /// Per-core-type DVFS generation counter; part of every cache key,
     /// bumped by [`System::set_operating_point`] so an operating-point
     /// change can never serve a stale estimate.
@@ -165,7 +191,7 @@ pub struct System {
     /// lazy deletion: migration and re-sleep leave stale entries that
     /// are dropped when popped. Replaces the O(tasks) scan the idle
     /// path and slice bounding used to perform per slice.
-    wake_heaps: Vec<BinaryHeap<Reverse<(u64, TaskId)>>>,
+    wake_heaps: Vec<WakeHeap>,
     /// Scheduling slices dispatched since boot (hot-loop throughput
     /// denominator for the perf harness).
     total_slices: u64,
@@ -229,7 +255,9 @@ impl System {
             topology,
             cross_cluster_migrations: 0,
             tracer: Tracer::default(),
-            estimates: EstimateCache::new(),
+            caching: true,
+            memo: MemoStats::default(),
+            slot: Vec::new(),
             dvfs_level: vec![0; q],
             nominal_types,
             wake_heaps: vec![BinaryHeap::new(); n],
@@ -368,6 +396,7 @@ impl System {
         }
         self.tasks.push(task);
         self.live.push(id);
+        self.slot.push(u32::MAX);
         self.tracer.record(TraceEvent::Spawn {
             at_ns: self.now_ns,
             task: id,
@@ -415,39 +444,28 @@ impl System {
         self.live_iter().count()
     }
 
-    /// Runs one CFS scheduling period on every core. Offline cores are
-    /// skipped entirely (powered off, no energy); thermally throttled
-    /// cores execute only their duty-cycle fraction of the period and
-    /// are clock-gated for the rest.
+    /// Runs one CFS scheduling period on every core: the slice loop
+    /// of [`System::run_epoch`] for a single period, on the calling
+    /// thread. Offline cores are skipped entirely (powered off, no
+    /// energy); thermally throttled cores execute only their
+    /// duty-cycle fraction of the period and are clock-gated for the
+    /// rest.
     pub fn run_period(&mut self) {
-        let period = self.config.period_ns;
-        let start = self.now_ns;
-        for j in 0..self.platform.num_cores() {
-            if !self.core_online[j] {
-                continue;
-            }
-            let duty = self.core_duty[j];
-            if duty >= 1.0 {
-                self.simulate_core_period(CoreId(j), start, start + period);
-            } else {
-                let active_ns = ((period as f64 * duty).round() as u64).clamp(1, period);
-                self.simulate_core_period(CoreId(j), start, start + active_ns);
-                self.account_sleep(CoreId(j), period - active_ns);
-            }
-        }
-        self.now_ns = start + period;
+        self.run_periods(1, 1);
     }
 
     /// Runs a full epoch (L periods), then performs the
     /// sense → balance hand-off with `balancer` and applies any
     /// returned allocation. Returns the epoch's sensing report.
+    ///
+    /// The periods run on up to [`LoadBalancer::workers`] threads,
+    /// one contiguous range of cores each; results never depend on
+    /// the worker count.
     pub fn run_epoch(&mut self, balancer: &mut dyn LoadBalancer) -> EpochReport {
         if let Some(tel) = &self.telemetry {
             tel.borrow_mut().epoch_start(self.epoch_index, self.now_ns);
         }
-        for _ in 0..self.config.epoch_periods {
-            self.run_period();
-        }
+        self.run_periods(self.config.epoch_periods, balancer.workers());
         let report = self.build_epoch_report();
         if let Some(alloc) = balancer.rebalance(&self.platform, &report) {
             self.apply_allocation(&alloc);
@@ -468,280 +486,127 @@ impl System {
     }
 
     // ------------------------------------------------------------------
-    // Core-local scheduling
+    // The slice loop: core ranges on the worker pool
     // ------------------------------------------------------------------
 
-    fn simulate_core_period(&mut self, core: CoreId, start_ns: u64, end_ns: u64) {
-        let mut t = start_ns;
-        while t < end_ns {
-            self.wake_due(core, t);
-            // One heap peek covers both the idle path and the slice
-            // bound below (after wake_due every pending wake is > t).
-            let next_wake = self.next_wake_ns(core);
-            let Some(tid) = self.queues[core.0].pick_next() else {
-                // No runnable task: power-gate until the next wake-up
-                // (or the end of the period).
-                let next = next_wake.map_or(end_ns, |w| w.clamp(t + 1, end_ns));
-                self.account_sleep(core, next - t);
-                t = next;
+    /// Runs `periods` scheduling periods on every core, over at most
+    /// `workers` contiguous core ranges, one pool task per range.
+    ///
+    /// Tasks only move between cores at epoch boundaries, so within
+    /// the call no core reads another core's state: each range borrows
+    /// its cores' run queues, wake heaps, epoch accumulators, meters
+    /// and sensors, plus exactly the live tasks on those cores, and
+    /// runs its cores one after another through all the periods. Every
+    /// sink therefore takes the same adds in the same order at any
+    /// worker count. Trace events are buffered per range and merged
+    /// back in period order, then ascending core.
+    fn run_periods(&mut self, periods: u64, workers: usize) {
+        let bounds = self.range_bounds(workers);
+        let start_ns = self.now_ns;
+        let mut ranges: Vec<CoreRange<'_>> = Vec::with_capacity(bounds.len() - 1);
+        let (mut queues, mut heaps, mut accums) = (
+            &mut self.queues[..],
+            &mut self.wake_heaps[..],
+            &mut self.core_epoch[..],
+        );
+        let (mut meters, mut sensors) = (self.meter.cores_mut(), self.sensors.cores_mut());
+        for w in bounds.windows(2) {
+            let len = w[1] - w[0];
+            ranges.push(CoreRange {
+                first: w[0],
+                queues: split_off_front(&mut queues, len),
+                wake_heaps: split_off_front(&mut heaps, len),
+                accums: split_off_front(&mut accums, len),
+                meters: split_off_front(&mut meters, len),
+                sensors: split_off_front(&mut sensors, len),
+                tasks: Vec::new(),
+                out: RangeOutput::default(),
+            });
+        }
+        // Hand every live task to the range of its core, walking the
+        // table once in the live list's ascending id order.
+        let mut rest = &mut self.tasks[..];
+        let mut base = 0;
+        for id in &self.live {
+            let Some((task, tail)) = std::mem::take(&mut rest)[id.0 - base..].split_first_mut()
+            else {
+                break;
+            };
+            rest = tail;
+            base = id.0 + 1;
+            if task.is_exited() {
                 continue;
-            };
-            let slice_ns = self.slice_bound(core, tid, t, end_ns, next_wake);
-            let ran = self.dispatch(core, tid, t, slice_ns);
-            t += ran.max(1);
+            }
+            let r = bounds.partition_point(|&b| b <= task.core.0) - 1;
+            self.slot[id.0] = u32::try_from(ranges[r].tasks.len()).unwrap_or(u32::MAX);
+            ranges[r].tasks.push(task);
         }
-    }
-
-    /// Upper bound for the next slice of `tid` on `core` at time `t`.
-    fn slice_bound(
-        &self,
-        core: CoreId,
-        tid: TaskId,
-        t: u64,
-        end_ns: u64,
-        next_wake: Option<u64>,
-    ) -> u64 {
-        let rq = &self.queues[core.0];
-        let weight = self.tasks[tid.0].weight();
-        let mut slice = rq.timeslice_ns(weight, self.config.period_ns);
-        // Serve imminent wake-ups promptly (poor man's wake preemption).
-        if let Some(w) = next_wake {
-            if w > t {
-                slice = slice.min(w - t);
-            }
+        let ctx = LoopCtx {
+            platform: &self.platform,
+            config: &self.config,
+            online: &self.core_online,
+            duty: &self.core_duty,
+            dvfs_level: &self.dvfs_level,
+            slot: &self.slot,
+            caching: self.caching,
+            trace: self.tracer.level(),
+            start_ns,
+            periods,
+        };
+        let outputs = parallel_map(ranges, workers, |_, mut range| {
+            range.run(&ctx);
+            range.out
+        });
+        for out in &outputs {
+            self.total_slices += out.slices;
+            self.memo.absorb(out.memo);
         }
-        // Clamp into [min(SLICE_FLOOR_NS, remaining), remaining]: the
-        // floor bounds the event loop's iterations per period, and
-        // capping the floor itself at the remaining time keeps the
-        // bound from overshooting the period end. The loop invariant
-        // `t < end_ns` makes `remaining >= 1`, so the returned slice is
-        // always positive — a zero-length-slice spin is impossible (and
-        // `clamp` cannot panic: its lower bound is `<=` the upper).
-        let remaining = end_ns - t;
-        slice.clamp(SLICE_FLOOR_NS.min(remaining), remaining)
-    }
-
-    /// Runs `tid` on `core` for at most `max_ns`; returns actual time.
-    fn dispatch(&mut self, core: CoreId, tid: TaskId, t: u64, max_ns: u64) -> u64 {
-        let freq_hz = self.platform.core_config(core).freq_hz;
-        let weight = self.tasks[tid.0].weight();
-        let vruntime = self.tasks[tid.0].vruntime_ns;
-        self.queues[core.0].dequeue(tid, vruntime, weight);
-
-        let mut consumed = 0u64;
-
-        // 1. Pay any outstanding migration debt (cold caches).
-        {
-            let debt = self.tasks[tid.0].migration_debt_ns;
-            if debt > 0 {
-                let pay = debt.min(max_ns);
-                let cycles = (pay as f64 * 1e-9 * freq_hz).round() as u64;
-                let counters = CounterSample {
-                    cy_idle: cycles,
-                    ..Default::default()
-                };
-                let energy = self.meter.accumulate(
-                    core,
-                    PowerState::Active {
-                        activity: self.config.migration_activity,
-                    },
-                    pay,
-                );
-                self.charge(core, tid, counters, pay, energy);
-                self.tasks[tid.0].migration_debt_ns -= pay;
-                consumed += pay;
-            }
-        }
-
-        // 2. Useful execution for the remaining time. The pipeline
-        // model is evaluated at most once per (task phase, core type,
-        // DVFS level) — every later slice replays the memoized
-        // estimate, bit-identically (the model is pure).
-        if consumed < max_ns {
-            let budget_ns = max_ns - consumed;
-            let (phase, w, rem_phase) = self.tasks[tid.0].phase_view();
-            let core_type = self.platform.core_type(core);
-            let key = EstimateKey {
-                workload_id: tid.0 as u64,
-                phase: phase as u32,
-                core_type: core_type.0 as u32,
-                dvfs_level: self.dvfs_level[core_type.0],
-            };
-            let est = self
-                .estimates
-                .get_or_compute(key, &w, self.platform.core_config(core));
-
-            // Bound the slice so it stays within the current phase, the
-            // current interactive burst and the profile end.
-            let task = &self.tasks[tid.0];
-            let mut max_instr = rem_phase
-                .unwrap_or(u64::MAX)
-                .min(task.remaining_instructions().max(1));
-            if let Some(burst) = task.remaining_burst() {
-                max_instr = max_instr.min(burst);
-            }
-            let time_for_max = time_to_complete_ns_with(&est, freq_hz, max_instr);
-            let work_ns = budget_ns.min(time_for_max).max(1);
-
-            let slice = synthesize(&w, self.platform.core_config(core), &est, work_ns);
-            let instr = slice.instructions.min(max_instr);
-            let energy = self.meter.accumulate(
-                core,
-                PowerState::Active {
-                    activity: slice.activity,
-                },
-                work_ns,
-            );
-            self.charge(core, tid, slice.counters, work_ns, energy);
-            consumed += work_ns;
-            self.total_slices += 1;
-
-            // 3. State transitions.
-            let now = t + consumed;
-            let task = &mut self.tasks[tid.0];
-            task.progress += instr;
-            task.burst_progress += instr;
-            task.total_instructions += instr;
-            task.epoch.slices += 1;
-
-            let mut exited = false;
-            if task.progress >= task.profile().total_instructions() {
-                if task.is_repeating() {
-                    task.iterations += 1;
-                    task.progress = 0;
-                    task.burst_progress = 0;
-                } else {
-                    task.state = TaskState::Exited;
-                    task.exited_at_ns = Some(now);
-                    exited = true;
-                }
-            }
-            if exited {
-                self.tracer.record(TraceEvent::Exit {
-                    at_ns: now,
-                    task: tid,
-                });
-                // The task can never be dispatched again.
-                self.estimates.invalidate_workload(tid.0 as u64);
-            }
-            let task = &mut self.tasks[tid.0];
-            if !task.is_exited() {
-                if let Some(pattern) = task.profile().sleep_pattern() {
-                    if task.burst_progress >= pattern.burst_instructions && pattern.sleep_ns > 0 {
-                        task.burst_progress = 0;
-                        let wake_at_ns = now + pattern.sleep_ns;
-                        task.state = TaskState::Sleeping { wake_at_ns };
-                        self.wake_heaps[core.0].push(Reverse((wake_at_ns, tid)));
-                        self.tracer.record(TraceEvent::Sleep {
-                            at_ns: now,
-                            task: tid,
-                            wake_at_ns,
-                        });
+        if self.tracer.level() > TraceLevel::Off {
+            let periods = usize::try_from(periods).unwrap_or(usize::MAX);
+            for p in 0..periods {
+                for (out, w) in outputs.iter().zip(bounds.windows(2)) {
+                    for local in 0..w[1] - w[0] {
+                        let chunk = local * periods + p;
+                        for &event in &out.events[out.marks[chunk]..out.marks[chunk + 1]] {
+                            self.tracer.record(event);
+                        }
                     }
                 }
             }
-            self.tracer.record(TraceEvent::Slice {
-                at_ns: t,
-                task: tid,
-                core,
-                duration_ns: work_ns,
-                instructions: instr,
-            });
         }
-
-        // 4. Update vruntime and requeue if still runnable.
-        let task = &mut self.tasks[tid.0];
-        task.vruntime_ns += CfsRunQueue::vruntime_delta(consumed, weight);
-        let new_v = task.vruntime_ns;
-        self.queues[core.0].advance_min_vruntime(new_v);
-        if matches!(task.state, TaskState::Runnable) {
-            let v = self.queues[core.0].enqueue(tid, new_v, weight);
-            self.tasks[tid.0].vruntime_ns = v;
-        }
-        consumed
+        self.now_ns = start_ns + periods * self.config.period_ns;
     }
 
-    /// Attributes a slice's counters/time/energy to both the task and
-    /// the core (they must always agree — the estimation invariant).
-    fn charge(
-        &mut self,
-        core: CoreId,
-        tid: TaskId,
-        counters: CounterSample,
-        duration_ns: u64,
-        energy_j: f64,
-    ) {
-        let task = &mut self.tasks[tid.0];
-        task.epoch.counters += counters;
-        task.epoch.runtime_ns += duration_ns;
-        task.epoch.energy_j += energy_j;
-        task.total_runtime_ns += duration_ns;
-
-        let accum = &mut self.core_epoch[core.0];
-        accum.counters += counters;
-        accum.busy_ns += duration_ns;
-        accum.energy_j += energy_j;
-
-        self.sensors.record(core, counters, energy_j, duration_ns);
-    }
-
-    fn account_sleep(&mut self, core: CoreId, duration_ns: u64) {
-        let cfg = self.platform.core_config(core);
-        let cycles = (duration_ns as f64 * 1e-9 * cfg.freq_hz).round() as u64;
-        let counters = CounterSample {
-            cy_sleep: cycles,
-            ..Default::default()
-        };
-        let energy = self
-            .meter
-            .accumulate(core, PowerState::Sleeping, duration_ns);
-        let accum = &mut self.core_epoch[core.0];
-        accum.counters += counters;
-        accum.sleep_ns += duration_ns;
-        accum.energy_j += energy;
-        self.sensors.record(core, counters, energy, duration_ns);
-    }
-
-    /// Whether a heap entry still describes a live sleep on `core`.
-    /// Migration and duplicate pushes leave entries behind whose task
-    /// has since moved, woken or re-slept; those match on none of the
-    /// three conditions and are dropped where they are popped.
-    fn wake_entry_valid(&self, core: CoreId, wake_ns: u64, tid: TaskId) -> bool {
-        let task = &self.tasks[tid.0];
-        task.core() == core
-            && matches!(task.state, TaskState::Sleeping { wake_at_ns } if wake_at_ns == wake_ns)
-    }
-
-    fn wake_due(&mut self, core: CoreId, t: u64) {
-        while let Some(&Reverse((wake_ns, tid))) = self.wake_heaps[core.0].peek() {
-            if wake_ns > t {
-                break;
+    /// Where the slice loop's core ranges start, plus the core count as
+    /// the last entry: at most `workers` ranges, and no more than one
+    /// per [`MIN_RANGE_CORES`] cores. Cuts fall on cluster boundaries,
+    /// each at the boundary nearest an equal share of the load, where
+    /// a core's load is 1 plus [`TASK_LOAD`] per live task on it.
+    fn range_bounds(&self, workers: usize) -> Vec<usize> {
+        let n = self.platform.num_cores();
+        let ranges = workers.min(n / MIN_RANGE_CORES).max(1);
+        let mut bounds = vec![0];
+        if ranges > 1 {
+            let mut load = vec![1; n];
+            for t in self.live_iter() {
+                load[t.core().0] += TASK_LOAD;
             }
-            self.wake_heaps[core.0].pop();
-            if !self.wake_entry_valid(core, wake_ns, tid) {
-                continue; // lazy deletion of a stale entry
+            let total: usize = load.iter().sum();
+            let mut before = 0;
+            for c in self.topology.clusters() {
+                let cores = self.topology.cores_of(c);
+                let start = cores.first().map_or(0, |core| core.0);
+                let own: usize = cores.iter().map(|core| load[core.0]).sum();
+                let k = bounds.len();
+                // Cut before `c` once its midpoint reaches the k-th share.
+                if k < ranges && (2 * before + own) * ranges >= 2 * k * total && start > 0 {
+                    bounds.push(start);
+                }
+                before += own;
             }
-            let task = &self.tasks[tid.0];
-            let weight = task.weight();
-            let vr = task.vruntime_ns;
-            self.tasks[tid.0].state = TaskState::Runnable;
-            let v = self.queues[core.0].enqueue(tid, vr, weight);
-            self.tasks[tid.0].vruntime_ns = v;
-            self.tracer.record(TraceEvent::Wake {
-                at_ns: t,
-                task: tid,
-            });
         }
-    }
-
-    fn next_wake_ns(&mut self, core: CoreId) -> Option<u64> {
-        while let Some(&Reverse((wake_ns, tid))) = self.wake_heaps[core.0].peek() {
-            if self.wake_entry_valid(core, wake_ns, tid) {
-                return Some(wake_ns);
-            }
-            self.wake_heaps[core.0].pop(); // lazy deletion
-        }
-        None
+        bounds.push(n);
+        bounds
     }
 
     // ------------------------------------------------------------------
@@ -1078,8 +943,8 @@ impl System {
             tel.borrow_mut().epoch_end(
                 self.now_ns,
                 self.total_slices,
-                self.estimates.hits(),
-                self.estimates.misses(),
+                self.memo.hits(),
+                self.memo.misses(),
             );
         }
         // Tasks that exited before the last boundary were reset then and
@@ -1132,9 +997,9 @@ impl System {
     /// lands exactly where a single transition to its last point would.
     /// Atomically with the platform change this bumps the type's DVFS
     /// generation (part of every estimate-cache key), drops the type's
-    /// cached estimates, and recalibrates the power model of each
-    /// affected core, so no stale characterization can survive the
-    /// switch.
+    /// entries from every live task's estimate memo, and recalibrates
+    /// the power model of each affected core, so no stale
+    /// characterization can survive the switch.
     ///
     /// # Panics
     ///
@@ -1144,7 +1009,9 @@ impl System {
         let config = self.nominal_types[r.0].at_operating_point(freq_hz, vdd);
         self.platform.set_type_config(r, config);
         self.dvfs_level[r.0] = self.dvfs_level[r.0].wrapping_add(1);
-        self.estimates.invalidate_core_type(r.0 as u32);
+        for id in &self.live {
+            self.tasks[id.0].memo.invalidate_core_type(r.0 as u32);
+        }
         for c in self.platform.cores_of_type(r) {
             self.meter.recalibrate(c, self.platform.core_config(c));
         }
@@ -1155,17 +1022,407 @@ impl System {
     /// slice; it exists so parity tests can prove both paths produce
     /// bit-identical simulations.
     pub fn set_estimate_caching(&mut self, enabled: bool) {
-        self.estimates.set_enabled(enabled);
+        self.caching = enabled;
     }
 
-    /// The dispatch estimate cache (hit/miss telemetry for the perf
-    /// harness).
-    pub fn estimate_cache(&self) -> &EstimateCache {
-        &self.estimates
+    /// Hit/miss counts of the dispatch estimate memo since boot,
+    /// summed over every task's memo (telemetry for the perf harness).
+    pub fn estimate_cache(&self) -> &MemoStats {
+        &self.memo
     }
 
     pub(crate) fn meter(&self) -> &EnergyMeter {
         &self.meter
+    }
+}
+
+/// Splits the first `len` elements off `slice`, leaving the rest.
+fn split_off_front<'a, T>(slice: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(slice).split_at_mut(len);
+    *slice = tail;
+    head
+}
+
+/// Upper bound for the next slice of a task of `weight` on a core
+/// whose run queue is `rq`, at time `t`.
+fn slice_bound(
+    rq: &CfsRunQueue,
+    weight: u64,
+    period_ns: u64,
+    t: u64,
+    end_ns: u64,
+    next_wake: Option<u64>,
+) -> u64 {
+    let mut slice = rq.timeslice_ns(weight, period_ns);
+    // Serve imminent wake-ups promptly (poor man's wake preemption).
+    if let Some(w) = next_wake {
+        if w > t {
+            slice = slice.min(w - t);
+        }
+    }
+    // Clamp into [min(SLICE_FLOOR_NS, remaining), remaining]: the
+    // floor bounds the event loop's iterations per period, and
+    // capping the floor itself at the remaining time keeps the
+    // bound from overshooting the period end. The loop invariant
+    // `t < end_ns` makes `remaining >= 1`, so the returned slice is
+    // always positive — a zero-length-slice spin is impossible (and
+    // `clamp` cannot panic: its lower bound is `<=` the upper).
+    let remaining = end_ns - t;
+    slice.clamp(SLICE_FLOOR_NS.min(remaining), remaining)
+}
+
+/// Attributes a slice's counters/time/energy to both the task and
+/// the core (they must always agree — the estimation invariant).
+fn charge(
+    task: &mut Task,
+    accum: &mut CoreEpochAccum,
+    sensors: &mut CoreSensors,
+    counters: CounterSample,
+    duration_ns: u64,
+    energy_j: f64,
+) {
+    task.epoch.counters += counters;
+    task.epoch.runtime_ns += duration_ns;
+    task.epoch.energy_j += energy_j;
+    task.total_runtime_ns += duration_ns;
+
+    accum.counters += counters;
+    accum.busy_ns += duration_ns;
+    accum.energy_j += energy_j;
+
+    sensors.record(counters, energy_j, duration_ns);
+}
+
+/// The read-only inputs every core range shares during one call of the
+/// slice loop.
+struct LoopCtx<'a> {
+    platform: &'a Platform,
+    config: &'a SystemConfig,
+    online: &'a [bool],
+    duty: &'a [f64],
+    dvfs_level: &'a [u32],
+    /// [`System::slot`], filled for this call's live tasks.
+    slot: &'a [u32],
+    caching: bool,
+    trace: TraceLevel,
+    start_ns: u64,
+    periods: u64,
+}
+
+/// What one core range hands back from the slice loop.
+#[derive(Debug, Default)]
+struct RangeOutput {
+    /// Slices dispatched.
+    slices: u64,
+    /// Estimate lookups.
+    memo: MemoStats,
+    /// Buffered trace events (empty while tracing is off).
+    events: Vec<TraceEvent>,
+    /// Start of each (core, period) chunk of `events`, core-major,
+    /// plus the end of the last chunk.
+    marks: Vec<usize>,
+}
+
+impl RangeOutput {
+    fn record(&mut self, level: TraceLevel, event: TraceEvent) {
+        if level >= event.level() {
+            self.events.push(event);
+        }
+    }
+}
+
+/// One contiguous run of cores and the live tasks on them, borrowed
+/// exclusively for one call of the slice loop. Per-core slices are
+/// indexed by the core's offset from `first`.
+struct CoreRange<'a> {
+    first: usize,
+    queues: &'a mut [CfsRunQueue],
+    /// Lazy-deletion min-heaps of `(wake_at_ns, task)` events:
+    /// migration and re-sleep leave stale entries that are dropped
+    /// when popped.
+    wake_heaps: &'a mut [WakeHeap],
+    accums: &'a mut [CoreEpochAccum],
+    meters: &'a mut [CoreMeter],
+    sensors: &'a mut [CoreSensors],
+    /// The live tasks on these cores; [`LoopCtx::slot`] holds each
+    /// one's index here.
+    tasks: Vec<&'a mut Task>,
+    out: RangeOutput,
+}
+
+impl CoreRange<'_> {
+    /// Runs every core of the range through all of `ctx`'s periods,
+    /// one core after another.
+    fn run(&mut self, ctx: &LoopCtx<'_>) {
+        let period = ctx.config.period_ns;
+        let tracing = ctx.trace > TraceLevel::Off;
+        for local in 0..self.queues.len() {
+            let j = self.first + local;
+            for p in 0..ctx.periods {
+                if tracing {
+                    self.out.marks.push(self.out.events.len());
+                }
+                if !ctx.online[j] {
+                    continue;
+                }
+                let start = ctx.start_ns + p * period;
+                let duty = ctx.duty[j];
+                if duty >= 1.0 {
+                    self.simulate_core_period(ctx, local, start, start + period);
+                } else {
+                    let active_ns = ((period as f64 * duty).round() as u64).clamp(1, period);
+                    self.simulate_core_period(ctx, local, start, start + active_ns);
+                    self.account_sleep(ctx, local, period - active_ns);
+                }
+            }
+        }
+        if tracing {
+            self.out.marks.push(self.out.events.len());
+        }
+    }
+
+    fn simulate_core_period(
+        &mut self,
+        ctx: &LoopCtx<'_>,
+        local: usize,
+        start_ns: u64,
+        end_ns: u64,
+    ) {
+        let mut t = start_ns;
+        while t < end_ns {
+            self.wake_due(ctx, local, t);
+            // One heap peek covers both the idle path and the slice
+            // bound below (after wake_due every pending wake is > t).
+            let next_wake = self.next_wake_ns(ctx, local);
+            let Some(tid) = self.queues[local].pick_next() else {
+                // No runnable task: power-gate until the next wake-up
+                // (or the end of the period).
+                let next = next_wake.map_or(end_ns, |w| w.clamp(t + 1, end_ns));
+                self.account_sleep(ctx, local, next - t);
+                t = next;
+                continue;
+            };
+            // A queued task sits on this core, so it is one of ours.
+            let k = ctx.slot[tid.0] as usize;
+            let weight = self.tasks[k].weight();
+            let slice_ns = slice_bound(
+                &self.queues[local],
+                weight,
+                ctx.config.period_ns,
+                t,
+                end_ns,
+                next_wake,
+            );
+            let ran = self.dispatch(ctx, local, k, t, slice_ns);
+            t += ran.max(1);
+        }
+    }
+
+    /// Runs task `k` on core `local` for at most `max_ns`; returns
+    /// actual time.
+    fn dispatch(&mut self, ctx: &LoopCtx<'_>, local: usize, k: usize, t: u64, max_ns: u64) -> u64 {
+        let core = CoreId(self.first + local);
+        let core_config = ctx.platform.core_config(core);
+        let freq_hz = core_config.freq_hz;
+        let task = &mut *self.tasks[k];
+        let (rq, accum) = (&mut self.queues[local], &mut self.accums[local]);
+        let (meter, sensors) = (&mut self.meters[local], &mut self.sensors[local]);
+        let out = &mut self.out;
+        let tid = task.id();
+        let weight = task.weight();
+        rq.dequeue(tid, task.vruntime_ns, weight);
+
+        let mut consumed = 0u64;
+
+        // 1. Pay any outstanding migration debt (cold caches).
+        let debt = task.migration_debt_ns;
+        if debt > 0 {
+            let pay = debt.min(max_ns);
+            let cycles = (pay as f64 * 1e-9 * freq_hz).round() as u64;
+            let counters = CounterSample {
+                cy_idle: cycles,
+                ..Default::default()
+            };
+            let energy = meter.accumulate(
+                PowerState::Active {
+                    activity: ctx.config.migration_activity,
+                },
+                pay,
+            );
+            charge(task, accum, sensors, counters, pay, energy);
+            task.migration_debt_ns -= pay;
+            consumed += pay;
+        }
+
+        // 2. Useful execution for the remaining time. The pipeline
+        // model is evaluated at most once per (task phase, core type,
+        // DVFS level) — every later slice replays the task's memoized
+        // estimate, bit-identically (the model is pure).
+        if consumed < max_ns {
+            let budget_ns = max_ns - consumed;
+            let (phase, w, rem_phase) = task.phase_view();
+            let core_type = ctx.platform.core_type(core);
+            let est = if ctx.caching {
+                let key = EstimateKey {
+                    phase: phase as u32,
+                    core_type: core_type.0 as u32,
+                    dvfs_level: ctx.dvfs_level[core_type.0],
+                };
+                task.memo
+                    .get_or_compute(key, &w, core_config, &mut out.memo)
+            } else {
+                out.memo.evaluate_uncached(&w, core_config)
+            };
+
+            // Bound the slice so it stays within the current phase, the
+            // current interactive burst and the profile end.
+            let mut max_instr = rem_phase
+                .unwrap_or(u64::MAX)
+                .min(task.remaining_instructions().max(1));
+            if let Some(burst) = task.remaining_burst() {
+                max_instr = max_instr.min(burst);
+            }
+            let time_for_max = time_to_complete_ns_with(&est, freq_hz, max_instr);
+            let work_ns = budget_ns.min(time_for_max).max(1);
+
+            let slice = synthesize(&w, core_config, &est, work_ns);
+            let instr = slice.instructions.min(max_instr);
+            let energy = meter.accumulate(
+                PowerState::Active {
+                    activity: slice.activity,
+                },
+                work_ns,
+            );
+            charge(task, accum, sensors, slice.counters, work_ns, energy);
+            consumed += work_ns;
+            out.slices += 1;
+
+            // 3. State transitions.
+            let now = t + consumed;
+            task.progress += instr;
+            task.burst_progress += instr;
+            task.total_instructions += instr;
+            task.epoch.slices += 1;
+
+            if task.progress >= task.profile().total_instructions() {
+                if task.is_repeating() {
+                    task.iterations += 1;
+                    task.progress = 0;
+                    task.burst_progress = 0;
+                } else {
+                    task.state = TaskState::Exited;
+                    task.exited_at_ns = Some(now);
+                    out.record(
+                        ctx.trace,
+                        TraceEvent::Exit {
+                            at_ns: now,
+                            task: tid,
+                        },
+                    );
+                    // The task can never be dispatched again.
+                    task.memo.clear();
+                }
+            }
+            if !task.is_exited() {
+                if let Some(pattern) = task.profile().sleep_pattern() {
+                    if task.burst_progress >= pattern.burst_instructions && pattern.sleep_ns > 0 {
+                        task.burst_progress = 0;
+                        let wake_at_ns = now + pattern.sleep_ns;
+                        task.state = TaskState::Sleeping { wake_at_ns };
+                        self.wake_heaps[local].push(Reverse((wake_at_ns, tid)));
+                        out.record(
+                            ctx.trace,
+                            TraceEvent::Sleep {
+                                at_ns: now,
+                                task: tid,
+                                wake_at_ns,
+                            },
+                        );
+                    }
+                }
+            }
+            out.record(
+                ctx.trace,
+                TraceEvent::Slice {
+                    at_ns: t,
+                    task: tid,
+                    core,
+                    duration_ns: work_ns,
+                    instructions: instr,
+                },
+            );
+        }
+
+        // 4. Update vruntime and requeue if still runnable.
+        task.vruntime_ns += CfsRunQueue::vruntime_delta(consumed, weight);
+        let new_v = task.vruntime_ns;
+        rq.advance_min_vruntime(new_v);
+        if matches!(task.state, TaskState::Runnable) {
+            task.vruntime_ns = rq.enqueue(tid, new_v, weight);
+        }
+        consumed
+    }
+
+    fn account_sleep(&mut self, ctx: &LoopCtx<'_>, local: usize, duration_ns: u64) {
+        let cfg = ctx.platform.core_config(CoreId(self.first + local));
+        let cycles = (duration_ns as f64 * 1e-9 * cfg.freq_hz).round() as u64;
+        let counters = CounterSample {
+            cy_sleep: cycles,
+            ..Default::default()
+        };
+        let energy = self.meters[local].accumulate(PowerState::Sleeping, duration_ns);
+        let accum = &mut self.accums[local];
+        accum.counters += counters;
+        accum.sleep_ns += duration_ns;
+        accum.energy_j += energy;
+        self.sensors[local].record(counters, energy, duration_ns);
+    }
+
+    /// The index of `tid` among this range's tasks if a heap entry
+    /// `(wake_ns, tid)` on core `local` still describes a live sleep.
+    /// Migration and duplicate pushes leave entries behind whose task
+    /// has since moved, woken or re-slept; those are dropped where they
+    /// are popped. A task of another range (or one that exited) is not
+    /// among this range's tasks, so its entry is stale by ownership
+    /// alone: the other range's task is never read.
+    fn sleeper(&self, ctx: &LoopCtx<'_>, local: usize, wake_ns: u64, tid: TaskId) -> Option<usize> {
+        let k = ctx.slot[tid.0] as usize;
+        let task = self.tasks.get(k).filter(|t| t.id() == tid)?;
+        let asleep =
+            matches!(task.state, TaskState::Sleeping { wake_at_ns } if wake_at_ns == wake_ns);
+        (task.core.0 == self.first + local && asleep).then_some(k)
+    }
+
+    fn wake_due(&mut self, ctx: &LoopCtx<'_>, local: usize, t: u64) {
+        while let Some(&Reverse((wake_ns, tid))) = self.wake_heaps[local].peek() {
+            if wake_ns > t {
+                break;
+            }
+            self.wake_heaps[local].pop();
+            let Some(k) = self.sleeper(ctx, local, wake_ns, tid) else {
+                continue; // lazy deletion of a stale entry
+            };
+            let task = &mut *self.tasks[k];
+            task.state = TaskState::Runnable;
+            task.vruntime_ns = self.queues[local].enqueue(tid, task.vruntime_ns, task.weight());
+            self.out.record(
+                ctx.trace,
+                TraceEvent::Wake {
+                    at_ns: t,
+                    task: tid,
+                },
+            );
+        }
+    }
+
+    fn next_wake_ns(&mut self, ctx: &LoopCtx<'_>, local: usize) -> Option<u64> {
+        while let Some(&Reverse((wake_ns, tid))) = self.wake_heaps[local].peek() {
+            if self.sleeper(ctx, local, wake_ns, tid).is_some() {
+                return Some(wake_ns);
+            }
+            self.wake_heaps[local].pop(); // lazy deletion
+        }
+        None
     }
 }
 
@@ -1707,6 +1964,19 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// The slice bound of `tid` on core 0.
+    fn bound_for(sys: &System, tid: TaskId, t: u64, end_ns: u64, wake: Option<u64>) -> u64 {
+        let weight = sys.task(tid).weight();
+        slice_bound(
+            &sys.queues[0],
+            weight,
+            sys.config.period_ns,
+            t,
+            end_ns,
+            wake,
+        )
+    }
+
     #[test]
     fn slice_bound_stays_positive_and_within_the_period() {
         let mut sys = System::new(Platform::quad_heterogeneous(), SystemConfig::default());
@@ -1720,7 +1990,7 @@ mod tests {
             SLICE_FLOOR_NS + 1,
             6_000_000,
         ] {
-            let bound = sys.slice_bound(CoreId(0), tid, t, t + remaining, None);
+            let bound = bound_for(&sys, tid, t, t + remaining, None);
             assert!(bound >= 1, "zero-length slice at remaining={remaining}");
             assert!(bound <= remaining, "overshoot at remaining={remaining}");
             if remaining <= SLICE_FLOOR_NS {
@@ -1741,15 +2011,86 @@ mod tests {
         // A wake-up 1 ns away shrinks the requested slice to 1 ns, but
         // the floor wins: serving wake-ups promptly never buys a
         // degenerate slice.
-        let bound = sys.slice_bound(CoreId(0), tid, t, end_ns, Some(t + 1));
+        let bound = bound_for(&sys, tid, t, end_ns, Some(t + 1));
         assert_eq!(bound, SLICE_FLOOR_NS);
         // A wake-up past the floor trims the slice to exactly the wake.
         let wake = t + SLICE_FLOOR_NS + 5;
-        let bound = sys.slice_bound(CoreId(0), tid, t, end_ns, Some(wake));
+        let bound = bound_for(&sys, tid, t, end_ns, Some(wake));
         assert_eq!(bound, wake - t);
         // ... unless the period ends first.
-        let bound = sys.slice_bound(CoreId(0), tid, t, SLICE_FLOOR_NS + 2, Some(wake));
+        let bound = bound_for(&sys, tid, t, SLICE_FLOOR_NS + 2, Some(wake));
         assert_eq!(bound, SLICE_FLOOR_NS + 2);
+    }
+
+    #[test]
+    fn core_ranges_cut_at_cluster_boundaries_by_load() {
+        let quad = System::new(Platform::quad_heterogeneous(), SystemConfig::default());
+        assert_eq!(
+            quad.range_bounds(8),
+            vec![0, 4],
+            "small platforms keep one range"
+        );
+        let platform = Platform::clustered_heterogeneous(4, 64);
+        let mut sys = System::new(platform, SystemConfig::default());
+        assert_eq!(sys.range_bounds(1), vec![0, 256]);
+        assert_eq!(sys.range_bounds(2), vec![0, 128, 256]);
+        assert_eq!(sys.range_bounds(3), vec![0, 64, 192, 256]);
+        assert_eq!(sys.range_bounds(4), vec![0, 64, 128, 192, 256]);
+        assert_eq!(
+            sys.range_bounds(16),
+            vec![0, 64, 128, 192, 256],
+            "no range below MIN_RANGE_CORES cores"
+        );
+        // Load on the first cluster pulls the cut towards it.
+        for _ in 0..64 {
+            sys.spawn_on(cpu_profile(u64::MAX / 4), CoreId(0));
+        }
+        assert_eq!(sys.range_bounds(2), vec![0, 64, 256]);
+    }
+
+    #[test]
+    fn a_stale_wake_entry_of_another_range_is_never_taken_for_its_own_task() {
+        // Core 0's heap holds a stale entry for task `a`, which sleeps on
+        // core 70 in the other range. `a`'s slot is its index there,
+        // which in core 0's range is `b`'s, and `b` sleeps on core 0
+        // until the same instant: reading the slot without checking
+        // ownership would wake `b` before `c` on `a`'s entry. Either
+        // split must wake in the single range's order.
+        let wake_order = |workers: usize| {
+            let platform = Platform::clustered_heterogeneous(2, 64);
+            let mut sys = System::new(platform, SystemConfig::default());
+            sys.enable_tracing(TraceLevel::Lifecycle, 1_000);
+            let d = sys.spawn_on(cpu_profile(u64::MAX / 4), CoreId(71));
+            let a = sys.spawn_on(cpu_profile(u64::MAX / 4), CoreId(70));
+            let c = sys.spawn_on(cpu_profile(u64::MAX / 4), CoreId(0));
+            let b = sys.spawn_on(cpu_profile(u64::MAX / 4), CoreId(0));
+            assert!(d < a && a < c && c < b, "heap pops (w, a), (w, c), (w, b)");
+            let wake_at_ns = 1_000_000;
+            for id in [a, b, c] {
+                let task = &mut sys.tasks[id.0];
+                sys.queues[task.core.0].dequeue(id, task.vruntime_ns, task.weight());
+                task.state = TaskState::Sleeping { wake_at_ns };
+                sys.wake_heaps[task.core.0].push(Reverse((wake_at_ns, id)));
+            }
+            sys.wake_heaps[0].push(Reverse((wake_at_ns, a)));
+            sys.run_periods(1, workers);
+            let woke: Vec<TaskId> = sys
+                .tracer()
+                .events()
+                .iter()
+                .filter_map(|e| match *e {
+                    TraceEvent::Wake { task, .. } => Some(task),
+                    _ => None,
+                })
+                .collect();
+            (woke, vec![c, b, a])
+        };
+        let (single, expected) = wake_order(1);
+        assert_eq!(
+            single, expected,
+            "core 0 wakes c, then b; then core 70 wakes a"
+        );
+        assert_eq!(wake_order(2).0, single);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! (vruntime, weight, affinity), interactivity bookkeeping and the
 //! per-epoch accounting the sensing phase samples at context switches.
 
-use archsim::{CoreId, CounterSample, WorkloadCharacteristics};
+use archsim::{CoreId, CounterSample, EstimateCache, WorkloadCharacteristics};
 use serde::{Deserialize, Serialize};
 use workloads::{PhaseCursor, WorkloadProfile};
 
@@ -140,6 +140,11 @@ pub struct Task {
     /// rewinds itself whenever progress moves backwards (profile
     /// restart), so any cursor position yields correct lookups.
     pub(crate) phase_cursor: PhaseCursor,
+    /// Memoized pipeline estimates, one per (phase, core type, DVFS
+    /// level) this task has run at. Pure acceleration state, like the
+    /// cursor: cleared on exit, and a DVFS change drops the retuned
+    /// type's entries.
+    pub(crate) memo: EstimateCache,
 }
 
 impl Task {
@@ -166,6 +171,7 @@ impl Task {
             migrations: 0,
             epoch: TaskEpochAccounting::default(),
             phase_cursor: PhaseCursor::new(),
+            memo: EstimateCache::new(),
         }
     }
 

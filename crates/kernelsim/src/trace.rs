@@ -108,6 +108,14 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
+    /// The lowest [`TraceLevel`] that records this event.
+    pub fn level(&self) -> TraceLevel {
+        match self {
+            TraceEvent::Slice { .. } => TraceLevel::Full,
+            _ => TraceLevel::Lifecycle,
+        }
+    }
+
     /// The event's timestamp, ns.
     pub fn at_ns(&self) -> u64 {
         match *self {
@@ -257,11 +265,7 @@ impl Tracer {
 
     /// Records an event (respecting the level and ring bound).
     pub fn record(&mut self, event: TraceEvent) {
-        let needed = match event {
-            TraceEvent::Slice { .. } => TraceLevel::Full,
-            _ => TraceLevel::Lifecycle,
-        };
-        if self.level < needed {
+        if self.level < event.level() {
             return;
         }
         if self.events.len() < self.capacity {

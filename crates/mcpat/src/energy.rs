@@ -23,27 +23,49 @@ use crate::model::{CorePowerModel, PowerState};
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EnergyMeter {
-    models: Vec<CorePowerModel>,
-    energy_j: Vec<f64>,
-    busy_ns: Vec<u64>,
-    sleep_ns: Vec<u64>,
+    cores: Vec<CoreMeter>,
+}
+
+/// One core's calibrated power model and its integrated energy and
+/// residency. The unit a range of the scheduler's slice loop borrows
+/// exclusively (see [`EnergyMeter::cores_mut`]).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct CoreMeter {
+    model: CorePowerModel,
+    energy_j: f64,
+    busy_ns: u64,
+    sleep_ns: u64,
+}
+
+impl CoreMeter {
+    /// Integrates `duration_ns` spent in `state`, returning the energy
+    /// added in joules.
+    #[inline]
+    pub fn accumulate(&mut self, state: PowerState, duration_ns: u64) -> f64 {
+        let e = self.model.energy_j(state, duration_ns);
+        self.energy_j += e;
+        match state {
+            PowerState::Sleeping => self.sleep_ns += duration_ns,
+            PowerState::Active { .. } => self.busy_ns += duration_ns,
+        }
+        e
+    }
 }
 
 impl EnergyMeter {
     /// Creates a meter with calibrated power models for every core of
     /// `platform`.
     pub fn new(platform: &Platform) -> Self {
-        let models = platform
+        let cores = platform
             .cores()
-            .map(|c| CorePowerModel::calibrated(platform.core_config(c)))
-            .collect::<Vec<_>>();
-        let n = models.len();
-        EnergyMeter {
-            models,
-            energy_j: vec![0.0; n],
-            busy_ns: vec![0; n],
-            sleep_ns: vec![0; n],
-        }
+            .map(|c| CoreMeter {
+                model: CorePowerModel::calibrated(platform.core_config(c)),
+                energy_j: 0.0,
+                busy_ns: 0,
+                sleep_ns: 0,
+            })
+            .collect();
+        EnergyMeter { cores }
     }
 
     /// The calibrated power model of `core`.
@@ -52,7 +74,7 @@ impl EnergyMeter {
     ///
     /// Panics if `core` is out of range.
     pub fn model(&self, core: CoreId) -> &CorePowerModel {
-        &self.models[core.0]
+        &self.cores[core.0].model
     }
 
     /// Replaces `core`'s power model with one calibrated for `config`
@@ -64,7 +86,7 @@ impl EnergyMeter {
     ///
     /// Panics if `core` is out of range.
     pub fn recalibrate(&mut self, core: CoreId, config: &archsim::CoreConfig) {
-        self.models[core.0] = CorePowerModel::calibrated(config);
+        self.cores[core.0].model = CorePowerModel::calibrated(config);
     }
 
     /// Integrates `duration_ns` of core `core` spent in `state`,
@@ -74,33 +96,33 @@ impl EnergyMeter {
     ///
     /// Panics if `core` is out of range.
     pub fn accumulate(&mut self, core: CoreId, state: PowerState, duration_ns: u64) -> f64 {
-        let e = self.models[core.0].energy_j(state, duration_ns);
-        self.energy_j[core.0] += e;
-        match state {
-            PowerState::Sleeping => self.sleep_ns[core.0] += duration_ns,
-            PowerState::Active { .. } => self.busy_ns[core.0] += duration_ns,
-        }
-        e
+        self.cores[core.0].accumulate(state, duration_ns)
+    }
+
+    /// Every core's meter, indexed by core id, for callers that split
+    /// the meter into disjoint core ranges.
+    pub fn cores_mut(&mut self) -> &mut [CoreMeter] {
+        &mut self.cores
     }
 
     /// Energy consumed by one core so far, joules.
     pub fn core_energy_j(&self, core: CoreId) -> f64 {
-        self.energy_j[core.0]
+        self.cores[core.0].energy_j
     }
 
     /// Total platform energy so far, joules.
     pub fn total_energy_j(&self) -> f64 {
-        self.energy_j.iter().sum()
+        self.cores.iter().map(|c| c.energy_j).sum()
     }
 
     /// Time core `core` has spent powered and executing, nanoseconds.
     pub fn busy_ns(&self, core: CoreId) -> u64 {
-        self.busy_ns[core.0]
+        self.cores[core.0].busy_ns
     }
 
     /// Time core `core` has spent power-gated, nanoseconds.
     pub fn sleep_ns(&self, core: CoreId) -> u64 {
-        self.sleep_ns[core.0]
+        self.cores[core.0].sleep_ns
     }
 
     /// System energy efficiency: instructions per joule (≡ average

@@ -33,7 +33,7 @@ pub mod model;
 pub mod sensor;
 pub mod thermal;
 
-pub use energy::EnergyMeter;
+pub use energy::{CoreMeter, EnergyMeter};
 pub use model::{
     CorePowerModel, PowerState, IDLE_DYNAMIC_FLOOR, LEAKAGE_FRACTION, SLEEP_POWER_FRACTION,
 };

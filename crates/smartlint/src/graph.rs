@@ -406,8 +406,8 @@ impl Graph {
             _ => {}
         }
 
-        // Import-alias splice: `use crate::suite::parallel_indexed as p;
-        // p(...)` or `use smartbalance::suite; suite::parallel_indexed(...)`.
+        // Import-alias splice: `use kernelsim::parallel_indexed as p;
+        // p(...)` or `use kernelsim::pool; pool::parallel_indexed(...)`.
         for imp in &f.parsed.imports {
             if !imp.glob && imp.alias == segs[0] {
                 let mut spliced = imp.path.clone();

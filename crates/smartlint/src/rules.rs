@@ -481,8 +481,9 @@ fn detect_d2(lexed: &Lexed, parsed: &ParsedFile, regions: &[(u32, u32)]) -> Vec<
             line: c.line,
             tok: c.tok,
             message: "`spawn` starts an OS thread in simulation code: completion order must never \
-                      reach results — fan out through the indexed pool (`parallel_indexed`) or \
-                      justify with `// smartlint: allow(nondeterminism, \"…\")`"
+                      reach results — fan out through the sanctioned indexed pool \
+                      (`kernelsim::parallel_map` or `parallel_indexed`, re-exported by \
+                      `smartbalance`) or justify with `// smartlint: allow(nondeterminism, \"…\")`"
                 .to_string(),
         });
     }

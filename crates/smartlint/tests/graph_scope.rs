@@ -187,6 +187,48 @@ fn worker_pool_rules_follow_spawns_across_files() {
 }
 
 #[test]
+fn closures_handed_to_the_kernelsim_pool_are_worker_closures() {
+    // The pool lives in kernelsim and smartbalance re-exports it; a
+    // closure handed to it from `crates/core` through either path is
+    // a worker closure, and the pool's own source lints clean.
+    let read = |rel: &str| {
+        let path = workspace_root().join(rel);
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+    };
+    let user = "crates/core/src/balance/sharded.rs";
+    let files = vec![
+        SourceFile {
+            path: "crates/kernelsim/src/pool.rs".to_string(),
+            source: read("crates/kernelsim/src/pool.rs"),
+        },
+        SourceFile {
+            path: "crates/core/src/lib.rs".to_string(),
+            source: "pub use kernelsim::{parallel_indexed, parallel_map};\n".to_string(),
+        },
+        SourceFile {
+            path: user.to_string(),
+            source: read("crates/smartlint/fixtures/pool_user.rs"),
+        },
+    ];
+    let mut names = BTreeMap::new();
+    names.insert("crates/core/src/".to_string(), "smartbalance".to_string());
+    names.insert("crates/kernelsim/src/".to_string(), "kernelsim".to_string());
+    let got: Vec<(String, String, u32)> = analyze_file_set(&files, &names)
+        .findings
+        .into_iter()
+        .map(|f| (f.rule, f.file, f.line))
+        .collect();
+    assert_eq!(
+        got,
+        vec![
+            ("W1".to_string(), user.to_string(), 11),
+            ("F2".to_string(), user.to_string(), 19),
+        ],
+        "the unannotated atomic and the captured f64 fold must both fire"
+    );
+}
+
+#[test]
 fn analyzer_output_is_byte_identical_across_runs() {
     let report = |a: &Analysis| Report {
         version: REPORT_VERSION,

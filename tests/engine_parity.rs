@@ -6,27 +6,46 @@
 //! model. The scenarios stack forced cross-type migrations with
 //! mid-epoch DVFS transitions, an active sensor-fault plan,
 //! probabilistic migration failure, core hotplug, task churn (short
-//! tasks replaced as they exit) and full-level event tracing.
+//! tasks replaced as they exit) and full-level event tracing. A
+//! 256-core scenario runs the same stress with the epoch's slice loop
+//! split into one to four core ranges, and every worker count must
+//! match the single-range run and the oracle.
 //!
 //! The fingerprint is the JSON serialization of every [`EpochReport`]
 //! (string equality implies bit equality of every `f64` inside), plus
 //! the sensor totals, the dispatch count and — for the traced scenario
 //! — the exact CSV event stream. Every scenario also pins the memo's
 //! telemetry, so the parity can never pass vacuously: the oracle never
-//! hits, the cached run serves more than four lookups per miss, and
-//! each dispatched slice consults the cache exactly once.
+//! hits, the cached run serves more than four lookups per miss, each
+//! dispatched slice consults the cache exactly once, and the hit and
+//! miss totals equal the ones recorded before the memo moved from one
+//! shared table into each task.
 
 use archsim::{CoreId, CoreTypeId, FaultKind, FaultPlan, Platform};
 use kernelsim::{Allocation, EpochReport, LoadBalancer, System, SystemConfig, TraceLevel};
 use workloads::SyntheticGenerator;
 
-/// Deterministic stirring balancer: rotates every live task one core
-/// to the right each epoch, forcing cross-type migrations (every core
-/// of the quad heterogeneous platform is its own type) and regularly
-/// moving sleeping tasks across wake heaps.
+/// Deterministic stirring balancer: rotates every live task `stride`
+/// cores to the right each epoch, forcing cross-type migrations (every
+/// core of the quad heterogeneous platform is its own type) and
+/// regularly moving sleeping tasks across wake heaps.
 struct Rotate {
     num_cores: usize,
+    stride: usize,
     epoch: usize,
+    /// The worker budget the balancer hands the slice loop.
+    workers: usize,
+}
+
+impl Rotate {
+    fn new(num_cores: usize, stride: usize, workers: usize) -> Self {
+        Rotate {
+            num_cores,
+            stride,
+            epoch: 0,
+            workers,
+        }
+    }
 }
 
 impl LoadBalancer for Rotate {
@@ -38,9 +57,14 @@ impl LoadBalancer for Rotate {
         self.epoch += 1;
         let mut alloc = Allocation::new();
         for t in report.tasks.iter().filter(|t| t.alive) {
-            alloc.assign(t.task, CoreId((t.task.0 + self.epoch) % self.num_cores));
+            let core = (t.task.0 + self.epoch * self.stride) % self.num_cores;
+            alloc.assign(t.task, CoreId(core));
         }
         Some(alloc)
+    }
+
+    fn workers(&self) -> usize {
+        self.workers
     }
 }
 
@@ -115,10 +139,7 @@ fn run(cached: bool, sc: Scenario) -> RunTrace {
         let instructions = task_instructions(&mut gen, sc);
         sys.spawn(gen.profile(format!("w{i}"), 5, instructions, i % 2 == 0));
     }
-    let mut bal = Rotate {
-        num_cores: 4,
-        epoch: 0,
-    };
+    let mut bal = Rotate::new(4, 1, 1);
     let epochs = match (sc.trace, sc.churn) {
         (true, _) => TRACED_EPOCHS,
         (false, true) => CHURN_EPOCHS,
@@ -182,10 +203,50 @@ fn run(cached: bool, sc: Scenario) -> RunTrace {
 
 /// Runs `sc` cached and against the uncached oracle, asserts the full
 /// observable-equality contract and the memo's telemetry invariants,
-/// and returns the cached run for scenario-specific checks.
-fn assert_matches_oracle(sc: Scenario, label: &str) -> RunTrace {
+/// and returns the cached run for scenario-specific checks. `memo` is
+/// the cached run's `(hits, misses)`, recorded when one table shared
+/// by every task held the memo.
+fn assert_matches_oracle(sc: Scenario, label: &str, memo: (u64, u64)) -> RunTrace {
     let cached = run(true, sc);
     let oracle = run(false, sc);
+    assert_same_run(&cached, &oracle, label);
+    assert_eq!(
+        (cached.cache_hits, cached.cache_misses),
+        memo,
+        "{label}: memo hits and misses moved"
+    );
+    assert_memo_telemetry(&cached, &oracle, label);
+    cached
+}
+
+/// FNV-1a over everything observable about a run except the memo's
+/// counts: report fingerprints, totals and the CSV trace. Pinned
+/// digests carry the same libm risk as the benchmark's baseline
+/// fingerprints.
+fn digest(run: &RunTrace) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for f in &run.fingerprints {
+        eat(f.as_bytes());
+    }
+    for v in [
+        run.total_instructions,
+        run.total_energy_bits,
+        run.total_slices,
+    ] {
+        eat(&v.to_le_bytes());
+    }
+    eat(run.trace_csv.as_bytes());
+    h
+}
+
+/// Everything observable about two runs is equal, bit for bit; the
+/// memo's counts are left to the caller.
+fn assert_same_run(cached: &RunTrace, oracle: &RunTrace, label: &str) {
     assert_eq!(
         cached.fingerprints.len(),
         oracle.fingerprints.len(),
@@ -212,7 +273,11 @@ fn assert_matches_oracle(sc: Scenario, label: &str) -> RunTrace {
         cached.trace_csv, oracle.trace_csv,
         "{label}: trace streams diverged"
     );
+}
 
+/// The oracle never hits, the cached run mostly does, and every
+/// dispatched slice consults the cache exactly once in both.
+fn assert_memo_telemetry(cached: &RunTrace, oracle: &RunTrace, label: &str) {
     assert_eq!(oracle.cache_hits, 0, "{label}: the oracle must never hit");
     assert!(
         cached.cache_hits > 4 * cached.cache_misses,
@@ -220,14 +285,13 @@ fn assert_matches_oracle(sc: Scenario, label: &str) -> RunTrace {
         cached.cache_hits,
         cached.cache_misses
     );
-    for (run, name) in [(&cached, "cached"), (&oracle, "oracle")] {
+    for (run, name) in [(cached, "cached"), (oracle, "oracle")] {
         assert_eq!(
             run.cache_hits + run.cache_misses,
             run.total_slices,
             "{label} ({name}): every dispatched slice consults the cache exactly once"
         );
     }
-    cached
 }
 
 #[test]
@@ -236,7 +300,7 @@ fn dvfs_scenario_matches_the_uncached_oracle() {
         dvfs: true,
         ..Scenario::default()
     };
-    let with_dvfs = assert_matches_oracle(sc, "dvfs");
+    let with_dvfs = assert_matches_oracle(sc, "dvfs", (1763, 70));
     // Not vacuous: the DVFS knob is not a no-op, so a cached estimate
     // surviving a retune would have shown above.
     let without = run(true, Scenario::default());
@@ -261,7 +325,7 @@ fn full_stress_scenario_matches_the_uncached_oracle() {
         migration_failure: 0.5,
         ..Scenario::default()
     };
-    let cached = assert_matches_oracle(sc, "full stress");
+    let cached = assert_matches_oracle(sc, "full stress", (1742, 51));
     assert!(cached.total_slices > 1_000, "real work happened");
 }
 
@@ -272,7 +336,7 @@ fn hotplug_with_dvfs_matches_the_uncached_oracle() {
         dvfs: true,
         ..Scenario::default()
     };
-    assert_matches_oracle(sc, "hotplug + dvfs");
+    assert_matches_oracle(sc, "hotplug + dvfs", (1738, 80));
 }
 
 #[test]
@@ -285,7 +349,7 @@ fn hotplug_across_dvfs_does_not_replay_stale_estimates() {
         hotplug: true,
         ..Scenario::default()
     };
-    let cached = assert_matches_oracle(sc, "hotplug");
+    let cached = assert_matches_oracle(sc, "hotplug", (1751, 50));
     // The retune while core 2 was offline must actually change
     // execution once it is back, or this test proves nothing.
     let quiet = run(true, Scenario::default());
@@ -304,7 +368,14 @@ fn full_trace_streams_are_identical() {
         trace: true,
         ..Scenario::default()
     };
-    let cached = assert_matches_oracle(sc, "traced");
+    let cached = assert_matches_oracle(sc, "traced", (310, 30));
+    // Recorded with the single-threaded loop that preceded core ranges,
+    // so the merged trace keeps its event order: by period, then core.
+    assert_eq!(
+        digest(&cached),
+        0x8772_2672_54ca_c213,
+        "traced: the run moved against the loop before core ranges"
+    );
     assert!(
         cached.trace_csv.lines().count() > 100,
         "traced scenario too small to be meaningful"
@@ -321,7 +392,7 @@ fn churn_scenario_matches_the_uncached_oracle() {
         migration_failure: 0.1,
         ..Scenario::default()
     };
-    let cached = assert_matches_oracle(sc, "churn");
+    let cached = assert_matches_oracle(sc, "churn", (4416, 466));
     let exits: usize = cached
         .fingerprints
         .iter()
@@ -331,4 +402,103 @@ fn churn_scenario_matches_the_uncached_oracle() {
         exits > 3 * TASKS,
         "premise: the run churned ({exits} exits)"
     );
+}
+
+/// Cores per cluster and clusters of the worker-count scenario's
+/// platform: four clusters, so up to four core ranges.
+const WIDE_CLUSTERS: usize = 4;
+const WIDE_CLUSTER_CORES: usize = 64;
+const WIDE_TASKS: usize = 384;
+const WIDE_EPOCHS: u32 = 8;
+
+/// The worker-count scenario: 384 mixed tasks (a third interactive,
+/// every eighth short enough to exit) on a 256-core, four-cluster
+/// platform, rotated 67 cores per epoch so most tasks cross a range
+/// boundary and leave stale wake-heap entries behind in another range.
+/// On top: DVFS retunes (one right after a lone `run_period`), a
+/// certain `StuckCounters` fault, 30 % migration failure, a core
+/// offline for three epochs and full-level tracing. The slice loop
+/// runs on `workers` core ranges.
+fn run_wide(cached: bool, workers: usize) -> RunTrace {
+    let platform = Platform::clustered_heterogeneous(WIDE_CLUSTERS, WIDE_CLUSTER_CORES);
+    let n = platform.num_cores();
+    let mut sys = System::new(platform, SystemConfig::default());
+    sys.set_estimate_caching(cached);
+    sys.set_fault_plan(
+        FaultPlan::new().inject(2, None, FaultKind::StuckCounters { prob: 1.0 }),
+        0x5EED,
+    );
+    sys.set_migration_failure(0.3, 0xF00D);
+    sys.enable_tracing(TraceLevel::Full, 1 << 22);
+    let mut gen = SyntheticGenerator::new(0x00C0_4E5E);
+    for i in 0..WIDE_TASKS {
+        let instructions = if i % 8 == 0 {
+            5_000_000 + gen.below(40_000_001)
+        } else {
+            u64::MAX / 64
+        };
+        let profile = gen.profile(format!("w{i}"), 4, instructions, i % 3 == 0);
+        sys.spawn_on(profile, CoreId((i * 5) % n));
+    }
+    let mut bal = Rotate::new(n, 67, workers);
+    let mut fingerprints = Vec::new();
+    for epoch in 0..WIDE_EPOCHS {
+        match epoch {
+            2 => {
+                sys.run_period();
+                sys.set_operating_point(CoreTypeId(1), 1.0e9, 0.72);
+            }
+            3 => sys.set_core_online(CoreId(130), false),
+            5 => {
+                sys.set_operating_point(CoreTypeId(3), 0.4e9, 0.55);
+                sys.set_operating_point(CoreTypeId(1), 1.9e9, 0.9);
+            }
+            6 => sys.set_core_online(CoreId(130), true),
+            _ => {}
+        }
+        let report = sys.run_epoch(&mut bal);
+        fingerprints.push(serde_json::to_string(&report).expect("serialize report"));
+    }
+    assert_eq!(sys.tracer().dropped(), 0, "ring must not wrap");
+    RunTrace {
+        fingerprints,
+        total_instructions: sys.sensors().total_instructions(),
+        total_energy_bits: sys.sensors().total_energy_j().to_bits(),
+        total_slices: sys.total_slices(),
+        cache_hits: sys.estimate_cache().hits(),
+        cache_misses: sys.estimate_cache().misses(),
+        trace_csv: sys.tracer().to_csv(),
+    }
+}
+
+#[test]
+fn slice_loop_output_is_invariant_to_the_worker_count() {
+    let single = run_wide(true, 1);
+    for workers in 2..=4 {
+        let split = run_wide(true, workers);
+        let label = format!("{workers} workers");
+        assert_same_run(&split, &single, &label);
+        assert_eq!(
+            (split.cache_hits, split.cache_misses),
+            (single.cache_hits, single.cache_misses),
+            "{label}: memo hits and misses"
+        );
+    }
+    // Recorded with the single-threaded loop that preceded core ranges.
+    assert_eq!(
+        (digest(&single), single.cache_hits, single.cache_misses),
+        (0xab77_3d66_2e39_e03b, 31_179, 1_744),
+        "the run moved against the loop before core ranges"
+    );
+    let oracle = run_wide(false, 4);
+    assert_same_run(&single, &oracle, "oracle on 4 workers");
+    assert_memo_telemetry(&single, &oracle, "oracle on 4 workers");
+    // Not vacuous: tasks exited, slept and woke, and moved.
+    for needle in [",exit,", ",sleep,", ",wake,", ",migrate,"] {
+        assert!(
+            single.trace_csv.contains(needle),
+            "premise: the trace holds {needle} events"
+        );
+    }
+    assert!(single.total_slices > 10_000, "real work happened");
 }
