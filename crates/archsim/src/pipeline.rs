@@ -57,20 +57,102 @@ pub fn base_ipc(ilp: f64, core: &CoreConfig) -> f64 {
 /// high ILP explains it — and maps to a representative high value
 /// (6.0), which is the predictor's only irreducible uncertainty when
 /// extrapolating from a weak core to a strong one.
+///
+/// The bisection takes 48 steps, but calls [`base_ipc`] only at the
+/// mids whose outcome `settled_bounds` has not already proven.
 pub fn ilp_for_base_ipc(base: f64, core: &CoreConfig) -> f64 {
     if base >= core.peak_ipc * 0.995 {
         return 6.0;
     }
+    let (below, above) = settled_bounds(base, core);
     let (mut lo, mut hi) = (0.05f64, 16.0f64);
     for _ in 0..48 {
         let mid = 0.5 * (lo + hi);
-        if base_ipc(mid, core) < base {
+        if mid <= below || (mid < above && base_ipc(mid, core) < base) {
             lo = mid;
         } else {
             hi = mid;
         }
     }
     0.5 * (lo + hi)
+}
+
+/// Relative margin of [`settled_bounds`]: `d = 2⁻³⁹·x/slope`.
+const SETTLE_MARGIN: f64 = 1.0 / (1u64 << 39) as f64;
+
+/// Newton steps [`window_crossing`] may take before it gives up.
+const NEWTON_STEPS: usize = 8;
+
+/// A Newton step at most this fraction of `u` ends the iteration.
+const NEWTON_SETTLED: f64 = 1.0 / (1u64 << 24) as f64;
+
+/// Where [`ilp_for_base_ipc`]'s bisection outcome is already proven:
+/// every mid at or below the first bound has `base_ipc(mid) < base`,
+/// every mid at or above the second has `base_ipc(mid) ≥ base`, and
+/// only mids strictly between them need evaluating. `(−∞, ∞)` when no
+/// bracket could be proven, so every mid is evaluated.
+///
+/// On `[0.05, 16]` `base_ipc` clamps the curve `f(x) = x·(1 −
+/// e^{−c/x})`, `c = window_size/24`, which is increasing and concave,
+/// and its float evaluation is within `E(x) = x·2⁻⁵¹` of `f(x)` (two
+/// roundings in `c/x`, `exp` within an ulp, then `1 − e` and the
+/// product), so `f ± E` are increasing too (`f' > 10⁻⁶` there). With
+/// `x` the crossing [`window_crossing`] finds, `s` the slope at its
+/// last iterate (within `2⁻²⁴·x` of `x`) and `d = 2⁻³⁹·x/s`,
+/// the witnesses `a = x − d` and `b = x + d` must evaluate to
+/// `base_ipc(a) < base ≤ base_ipc(b)`. Then for a mid `≤ a − d` the
+/// exact curve lies at least `d·f'(a) ≥ d·s` below `f(a)`, and for a
+/// mid `≥ b + d` at least `d·f'(b + d) ≥ d·s/1.07` above `f(b)` (`f'`
+/// falls no faster than `x⁻²`, and `d ≤ x/64`). Both rises are at least
+/// 2¹⁰ times the `2.05·E(x)` the two float evaluations can lose, so the
+/// mid's float value falls on the witness's side of `base`: the
+/// outcome does not depend on Newton's accuracy, which only decides
+/// how many mids stay open. A margin fixed in absolute terms instead
+/// fails on the flat part of a narrow window, where `f'` is tiny.
+fn settled_bounds(base: f64, core: &CoreConfig) -> (f64, f64) {
+    const OPEN: (f64, f64) = (f64::NEG_INFINITY, f64::INFINITY);
+    let c = window_size(core) / WINDOW_ENTRIES_PER_ILP;
+    if !(base > 0.05 && base < c) {
+        return OPEN;
+    }
+    let Some((x, slope)) = window_crossing(base, c) else {
+        return OPEN;
+    };
+    let d = x * SETTLE_MARGIN / slope;
+    let (a, b) = (x - d, x + d);
+    let (below, above) = (a - d, b + d);
+    let proven = d > 0.0
+        && d <= x / 64.0
+        && below > 0.05
+        && above < 16.0
+        && base_ipc(a, core) < base
+        && base_ipc(b, core) >= base;
+    if proven {
+        (below, above)
+    } else {
+        OPEN
+    }
+}
+
+/// Where `x·(1 − e^{−c/x})` crosses `base` (`0 < base < c`), with the
+/// curve's slope at the last Newton iterate, or `None` if the steps do
+/// not settle. Newton runs in `u = c/x` on `(1 − e^{−u})/u = base/c`,
+/// whose left side is convex and decreasing, from the root of
+/// `u + 1/(1 + u/2) = c/base`: a lower bound, since `u/(e^u − 1) ≤
+/// 1/(1 + u/2)`, so the steps climb monotonically to the crossing.
+fn window_crossing(base: f64, c: f64) -> Option<(f64, f64)> {
+    let r = c / base;
+    let mut u = 0.5 * (r - 2.0 + (r * r + 4.0 * r - 4.0).sqrt());
+    for _ in 0..NEWTON_STEPS {
+        let e = (-u).exp();
+        let slope = 1.0 - e * (1.0 + u);
+        let step = ((1.0 - e) / u - base / c) * u * u / slope;
+        u += step;
+        if step.abs() <= u * NEWTON_SETTLED {
+            return Some((c / u, slope));
+        }
+    }
+    None
 }
 
 /// Result of evaluating the pipeline model for one (workload, core)
@@ -318,6 +400,103 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The 48-step bisection that evaluates `base_ipc` at every mid:
+    /// the oracle `ilp_for_base_ipc` must equal bit for bit.
+    fn ilp_by_full_bisection(base: f64, core: &CoreConfig) -> f64 {
+        if base >= core.peak_ipc * 0.995 {
+            return 6.0;
+        }
+        let (mut lo, mut hi) = (0.05f64, 16.0f64);
+        for _ in 0..48 {
+            let mid = 0.5 * (lo + hi);
+            if base_ipc(mid, core) < base {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    /// The six calibrated core types, a narrow window whose curve
+    /// flattens out below the peak (`c` = 8/24 against a 0.9 peak) and
+    /// a very wide one.
+    fn oracle_cores() -> Vec<CoreConfig> {
+        let narrow = CoreConfig {
+            name: "Narrow".to_owned(),
+            rob_size: 8,
+            iq_size: 4,
+            phys_regs: 24,
+            peak_ipc: 0.9,
+            ..CoreConfig::small()
+        };
+        let wide = CoreConfig {
+            name: "Wide".to_owned(),
+            issue_width: 16,
+            iq_size: 512,
+            rob_size: 2048,
+            phys_regs: 4096,
+            peak_ipc: 12.0,
+            ..CoreConfig::huge()
+        };
+        vec![
+            CoreConfig::huge(),
+            CoreConfig::big(),
+            CoreConfig::medium(),
+            CoreConfig::small(),
+            CoreConfig::a15_like(),
+            CoreConfig::a7_like(),
+            narrow,
+            wide,
+        ]
+    }
+
+    /// `ilp_for_base_ipc` against the full bisection on 10⁶ bases per
+    /// core: exactly 0.05 and the 4 095 floats above it, then in turn
+    /// uniform draws in (0.05, 0.995·peak), draws within 10⁶ ulps below
+    /// 0.995·peak, draws within 2²⁰ ulps of `base_ipc(16)`, and
+    /// `base_ipc(x)` for `x` uniform in [1, 16], where a narrow
+    /// window's curve is flat. One thread per core.
+    #[test]
+    fn bracketed_inversion_equals_the_full_bisection_bitwise() {
+        fn check(core: &CoreConfig, seed: u64) {
+            let mut state = seed;
+            let mut draw = move || {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            };
+            let top = core.peak_ipc * 0.995;
+            let plateau = base_ipc(16.0, core);
+            for k in 0..1_000_000u64 {
+                let unit = (draw() >> 11) as f64 / (1u64 << 53) as f64;
+                let base = match k {
+                    0..4096 => f64::from_bits(0.05f64.to_bits() + k),
+                    _ => match k % 4 {
+                        0 => 0.05 + (top - 0.05) * unit,
+                        1 => f64::from_bits(top.to_bits() - 1 - draw() % 1_000_000),
+                        2 => f64::from_bits(plateau.to_bits() + draw() % (1 << 21) - (1 << 20)),
+                        _ => base_ipc(1.0 + 15.0 * unit, core),
+                    },
+                };
+                assert_eq!(
+                    ilp_for_base_ipc(base, core).to_bits(),
+                    ilp_by_full_bisection(base, core).to_bits(),
+                    "{}: base {base:e}",
+                    core.name
+                );
+            }
+        }
+        let cores = oracle_cores();
+        std::thread::scope(|s| {
+            for (k, core) in cores.iter().enumerate() {
+                s.spawn(move || check(core, 0x0dac_2015 + k as u64));
+            }
+        });
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!    "computations induced by the latest swap");
 //! 3. Algorithm 1 on oracle vs Θ-predicted matrices, plus the quality
 //!    gap between the two allocations;
-//! 4. exhaustive enumeration vs the annealer at 3 cores × 6 threads.
+//! 4. exhaustive enumeration vs the annealer at 3 cores × 6 threads;
+//! 5. the predict stage: one `predict_ipc_by_type` row (Eq. 8 for
+//!    every destination type) and one offline `PredictorSet::train`.
 //!
 //! Each line is the mean wall-clock time per iteration. Serial on
 //! purpose: concurrent work would inflate the timings. Takes no
@@ -16,19 +18,24 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use archsim::CoreTypeId;
+use archsim::{run_slice, CoreTypeId, Platform};
 use kernelsim::TaskId;
 use smartbalance::fixed::{fx_exp_neg, Fx, Randi, FRAC_BITS, ONE};
 use smartbalance::objective::IncrementalObjective;
+use smartbalance::predict::PredictorSet;
+use smartbalance::sense::features_from_counters;
 use smartbalance::{
     anneal, exhaustive_best, known_optimum_case, splitmix64, AnnealParams,
-    CharacterizationMatrices, Goal, Objective,
+    CharacterizationMatrices, Goal, Objective, SmartBalanceConfig,
 };
 use smartbalance_bench::{ablation_anneal, ablation_matrices, prediction_gap};
 use workloads::SyntheticGenerator;
 
 /// Inputs per timed iteration of item 1.
 const SCATTERED: usize = 4096;
+
+/// Signatures per timed iteration of item 5.
+const SIGNATURES: usize = 2000;
 
 /// Prints the mean wall-clock time per call of `f`: one untimed
 /// warm-up call, then calls until at least 200 ms have passed.
@@ -119,4 +126,32 @@ fn main() {
     time("exhaustive", || exhaustive_best(&objective).expect("small"));
     let params = AnnealParams::scaled_for(3, 6);
     time("anneal", || anneal(&objective, &[0; 6], params, 9));
+
+    println!("\n== 5. predict stage (quad platform, default corpus) ==");
+    // Synthetic workloads, each sampled for 10 ms on a source core type
+    // that splitmix64 scatters, so rows alternate source types the way
+    // a rebalance's misses do.
+    let platform = Platform::quad_heterogeneous();
+    let corpus = SmartBalanceConfig::default().train_corpus;
+    let predictors = PredictorSet::train(&platform, corpus, 42);
+    let q = platform.num_types() as u64;
+    let signatures: Vec<_> = SyntheticGenerator::new(11)
+        .corpus(SIGNATURES)
+        .iter()
+        .enumerate()
+        .map(|(k, w)| {
+            let src = CoreTypeId((splitmix64(k as u64) % q) as usize);
+            let cfg = platform.type_config(src);
+            let slice = run_slice(w, cfg, 10_000_000);
+            (features_from_counters(&slice.counters, cfg.freq_hz), src)
+        })
+        .collect();
+    println!("predict_ipc_by_type: {SIGNATURES} rows per iteration");
+    time("predict_ipc_by_type", || {
+        signatures
+            .iter()
+            .map(|(f, src)| predictors.predict_ipc_by_type(f, *src)[0])
+            .sum::<f64>()
+    });
+    time("train", || PredictorSet::train(&platform, corpus, 42));
 }

@@ -227,6 +227,13 @@ impl PredictorSet {
             );
         }
 
+        // Per destination type: the regression target, the true CPI of
+        // every corpus workload there, shared by the q source fits.
+        let targets: Vec<Vec<f64>> = type_configs
+            .iter()
+            .map(|cfg| corpus.iter().map(|w| 1.0 / estimate(w, cfg).ipc).collect())
+            .collect();
+
         let mut theta = vec![[0.0; NUM_COEFFS]; q * q];
         for src in 0..q {
             // Invert each signature once per source type; the q
@@ -235,17 +242,13 @@ impl PredictorSet {
                 .iter()
                 .map(|f| infer_workload(f, &type_configs[src]))
                 .collect();
-            for dst in 0..q {
+            for (dst, ys) in targets.iter().enumerate() {
                 let xs: Vec<[f64; NUM_COEFFS]> = inversions
                     .iter()
                     .zip(signatures[src].iter())
                     .map(|(w, f)| transform_with(w, f, &type_configs[dst]))
                     .collect();
-                let ys: Vec<f64> = corpus
-                    .iter()
-                    .map(|w| 1.0 / estimate(w, &type_configs[dst]).ipc)
-                    .collect();
-                theta[src * q + dst] = least_squares(&xs, &ys);
+                theta[src * q + dst] = least_squares(&xs, ys);
             }
         }
 
@@ -753,5 +756,90 @@ mod tests {
         degrade_to_sparse(&mut f);
         assert_eq!(once, f);
         assert_eq!(f[10], -1.0, "cpi_mem sentinel set");
+    }
+
+    /// A fixed grid of 288 synthetic signatures sampled on a core of
+    /// frequency `freq_hz`: IPCs from deep stall to above every peak,
+    /// light to heavy data-miss traffic, the sparse-sensing sentinel
+    /// and two measured memory-stall CPIs.
+    fn golden_signatures(freq_hz: f64) -> Vec<Features> {
+        let mut out = Vec::new();
+        for ipc in [0.05, 0.2, 0.45, 0.8, 1.2, 1.8, 2.7, 4.1] {
+            for mr_d in [0.002, 0.03, 0.12] {
+                for msh in [0.15, 0.4] {
+                    for cpi_mem in [-1.0, 0.02, 0.6] {
+                        for mr_b in [0.01, 0.08] {
+                            out.push([
+                                freq_hz / 1e9,
+                                0.01,
+                                mr_d,
+                                msh,
+                                0.12,
+                                mr_b,
+                                5.0e-4,
+                                4.0e-3,
+                                ipc,
+                                1.0,
+                                cpi_mem,
+                            ]);
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// A hash of trained predictor sets (every Θ row and the power
+    /// coefficients) and of `predict_ipc_by_type` rows from every
+    /// source type over [`golden_signatures`]: the quad platform with
+    /// the dense and the sparse counter set and
+    /// `clustered_heterogeneous(4, 4)`, each at three training seeds
+    /// and the default corpus. The constant was recorded before the
+    /// bracketed ILP bisection and the per-destination training
+    /// targets; any change to the training or prediction arithmetic
+    /// moves it.
+    #[test]
+    fn training_and_rows_match_the_recorded_golden_hash() {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |word: u64| {
+            for b in word.to_le_bytes() {
+                hash ^= u64::from(b);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let corpus = crate::SmartBalanceConfig::default().train_corpus;
+        let quad = Platform::quad_heterogeneous();
+        let sets = [
+            (quad.clone(), false),
+            (quad, true),
+            (Platform::clustered_heterogeneous(4, 4), false),
+        ];
+        let mut rows = 0;
+        for (platform, sparse) in &sets {
+            for seed in [1, 42, 0xDAC_2015] {
+                let p = PredictorSet::train_with_sparsity(platform, corpus, seed, *sparse);
+                for v in p.theta.iter().flatten() {
+                    mix(v.to_bits());
+                }
+                for c in &p.power {
+                    mix(c.alpha1.to_bits());
+                    mix(c.alpha0.to_bits());
+                }
+                for (src, cfg) in platform.types() {
+                    for f in golden_signatures(cfg.freq_hz) {
+                        for ipc in p.predict_ipc_by_type(&f, src) {
+                            mix(ipc.to_bits());
+                        }
+                        rows += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(rows, 3 * 3 * 4 * 288);
+        assert_eq!(
+            hash, 0x2fde_d5ae_1bf2_dd69,
+            "golden hash over {rows} rows and 9 trained sets"
+        );
     }
 }

@@ -365,18 +365,16 @@ impl System {
     /// # Panics
     ///
     /// Panics if the task's id does not equal the next free id, or its
-    /// core is out of range.
+    /// core is out of range for the platform or hotplugged out.
     pub fn spawn_task(&mut self, task: Task) -> TaskId {
         assert_eq!(
             task.id().0,
             self.tasks.len(),
             "task id must be the next free id (use System::next_task_id)"
         );
-        assert!(
-            task.core().0 < self.platform.num_cores(),
-            "no such core {}",
-            task.core()
-        );
+        let core = task.core();
+        assert!(core.0 < self.platform.num_cores(), "no such core {core}");
+        assert!(self.core_online[core.0], "core {core} is offline");
         self.enqueue_task_struct(task)
     }
 
@@ -1841,6 +1839,17 @@ mod tests {
         sys.set_core_online(CoreId(2), true);
         let applied = sys.apply_allocation(&alloc);
         assert_eq!(applied.migrated.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "core cpu2 is offline")]
+    fn prebuilt_task_on_an_offline_core_is_rejected() {
+        // Queued there, it would never run: the offline core schedules
+        // nothing and nothing evacuates a task spawned after the unplug.
+        let mut sys = System::new(Platform::quad_heterogeneous(), SystemConfig::default());
+        sys.set_core_online(CoreId(2), false);
+        let tid = sys.next_task_id();
+        sys.spawn_task(Task::new(tid, cpu_profile(u64::MAX / 4), CoreId(2)));
     }
 
     #[test]
