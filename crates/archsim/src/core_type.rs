@@ -297,7 +297,7 @@ impl CoreConfig {
 /// assert_eq!(p.num_cores(), 4);
 /// assert_eq!(p.num_types(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Platform {
     types: Vec<CoreConfig>,
     /// `gamma[j]` is the type of core `c_j`.
@@ -312,18 +312,31 @@ impl Platform {
     ///
     /// Panics if `gamma` references a type index outside `types`, or if
     /// either argument is empty.
+    #[expect(
+        clippy::panic,
+        reason = "documented constructor contract; deserialization returns the same check as an error"
+    )]
     pub fn new(types: Vec<CoreConfig>, gamma: Vec<CoreTypeId>) -> Self {
-        assert!(!types.is_empty(), "platform needs at least one core type");
-        assert!(!gamma.is_empty(), "platform needs at least one core");
-        for t in &gamma {
-            assert!(
-                t.0 < types.len(),
-                "core type index {} out of range ({} types)",
+        Self::checked(types, gamma).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Platform::new`]'s checks, failing with a message that names
+    /// the offending field.
+    fn checked(types: Vec<CoreConfig>, gamma: Vec<CoreTypeId>) -> Result<Self, String> {
+        if types.is_empty() {
+            return Err("types: platform needs at least one core type".into());
+        }
+        if gamma.is_empty() {
+            return Err("gamma: platform needs at least one core".into());
+        }
+        if let Some((j, t)) = gamma.iter().enumerate().find(|(_, t)| t.0 >= types.len()) {
+            return Err(format!(
+                "gamma[{j}]: core type index {} out of range ({} types)",
                 t.0,
                 types.len()
-            );
+            ));
         }
-        Platform { types, gamma }
+        Ok(Platform { types, gamma })
     }
 
     /// The paper's primary evaluation platform: a quad-core MPSoC with
@@ -485,6 +498,21 @@ impl Platform {
     pub fn set_type_config(&mut self, r: CoreTypeId, config: CoreConfig) {
         self.types[r.0] = config;
     }
+}
+
+/// Deserializes through [`Platform::new`]'s checks, which a derived
+/// impl would skip (the vendored serde has no `try_from` attribute).
+impl Deserialize for Platform {
+    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let types = field(v, "types")?;
+        let gamma = field(v, "gamma")?;
+        Platform::checked(types, gamma).map_err(serde::Error::new)
+    }
+}
+
+/// Deserializes field `name` of `v`, naming it in the error.
+fn field<T: Deserialize>(v: &serde::Value, name: &str) -> Result<T, serde::Error> {
+    T::deserialize_value(v.map_get(name)).map_err(|e| serde::Error::new(format!("{name}: {e}")))
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 
 #![cfg_attr(not(test), warn(clippy::as_conversions))]
 
-use std::ops::{Add, AddAssign, Sub};
+use std::ops::{Add, AddAssign};
 
 use serde::{Deserialize, Serialize};
 
@@ -18,8 +18,7 @@ use serde::{Deserialize, Serialize};
 /// execution interval (a CFS slice, a scheduling period or an epoch).
 ///
 /// Samples form a commutative monoid under `+` so per-slice samples can
-/// be accumulated into per-period and per-epoch aggregates; `-` computes
-/// the delta between two snapshots of a free-running counter bank.
+/// be accumulated into per-period and per-epoch aggregates.
 ///
 /// # Examples
 ///
@@ -139,35 +138,6 @@ impl CounterSample {
     pub fn is_empty(&self) -> bool {
         *self == Self::default()
     }
-
-    /// Checked element-wise subtraction; `None` when `earlier` is not
-    /// component-wise `<= self` (i.e. the counters were reset between the
-    /// two snapshots).
-    pub fn checked_delta(&self, earlier: &CounterSample) -> Option<CounterSample> {
-        macro_rules! sub {
-            ($f:ident) => {
-                self.$f.checked_sub(earlier.$f)?
-            };
-        }
-        Some(CounterSample {
-            cy_busy: sub!(cy_busy),
-            cy_idle: sub!(cy_idle),
-            cy_mem_stall: sub!(cy_mem_stall),
-            cy_sleep: sub!(cy_sleep),
-            instructions: sub!(instructions),
-            mem_instructions: sub!(mem_instructions),
-            branch_instructions: sub!(branch_instructions),
-            branch_mispredicts: sub!(branch_mispredicts),
-            l1i_accesses: sub!(l1i_accesses),
-            l1i_misses: sub!(l1i_misses),
-            l1d_accesses: sub!(l1d_accesses),
-            l1d_misses: sub!(l1d_misses),
-            itlb_accesses: sub!(itlb_accesses),
-            itlb_misses: sub!(itlb_misses),
-            dtlb_accesses: sub!(dtlb_accesses),
-            dtlb_misses: sub!(dtlb_misses),
-        })
-    }
 }
 
 /// Converts an event count to `f64`, the one sanctioned `u64 -> f64`
@@ -244,36 +214,6 @@ impl AddAssign for CounterSample {
     }
 }
 
-impl Sub for CounterSample {
-    type Output = CounterSample;
-
-    /// Element-wise saturating delta between two snapshots.
-    fn sub(self, rhs: CounterSample) -> CounterSample {
-        CounterSample {
-            cy_busy: self.cy_busy.saturating_sub(rhs.cy_busy),
-            cy_idle: self.cy_idle.saturating_sub(rhs.cy_idle),
-            cy_mem_stall: self.cy_mem_stall.saturating_sub(rhs.cy_mem_stall),
-            cy_sleep: self.cy_sleep.saturating_sub(rhs.cy_sleep),
-            instructions: self.instructions.saturating_sub(rhs.instructions),
-            mem_instructions: self.mem_instructions.saturating_sub(rhs.mem_instructions),
-            branch_instructions: self
-                .branch_instructions
-                .saturating_sub(rhs.branch_instructions),
-            branch_mispredicts: self
-                .branch_mispredicts
-                .saturating_sub(rhs.branch_mispredicts),
-            l1i_accesses: self.l1i_accesses.saturating_sub(rhs.l1i_accesses),
-            l1i_misses: self.l1i_misses.saturating_sub(rhs.l1i_misses),
-            l1d_accesses: self.l1d_accesses.saturating_sub(rhs.l1d_accesses),
-            l1d_misses: self.l1d_misses.saturating_sub(rhs.l1d_misses),
-            itlb_accesses: self.itlb_accesses.saturating_sub(rhs.itlb_accesses),
-            itlb_misses: self.itlb_misses.saturating_sub(rhs.itlb_misses),
-            dtlb_accesses: self.dtlb_accesses.saturating_sub(rhs.dtlb_accesses),
-            dtlb_misses: self.dtlb_misses.saturating_sub(rhs.dtlb_misses),
-        }
-    }
-}
-
 impl std::iter::Sum for CounterSample {
     fn sum<I: Iterator<Item = CounterSample>>(iter: I) -> CounterSample {
         iter.fold(CounterSample::default(), |acc, s| acc + s)
@@ -335,22 +275,6 @@ mod tests {
         assert_eq!(total.instructions, 4_000);
         assert_eq!(total.dtlb_misses, 10);
         assert_eq!(total.cy_busy, 1_200);
-    }
-
-    #[test]
-    fn sub_is_saturating() {
-        let s = sample();
-        let zero = CounterSample::default() - s;
-        assert!(zero.is_empty());
-        let d = s - CounterSample::default();
-        assert_eq!(d, s);
-    }
-
-    #[test]
-    fn checked_delta_detects_reset() {
-        let s = sample();
-        assert_eq!(s.checked_delta(&CounterSample::default()), Some(s));
-        assert_eq!(CounterSample::default().checked_delta(&s), None);
     }
 
     #[test]

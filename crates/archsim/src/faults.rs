@@ -14,19 +14,17 @@
 //!   epoch by epoch and corrupts readings *deterministically* (all
 //!   randomness is a stateless hash of `(seed, epoch, core, channel,
 //!   salt)`, so corrupted values are independent of read order and
-//!   bit-reproducible across runs);
-//! * [`FaultySensorBank`] — a [`SensorInterface`] adapter wrapping a
-//!   [`SensorBank`] so higher layers can consume faulty sensors through
-//!   the exact same trait object as perfect ones.
+//!   bit-reproducible across runs).
 //!
-//! With an empty plan the harness is *quiescent*: every read passes
-//! through untouched (bit-identical) and no random draws are made.
+//! The scheduler (`kernelsim::System::set_fault_plan`) passes every
+//! task and core row of each epoch report through the harness before
+//! the balancer sees it; its own accounts keep the ground truth. With
+//! an empty plan the harness is *quiescent*: every read passes through
+//! untouched (bit-identical) and no random draws are made.
 
 use serde::{Deserialize, Serialize};
 
-use crate::core_type::{CoreId, Platform};
 use crate::counters::CounterSample;
-use crate::sensing::{SensorBank, SensorInterface};
 
 /// One fault primitive with its intensity parameter.
 ///
@@ -36,8 +34,8 @@ use crate::sensing::{SensorBank, SensorInterface};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum FaultKind {
     /// The counter bank freezes: with probability `prob` per
-    /// core-epoch, counters stop advancing (deltas read as zero, raw
-    /// reads return the frozen snapshot).
+    /// core-epoch, counters stop advancing (the epoch's deltas read as
+    /// zero).
     StuckCounters {
         /// Probability in `[0, 1]` that an epoch's counters are stuck.
         prob: f64,
@@ -232,9 +230,6 @@ struct CoreFaultState {
     power_dropout_prob: f64,
     /// Counters are frozen this epoch (drawn once per epoch).
     stuck_now: bool,
-    /// Whole-epoch sample loss (the `salt = 0` drop draw, used by
-    /// cumulative-bank reads which have no per-sample identity).
-    drop_now: bool,
     /// Power sensor is out this epoch (drawn once per epoch).
     power_out_now: bool,
 }
@@ -389,8 +384,8 @@ impl FaultHarness {
     }
 
     /// Applies every plan event due at or before `epoch` and resolves
-    /// the per-epoch probabilistic flags (stuck, whole-epoch drop,
-    /// power dropout) for each core.
+    /// the per-epoch probabilistic flags (stuck, power dropout) for
+    /// each core.
     pub fn advance_to_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;
         while self.cursor < self.events.len() && self.events[self.cursor].epoch <= epoch {
@@ -413,12 +408,10 @@ impl FaultHarness {
         for c in 0..self.cores.len() {
             let s = self.cores[c];
             let stuck = s.stuck_prob > 0.0 && self.unit(c as u64, CH_STUCK, 0) < s.stuck_prob;
-            let drop = s.drop_prob > 0.0 && self.unit(c as u64, CH_DROP, 0) < s.drop_prob;
             let power = s.power_dropout_prob > 0.0
                 && self.unit(c as u64, CH_POWER, 0) < s.power_dropout_prob;
             let st = &mut self.cores[c];
             st.stuck_now = stuck;
-            st.drop_now = drop;
             st.power_out_now = power;
             self.stats.stuck_core_epochs += stuck as u64;
             self.stats.power_dropout_core_epochs += power as u64;
@@ -502,143 +495,6 @@ impl FaultHarness {
             self.stats.corrupted_samples += 1;
         }
         (c, e)
-    }
-}
-
-/// A [`SensorInterface`] adapter: a perfect [`SensorBank`] viewed
-/// through a [`FaultHarness`].
-///
-/// Ground truth keeps accumulating in the inner bank (reachable via
-/// [`bank`]); only the *reads* lie. Call [`advance_epoch`] at each
-/// epoch boundary so plan events fire and stuck cores freeze their
-/// snapshot.
-///
-/// # Examples
-///
-/// ```
-/// use archsim::{
-///     CoreId, CounterSample, FaultKind, FaultPlan, FaultySensorBank, Platform, SensorInterface,
-/// };
-///
-/// let platform = Platform::quad_heterogeneous();
-/// let plan = FaultPlan::new().inject(0, Some(0), FaultKind::PowerDropout { prob: 1.0 });
-/// let mut bank = FaultySensorBank::new(&platform, plan, 42);
-/// bank.advance_epoch(0);
-/// bank.record(CoreId(0), CounterSample { instructions: 10, ..Default::default() }, 1.0, 100);
-/// assert_eq!(bank.energy_j(CoreId(0)), 0.0, "reads lie");
-/// assert_eq!(bank.bank().energy_j(CoreId(0)), 1.0, "ground truth intact");
-/// ```
-///
-/// [`bank`]: FaultySensorBank::bank
-/// [`advance_epoch`]: FaultySensorBank::advance_epoch
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultySensorBank {
-    bank: SensorBank,
-    harness: FaultHarness,
-    /// Snapshot held while a core's counters are stuck.
-    frozen: Vec<Option<CounterSample>>,
-}
-
-impl FaultySensorBank {
-    /// Wraps a fresh all-zero bank for `platform`.
-    pub fn new(platform: &Platform, plan: FaultPlan, seed: u64) -> Self {
-        Self::from_bank(SensorBank::new(platform), plan, seed)
-    }
-
-    /// Wraps an existing bank (its accumulated state becomes the ground
-    /// truth).
-    pub fn from_bank(bank: SensorBank, plan: FaultPlan, seed: u64) -> Self {
-        let n = bank.num_cores();
-        FaultySensorBank {
-            bank,
-            harness: FaultHarness::new(plan, seed, n),
-            frozen: vec![None; n],
-        }
-    }
-
-    /// Accumulates a slice result into the *ground-truth* bank.
-    pub fn record(&mut self, core: CoreId, delta: CounterSample, energy_j: f64, elapsed_ns: u64) {
-        self.bank.record(core, delta, energy_j, elapsed_ns);
-    }
-
-    /// Advances the fault schedule to `epoch`: applies due events,
-    /// re-resolves the per-epoch flags and freezes/unfreezes stuck
-    /// cores' counter snapshots.
-    pub fn advance_epoch(&mut self, epoch: u64) {
-        self.harness.advance_to_epoch(epoch);
-        for c in 0..self.frozen.len() {
-            if self.harness.is_stuck(c) {
-                if self.frozen[c].is_none() {
-                    self.frozen[c] = Some(SensorInterface::counters(&self.bank, CoreId(c)));
-                }
-            } else {
-                self.frozen[c] = None;
-            }
-        }
-    }
-
-    /// The inner ground-truth bank.
-    pub fn bank(&self) -> &SensorBank {
-        &self.bank
-    }
-
-    /// The fault interpreter (for stats and flag queries).
-    pub fn harness(&self) -> &FaultHarness {
-        &self.harness
-    }
-
-    /// Number of cores covered.
-    pub fn num_cores(&self) -> usize {
-        self.bank.num_cores()
-    }
-}
-
-impl SensorInterface for FaultySensorBank {
-    fn counters(&self, core: CoreId) -> CounterSample {
-        let s = self.harness.cores[core.0];
-        if s.is_clean() {
-            return self.bank.counters(core);
-        }
-        let mut c = if s.stuck_now {
-            self.frozen[core.0].unwrap_or_default()
-        } else {
-            self.bank.counters(core)
-        };
-        if s.drop_now {
-            c = CounterSample::default();
-        }
-        if s.noise_sigma > 0.0 {
-            c = map_fields(c, |v, f| {
-                self.harness
-                    .noisy_field(core.0 as u64, s.noise_sigma, 0, f, v)
-            });
-        }
-        if let Some(cap) = s.saturation_cap {
-            c = map_fields(c, |v, _| v.min(cap));
-        }
-        c
-    }
-
-    fn energy_j(&self, core: CoreId) -> f64 {
-        let s = self.harness.cores[core.0];
-        if s.is_clean() {
-            return self.bank.energy_j(core);
-        }
-        if s.power_out_now || s.drop_now {
-            return 0.0;
-        }
-        let mut e = self.bank.energy_j(core);
-        if s.noise_sigma > 0.0 {
-            let u = 2.0 * self.harness.unit(core.0 as u64, CH_NOISE, 31) - 1.0;
-            e = (e * (1.0 + s.noise_sigma * u)).max(0.0);
-        }
-        e
-    }
-
-    fn elapsed_ns(&self, core: CoreId) -> u64 {
-        // Time comes from the scheduler's own clock, not a fallible
-        // sensor; it always passes through.
-        self.bank.elapsed_ns(core)
     }
 }
 
@@ -768,63 +624,6 @@ mod tests {
             "drop rate {dropped}/{n} wildly off 50%"
         );
         assert_eq!(h.stats().dropped_samples, dropped);
-    }
-
-    #[test]
-    fn faulty_bank_freezes_and_releases_snapshots() {
-        let platform = Platform::quad_heterogeneous();
-        let plan = FaultPlan::new()
-            .inject(1, Some(0), FaultKind::StuckCounters { prob: 1.0 })
-            .clear(3, Some(0), FaultClass::Stuck);
-        let mut fb = FaultySensorBank::new(&platform, plan, 5);
-        let d = CounterSample {
-            instructions: 100,
-            ..Default::default()
-        };
-        fb.advance_epoch(0);
-        fb.record(CoreId(0), d, 0.1, 1_000);
-        assert_eq!(fb.counters(CoreId(0)).instructions, 100);
-        fb.advance_epoch(1);
-        fb.record(CoreId(0), d, 0.1, 1_000);
-        assert_eq!(
-            fb.counters(CoreId(0)).instructions,
-            100,
-            "stuck core reads the frozen snapshot"
-        );
-        assert_eq!(
-            fb.bank().counters(CoreId(0)).instructions,
-            200,
-            "ground truth keeps advancing"
-        );
-        fb.advance_epoch(3);
-        assert_eq!(
-            fb.counters(CoreId(0)).instructions,
-            200,
-            "clearing the fault resumes live reads"
-        );
-    }
-
-    #[test]
-    fn faulty_bank_with_empty_plan_matches_plain_bank() {
-        let platform = Platform::quad_heterogeneous();
-        let mut plain = SensorBank::new(&platform);
-        let mut faulty = FaultySensorBank::new(&platform, FaultPlan::new(), 99);
-        let d = sample();
-        for epoch in 0..4u64 {
-            faulty.advance_epoch(epoch);
-            for j in 0..4 {
-                plain.record(CoreId(j), d, 0.25, 10_000);
-                faulty.record(CoreId(j), d, 0.25, 10_000);
-            }
-        }
-        let a: &dyn SensorInterface = &plain;
-        let b: &dyn SensorInterface = &faulty;
-        for j in 0..4 {
-            assert_eq!(a.counters(CoreId(j)), b.counters(CoreId(j)));
-            assert_eq!(a.energy_j(CoreId(j)), b.energy_j(CoreId(j)));
-            assert_eq!(a.elapsed_ns(CoreId(j)), b.elapsed_ns(CoreId(j)));
-        }
-        assert!(faulty.harness().is_quiescent());
     }
 
     #[test]

@@ -37,8 +37,8 @@
 //! - [`workload`]: intrinsic workload characteristics
 //! - [`cache`], [`branch`], [`pipeline`]: the analytical models
 //! - [`execution`]: slice execution (the scheduler-facing API)
-//! - [`sensing`]: the counter/power sensor bank the OS samples
-//! - [`faults`]: deterministic seeded sensor fault injection
+//! - [`faults`]: deterministic seeded sensor fault injection, applied by
+//!   the scheduler to the epoch report it hands the balancer
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), warn(clippy::panic, clippy::unreachable))]
@@ -51,7 +51,6 @@ pub mod execution;
 pub mod faults;
 pub mod memo;
 pub mod pipeline;
-pub mod sensing;
 pub mod workload;
 
 pub use core_type::{CoreConfig, CoreId, CoreTypeId, Platform};
@@ -61,9 +60,7 @@ pub use execution::{
 };
 pub use faults::{
     FaultAction, FaultClass, FaultEvent, FaultHarness, FaultKind, FaultPlan, FaultStats,
-    FaultySensorBank,
 };
 pub use memo::{EstimateCache, EstimateKey, MemoStats};
 pub use pipeline::{estimate, PipelineEstimate};
-pub use sensing::{CoreSensors, SensorBank, SensorInterface};
 pub use workload::WorkloadCharacteristics;

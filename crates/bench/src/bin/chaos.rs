@@ -175,8 +175,8 @@ fn run_scenario(
     let stats = sys.stats();
     let totals = stats.migration_totals;
     RunOutcome {
-        instructions: sys.sensors().total_instructions(),
-        energy_j: sys.sensors().total_energy_j(),
+        instructions: stats.total_instructions,
+        energy_j: stats.total_energy_j,
         duration_s: duration_ns as f64 / 1e9,
         mode_transitions: policy.mode_transitions(),
         final_mode: policy.mode(),

@@ -142,16 +142,6 @@ impl SuiteJob {
         self.execute_with(index, None, &PredictorCache::default())
     }
 
-    /// [`SuiteJob::execute`], but recording into a caller-owned
-    /// telemetry hub. The hub keeps accumulating across the run (cap it
-    /// with `set_span_capacity` for a bounded ring); `JobResult::obs`
-    /// stays `None` because the caller already holds the richer handle.
-    /// Attach is bit-transparent, so the measurements are byte-identical
-    /// to a plain [`SuiteJob::execute`] of the same job.
-    pub fn execute_recorded(&self, index: usize, hub: &TelemetryHandle) -> JobResult {
-        self.execute_with(index, Some(hub), &PredictorCache::default())
-    }
-
     /// The one job execution path: runs the job to completion, taking
     /// SmartBalance's predictor set from `predictors` and recording
     /// into `hub` when one is given. Public so orchestration layers

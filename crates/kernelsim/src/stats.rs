@@ -57,25 +57,11 @@ pub struct SystemStats {
 
 impl SystemStats {
     pub(crate) fn collect(sys: &System) -> Self {
-        let platform = sys.platform();
-        let sensors = sys.sensors();
-        let per_core = platform
-            .cores()
-            .map(|c| {
-                use archsim::SensorInterface;
-                let counters = sensors.counters(c);
-                CoreStats {
-                    instructions: counters.instructions,
-                    energy_j: sensors.energy_j(c),
-                    busy_ns: sys.meter().busy_ns(c),
-                    sleep_ns: sys.meter().sleep_ns(c),
-                }
-            })
-            .collect();
+        let per_core: Vec<CoreStats> = sys.core_totals().collect();
         let live_tasks = sys.live_tasks();
         SystemStats {
-            total_instructions: sensors.total_instructions(),
-            total_energy_j: sensors.total_energy_j(),
+            total_instructions: per_core.iter().map(|c| c.instructions).sum(),
+            total_energy_j: per_core.iter().map(|c| c.energy_j).sum(),
             elapsed_ns: sys.now_ns(),
             completed_tasks: sys.tasks().len() - live_tasks,
             live_tasks,

@@ -1,24 +1,27 @@
-//! The machine: platform + tasks + per-core CFS queues + sensors,
+//! The machine: platform + tasks + per-core CFS queues and accounts,
 //! advanced period-by-period by a deterministic discrete-event loop.
 //!
 //! Each core independently schedules its run queue within every CFS
 //! scheduling period (`T_jk(l)` in the paper); per-slice execution is
-//! delegated to `archsim` and energy to `mcpat`. Because tasks move
-//! only between epochs, an epoch's periods run over contiguous core
-//! ranges on the worker pool, bit-identically at any worker count. At every epoch
+//! delegated to `archsim`. Each slice and each power-gated stretch is
+//! billed once, to its task and to its core's account, which prices it
+//! with the core's `mcpat` power model and holds both the open epoch's
+//! row and the since-boot totals. Because tasks move only between
+//! epochs, an epoch's periods run over contiguous core ranges on the
+//! worker pool, bit-identically at any worker count. At every epoch
 //! boundary (L periods, Fig. 2) the system builds an [`EpochReport`]
-//! — the sense phase — hands it to the pluggable balancer, and applies
-//! the returned allocation through the migration path.
+//! from the accounts — the sense phase — hands it to the pluggable
+//! balancer, and applies the returned allocation through the migration
+//! path. [`System::stats`] reads the since-boot totals.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use archsim::{
-    synthesize, time_to_complete_ns_with, CoreConfig, CoreId, CoreSensors, CoreTypeId,
-    CounterSample, EstimateKey, FaultHarness, FaultPlan, FaultStats, MemoStats, Platform,
-    SensorBank,
+    synthesize, time_to_complete_ns_with, CoreConfig, CoreId, CoreTypeId, CounterSample,
+    EstimateKey, FaultHarness, FaultPlan, FaultStats, MemoStats, Platform,
 };
-use mcpat::{CoreMeter, EnergyMeter, PowerState};
+use mcpat::{CorePowerModel, PowerState};
 use serde::{Deserialize, Serialize};
 use workloads::WorkloadProfile;
 
@@ -28,7 +31,7 @@ use crate::balancer::{
 };
 use crate::cfs::CfsRunQueue;
 use crate::pool::parallel_map;
-use crate::stats::SystemStats;
+use crate::stats::{CoreStats, SystemStats};
 use crate::task::{Task, TaskId, TaskState};
 use crate::topology::Topology;
 use crate::trace::{TraceEvent, TraceLevel, Tracer};
@@ -84,13 +87,95 @@ const TASK_LOAD: usize = 4;
 /// Per-core min-heap of pending `(wake_at_ns, task)` events.
 type WakeHeap = BinaryHeap<Reverse<(u64, TaskId)>>;
 
-/// Per-core accounting accumulated within the current epoch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-struct CoreEpochAccum {
-    counters: CounterSample,
+/// One core's account: its calibrated power model, what the open epoch
+/// has billed to it (the [`EpochReport`] row) and its since-boot totals
+/// (the [`SystemStats`] row). The slice loop bills each slice and each
+/// sleep to it once; a core range borrows its cores' accounts.
+#[derive(Debug)]
+struct CoreAccount {
+    model: CorePowerModel,
+    epoch_counters: CounterSample,
+    epoch_busy_ns: u64,
+    epoch_sleep_ns: u64,
+    epoch_energy_j: f64,
+    instructions: u64,
+    energy_j: f64,
     busy_ns: u64,
     sleep_ns: u64,
-    energy_j: f64,
+}
+
+impl CoreAccount {
+    fn new(config: &CoreConfig) -> Self {
+        CoreAccount {
+            model: CorePowerModel::calibrated(config),
+            epoch_counters: CounterSample::default(),
+            epoch_busy_ns: 0,
+            epoch_sleep_ns: 0,
+            epoch_energy_j: 0.0,
+            instructions: 0,
+            energy_j: 0.0,
+            busy_ns: 0,
+            sleep_ns: 0,
+        }
+    }
+
+    /// Bills `duration_ns` of execution at `activity` that produced
+    /// `counters`; returns the energy billed, joules.
+    #[inline]
+    fn bill_busy(&mut self, counters: CounterSample, activity: f64, duration_ns: u64) -> f64 {
+        let energy_j = self
+            .model
+            .energy_j(PowerState::Active { activity }, duration_ns);
+        self.epoch_counters += counters;
+        self.epoch_busy_ns += duration_ns;
+        self.epoch_energy_j += energy_j;
+        self.instructions += counters.instructions;
+        self.busy_ns += duration_ns;
+        self.energy_j += energy_j;
+        energy_j
+    }
+
+    /// Bills `duration_ns` power-gated, `cycles` of it on the sleep
+    /// counter.
+    #[inline]
+    fn bill_sleep(&mut self, cycles: u64, duration_ns: u64) {
+        let energy_j = self.model.energy_j(PowerState::Sleeping, duration_ns);
+        self.epoch_counters.cy_sleep += cycles;
+        self.epoch_sleep_ns += duration_ns;
+        self.epoch_energy_j += energy_j;
+        self.sleep_ns += duration_ns;
+        self.energy_j += energy_j;
+    }
+
+    /// The open epoch's row of the sensing report.
+    fn epoch_row(&self, core: CoreId, online: bool) -> CoreEpochStats {
+        CoreEpochStats {
+            core,
+            counters: self.epoch_counters,
+            busy_ns: self.epoch_busy_ns,
+            sleep_ns: self.epoch_sleep_ns,
+            energy_j: self.epoch_energy_j,
+            online,
+        }
+    }
+
+    /// Starts a new epoch; the since-boot totals carry on.
+    fn close_epoch(&mut self) {
+        self.epoch_counters = CounterSample::default();
+        self.epoch_busy_ns = 0;
+        self.epoch_sleep_ns = 0;
+        self.epoch_energy_j = 0.0;
+    }
+
+    /// The since-boot totals.
+    fn totals(&self) -> CoreStats {
+        CoreStats {
+            instructions: self.instructions,
+            energy_j: self.energy_j,
+            busy_ns: self.busy_ns,
+            sleep_ns: self.sleep_ns,
+        }
+    }
 }
 
 /// Probabilistic failure of the migration apply path (the simulator's
@@ -154,11 +239,10 @@ pub struct System {
     /// walk goes through this list, never the whole `tasks` table.
     live: Vec<TaskId>,
     queues: Vec<CfsRunQueue>,
-    meter: EnergyMeter,
-    sensors: SensorBank,
+    /// Per-core account of every slice and sleep billed to the core.
+    accounts: Vec<CoreAccount>,
     now_ns: u64,
     epoch_index: u64,
-    core_epoch: Vec<CoreEpochAccum>,
     total_migrations: u64,
     /// Cluster decomposition of the platform (contiguous same-type
     /// runs), derived once at boot. Purely descriptive: scheduling and
@@ -203,7 +287,7 @@ pub struct System {
     /// clock-gated).
     core_duty: Vec<f64>,
     /// Sensor fault interpreter; when set, every [`EpochReport`] passes
-    /// through it (ground truth in `sensors`/accumulators stays clean).
+    /// through it (the ground truth in `accounts` stays clean).
     faults: Option<FaultHarness>,
     /// Probabilistic migration failure in the allocation-apply path.
     migration_fail: Option<MigrationFaultModel>,
@@ -236,8 +320,10 @@ impl System {
         );
         let n = platform.num_cores();
         let q = platform.num_types();
-        let meter = EnergyMeter::new(&platform);
-        let sensors = SensorBank::new(&platform);
+        let accounts = platform
+            .cores()
+            .map(|c| CoreAccount::new(platform.core_config(c)))
+            .collect();
         let topology = Topology::from_platform(&platform);
         let nominal_types = platform.types().map(|(_, t)| t.clone()).collect();
         System {
@@ -246,11 +332,9 @@ impl System {
             tasks: Vec::new(),
             live: Vec::new(),
             queues: vec![CfsRunQueue::new(); n],
-            meter,
-            sensors,
+            accounts,
             now_ns: 0,
             epoch_index: 0,
-            core_epoch: vec![CoreEpochAccum::default(); n],
             total_migrations: 0,
             topology,
             cross_cluster_migrations: 0,
@@ -331,11 +415,6 @@ impl System {
     /// Panics if `id` was never spawned.
     pub fn task(&self, id: TaskId) -> &Task {
         &self.tasks[id.0]
-    }
-
-    /// The free-running sensor bank (counters + energy per core).
-    pub fn sensors(&self) -> &SensorBank {
-        &self.sensors
     }
 
     /// Spawns a task on the least-loaded core (the kernel's fork-time
@@ -492,31 +571,28 @@ impl System {
     ///
     /// Tasks only move between cores at epoch boundaries, so within
     /// the call no core reads another core's state: each range borrows
-    /// its cores' run queues, wake heaps, epoch accumulators, meters
-    /// and sensors, plus exactly the live tasks on those cores, and
-    /// runs its cores one after another through all the periods. Every
-    /// sink therefore takes the same adds in the same order at any
-    /// worker count. Trace events are buffered per range and merged
-    /// back in period order, then ascending core.
+    /// its cores' run queues, wake heaps and accounts, plus exactly the
+    /// live tasks on those cores, and runs its cores one after another
+    /// through all the periods. Every task and every account therefore
+    /// takes the same adds in the same order at any worker count. Trace
+    /// events are buffered per range and merged back in period order,
+    /// then ascending core.
     fn run_periods(&mut self, periods: u64, workers: usize) {
         let bounds = self.range_bounds(workers);
         let start_ns = self.now_ns;
         let mut ranges: Vec<CoreRange<'_>> = Vec::with_capacity(bounds.len() - 1);
-        let (mut queues, mut heaps, mut accums) = (
+        let (mut queues, mut heaps, mut accounts) = (
             &mut self.queues[..],
             &mut self.wake_heaps[..],
-            &mut self.core_epoch[..],
+            &mut self.accounts[..],
         );
-        let (mut meters, mut sensors) = (self.meter.cores_mut(), self.sensors.cores_mut());
         for w in bounds.windows(2) {
             let len = w[1] - w[0];
             ranges.push(CoreRange {
                 first: w[0],
                 queues: split_off_front(&mut queues, len),
                 wake_heaps: split_off_front(&mut heaps, len),
-                accums: split_off_front(&mut accums, len),
-                meters: split_off_front(&mut meters, len),
-                sensors: split_off_front(&mut sensors, len),
+                accounts: split_off_front(&mut accounts, len),
                 tasks: Vec::new(),
                 out: RangeOutput::default(),
             });
@@ -634,17 +710,7 @@ impl System {
         let cores = self
             .platform
             .cores()
-            .map(|c| {
-                let a = &self.core_epoch[c.0];
-                CoreEpochStats {
-                    core: c,
-                    counters: a.counters,
-                    busy_ns: a.busy_ns,
-                    sleep_ns: a.sleep_ns,
-                    energy_j: a.energy_j,
-                    online: self.core_online[c.0],
-                }
-            })
+            .map(|c| self.accounts[c.0].epoch_row(c, self.core_online[c.0]))
             .collect();
         let mut report = EpochReport {
             epoch: self.epoch_index,
@@ -654,7 +720,7 @@ impl System {
             cores,
         };
         // Sensor faults corrupt what the controller *sees*; the ground
-        // truth in `sensors` and the epoch accumulators stays clean.
+        // truth in the core accounts stays clean.
         // (Under active faults the per-task and per-core ledgers of the
         // report may deliberately disagree — sensors lie independently.)
         if let Some(h) = self.faults.as_mut() {
@@ -952,8 +1018,8 @@ impl System {
         }
         let tasks = &self.tasks;
         self.live.retain(|id| !tasks[id.0].is_exited());
-        for a in &mut self.core_epoch {
-            *a = CoreEpochAccum::default();
+        for a in &mut self.accounts {
+            a.close_epoch();
         }
         self.epoch_index += 1;
     }
@@ -1011,7 +1077,7 @@ impl System {
             self.tasks[id.0].memo.invalidate_core_type(r.0 as u32);
         }
         for c in self.platform.cores_of_type(r) {
-            self.meter.recalibrate(c, self.platform.core_config(c));
+            self.accounts[c.0].model = CorePowerModel::calibrated(self.platform.core_config(c));
         }
     }
 
@@ -1029,8 +1095,9 @@ impl System {
         &self.memo
     }
 
-    pub(crate) fn meter(&self) -> &EnergyMeter {
-        &self.meter
+    /// Every core's since-boot totals, in core order.
+    pub(crate) fn core_totals(&self) -> impl Iterator<Item = CoreStats> + '_ {
+        self.accounts.iter().map(CoreAccount::totals)
     }
 }
 
@@ -1069,26 +1136,20 @@ fn slice_bound(
     slice.clamp(SLICE_FLOOR_NS.min(remaining), remaining)
 }
 
-/// Attributes a slice's counters/time/energy to both the task and
-/// the core (they must always agree — the estimation invariant).
+/// Bills a slice's counters, time and energy to both the task and its
+/// core's account (they must always agree — the estimation invariant).
 fn charge(
     task: &mut Task,
-    accum: &mut CoreEpochAccum,
-    sensors: &mut CoreSensors,
+    account: &mut CoreAccount,
     counters: CounterSample,
+    activity: f64,
     duration_ns: u64,
-    energy_j: f64,
 ) {
+    let energy_j = account.bill_busy(counters, activity, duration_ns);
     task.epoch.counters += counters;
     task.epoch.runtime_ns += duration_ns;
     task.epoch.energy_j += energy_j;
     task.total_runtime_ns += duration_ns;
-
-    accum.counters += counters;
-    accum.busy_ns += duration_ns;
-    accum.energy_j += energy_j;
-
-    sensors.record(counters, energy_j, duration_ns);
 }
 
 /// The read-only inputs every core range shares during one call of the
@@ -1139,9 +1200,7 @@ struct CoreRange<'a> {
     /// migration and re-sleep leave stale entries that are dropped
     /// when popped.
     wake_heaps: &'a mut [WakeHeap],
-    accums: &'a mut [CoreEpochAccum],
-    meters: &'a mut [CoreMeter],
-    sensors: &'a mut [CoreSensors],
+    accounts: &'a mut [CoreAccount],
     /// The live tasks on these cores; [`LoopCtx::slot`] holds each
     /// one's index here.
     tasks: Vec<&'a mut Task>,
@@ -1223,8 +1282,7 @@ impl CoreRange<'_> {
         let core_config = ctx.platform.core_config(core);
         let freq_hz = core_config.freq_hz;
         let task = &mut *self.tasks[k];
-        let (rq, accum) = (&mut self.queues[local], &mut self.accums[local]);
-        let (meter, sensors) = (&mut self.meters[local], &mut self.sensors[local]);
+        let (rq, account) = (&mut self.queues[local], &mut self.accounts[local]);
         let out = &mut self.out;
         let tid = task.id();
         let weight = task.weight();
@@ -1241,13 +1299,7 @@ impl CoreRange<'_> {
                 cy_idle: cycles,
                 ..Default::default()
             };
-            let energy = meter.accumulate(
-                PowerState::Active {
-                    activity: ctx.config.migration_activity,
-                },
-                pay,
-            );
-            charge(task, accum, sensors, counters, pay, energy);
+            charge(task, account, counters, ctx.config.migration_activity, pay);
             task.migration_debt_ns -= pay;
             consumed += pay;
         }
@@ -1285,13 +1337,7 @@ impl CoreRange<'_> {
 
             let slice = synthesize(&w, core_config, &est, work_ns);
             let instr = slice.instructions.min(max_instr);
-            let energy = meter.accumulate(
-                PowerState::Active {
-                    activity: slice.activity,
-                },
-                work_ns,
-            );
-            charge(task, accum, sensors, slice.counters, work_ns, energy);
+            charge(task, account, slice.counters, slice.activity, work_ns);
             consumed += work_ns;
             out.slices += 1;
 
@@ -1364,16 +1410,7 @@ impl CoreRange<'_> {
     fn account_sleep(&mut self, ctx: &LoopCtx<'_>, local: usize, duration_ns: u64) {
         let cfg = ctx.platform.core_config(CoreId(self.first + local));
         let cycles = (duration_ns as f64 * 1e-9 * cfg.freq_hz).round() as u64;
-        let counters = CounterSample {
-            cy_sleep: cycles,
-            ..Default::default()
-        };
-        let energy = self.meters[local].accumulate(PowerState::Sleeping, duration_ns);
-        let accum = &mut self.accums[local];
-        accum.counters += counters;
-        accum.sleep_ns += duration_ns;
-        accum.energy_j += energy;
-        self.sensors[local].record(counters, energy, duration_ns);
+        self.accounts[local].bill_sleep(cycles, duration_ns);
     }
 
     /// The index of `tid` among this range's tasks if a heap entry
@@ -1429,7 +1466,7 @@ impl CoreRange<'_> {
 mod tests {
     use super::*;
     use crate::balancer::NullBalancer;
-    use archsim::{SensorInterface, WorkloadCharacteristics};
+    use archsim::WorkloadCharacteristics;
     use workloads::SleepPattern;
 
     fn cpu_profile(instr: u64) -> WorkloadProfile {
@@ -1483,7 +1520,7 @@ mod tests {
         let mut nb = NullBalancer;
         sys.run_epoch(&mut nb);
         // All-idle platform: energy is only sleep power.
-        let e = sys.sensors().total_energy_j();
+        let e = sys.stats().total_energy_j;
         // Sum of sleep powers: 2% of (8.62+1.41+0.53+0.095) over 60 ms.
         let expected = 0.02 * (8.62 + 1.41 + 0.53 + 0.095) * 0.06;
         assert!(
@@ -1755,6 +1792,109 @@ mod tests {
         assert!(cache.hit_rate() > 0.9, "steady phases should mostly hit");
     }
 
+    /// Moves every live task of the report one core up each epoch.
+    struct Rotate;
+
+    impl LoadBalancer for Rotate {
+        fn name(&self) -> &str {
+            "rotate"
+        }
+
+        fn rebalance(&mut self, platform: &Platform, report: &EpochReport) -> Option<Allocation> {
+            let mut alloc = Allocation::new();
+            for t in report.tasks.iter().filter(|t| t.alive) {
+                alloc.assign(t.task, CoreId((t.core.0 + 1) % platform.num_cores()));
+            }
+            Some(alloc)
+        }
+    }
+
+    #[test]
+    fn epoch_rows_sum_to_the_since_boot_totals() {
+        let mut sys = System::new(Platform::quad_heterogeneous(), SystemConfig::default());
+        for i in 1..=6 {
+            sys.spawn(cpu_profile(i * 40_000_000));
+        }
+        sys.spawn(cpu_profile(u64::MAX / 4).with_sleep(SleepPattern::new(500_000, 700_000)));
+        sys.spawn(cpu_profile(u64::MAX / 4));
+        sys.set_core_throttle(CoreId(1), 0.5);
+        let offline = CoreId(2);
+        let n = sys.platform().num_cores();
+        let (mut busy, mut sleep, mut instructions) = (vec![0; n], vec![0; n], vec![0; n]);
+        let mut energy = vec![0.0; n];
+        for epoch in 0..30 {
+            match epoch {
+                8 => sys.set_core_online(offline, false),
+                12 => sys.set_core_online(offline, true),
+                15 => sys.set_operating_point(CoreTypeId(0), 1.0e9, 0.72),
+                _ => {}
+            }
+            for row in sys.run_epoch(&mut Rotate).cores {
+                let c = row.core.0;
+                busy[c] += row.busy_ns;
+                sleep[c] += row.sleep_ns;
+                instructions[c] += row.counters.instructions;
+                energy[c] += row.energy_j;
+            }
+        }
+        let stats = sys.stats();
+        assert!(stats.completed_tasks >= 3, "short tasks exited");
+        for (c, totals) in stats.per_core.iter().enumerate() {
+            assert_eq!(totals.busy_ns, busy[c], "cpu{c} busy");
+            assert_eq!(totals.sleep_ns, sleep[c], "cpu{c} sleep");
+            assert_eq!(totals.instructions, instructions[c], "cpu{c} instructions");
+            assert!(totals.instructions > 0, "cpu{c} ran work");
+            if c != offline.0 {
+                assert_eq!(totals.busy_ns + totals.sleep_ns, stats.elapsed_ns, "cpu{c}");
+            }
+            let gap = (energy[c] - totals.energy_j).abs();
+            assert!(gap <= 1e-12 * totals.energy_j, "cpu{c} energy off by {gap}");
+        }
+        let sum: u64 = stats.per_core.iter().map(|c| c.instructions).sum();
+        assert_eq!(stats.total_instructions, sum);
+    }
+
+    #[test]
+    fn a_retune_keeps_billed_energy_and_bills_later_slices_at_the_new_point() {
+        let big = CoreTypeId(1);
+        let mut sys = System::new(Platform::quad_heterogeneous(), SystemConfig::default());
+        // One single-phase CPU-bound task keeps core 1 busy at one
+        // activity factor per operating point.
+        sys.spawn_on(cpu_profile(u64::MAX / 4), CoreId(1));
+        let busy_power_w = |sys: &System| {
+            let config = sys.platform().type_config(big);
+            let activity = archsim::estimate(&WorkloadCharacteristics::balanced(), config).activity;
+            CorePowerModel::calibrated(config).active_power_w(activity)
+        };
+        let epoch_s = sys.config().epoch_ns() as f64 * 1e-9;
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b;
+        let mut nb = NullBalancer;
+
+        let nominal_w = busy_power_w(&sys);
+        let first = sys.run_epoch(&mut nb).cores.swap_remove(1);
+        assert_eq!(first.busy_ns, sys.config().epoch_ns());
+        assert!(close(first.energy_j, nominal_w * epoch_s), "{first:?}");
+        let billed = sys.stats().per_core[1].energy_j;
+
+        sys.set_operating_point(big, 0.75e9, 0.65);
+        assert_eq!(
+            sys.stats().per_core[1].energy_j.to_bits(),
+            billed.to_bits(),
+            "energy billed before the retune is kept"
+        );
+        let slow_w = busy_power_w(&sys);
+        assert!(slow_w < 0.6 * nominal_w, "{slow_w} vs {nominal_w}");
+        let second = sys.run_epoch(&mut nb).cores.swap_remove(1);
+        assert!(
+            close(second.energy_j, slow_w * epoch_s),
+            "later slices are billed at the new operating point: {second:?}"
+        );
+        assert!(close(
+            sys.stats().per_core[1].energy_j,
+            billed + second.energy_j
+        ));
+    }
+
     #[test]
     fn dvfs_change_invalidates_estimates_and_slows_core() {
         let run = |dvfs: bool, cached: bool| {
@@ -1768,8 +1908,8 @@ mod tests {
             }
             sys.run_epoch(&mut nb);
             (
-                sys.sensors().total_instructions(),
-                sys.sensors().total_energy_j().to_bits(),
+                sys.stats().total_instructions,
+                sys.stats().total_energy_j.to_bits(),
             )
         };
         let (instr_base, _) = run(false, true);
@@ -1831,10 +1971,10 @@ mod tests {
         );
         assert_eq!(sys.last_applied().unwrap(), &applied);
         // The offline core schedules nothing and draws no energy.
-        let e_before = sys.sensors().energy_j(CoreId(2));
+        let e_before = sys.stats().per_core[2].energy_j;
         let mut nb = NullBalancer;
         sys.run_epoch(&mut nb);
-        assert_eq!(sys.sensors().energy_j(CoreId(2)), e_before);
+        assert_eq!(sys.stats().per_core[2].energy_j, e_before);
         // Plugging it back in makes it usable again.
         sys.set_core_online(CoreId(2), true);
         let applied = sys.apply_allocation(&alloc);
@@ -1897,7 +2037,7 @@ mod tests {
             sys.set_core_throttle(CoreId(1), duty);
             let mut nb = NullBalancer;
             sys.run_epoch(&mut nb);
-            sys.sensors().total_instructions()
+            sys.stats().total_instructions
         };
         let full = run(1.0);
         let half = run(0.5);
@@ -1923,7 +2063,7 @@ mod tests {
             "stuck counters read as zero deltas"
         );
         assert!(
-            sys.sensors().total_instructions() > 0,
+            sys.stats().total_instructions > 0,
             "ground truth keeps advancing"
         );
         assert!(sys.fault_stats().unwrap().stuck_core_epochs >= 4);
@@ -1966,8 +2106,8 @@ mod tests {
                 sys.run_epoch(&mut nb);
             }
             (
-                sys.sensors().total_instructions(),
-                sys.sensors().total_energy_j().to_bits(),
+                sys.stats().total_instructions,
+                sys.stats().total_energy_j.to_bits(),
             )
         };
         assert_eq!(run(), run());
@@ -2125,6 +2265,6 @@ mod tests {
         }
         assert_eq!(sys.now_ns(), 5 * cfg.epoch_ns());
         assert!(sys.total_slices() > 0);
-        assert!(sys.sensors().total_instructions() > 0);
+        assert!(sys.stats().total_instructions > 0);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The McPAT substitute of the SmartBalance reproduction: per-core-type
 //! power models calibrated so each Table 2 core's peak power is matched
-//! exactly, per-core power sensors (optionally noisy, mirroring real
-//! boards like the Odroid-XU3 the paper cites), and platform-wide
-//! energy accounting for the IPS/Watt evaluation metric.
+//! exactly, and a first-order thermal model. The scheduler (`kernelsim`)
+//! prices every slice with a core's model and keeps the energy account
+//! the IPS/Watt evaluation metric is computed from.
 //!
 //! ## Quick start
 //!
@@ -28,14 +28,10 @@
 #![cfg_attr(not(test), warn(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), warn(clippy::as_conversions))]
 
-pub mod energy;
 pub mod model;
-pub mod sensor;
 pub mod thermal;
 
-pub use energy::{CoreMeter, EnergyMeter};
 pub use model::{
     CorePowerModel, PowerState, IDLE_DYNAMIC_FLOOR, LEAKAGE_FRACTION, SLEEP_POWER_FRACTION,
 };
-pub use sensor::PowerSensor;
 pub use thermal::{ThermalModel, AMBIENT_C};

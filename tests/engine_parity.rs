@@ -185,10 +185,11 @@ fn run(cached: bool, sc: Scenario) -> RunTrace {
             }
         }
     }
+    let stats = sys.stats();
     RunTrace {
         fingerprints,
-        total_instructions: sys.sensors().total_instructions(),
-        total_energy_bits: sys.sensors().total_energy_j().to_bits(),
+        total_instructions: stats.total_instructions,
+        total_energy_bits: stats.total_energy_j.to_bits(),
         total_slices: sys.total_slices(),
         cache_hits: sys.estimate_cache().hits(),
         cache_misses: sys.estimate_cache().misses(),
@@ -460,10 +461,11 @@ fn run_wide(cached: bool, workers: usize) -> RunTrace {
         fingerprints.push(serde_json::to_string(&report).expect("serialize report"));
     }
     assert_eq!(sys.tracer().dropped(), 0, "ring must not wrap");
+    let stats = sys.stats();
     RunTrace {
         fingerprints,
-        total_instructions: sys.sensors().total_instructions(),
-        total_energy_bits: sys.sensors().total_energy_j().to_bits(),
+        total_instructions: stats.total_instructions,
+        total_energy_bits: stats.total_energy_j.to_bits(),
         total_slices: sys.total_slices(),
         cache_hits: sys.estimate_cache().hits(),
         cache_misses: sys.estimate_cache().misses(),

@@ -1,86 +1,25 @@
 //! Fault-injection integration tests: the closed loop against sensor
 //! corruption, hotplug and migration failure.
 //!
-//! The contract under test has two halves. First, the fault harness is
-//! *transparent when empty*: wrapping the sensor bank with a no-op
-//! `FaultPlan` must leave every reading and every `EpochReport`
-//! bit-identical (same serde_json fingerprint discipline as
+//! Sensor faults reach the balancer one way: `System::set_fault_plan`
+//! installs an `archsim::FaultHarness` over a `FaultPlan`, and the
+//! harness corrupts each epoch report's task and core rows while the
+//! system's own accounts keep the ground truth. The contract under test
+//! has two halves. First, the harness is *transparent when empty*: an
+//! installed no-op `FaultPlan` must leave every `EpochReport` and the
+//! run totals bit-identical (same serde_json fingerprint discipline as
 //! `engine_parity.rs`). Second, under real faults the balancer
 //! *degrades instead of derailing*: it never panics, never places work
 //! on an offline core, and retains most of the fault-free energy
 //! efficiency (the issue's ≥ 70 % acceptance bar).
 
-use archsim::{
-    CoreId, CounterSample, FaultClass, FaultKind, FaultPlan, FaultySensorBank, Platform,
-    SensorBank, SensorInterface,
-};
+use archsim::{CoreId, FaultClass, FaultKind, FaultPlan, Platform};
 use kernelsim::{MigrationReject, System, SystemConfig};
 use smartbalance::{
     DegradeConfig, DegradeMode, Policy, ShardConfig, SmartBalance, SmartBalanceConfig,
     VanillaBalancer,
 };
 use workloads::SyntheticGenerator;
-
-/// A deterministic pseudo-random counter stream for bank-level tests.
-fn sample(i: u64) -> CounterSample {
-    CounterSample {
-        cy_busy: 1_000_000 + i * 7,
-        cy_idle: 40_000 + i * 3,
-        cy_mem_stall: 90_000 + i,
-        instructions: 800_000 + i * 11,
-        mem_instructions: 200_000 + i * 5,
-        branch_instructions: 90_000 + i * 2,
-        branch_mispredicts: 4_000 + i,
-        l1d_accesses: 210_000 + i * 5,
-        l1d_misses: 9_000 + i,
-        l1i_accesses: 780_000 + i * 9,
-        l1i_misses: 1_500 + i,
-        dtlb_accesses: 210_000 + i * 5,
-        dtlb_misses: 700 + i,
-        itlb_accesses: 780_000 + i * 9,
-        itlb_misses: 90 + i,
-        ..CounterSample::default()
-    }
-}
-
-/// Satellite (c): with an empty `FaultPlan`, `FaultySensorBank` must be
-/// observationally identical to the bare `SensorBank` it wraps —
-/// checked through `&dyn SensorInterface` so the trait-object path the
-/// balancer actually uses is what's covered.
-#[test]
-fn empty_plan_bank_reads_are_bit_identical() {
-    let platform = Platform::quad_heterogeneous();
-    let mut plain = SensorBank::new(&platform);
-    let mut faulty = FaultySensorBank::new(&platform, FaultPlan::new(), 0xFA17);
-
-    // Identical record streams into both banks.
-    for epoch in 0..8u64 {
-        for core in 0..4usize {
-            let i = epoch * 4 + core as u64;
-            let energy = 1e-3 + i as f64 * 1e-5;
-            plain.record(CoreId(core), sample(i), energy, 6_000_000);
-            faulty.record(CoreId(core), sample(i), energy, 6_000_000);
-        }
-        faulty.advance_epoch(epoch);
-    }
-
-    let a: &dyn SensorInterface = &plain;
-    let b: &dyn SensorInterface = &faulty;
-    for core in (0..4).map(CoreId) {
-        let (ca, cb) = (a.counters(core), b.counters(core));
-        assert_eq!(
-            serde_json::to_string(&ca).unwrap(),
-            serde_json::to_string(&cb).unwrap(),
-            "counters diverged on {core:?}"
-        );
-        assert_eq!(
-            a.energy_j(core).to_bits(),
-            b.energy_j(core).to_bits(),
-            "energy diverged on {core:?}"
-        );
-        assert_eq!(a.elapsed_ns(core), b.elapsed_ns(core));
-    }
-}
 
 /// Fingerprints of a closed-loop SmartBalance run, optionally with a
 /// fault harness installed.
@@ -104,16 +43,16 @@ fn run_closed_loop(plan: Option<FaultPlan>, epochs: u64) -> (Vec<String>, u64, u
         let report = sys.run_epoch(&mut policy);
         fingerprints.push(serde_json::to_string(&report).unwrap());
     }
+    let stats = sys.stats();
     (
         fingerprints,
-        sys.sensors().total_instructions(),
-        sys.sensors().total_energy_j().to_bits(),
+        stats.total_instructions,
+        stats.total_energy_j.to_bits(),
     )
 }
 
 /// The no-harness path and an installed-but-empty harness must produce
-/// bit-identical `EpochReport` streams end to end: an empty plan is
-/// inert at the closed-loop level, not only at the sensor bank.
+/// bit-identical `EpochReport` streams and run totals end to end.
 #[test]
 fn empty_plan_closed_loop_is_bit_identical() {
     let (without, instr_a, energy_a) = run_closed_loop(None, 10);
@@ -210,7 +149,7 @@ fn certain_migration_failure_degrades_to_no_migrations() {
     }
     assert!(transient > 0, "the balancer must have attempted moves");
     assert_eq!(sys.stats().migrations, 0);
-    assert!(sys.sensors().total_instructions() > 0, "work continued");
+    assert!(sys.stats().total_instructions > 0, "work continued");
 }
 
 /// The sharded balancer against a whole-cluster catastrophe: cluster 1
@@ -279,7 +218,7 @@ fn sharded_balancer_survives_whole_cluster_blackout_and_hotplug() {
         "sharded balancer requested migrations onto offline cores"
     );
     assert!(
-        sys.sensors().total_instructions() > 0,
+        sys.stats().total_instructions > 0,
         "work continued through the blackout"
     );
     // Healed and back online: the revived cluster is usable again.
@@ -347,7 +286,7 @@ fn acceptance_chaos_scenario_retains_efficiency() {
                 );
             }
         }
-        let eff = sys.sensors().total_instructions() as f64 / sys.sensors().total_energy_j();
+        let eff = sys.stats().instructions_per_joule();
         (eff, policy)
     }
 

@@ -85,10 +85,11 @@ fn run(cached: bool, dvfs: bool) -> RunTrace {
         let report = sys.run_epoch(&mut bal);
         fingerprints.push(serde_json::to_string(&report).expect("serialize report"));
     }
+    let stats = sys.stats();
     RunTrace {
         fingerprints,
-        total_instructions: sys.sensors().total_instructions(),
-        total_energy_bits: sys.sensors().total_energy_j().to_bits(),
+        total_instructions: stats.total_instructions,
+        total_energy_bits: stats.total_energy_j.to_bits(),
         total_slices: sys.total_slices(),
         cache_hits: sys.estimate_cache().hits(),
         cache_misses: sys.estimate_cache().misses(),

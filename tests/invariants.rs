@@ -88,6 +88,42 @@ fn key_types_serde_roundtrip() {
     }
 }
 
+#[test]
+fn platform_json_runs_the_constructor_checks() {
+    let err = |json: &str| {
+        serde_json::from_str::<Platform>(json)
+            .expect_err("an invalid platform must not deserialize")
+            .to_string()
+    };
+    assert_eq!(
+        err(r#"{"types":[],"gamma":[]}"#),
+        "types: platform needs at least one core type"
+    );
+    let quad = serde_json::to_string(&Platform::quad_heterogeneous()).expect("serialize");
+    assert!(quad.ends_with(r#""gamma":[0,1,2,3]}"#), "{quad}");
+    assert_eq!(
+        err(&quad.replace(r#""gamma":[0,1,2,3]"#, r#""gamma":[]"#)),
+        "gamma: platform needs at least one core"
+    );
+    assert_eq!(
+        err(&quad.replace(r#""gamma":[0,1,2,3]"#, r#""gamma":[0,1,2,9]"#)),
+        "gamma[3]: core type index 9 out of range (4 types)"
+    );
+    assert!(err(r#"{"gamma":[0]}"#).starts_with("types: "));
+    assert!(err(r#"{"types":[],"gamma":"x"}"#).starts_with("gamma: "));
+    for platform in [
+        Platform::quad_heterogeneous(),
+        Platform::octa_big_little(),
+        Platform::scaled_heterogeneous(6),
+        Platform::clustered_heterogeneous(4, 4),
+    ] {
+        let json = serde_json::to_string(&platform).expect("serialize");
+        let back: Platform = serde_json::from_str(&json).expect("a preset deserializes");
+        assert_eq!(back, platform);
+        assert_eq!(serde_json::to_string(&back).expect("serialize"), json);
+    }
+}
+
 /// archsim: IPC is positive, bounded by peak, and counters are
 /// internally consistent for any workload × core × duration.
 #[test]

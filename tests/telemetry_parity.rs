@@ -54,10 +54,11 @@ fn run(observed: bool) -> RunTrace {
         let report = sys.run_epoch(&mut policy);
         fingerprints.push(serde_json::to_string(&report).expect("serialize report"));
     }
+    let stats = sys.stats();
     RunTrace {
         fingerprints,
-        total_instructions: sys.sensors().total_instructions(),
-        total_energy_bits: sys.sensors().total_energy_j().to_bits(),
+        total_instructions: stats.total_instructions,
+        total_energy_bits: stats.total_energy_j.to_bits(),
         total_slices: sys.total_slices(),
         obs: hub.map(|hub| hub.borrow().capture()),
     }
