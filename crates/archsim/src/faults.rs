@@ -352,16 +352,6 @@ impl FaultHarness {
         }
     }
 
-    /// Number of cores covered.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// The epoch the harness is currently resolved for.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Harness telemetry so far.
     pub fn stats(&self) -> FaultStats {
         self.stats
@@ -416,16 +406,6 @@ impl FaultHarness {
             self.stats.stuck_core_epochs += stuck as u64;
             self.stats.power_dropout_core_epochs += power as u64;
         }
-    }
-
-    /// Whether `core`'s counters are frozen this epoch.
-    pub fn is_stuck(&self, core: usize) -> bool {
-        self.cores[core].stuck_now
-    }
-
-    /// Whether `core`'s power sensor is out this epoch.
-    pub fn is_power_out(&self, core: usize) -> bool {
-        self.cores[core].power_out_now
     }
 
     /// Bounded multiplicative perturbation of `v`, keyed on the field
@@ -542,12 +522,11 @@ mod tests {
         let plan = FaultPlan::new().inject(3, Some(1), FaultKind::StuckCounters { prob: 1.0 });
         let mut h = FaultHarness::new(plan, 7, 4);
         h.advance_to_epoch(2);
-        assert!(!h.is_stuck(1));
         let (c, _) = h.corrupt_reading(1, 0, sample(), 1.0);
         assert_eq!(c, sample());
         h.advance_to_epoch(3);
-        assert!(h.is_stuck(1));
-        assert!(!h.is_stuck(0), "fault is per-core");
+        let (c, _) = h.corrupt_reading(0, 0, sample(), 1.0);
+        assert_eq!(c, sample(), "fault is per-core");
         let (c, e) = h.corrupt_reading(1, 0, sample(), 1.0);
         assert!(c.is_empty(), "stuck counters deliver zero deltas");
         assert_eq!(e, 1.0, "stuck-at does not touch the power sensor");

@@ -22,9 +22,10 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use archsim::{CoreId, FaultClass, FaultKind, FaultPlan, Platform};
-use kernelsim::{System, SystemConfig, TraceLevel};
+use kernelsim::{System, SystemConfig};
 use serde::Serialize;
 use smartbalance::{DegradeMode, PredictorSet, SmartBalance, SmartBalanceConfig};
+use telemetry::TraceLevel;
 use workloads::SyntheticGenerator;
 
 /// Seed for the scenario's synthetic workload generator.
@@ -45,7 +46,7 @@ struct CellSetup {
 }
 
 /// Raw observables from one (possibly faulty) run.
-struct RunOutcome {
+struct ScenarioRun {
     instructions: u64,
     energy_j: f64,
     duration_s: f64,
@@ -122,12 +123,14 @@ fn run_scenario(
     predictors: &PredictorSet,
     epochs: u64,
     tasks: usize,
-) -> RunOutcome {
+) -> ScenarioRun {
     let platform = Platform::quad_heterogeneous();
     let config = SmartBalanceConfig::default();
     let mut policy = SmartBalance::with_predictors(&platform, config, predictors.clone());
     let mut sys = System::new(platform, SystemConfig::default());
-    sys.enable_tracing(TraceLevel::Lifecycle, 64);
+    let hub = telemetry::shared();
+    hub.borrow_mut().set_trace(TraceLevel::Lifecycle, 64);
+    sys.set_telemetry(hub.clone());
     if !setup.plan.is_empty() {
         sys.set_fault_plan(setup.plan.clone(), FAULT_SEED);
     }
@@ -174,7 +177,8 @@ fn run_scenario(
     // surviving `last_applied()` snapshot).
     let stats = sys.stats();
     let totals = stats.migration_totals;
-    RunOutcome {
+    let events = hub.borrow().events();
+    ScenarioRun {
         instructions: stats.total_instructions,
         energy_j: stats.total_energy_j,
         duration_s: duration_ns as f64 / 1e9,
@@ -185,9 +189,7 @@ fn run_scenario(
         rejected_migrations: totals.rejected,
         offline_placements,
         migrations: stats.migrations,
-        event_tail: sys
-            .tracer()
-            .events()
+        event_tail: events
             .iter()
             .rev()
             .take(4)
@@ -198,14 +200,14 @@ fn run_scenario(
 }
 
 /// Ground-truth efficiency of a run, instructions per joule.
-fn ips_per_watt(o: &RunOutcome) -> f64 {
+fn ips_per_watt(o: &ScenarioRun) -> f64 {
     o.instructions as f64 / o.energy_j.max(1e-12)
 }
 
 /// Energy-delay product normalized to giga-instructions of progress:
 /// `E · T / (I/1e9)²`, so cells that both burn more energy *and* lose
 /// throughput are penalized on both axes.
-fn edp(o: &RunOutcome) -> f64 {
+fn edp(o: &ScenarioRun) -> f64 {
     let gi = (o.instructions as f64 / 1e9).max(1e-12);
     o.energy_j * o.duration_s / (gi * gi)
 }
@@ -218,7 +220,7 @@ fn run_cell(
     predictors: &PredictorSet,
     epochs: u64,
     tasks: usize,
-    baseline: &RunOutcome,
+    baseline: &ScenarioRun,
 ) -> CellResult {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         run_scenario(&setup, predictors, epochs, tasks)

@@ -21,10 +21,10 @@
 //!   `--prom <path>` — output path overrides.
 
 use archsim::Platform;
-use kernelsim::{LoadBalancer, System, SystemConfig, TraceLevel};
+use kernelsim::{LoadBalancer, System, SystemConfig};
 use serde::Serialize;
 use smartbalance::{ExperimentSpec, ExperimentSuite, ObsSummary, Policy, SmartBalance};
-use telemetry::StageProfile;
+use telemetry::{StageProfile, TraceLevel};
 use workloads::SyntheticGenerator;
 
 /// Seed for the reference scenario's synthetic workload generator.
@@ -85,16 +85,17 @@ struct ScenarioOutput {
 }
 
 /// Runs the reference closed-loop scenario (SmartBalance on the quad
-/// heterogeneous platform) with telemetry and tracing attached.
+/// heterogeneous platform) with a hub attached that also records
+/// every scheduler event.
 fn run_observed(epochs: u64, tasks: usize, trace_capacity: usize) -> ScenarioOutput {
     let platform = Platform::quad_heterogeneous();
     let mut policy = SmartBalance::new(&platform);
     let mut sys = System::new(platform, SystemConfig::default());
     let hub = telemetry::shared();
+    let trace_level = TraceLevel::Full;
+    hub.borrow_mut().set_trace(trace_level, trace_capacity);
     sys.set_telemetry(hub.clone());
     policy.attach_telemetry(&hub);
-    let trace_level = TraceLevel::Full;
-    sys.enable_tracing(trace_level, trace_capacity);
     let mut gen = SyntheticGenerator::new(SEED);
     for i in 0..tasks {
         sys.spawn(gen.profile(format!("t{i}"), 4, u64::MAX / 64, i % 2 == 0));
@@ -104,11 +105,7 @@ fn run_observed(epochs: u64, tasks: usize, trace_capacity: usize) -> ScenarioOut
     }
 
     let hub = hub.borrow();
-    // Chrome trace: the loop's epoch spans first, then the scheduler
-    // ring — Perfetto orders by timestamp internally.
-    let mut chrome = hub.chrome_spans();
-    chrome.extend(sys.tracer().chrome_events());
-    let events = sys.tracer().events();
+    let events = hub.events();
     let tail = events
         .iter()
         .rev()
@@ -121,9 +118,11 @@ fn run_observed(epochs: u64, tasks: usize, trace_capacity: usize) -> ScenarioOut
         stages: hub.stage_profile(),
         jsonl: hub.jsonl(),
         prometheus: hub.registry().prometheus_text(),
-        chrome_json: telemetry::chrome_trace_json(&chrome),
+        // The loop's epoch spans first, then the scheduler events —
+        // Perfetto orders by timestamp internally.
+        chrome_json: telemetry::chrome_trace_json(&hub.chrome_events()),
         trace_events: events.len(),
-        trace_dropped: sys.tracer().dropped(),
+        trace_dropped: hub.dropped_events(),
         trace_level,
         event_tail: tail,
     }

@@ -19,8 +19,8 @@
 //! - `--trace <path>` write a lifecycle-level scheduler trace CSV
 
 use archsim::{CoreConfig, CoreTypeId, Platform};
-use kernelsim::TraceLevel;
-use smartbalance::{ExperimentSpec, ExperimentSuite, Policy, TraceRequest};
+use smartbalance::{ExperimentSpec, ExperimentSuite, Policy, PredictorCache};
+use telemetry::TraceLevel;
 use workloads::{ImbConfig, MixId, WorkloadProfile};
 
 fn flag(args: &[String], name: &str) -> Option<String> {
@@ -120,20 +120,14 @@ fn main() {
     let spec = ExperimentSpec::new(format!("{workload}/{threads}t"), platform.clone(), profiles)
         .with_max_epochs(max_epochs);
     let mut suite = ExperimentSuite::new();
-    if trace_path.is_some() {
-        suite.push_traced(
-            spec,
-            policy,
-            TraceRequest {
-                level: TraceLevel::Lifecycle,
-                capacity: 100_000,
-            },
-        );
-    } else {
-        suite.push(spec, policy);
-    }
-    let report = suite.run();
-    let job = &report.jobs[0];
+    suite.push(spec, policy);
+    let hub = trace_path.as_ref().map(|_| {
+        let hub = telemetry::shared();
+        hub.borrow_mut().set_trace(TraceLevel::Lifecycle, 100_000);
+        hub
+    });
+    // The suite's one job on its seed, recording into the hub if any.
+    let job = suite.jobs()[0].execute_with(0, hub.as_ref(), &PredictorCache::default());
     let stats = &job.result.stats;
 
     println!(
@@ -162,12 +156,13 @@ fn main() {
         );
     }
 
-    if let Some(path) = trace_path {
-        let capture = job.trace.as_ref().expect("trace was requested");
-        std::fs::write(&path, &capture.csv).expect("write trace");
+    if let (Some(path), Some(hub)) = (trace_path, hub) {
+        let hub = hub.borrow();
+        std::fs::write(&path, hub.trace_csv()).expect("write trace");
         println!(
             "\ntrace: {} events written to {path} ({} overwritten)",
-            capture.events, capture.dropped
+            hub.events().len(),
+            hub.dropped_events()
         );
     }
 }

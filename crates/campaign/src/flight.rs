@@ -40,7 +40,7 @@ impl FlightRecord {
     /// Drains a hub's retained span history into a record.
     pub fn from_hub(hub: &telemetry::Telemetry) -> Self {
         FlightRecord {
-            spans: hub.spans().to_vec(),
+            spans: hub.spans(),
             dropped_epochs: hub.dropped_spans(),
         }
     }

@@ -1,17 +1,17 @@
 //! Content-addressed campaign cells.
 //!
 //! A cell's identity is derived from what it *means* — the canonical
-//! JSON of its spec, policy, shard override and seed — not from
-//! where it sits in the grid. Reordering or extending a campaign
+//! JSON of its spec, policy and seed — not from where it sits in the
+//! grid. Reordering or extending a campaign
 //! therefore never invalidates completed work: unchanged cells keep
 //! their IDs and are skipped on resume.
 
 use serde::{Deserialize, Serialize};
-use smartbalance::{splitmix64, ExperimentSpec, Policy, ShardConfig, SuiteJob};
+use smartbalance::{splitmix64, ExperimentSpec, Policy, SuiteJob};
 
-/// One campaign cell: an experiment spec bound to a policy, a
-/// deterministic seed and an optional shard override, at a fixed grid
-/// index.
+/// One campaign cell: an experiment spec bound to a policy and a
+/// deterministic seed, at a fixed grid index. A sharded cell asks for
+/// sharding in its spec ([`ExperimentSpec::with_shard`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CampaignJob {
     /// Position in the expanded grid; the seed's source and the
@@ -24,8 +24,6 @@ pub struct CampaignJob {
     /// Deterministic seed (splitmix64 of the grid index by default) —
     /// part of the cell's identity, so retries replay the exact run.
     pub seed: u64,
-    /// Hierarchical-sharding override, as in [`SuiteJob::shard`].
-    pub shard: Option<ShardConfig>,
 }
 
 impl CampaignJob {
@@ -37,34 +35,25 @@ impl CampaignJob {
             spec,
             policy,
             seed: splitmix64(index as u64),
-            shard: None,
         }
-    }
-
-    /// Enables hierarchical sharding (builder style).
-    pub fn with_shard(mut self, shard: ShardConfig) -> Self {
-        self.shard = Some(shard);
-        self
     }
 
     /// The cell's content-addressed identity: 16 hex digits, stable
     /// across grid reordering, process restarts and machines.
     pub fn id(&self) -> String {
-        job_id(&self.spec, self.policy, self.shard, self.seed)
+        job_id(&self.spec, self.policy, self.seed)
     }
 
     /// Lowers the cell to the suite's execution unit. Campaign cells
-    /// run without traces or observability capture: those are
-    /// per-investigation knobs, and keeping them out of the cell keeps
+    /// run without an observability capture: that is a
+    /// per-investigation knob, and keeping it out of the cell keeps
     /// journal entries small and identities stable.
     pub fn to_suite_job(&self) -> SuiteJob {
         SuiteJob {
             spec: self.spec.clone(),
             policy: self.policy,
             seed: self.seed,
-            trace: None,
             observe: false,
-            shard: self.shard,
         }
     }
 }
@@ -73,17 +62,11 @@ impl CampaignJob {
 /// parts: FNV-1a 64 over the canonical JSON rendering, as 16 hex
 /// digits. Serde derives emit fields in declaration order, so the
 /// rendering — and therefore the hash — is deterministic.
-pub fn job_id(
-    spec: &ExperimentSpec,
-    policy: Policy,
-    shard: Option<ShardConfig>,
-    seed: u64,
-) -> String {
+pub fn job_id(spec: &ExperimentSpec, policy: Policy, seed: u64) -> String {
     let canonical = format!(
-        "{{\"spec\":{},\"policy\":{},\"shard\":{},\"seed\":{seed}}}",
+        "{{\"spec\":{},\"policy\":{},\"seed\":{seed}}}",
         canonical_json(spec),
         canonical_json(&policy),
-        canonical_json(&shard),
     );
     format!("{:016x}", fnv1a64(canonical.as_bytes()))
 }
@@ -114,6 +97,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
     use archsim::{Platform, WorkloadCharacteristics};
+    use smartbalance::ShardConfig;
     use workloads::WorkloadProfile;
 
     fn spec(name: &str) -> ExperimentSpec {
@@ -143,8 +127,11 @@ mod tests {
         assert_ne!(a.id(), other_spec.id(), "spec is part of identity");
         let other_seed = CampaignJob::new(1, spec("x"), Policy::Vanilla);
         assert_ne!(a.id(), other_seed.id(), "seed is part of identity");
-        let sharded =
-            CampaignJob::new(0, spec("x"), Policy::Vanilla).with_shard(ShardConfig::default());
+        let sharded = CampaignJob::new(
+            0,
+            spec("x").with_shard(ShardConfig::default()),
+            Policy::Vanilla,
+        );
         assert_ne!(a.id(), sharded.id(), "shard is part of identity");
     }
 

@@ -10,8 +10,8 @@
 //!
 //! - **Content-addressed jobs** ([`CampaignJob`]): every cell's
 //!   identity is a stable 64-bit FNV-1a hash over the canonical JSON of
-//!   its spec, policy, shard override and seed — the grid's
-//!   *meaning*, not its position — rendered as 16 hex digits.
+//!   its spec, policy and seed — the grid's *meaning*, not its
+//!   position — rendered as 16 hex digits.
 //! - **An atomic checkpoint journal** ([`CheckpointJournal`]): one JSON
 //!   line per terminal cell outcome, rendered once when the record
 //!   enters the journal, flushed by writing the whole journal to a

@@ -98,8 +98,7 @@ pub use objective::{Goal, Objective};
 pub use optimal::{exhaustive_best, known_optimum_case, KnownCase};
 pub use predict::{PowerCoeffs, PredictorSet};
 pub use runner::{
-    compare_policies, run_experiment_into_hub, run_experiment_with, ExperimentSpec, Policy,
-    PredictorCache, RunOptions, RunOutcome, RunResult, TraceCapture, TraceRequest,
+    compare_policies, run_experiment_with, ExperimentSpec, Policy, PredictorCache, RunResult,
 };
 pub use sense::{SenseHealth, Sensor, ThreadSense, FEATURE_NAMES, NUM_FEATURES};
 pub use shard::ShardConfig;

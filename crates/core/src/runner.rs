@@ -6,7 +6,7 @@
 use std::sync::OnceLock;
 
 use archsim::{CoreConfig, Platform};
-use kernelsim::{LoadBalancer, NullBalancer, System, SystemConfig, SystemStats, TraceLevel};
+use kernelsim::{LoadBalancer, NullBalancer, System, SystemConfig, SystemStats};
 use serde::{Deserialize, Serialize};
 use workloads::WorkloadProfile;
 
@@ -15,7 +15,7 @@ use crate::balance::{GtsBalancer, IksBalancer, ShardedBalancer, SmartBalance, Va
 use crate::config::SmartBalanceConfig;
 use crate::predict::PredictorSet;
 use crate::shard::ShardConfig;
-use telemetry::ObsCapture;
+use telemetry::TelemetryHandle;
 
 /// Which balancing policy to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -285,152 +285,37 @@ impl RunResult {
     }
 }
 
-/// A request to record scheduler events while an experiment runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceRequest {
-    /// Event verbosity.
-    pub level: TraceLevel,
-    /// Ring-buffer capacity in events.
-    pub capacity: usize,
-}
-
-/// The scheduler event trace captured during a run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceCapture {
-    /// The events rendered as CSV (one row per event).
-    pub csv: String,
-    /// Number of events retained.
-    pub events: usize,
-    /// Number of events dropped once the ring buffer filled.
-    pub dropped: u64,
-}
-
-/// Per-run knobs for [`run_experiment_with`]: scheduler-event tracing
-/// and closed-loop observability. The default is a bare measurement
-/// run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunOptions {
-    /// Scheduler-event trace to capture, if any. A request at
-    /// [`TraceLevel::Off`] is treated as no request at all — no tracer
-    /// is armed and no empty capture is allocated.
-    pub trace: Option<TraceRequest>,
-    /// When set, a [`telemetry::Telemetry`] hub is attached to both the
-    /// system and the balancer and its capture (summary + JSONL +
-    /// Prometheus snapshot) lands in the outcome.
-    pub observe: bool,
-}
-
-impl RunOptions {
-    /// A bare measurement run: no trace, no observability.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests a scheduler-event trace (builder style).
-    pub fn with_trace(mut self, level: TraceLevel, capacity: usize) -> Self {
-        self.trace = Some(TraceRequest { level, capacity });
-        self
-    }
-
-    /// Requests closed-loop observability (builder style).
-    pub fn with_observability(mut self) -> Self {
-        self.observe = true;
-        self
-    }
-}
-
-/// Everything one [`run_experiment_with`] call produced.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// The experiment measurements.
-    pub result: RunResult,
-    /// Captured scheduler trace, if [`RunOptions::trace`] asked for one.
-    pub trace: Option<TraceCapture>,
-    /// Captured observability bundle, if [`RunOptions::observe`] was
-    /// set.
-    pub observability: Option<ObsCapture>,
-}
-
 /// Runs `spec` under the given balancer until all tasks complete (or
-/// the epoch limit hits) and returns everything the run produced.
+/// the epoch limit hits) and returns the measurements.
 ///
-/// This is the single experiment entry point: tracing and
-/// observability are both [`RunOptions`] knobs.
+/// This is the single experiment entry point. With a hub, the system
+/// and the balancer both record into it: epoch spans, registry series,
+/// the prediction audit and the scheduler events its trace level asks
+/// for ([`telemetry::Telemetry::set_trace`]). The caller keeps the
+/// handle and reads the run off it afterwards. Attaching a hub never
+/// perturbs the run: the result is bit-identical with or without one.
 pub fn run_experiment_with(
     spec: &ExperimentSpec,
     balancer: &mut dyn LoadBalancer,
-    options: RunOptions,
-) -> RunOutcome {
-    let hub = if options.observe {
-        Some(telemetry::shared())
-    } else {
-        None
-    };
-    let (result, trace) = run_experiment_core(spec, balancer, options, hub.as_ref());
-    let observability = hub.map(|hub| hub.borrow().capture());
-    RunOutcome {
-        result,
-        trace,
-        observability,
-    }
-}
-
-/// Like [`run_experiment_with`], but records into a caller-owned
-/// telemetry hub instead of creating one per run. The caller keeps the
-/// handle — and with it the spans, registry and flight-recorder ring —
-/// so [`RunOutcome::observability`] stays `None` here (capture from the
-/// hub when the run is done). Attaching a hub never perturbs the run:
-/// the result is bit-identical with or without one.
-pub fn run_experiment_into_hub(
-    spec: &ExperimentSpec,
-    balancer: &mut dyn LoadBalancer,
-    options: RunOptions,
-    hub: &telemetry::TelemetryHandle,
-) -> RunOutcome {
-    let (result, trace) = run_experiment_core(spec, balancer, options, Some(hub));
-    RunOutcome {
-        result,
-        trace,
-        observability: None,
-    }
-}
-
-/// The shared run loop behind both entry points: wires the optional
-/// hub and tracer into a fresh [`System`], runs to completion and
-/// collects the measurements.
-fn run_experiment_core(
-    spec: &ExperimentSpec,
-    balancer: &mut dyn LoadBalancer,
-    options: RunOptions,
-    hub: Option<&telemetry::TelemetryHandle>,
-) -> (RunResult, Option<TraceCapture>) {
-    let trace = options.trace.filter(|req| req.level != TraceLevel::Off);
+    hub: Option<&TelemetryHandle>,
+) -> RunResult {
     let mut sys = System::new(spec.platform.clone(), spec.sys_config);
     if let Some(hub) = hub {
         sys.set_telemetry(hub.clone());
         balancer.attach_telemetry(hub);
-    }
-    if let Some(req) = trace {
-        sys.enable_tracing(req.level, req.capacity);
     }
     for profile in &spec.profiles {
         sys.spawn(profile.clone());
     }
     let epochs = sys.run_to_completion(balancer, spec.max_epochs);
     let stats = sys.stats();
-    let capture = trace.map(|_| TraceCapture {
-        csv: sys.tracer().to_csv(),
-        events: sys.tracer().events().len(),
-        dropped: sys.tracer().dropped(),
-    });
-    let result = RunResult {
+    RunResult {
         experiment: spec.name.clone(),
         policy: balancer.name().to_owned(),
         epochs,
         completed: stats.live_tasks == 0,
         stats,
-    };
-    (result, capture)
+    }
 }
 
 /// Runs `spec` under each policy and returns the results in the same
@@ -440,7 +325,7 @@ pub fn compare_policies(spec: &ExperimentSpec, policies: &[Policy]) -> Vec<RunRe
         .iter()
         .map(|p| {
             let mut balancer = p.build(&spec.platform, spec.policy_config.as_ref());
-            run_experiment_with(spec, balancer.as_mut(), RunOptions::new()).result
+            run_experiment_with(spec, balancer.as_mut(), None)
         })
         .collect()
 }
@@ -462,7 +347,7 @@ mod tests {
     fn run_completes_and_reports() {
         let spec = small_spec();
         let mut b = Policy::Vanilla.build(&spec.platform, None);
-        let r = run_experiment_with(&spec, b.as_mut(), RunOptions::new()).result;
+        let r = run_experiment_with(&spec, b.as_mut(), None);
         assert!(r.completed);
         assert_eq!(r.policy, "vanilla");
         assert!(r.energy_efficiency() > 0.0);
@@ -503,79 +388,37 @@ mod tests {
             ..SmartBalanceConfig::default()
         });
         let mut policy = Policy::Smart.build(&spec.platform, spec.policy_config.as_ref());
-        let r = run_experiment_with(&spec, policy.as_mut(), RunOptions::new()).result;
+        let r = run_experiment_with(&spec, policy.as_mut(), None);
         assert!(r.completed);
         assert!(r.energy_efficiency() > 0.0);
-    }
-
-    #[test]
-    fn off_level_trace_request_yields_no_capture() {
-        // Regression: an Off-level request used to allocate an empty
-        // TraceCapture (and arm a zero-yield tracer) just because the
-        // Option was Some.
-        let spec = small_spec();
-        let mut b = Policy::Vanilla.build(&spec.platform, None);
-        let req = TraceRequest {
-            level: TraceLevel::Off,
-            capacity: 64,
-        };
-        let outcome = run_experiment_with(
-            &spec,
-            b.as_mut(),
-            RunOptions {
-                trace: Some(req),
-                ..RunOptions::default()
-            },
-        );
-        assert!(outcome.result.completed);
-        assert!(
-            outcome.trace.is_none(),
-            "Off-level request must not capture"
-        );
-
-        // A real request still captures.
-        let mut b = Policy::Vanilla.build(&spec.platform, None);
-        let req = TraceRequest {
-            level: TraceLevel::Lifecycle,
-            capacity: 64,
-        };
-        let outcome = run_experiment_with(
-            &spec,
-            b.as_mut(),
-            RunOptions::new().with_trace(req.level, req.capacity),
-        );
-        assert!(outcome.trace.is_some());
     }
 
     #[test]
     fn instrumented_run_observes_the_loop() {
         let spec = small_spec();
         let mut policy = Policy::Smart.build(&spec.platform, None);
-        let outcome = run_experiment_with(
-            &spec,
-            policy.as_mut(),
-            RunOptions::new().with_observability(),
-        );
-        let (r, obs) = (outcome.result, outcome.observability);
-        let obs = obs.expect("observability requested");
+        let hub = telemetry::shared();
+        hub.borrow_mut()
+            .set_trace(telemetry::TraceLevel::Lifecycle, 64);
+        let r = run_experiment_with(&spec, policy.as_mut(), Some(&hub));
+        let obs = hub.borrow().capture();
         assert!(r.completed);
         assert_eq!(obs.summary.epochs, r.epochs, "one span per epoch");
         assert!(!obs.jsonl.is_empty());
         assert!(!obs.prometheus.is_empty());
         assert!(obs.prometheus.contains("sb_epochs_total"));
+        assert!(!hub.borrow().events().is_empty(), "scheduler events");
 
-        // Not requested → not allocated, result identical.
         let mut policy = Policy::Smart.build(&spec.platform, None);
-        let o2 = run_experiment_with(&spec, policy.as_mut(), RunOptions::new());
-        assert!(o2.observability.is_none());
-        assert_eq!(r, o2.result, "observability must not perturb the run");
+        let bare = run_experiment_with(&spec, policy.as_mut(), None);
+        assert_eq!(r, bare, "observability must not perturb the run");
     }
 
     #[test]
     fn run_result_surfaces_migration_totals() {
         let spec = small_spec();
         let mut policy = Policy::Smart.build(&spec.platform, None);
-        let r = run_experiment_with(&spec, policy.as_mut(), RunOptions::new()).result;
+        let r = run_experiment_with(&spec, policy.as_mut(), None);
         let totals = r.stats.migration_totals;
         assert_eq!(totals.migrated, r.stats.migrations);
         assert_eq!(

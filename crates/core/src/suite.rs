@@ -39,11 +39,7 @@ use kernelsim::{parallel_indexed, LoadBalancer};
 use serde::{Deserialize, Serialize};
 
 use crate::config::SmartBalanceConfig;
-use crate::runner::{
-    run_experiment_into_hub, run_experiment_with, ExperimentSpec, Policy, PredictorCache,
-    RunOptions, RunResult, TraceCapture, TraceRequest,
-};
-use crate::shard::ShardConfig;
+use crate::runner::{run_experiment_with, ExperimentSpec, Policy, PredictorCache, RunResult};
 use telemetry::{ObsCapture, TelemetryHandle};
 
 /// splitmix64: the standard 64-bit seed expander; maps a job index to
@@ -68,37 +64,14 @@ pub struct SuiteJob {
     /// Deterministic seed (splitmix64 of the job index). Feeds the
     /// annealer unless the spec's policy config pins its own seed.
     pub seed: u64,
-    /// Optional scheduler-event trace to capture during the run.
-    pub trace: Option<TraceRequest>,
-    /// When set, the job runs with a telemetry hub attached and its
-    /// [`ObsCapture`] lands in the [`JobResult`].
+    /// When set and no hub is handed to
+    /// [`execute_with`](Self::execute_with), the job runs with a hub of
+    /// its own attached and its [`ObsCapture`] lands in the
+    /// [`JobResult`].
     pub observe: bool,
-    /// Hierarchical-sharding override for this job; `Some(..)` makes a
-    /// [`Policy::Smart`] job run the cluster-sharded balancer
-    /// regardless of the spec's policy config.
-    pub shard: Option<ShardConfig>,
 }
 
 impl SuiteJob {
-    /// Requests a scheduler-event trace for this job (builder style).
-    pub fn with_trace(mut self, trace: TraceRequest) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// Requests closed-loop observability for this job (builder style).
-    pub fn with_observability(mut self) -> Self {
-        self.observe = true;
-        self
-    }
-
-    /// Enables hierarchical sharding for this job (builder style);
-    /// wins over the spec's `policy_config.shard`.
-    pub fn with_shard(mut self, shard: ShardConfig) -> Self {
-        self.shard = Some(shard);
-        self
-    }
-
     /// The SmartBalance configuration this job actually runs with: the
     /// spec's `policy_config` (or defaults) with the job seed filled
     /// into `anneal_seed` and `sensor_seed` when the config doesn't
@@ -110,9 +83,6 @@ impl SuiteJob {
         }
         if cfg.sensor_seed.is_none() {
             cfg.sensor_seed = Some(self.seed);
-        }
-        if let Some(shard) = self.shard {
-            cfg.shard = Some(shard);
         }
         cfg
     }
@@ -144,7 +114,8 @@ impl SuiteJob {
 
     /// The one job execution path: runs the job to completion, taking
     /// SmartBalance's predictor set from `predictors` and recording
-    /// into `hub` when one is given. Public so orchestration layers
+    /// into `hub` when one is given (the caller reads the hub; the
+    /// result's `obs` stays `None`). Public so orchestration layers
     /// above the suite (the campaign runner) can execute a single job
     /// under their own isolation/retry policy and still get the exact
     /// byte-stream a pooled run would have produced. `wall_s` includes
@@ -159,21 +130,14 @@ impl SuiteJob {
         // smartlint: allow(nondeterminism, "feeds only wall_s execution metadata, zeroed by canonicalized() before any fingerprint")
         let start = Instant::now();
         let mut balancer = self.build_balancer_with(predictors);
-        let options = RunOptions {
-            trace: self.trace,
-            observe: self.observe,
-        };
-        let outcome = match hub {
-            Some(hub) => run_experiment_into_hub(&self.spec, balancer.as_mut(), options, hub),
-            None => run_experiment_with(&self.spec, balancer.as_mut(), options),
-        };
+        let own = (hub.is_none() && self.observe).then(telemetry::shared);
+        let result = run_experiment_with(&self.spec, balancer.as_mut(), hub.or(own.as_ref()));
         JobResult {
             job_index: index,
             seed: self.seed,
             policy: self.policy,
-            result: outcome.result,
-            trace: outcome.trace,
-            obs: outcome.observability,
+            result,
+            obs: own.map(|hub| hub.borrow().capture()),
             wall_s: start.elapsed().as_secs_f64(),
         }
     }
@@ -190,8 +154,6 @@ pub struct JobResult {
     pub policy: Policy,
     /// The experiment measurements.
     pub result: RunResult,
-    /// Captured scheduler trace, if the job requested one.
-    pub trace: Option<TraceCapture>,
     /// Captured observability bundle, if the job requested one.
     pub obs: Option<ObsCapture>,
     /// Wall-clock duration of this job alone, seconds, balancer
@@ -439,55 +401,23 @@ impl ExperimentSuite {
     /// Queues `spec` to run under `policy` and returns the job's
     /// index. The job's seed is derived from that index.
     pub fn push(&mut self, spec: ExperimentSpec, policy: Policy) -> usize {
-        self.push_job(spec, policy, None)
-    }
-
-    /// [`push`](Self::push) with a scheduler-trace request attached.
-    pub fn push_traced(
-        &mut self,
-        spec: ExperimentSpec,
-        policy: Policy,
-        trace: TraceRequest,
-    ) -> usize {
-        self.push_job(spec, policy, Some(trace))
+        self.push_job(spec, policy, false)
     }
 
     /// [`push`](Self::push) with closed-loop observability: the job
     /// runs with a telemetry hub attached and its [`ObsCapture`]
     /// (summary + JSONL + Prometheus snapshot) lands in the report.
     pub fn push_observed(&mut self, spec: ExperimentSpec, policy: Policy) -> usize {
-        let index = self.push_job(spec, policy, None);
-        self.jobs[index].observe = true;
-        index
+        self.push_job(spec, policy, true)
     }
 
-    /// [`push`](Self::push) with a sharding override: the job runs the
-    /// cluster-sharded balancer under [`Policy::Smart`].
-    pub fn push_with_shard(
-        &mut self,
-        spec: ExperimentSpec,
-        policy: Policy,
-        shard: ShardConfig,
-    ) -> usize {
-        let index = self.push_job(spec, policy, None);
-        self.jobs[index].shard = Some(shard);
-        index
-    }
-
-    fn push_job(
-        &mut self,
-        spec: ExperimentSpec,
-        policy: Policy,
-        trace: Option<TraceRequest>,
-    ) -> usize {
+    fn push_job(&mut self, spec: ExperimentSpec, policy: Policy, observe: bool) -> usize {
         let index = self.jobs.len();
         self.jobs.push(SuiteJob {
             spec,
             policy,
             seed: splitmix64(index as u64),
-            trace,
-            observe: false,
-            shard: None,
+            observe,
         });
         index
     }

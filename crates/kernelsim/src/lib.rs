@@ -8,6 +8,13 @@
 //! (the `rebalance_domains()` hook of paper Section 5.1) and explicit
 //! thread migration with a cold-cache cost (`set_cpus_allowed_ptr()`).
 //!
+//! A system is observed through one attach point,
+//! [`System::set_telemetry`]: the hub gets the epoch spans and the
+//! allocation outcomes, and — at the level its
+//! [`telemetry::Telemetry::set_trace`] selects — the scheduler events
+//! ([`telemetry::TraceEvent`]), so scheduler and controller share one
+//! timeline.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -40,7 +47,6 @@ pub mod stats;
 pub mod system;
 pub mod task;
 pub mod topology;
-pub mod trace;
 
 pub use balancer::{
     Allocation, AppliedAllocation, CoreEpochStats, EpochReport, LoadBalancer, MigrationReject,
@@ -53,4 +59,3 @@ pub use system::{System, SystemConfig};
 pub use task::{affinity_allows, Task, TaskId, TaskState};
 pub use telemetry::TelemetryHandle;
 pub use topology::{ClusterId, Topology};
-pub use trace::{TraceEvent, TraceLevel, Tracer};

@@ -34,11 +34,10 @@ use crate::pool::parallel_map;
 use crate::stats::{CoreStats, SystemStats};
 use crate::task::{Task, TaskId, TaskState};
 use crate::topology::Topology;
-use crate::trace::{TraceEvent, TraceLevel, Tracer};
-use telemetry::TelemetryHandle;
+use telemetry::{TelemetryHandle, TraceEvent, TraceLevel};
 
 /// Simulation configuration: the timing constants of paper Fig. 1(c)/2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SystemConfig {
     /// CFS scheduling-period length `T_jk`, nanoseconds (default 6 ms).
     pub period_ns: u64,
@@ -57,6 +56,44 @@ impl SystemConfig {
     pub fn epoch_ns(&self) -> u64 {
         self.period_ns * self.epoch_periods
     }
+
+    /// [`System::new`]'s checks, failing with a message that names the
+    /// offending field.
+    fn checked(self) -> Result<Self, String> {
+        if self.period_ns == 0 {
+            return Err("period_ns: scheduling period must be positive".into());
+        }
+        if self.epoch_periods == 0 {
+            return Err("epoch_periods: an epoch needs at least one period".into());
+        }
+        let activity = self.migration_activity;
+        if !(0.0..=1.0).contains(&activity) {
+            return Err(format!(
+                "migration_activity: migration activity must be in [0, 1], got {activity}"
+            ));
+        }
+        Ok(self)
+    }
+}
+
+/// Deserializes through [`System::new`]'s checks, which a derived impl
+/// would skip.
+impl Deserialize for SystemConfig {
+    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        SystemConfig {
+            period_ns: field(v, "period_ns")?,
+            epoch_periods: field(v, "epoch_periods")?,
+            migration_cost_ns: field(v, "migration_cost_ns")?,
+            migration_activity: field(v, "migration_activity")?,
+        }
+        .checked()
+        .map_err(serde::Error::new)
+    }
+}
+
+/// Deserializes field `name` of `v`, naming it in the error.
+fn field<T: Deserialize>(v: &serde::Value, name: &str) -> Result<T, serde::Error> {
+    T::deserialize_value(v.map_get(name)).map_err(|e| serde::Error::new(format!("{name}: {e}")))
 }
 
 impl Default for SystemConfig {
@@ -252,7 +289,6 @@ pub struct System {
     /// Migrations that crossed a cluster boundary (the expensive kind
     /// on real parts: remote caches, interconnect hops).
     cross_cluster_migrations: u64,
-    tracer: Tracer,
     /// Whether dispatch reads and fills the tasks' estimate memos
     /// (off only for the uncached parity oracle).
     caching: bool,
@@ -296,8 +332,9 @@ pub struct System {
     /// Cumulative per-reason migration accounting across every apply.
     alloc_totals: MigrationTotals,
     /// Optional shared observability hub; when attached, every epoch is
-    /// bracketed by an [`telemetry::EpochObs`] span and allocation
-    /// applies feed the migration counters. Never affects scheduling.
+    /// bracketed by an [`telemetry::EpochObs`] span, allocation applies
+    /// feed the migration counters and scheduler events go to its
+    /// event ring at its trace level. Never affects scheduling.
     telemetry: Option<TelemetryHandle>,
 }
 
@@ -308,16 +345,12 @@ impl System {
     ///
     /// Panics if `config.period_ns` or `config.epoch_periods` is zero,
     /// or the migration activity is outside `[0, 1]`.
+    #[expect(
+        clippy::panic,
+        reason = "documented constructor contract; deserialization returns the same check as an error"
+    )]
     pub fn new(platform: Platform, config: SystemConfig) -> Self {
-        assert!(config.period_ns > 0, "scheduling period must be positive");
-        assert!(
-            config.epoch_periods > 0,
-            "an epoch needs at least one period"
-        );
-        assert!(
-            (0.0..=1.0).contains(&config.migration_activity),
-            "migration activity must be in [0, 1]"
-        );
+        let config = config.checked().unwrap_or_else(|e| panic!("{e}"));
         let n = platform.num_cores();
         let q = platform.num_types();
         let accounts = platform
@@ -338,7 +371,6 @@ impl System {
             total_migrations: 0,
             topology,
             cross_cluster_migrations: 0,
-            tracer: Tracer::default(),
             caching: true,
             memo: MemoStats::default(),
             slot: Vec::new(),
@@ -356,28 +388,24 @@ impl System {
         }
     }
 
-    /// Attaches a shared telemetry hub. From the next epoch on, the
-    /// system opens/closes one span per `run_epoch` and records
-    /// allocation outcomes; pair with
+    /// Attaches a shared telemetry hub, the one way to observe or
+    /// trace the system. From the next epoch on, the system opens and
+    /// closes one span per `run_epoch` and records allocation outcomes;
+    /// from this call on, it hands the hub the scheduler events (the
+    /// simulator's `ftrace`) that the hub's
+    /// [`telemetry::Telemetry::set_trace`] level asks for. Pair with
     /// [`LoadBalancer::attach_telemetry`] on the policy to fill in the
     /// balancer-side phases.
     pub fn set_telemetry(&mut self, handle: TelemetryHandle) {
         self.telemetry = Some(handle);
     }
 
-    /// Enables scheduler event tracing at `level`, keeping at most
-    /// `capacity` events in a ring buffer (the simulator's `ftrace`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0` while `level` is not `Off`.
-    pub fn enable_tracing(&mut self, level: TraceLevel, capacity: usize) {
-        self.tracer = Tracer::new(level, capacity);
-    }
-
-    /// The event tracer (empty unless tracing was enabled).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+    /// Hands one scheduler event to the attached hub, if any; the hub
+    /// keeps it if its trace level covers the event.
+    fn record_event(&self, event: TraceEvent) {
+        if let Some(tel) = &self.telemetry {
+            tel.borrow_mut().record_events([event]);
+        }
     }
 
     /// The platform being simulated.
@@ -474,10 +502,10 @@ impl System {
         self.tasks.push(task);
         self.live.push(id);
         self.slot.push(u32::MAX);
-        self.tracer.record(TraceEvent::Spawn {
+        self.record_event(TraceEvent::Spawn {
             at_ns: self.now_ns,
-            task: id,
-            core,
+            task: id.0 as u64,
+            core: core.0 as u64,
         });
         id
     }
@@ -574,12 +602,17 @@ impl System {
     /// its cores' run queues, wake heaps and accounts, plus exactly the
     /// live tasks on those cores, and runs its cores one after another
     /// through all the periods. Every task and every account therefore
-    /// takes the same adds in the same order at any worker count. Trace
-    /// events are buffered per range and merged back in period order,
-    /// then ascending core.
+    /// takes the same adds in the same order at any worker count. The
+    /// attached hub's trace level is read once per call; scheduler
+    /// events are buffered per range and handed to the hub in one
+    /// borrow, in period order, then ascending core.
     fn run_periods(&mut self, periods: u64, workers: usize) {
         let bounds = self.range_bounds(workers);
         let start_ns = self.now_ns;
+        let trace = self
+            .telemetry
+            .as_ref()
+            .map_or(TraceLevel::Off, |tel| tel.borrow().trace_level());
         let mut ranges: Vec<CoreRange<'_>> = Vec::with_capacity(bounds.len() - 1);
         let (mut queues, mut heaps, mut accounts) = (
             &mut self.queues[..],
@@ -623,7 +656,7 @@ impl System {
             dvfs_level: &self.dvfs_level,
             slot: &self.slot,
             caching: self.caching,
-            trace: self.tracer.level(),
+            trace,
             start_ns,
             periods,
         };
@@ -635,15 +668,18 @@ impl System {
             self.total_slices += out.slices;
             self.memo.absorb(out.memo);
         }
-        if self.tracer.level() > TraceLevel::Off {
+        if let Some(tel) = self.telemetry.as_ref().filter(|_| trace > TraceLevel::Off) {
+            let mut hub = tel.borrow_mut();
             let periods = usize::try_from(periods).unwrap_or(usize::MAX);
             for p in 0..periods {
                 for (out, w) in outputs.iter().zip(bounds.windows(2)) {
                     for local in 0..w[1] - w[0] {
                         let chunk = local * periods + p;
-                        for &event in &out.events[out.marks[chunk]..out.marks[chunk + 1]] {
-                            self.tracer.record(event);
-                        }
+                        hub.record_events(
+                            out.events[out.marks[chunk]..out.marks[chunk + 1]]
+                                .iter()
+                                .copied(),
+                        );
                     }
                 }
             }
@@ -843,7 +879,7 @@ impl System {
     }
 
     /// Unconditionally moves a live task to `target` (queues, debt,
-    /// wake heap, trace). Callers have already validated the move.
+    /// wake heap, event). Callers have already validated the move.
     fn migrate_task(&mut self, tid: TaskId, target: CoreId) {
         let (current, state, weight, vr) = {
             let t = &self.tasks[tid.0];
@@ -868,11 +904,11 @@ impl System {
         if let TaskState::Sleeping { wake_at_ns } = state {
             self.wake_heaps[target.0].push(Reverse((wake_at_ns, tid)));
         }
-        self.tracer.record(TraceEvent::Migrate {
+        self.record_event(TraceEvent::Migrate {
             at_ns: self.now_ns,
-            task: tid,
-            from: current,
-            to: target,
+            task: tid.0 as u64,
+            from: current.0 as u64,
+            to: target.0 as u64,
         });
     }
 
@@ -999,12 +1035,13 @@ impl System {
     }
 
     fn finish_epoch(&mut self) {
-        self.tracer.record(TraceEvent::EpochEnd {
-            at_ns: self.now_ns,
-            epoch: self.epoch_index,
-        });
         if let Some(tel) = &self.telemetry {
-            tel.borrow_mut().epoch_end(
+            let mut hub = tel.borrow_mut();
+            hub.record_events([TraceEvent::EpochEnd {
+                at_ns: self.now_ns,
+                epoch: self.epoch_index,
+            }]);
+            hub.epoch_end(
                 self.now_ns,
                 self.total_slices,
                 self.memo.hits(),
@@ -1360,7 +1397,7 @@ impl CoreRange<'_> {
                         ctx.trace,
                         TraceEvent::Exit {
                             at_ns: now,
-                            task: tid,
+                            task: tid.0 as u64,
                         },
                     );
                     // The task can never be dispatched again.
@@ -1378,7 +1415,7 @@ impl CoreRange<'_> {
                             ctx.trace,
                             TraceEvent::Sleep {
                                 at_ns: now,
-                                task: tid,
+                                task: tid.0 as u64,
                                 wake_at_ns,
                             },
                         );
@@ -1389,8 +1426,8 @@ impl CoreRange<'_> {
                 ctx.trace,
                 TraceEvent::Slice {
                     at_ns: t,
-                    task: tid,
-                    core,
+                    task: tid.0 as u64,
+                    core: core.0 as u64,
                     duration_ns: work_ns,
                     instructions: instr,
                 },
@@ -1444,7 +1481,7 @@ impl CoreRange<'_> {
                 ctx.trace,
                 TraceEvent::Wake {
                     at_ns: t,
-                    task: tid,
+                    task: tid.0 as u64,
                 },
             );
         }
@@ -1500,6 +1537,46 @@ mod tests {
             let stale: SystemConfig = serde_json::from_str(&json).unwrap();
             assert_eq!(stale, plain, "engine {engine:?}");
         }
+    }
+
+    #[test]
+    fn config_json_runs_the_constructor_checks() {
+        let default = serde_json::to_string(&SystemConfig::default()).unwrap();
+        assert_eq!(
+            default,
+            r#"{"period_ns":6000000,"epoch_periods":10,"migration_cost_ns":50000,"migration_activity":0.3}"#
+        );
+        let back: SystemConfig = serde_json::from_str(&default).unwrap();
+        assert_eq!(back, SystemConfig::default());
+        assert_eq!(serde_json::to_string(&back).unwrap(), default);
+
+        let err = |json: &str| {
+            serde_json::from_str::<SystemConfig>(json)
+                .expect_err("an invalid config must not deserialize")
+                .to_string()
+        };
+        assert_eq!(
+            err(&default.replace("6000000", "0")),
+            "period_ns: scheduling period must be positive"
+        );
+        assert_eq!(
+            err(&default.replace(r#""epoch_periods":10"#, r#""epoch_periods":0"#)),
+            "epoch_periods: an epoch needs at least one period"
+        );
+        assert_eq!(
+            err(&default.replace("0.3", "7.5")),
+            "migration_activity: migration activity must be in [0, 1], got 7.5"
+        );
+        assert!(err(&default.replace("0.3", "null")).starts_with("migration_activity: "));
+        // JSON has no NaN literal; the value tree does.
+        let nan = serde::Value::Map(vec![
+            ("period_ns".into(), serde::Value::UInt(6_000_000)),
+            ("epoch_periods".into(), serde::Value::UInt(10)),
+            ("migration_cost_ns".into(), serde::Value::UInt(50_000)),
+            ("migration_activity".into(), serde::Value::Float(f64::NAN)),
+        ]);
+        let nan = SystemConfig::deserialize_value(&nan).expect_err("NaN activity");
+        assert!(nan.to_string().starts_with("migration_activity: "), "{nan}");
     }
 
     #[test]
@@ -1691,18 +1768,27 @@ mod tests {
         System::new(Platform::quad_heterogeneous(), cfg);
     }
 
+    /// A system with a hub attached that records scheduler events at
+    /// `level`, keeping at most `capacity`.
+    fn traced(platform: Platform, level: TraceLevel, capacity: usize) -> (System, TelemetryHandle) {
+        let hub = telemetry::shared();
+        hub.borrow_mut().set_trace(level, capacity);
+        let mut sys = System::new(platform, SystemConfig::default());
+        sys.set_telemetry(hub.clone());
+        (sys, hub)
+    }
+
     #[test]
     fn tracing_captures_lifecycle() {
-        use crate::trace::{TraceEvent, TraceLevel};
-        let mut sys = System::new(Platform::quad_heterogeneous(), SystemConfig::default());
-        sys.enable_tracing(TraceLevel::Lifecycle, 1_000);
+        let (mut sys, hub) = traced(Platform::quad_heterogeneous(), TraceLevel::Lifecycle, 1_000);
         let tid = sys.spawn_on(
             cpu_profile(1_000_000).with_sleep(SleepPattern::new(400_000, 2_000_000)),
             CoreId(1),
         );
+        let tid = tid.0 as u64;
         let mut nb = NullBalancer;
         sys.run_to_completion(&mut nb, 20);
-        let events = sys.tracer().events();
+        let events = hub.borrow().events();
         assert!(events
             .iter()
             .any(|e| matches!(e, TraceEvent::Spawn { task, .. } if *task == tid)));
@@ -1730,23 +1816,21 @@ mod tests {
 
     #[test]
     fn tracing_full_level_records_slices_and_migrations() {
-        use crate::trace::{TraceEvent, TraceLevel};
-        let mut sys = System::new(Platform::quad_heterogeneous(), SystemConfig::default());
-        sys.enable_tracing(TraceLevel::Full, 10_000);
+        let (mut sys, hub) = traced(Platform::quad_heterogeneous(), TraceLevel::Full, 10_000);
         let tid = sys.spawn_on(cpu_profile(u64::MAX / 4), CoreId(0));
         sys.run_period();
         let mut alloc = Allocation::new();
         alloc.assign(tid, CoreId(2));
         sys.apply_allocation(&alloc);
         sys.run_period();
-        let events = sys.tracer().events();
+        let events = hub.borrow().events();
         assert!(events.iter().any(|e| matches!(e, TraceEvent::Slice { .. })));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Migrate { task, from, to, .. }
-                if *task == tid && *from == CoreId(0) && *to == CoreId(2))));
+        assert!(events.iter().any(
+            |e| matches!(e, TraceEvent::Migrate { task, from: 0, to: 2, .. }
+                if *task == tid.0 as u64)
+        ));
         // CSV export includes headers and the migration line.
-        let csv = sys.tracer().to_csv();
+        let csv = hub.borrow().trace_csv();
         assert!(csv.contains("migrate"));
     }
 
@@ -2207,8 +2291,7 @@ mod tests {
         // split must wake in the single range's order.
         let wake_order = |workers: usize| {
             let platform = Platform::clustered_heterogeneous(2, 64);
-            let mut sys = System::new(platform, SystemConfig::default());
-            sys.enable_tracing(TraceLevel::Lifecycle, 1_000);
+            let (mut sys, hub) = traced(platform, TraceLevel::Lifecycle, 1_000);
             let d = sys.spawn_on(cpu_profile(u64::MAX / 4), CoreId(71));
             let a = sys.spawn_on(cpu_profile(u64::MAX / 4), CoreId(70));
             let c = sys.spawn_on(cpu_profile(u64::MAX / 4), CoreId(0));
@@ -2223,8 +2306,8 @@ mod tests {
             }
             sys.wake_heaps[0].push(Reverse((wake_at_ns, a)));
             sys.run_periods(1, workers);
-            let woke: Vec<TaskId> = sys
-                .tracer()
+            let woke: Vec<u64> = hub
+                .borrow()
                 .events()
                 .iter()
                 .filter_map(|e| match *e {
@@ -2232,7 +2315,7 @@ mod tests {
                     _ => None,
                 })
                 .collect();
-            (woke, vec![c, b, a])
+            (woke, [c, b, a].map(|id| id.0 as u64).to_vec())
         };
         let (single, expected) = wake_order(1);
         assert_eq!(

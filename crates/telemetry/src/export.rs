@@ -80,7 +80,7 @@ pub fn chrome_trace_json(events: &[ChromeEvent]) -> String {
 }
 
 /// Serializes spans as JSONL: one `EpochObs` JSON object per line.
-pub fn spans_jsonl(spans: &[EpochObs]) -> String {
+pub fn spans_jsonl<'a>(spans: impl IntoIterator<Item = &'a EpochObs>) -> String {
     let mut out = String::new();
     for span in spans {
         out.push_str(&serde_json::to_string(span).unwrap_or_default());

@@ -11,9 +11,14 @@
 //!   sense health, degrade rung, annealer trajectory, a rolling
 //!   predicted-vs-realized accuracy audit, estimate-cache deltas and
 //!   migration churn;
-//! - **exporters**: per-epoch JSONL ([`spans_jsonl`]), Chrome
-//!   `trace_events` JSON ([`chrome_trace_json`]) and a Prometheus text
-//!   snapshot ([`MetricsRegistry::prometheus_text`]).
+//! - **scheduler events** ([`TraceEvent`]): spawn, slice, sleep, wake,
+//!   exit, migration and epoch-boundary events from the simulated
+//!   kernel, gated by a [`TraceLevel`] and kept in a bounded ring next
+//!   to the spans — one timeline for the scheduler and the controller;
+//! - **exporters**: per-epoch JSONL ([`spans_jsonl`]), the event CSV
+//!   ([`Telemetry::trace_csv`]), Chrome `trace_events` JSON of both
+//!   ([`Telemetry::chrome_events`], [`chrome_trace_json`]) and a
+//!   Prometheus text snapshot ([`MetricsRegistry::prometheus_text`]).
 //!
 //! ## Determinism rules
 //!
@@ -31,7 +36,9 @@
 pub mod export;
 pub mod live;
 pub mod registry;
+mod ring;
 pub mod span;
+pub mod trace;
 
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -41,7 +48,9 @@ use std::rc::Rc;
 pub use export::{chrome_trace_json, ns_to_us, spans_jsonl, ChromeEvent};
 pub use live::{CampaignProgress, ObsSnapshot, SnapshotCell};
 pub use registry::{labeled, Histogram, MetricsRegistry};
+use ring::Ring;
 pub use span::EpochObs;
+pub use trace::{TraceEvent, TraceLevel};
 
 /// The rebalance pipeline stages profiled by [`Telemetry::record_stage`],
 /// in pipeline order.
@@ -49,8 +58,9 @@ pub const STAGES: &[&str] = &["sense", "predict", "anneal", "exchange", "apply"]
 
 /// Shared handle to one [`Telemetry`] hub. The system and the balancer
 /// each hold a clone and borrow it at disjoint points of `run_epoch`
-/// (system: epoch start/end and allocation application; balancer:
-/// inside `rebalance`), so the `RefCell` borrows never overlap.
+/// (system: epoch start/end, scheduler events and allocation
+/// application; balancer: inside `rebalance`), so the `RefCell` borrows
+/// never overlap.
 pub type TelemetryHandle = Rc<RefCell<Telemetry>>;
 
 /// Creates a fresh hub and returns its shared handle.
@@ -70,14 +80,18 @@ struct Prediction {
     power_w: f64,
 }
 
-/// The telemetry hub: accumulates spans, registry series and the
-/// prediction audit for one simulated system.
+/// The telemetry hub: accumulates spans, scheduler events, registry
+/// series and the prediction audit for one simulated system.
+///
+/// Spans and events live in two separate bounded rings: the span ring
+/// is the flight recorder, whose capacity counts epochs, and a shared
+/// ring would let `Full`-level slices evict the spans.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     registry: MetricsRegistry,
-    spans: Vec<EpochObs>,
-    span_capacity: Option<usize>,
-    dropped_spans: u64,
+    spans: Ring<EpochObs>,
+    trace_level: TraceLevel,
+    events: Ring<TraceEvent>,
     current: EpochObs,
     prev_mode: String,
     prev_slices: u64,
@@ -103,24 +117,65 @@ impl Telemetry {
     /// Registry series and the prediction audit are unaffected — only
     /// the per-epoch history is bounded. Uncapped by default.
     pub fn set_span_capacity(&mut self, capacity: usize) {
-        self.span_capacity = Some(capacity);
-        self.evict_over_capacity();
+        self.spans.set_capacity(capacity);
     }
 
     /// Spans evicted by the capacity ring since attach.
     pub fn dropped_spans(&self) -> u64 {
-        self.dropped_spans
+        self.spans.dropped()
     }
 
-    fn evict_over_capacity(&mut self) {
-        let Some(cap) = self.span_capacity else {
-            return;
-        };
-        if self.spans.len() > cap {
-            let excess = self.spans.len() - cap;
-            self.spans.drain(..excess);
-            self.dropped_spans += excess as u64;
+    /// Sets which scheduler events the hub records and how many it
+    /// keeps, starting an empty event ring: once `capacity` events are
+    /// held, each new one evicts the oldest and bumps
+    /// [`Telemetry::dropped_events`]. Events are off by default.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0` while `level` is not `Off`.
+    pub fn set_trace(&mut self, level: TraceLevel, capacity: usize) {
+        assert!(
+            level == TraceLevel::Off || capacity > 0,
+            "an enabled trace needs capacity"
+        );
+        self.trace_level = level;
+        self.events = Ring::new(capacity);
+    }
+
+    /// The scheduler-event level set by [`Telemetry::set_trace`].
+    pub fn trace_level(&self) -> TraceLevel {
+        self.trace_level
+    }
+
+    /// Records a batch of scheduler events in order, keeping those the
+    /// trace level covers.
+    pub fn record_events(&mut self, events: impl IntoIterator<Item = TraceEvent>) {
+        for event in events {
+            if self.trace_level >= event.level() {
+                self.events.push(event);
+            }
         }
+    }
+
+    /// The retained scheduler events, oldest first.
+    pub fn events(&self) -> Vec<TraceEvent> {
+        self.events.iter().copied().collect()
+    }
+
+    /// Scheduler events evicted because the event ring was full.
+    pub fn dropped_events(&self) -> u64 {
+        self.events.dropped()
+    }
+
+    /// The retained scheduler events as CSV
+    /// (`time_ns,event,task,detail`), oldest first.
+    pub fn trace_csv(&self) -> String {
+        let mut out = String::from("time_ns,event,task,detail\n");
+        for event in self.events.iter() {
+            out.push_str(&event.csv_row());
+            out.push('\n');
+        }
+        out
     }
 
     /// Credits `work` units to a named rebalance pipeline stage (one of
@@ -402,12 +457,11 @@ impl Telemetry {
             .counter_add("sb_estimate_cache_misses_total", c.cache_misses);
         let finished = std::mem::take(&mut self.current);
         self.spans.push(finished);
-        self.evict_over_capacity();
     }
 
-    /// Every closed span, in epoch order.
-    pub fn spans(&self) -> &[EpochObs] {
-        &self.spans
+    /// Every retained span, in epoch order.
+    pub fn spans(&self) -> Vec<EpochObs> {
+        self.spans.iter().cloned().collect()
     }
 
     /// The metrics registry.
@@ -417,31 +471,33 @@ impl Telemetry {
 
     /// Per-epoch JSONL stream (one `EpochObs` object per line).
     pub fn jsonl(&self) -> String {
-        spans_jsonl(&self.spans)
+        spans_jsonl(self.spans.iter())
     }
 
-    /// Chrome `trace_events` for the closed spans: one `"X"` lane-0
-    /// event per epoch, annotated with mode, audit and churn figures.
-    pub fn chrome_spans(&self) -> Vec<ChromeEvent> {
-        self.spans
-            .iter()
-            .map(|s| {
-                let name = format!("epoch {}", s.epoch);
-                let mut ev = ChromeEvent::complete(&name, "epoch", s.start_ns, s.end_ns, 0, 0);
-                if !s.mode.is_empty() {
-                    ev = ev.with_arg("mode", s.mode.clone());
-                }
-                ev.with_arg("slices", s.slices.to_string())
-                    .with_arg("audit_samples", s.audit_samples.to_string())
-                    .with_arg("migrated", s.migrated.to_string())
-                    .with_arg("rejected", s.rejected.to_string())
-            })
+    /// Chrome `trace_events` for the whole timeline: first the epoch
+    /// lane, one `"X"` pid-0 event per retained span annotated with
+    /// mode, audit and churn figures; then the retained scheduler
+    /// events, oldest first ([`TraceEvent::to_chrome`]).
+    pub fn chrome_events(&self) -> Vec<ChromeEvent> {
+        let spans = self.spans.iter().map(|s| {
+            let name = format!("epoch {}", s.epoch);
+            let mut ev = ChromeEvent::complete(&name, "epoch", s.start_ns, s.end_ns, 0, 0);
+            if !s.mode.is_empty() {
+                ev = ev.with_arg("mode", s.mode.clone());
+            }
+            ev.with_arg("slices", s.slices.to_string())
+                .with_arg("audit_samples", s.audit_samples.to_string())
+                .with_arg("migrated", s.migrated.to_string())
+                .with_arg("rejected", s.rejected.to_string())
+        });
+        spans
+            .chain(self.events.iter().map(TraceEvent::to_chrome))
             .collect()
     }
 
-    /// Controller-health summary over every closed span.
+    /// Controller-health summary over every retained span.
     pub fn summary(&self) -> ObsSummary {
-        let epochs = self.spans.len() as u64;
+        let epochs = self.spans.iter().len() as u64;
         let mut anneal_epochs = 0u64;
         let mut anneal_improved = 0u64;
         let mut mode_epochs = 0u64;
@@ -451,7 +507,7 @@ impl Telemetry {
         let mut rejected = 0u64;
         let mut hits = 0u64;
         let mut misses = 0u64;
-        for s in &self.spans {
+        for s in self.spans.iter() {
             if s.anneal_ran {
                 anneal_epochs += 1;
                 if s.anneal_objective > s.anneal_initial_objective {
@@ -726,8 +782,8 @@ mod tests {
             b.registry().prometheus_text()
         );
         assert_eq!(
-            chrome_trace_json(&a.chrome_spans()),
-            chrome_trace_json(&b.chrome_spans())
+            chrome_trace_json(&a.chrome_events()),
+            chrome_trace_json(&b.chrome_events())
         );
         assert_eq!(a.capture(), b.capture());
     }

@@ -14,7 +14,7 @@
 
 use archsim::{CoreConfig, CoreTypeId, Platform};
 use smartbalance::{
-    run_experiment_with, ExperimentSpec, Goal, Policy, RunOptions, SmartBalance, SmartBalanceConfig,
+    run_experiment_with, ExperimentSpec, Goal, Policy, SmartBalance, SmartBalanceConfig,
 };
 
 /// An A11-class middle core between the stock A15/A7 presets.
@@ -80,7 +80,7 @@ fn main() {
             ..SmartBalanceConfig::default()
         };
         let mut policy = SmartBalance::with_config(&platform, cfg);
-        let r = run_experiment_with(&spec, &mut policy, RunOptions::new()).result;
+        let r = run_experiment_with(&spec, &mut policy, None);
         println!(
             "{:<16} {:>9.3e} {:>9.3} {:>7.3} {:>12}",
             label,
@@ -93,7 +93,7 @@ fn main() {
 
     // Baseline for context.
     let mut vanilla = Policy::Vanilla.build(&platform, None);
-    let r = run_experiment_with(&spec, vanilla.as_mut(), RunOptions::new()).result;
+    let r = run_experiment_with(&spec, vanilla.as_mut(), None);
     println!(
         "{:<16} {:>9.3e} {:>9.3} {:>7.3} {:>12}",
         "vanilla",

@@ -272,9 +272,8 @@ fn cells_that_share_a_training_measure_like_cells_that_train_alone() {
         ..SmartBalanceConfig::default()
     });
     jobs.push(CampaignJob::new(jobs.len(), sparse, Policy::Smart));
-    let sharded = CampaignJob::new(jobs.len(), tiny_spec("sharded", 500_000), Policy::Smart)
-        .with_shard(ShardConfig::default());
-    jobs.push(sharded);
+    let sharded = tiny_spec("sharded", 500_000).with_shard(ShardConfig::default());
+    jobs.push(CampaignJob::new(jobs.len(), sharded, Policy::Smart));
 
     let path = journal_path("shared-training");
     let journal = CheckpointJournal::load(&path).expect("fresh journal");

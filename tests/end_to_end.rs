@@ -95,7 +95,7 @@ fn literal_eq11_goal_loses_to_vanilla_where_the_system_ratio_wins() {
     // annealer park hopeless threads on a "dump site" core and lowers
     // the measured instructions/joule below vanilla; the system ratio
     // `Goal::EnergyEfficiency` does not.
-    use smartbalance::{run_experiment_with, Goal, RunOptions, SmartBalance, SmartBalanceConfig};
+    use smartbalance::{run_experiment_with, Goal, SmartBalance, SmartBalanceConfig};
     let spec = mixed_spec(Platform::quad_heterogeneous(), 0.2, 2);
     let vanilla = compare_policies(&spec, &[Policy::Vanilla]).remove(0);
     assert!(vanilla.completed, "vanilla run finishes");
@@ -105,7 +105,7 @@ fn literal_eq11_goal_loses_to_vanilla_where_the_system_ratio_wins() {
             ..SmartBalanceConfig::default()
         };
         let mut policy = SmartBalance::with_config(&spec.platform, cfg);
-        let result = run_experiment_with(&spec, &mut policy, RunOptions::new()).result;
+        let result = run_experiment_with(&spec, &mut policy, None);
         assert!(result.completed, "{goal:?} run finishes");
         result.efficiency_vs(&vanilla)
     };
@@ -123,7 +123,7 @@ fn literal_eq11_goal_loses_to_vanilla_where_the_system_ratio_wins() {
 
 #[test]
 fn throughput_goal_finishes_faster_than_energy_goal() {
-    use smartbalance::{run_experiment_with, Goal, RunOptions, SmartBalance, SmartBalanceConfig};
+    use smartbalance::{run_experiment_with, Goal, SmartBalance, SmartBalanceConfig};
     let spec = mixed_spec(Platform::quad_heterogeneous(), 0.2, 2);
     let mut results = Vec::new();
     for goal in [Goal::Throughput, Goal::EnergyEfficiency] {
@@ -132,7 +132,7 @@ fn throughput_goal_finishes_faster_than_energy_goal() {
             ..SmartBalanceConfig::default()
         };
         let mut policy = SmartBalance::with_config(&spec.platform, cfg);
-        results.push(run_experiment_with(&spec, &mut policy, RunOptions::new()).result);
+        results.push(run_experiment_with(&spec, &mut policy, None));
     }
     assert!(
         results[0].stats.elapsed_ns <= results[1].stats.elapsed_ns,

@@ -22,7 +22,8 @@
 //! shared table into each task.
 
 use archsim::{CoreId, CoreTypeId, FaultKind, FaultPlan, Platform};
-use kernelsim::{Allocation, EpochReport, LoadBalancer, System, SystemConfig, TraceLevel};
+use kernelsim::{Allocation, EpochReport, LoadBalancer, System, SystemConfig};
+use telemetry::TraceLevel;
 use workloads::SyntheticGenerator;
 
 /// Deterministic stirring balancer: rotates every live task `stride`
@@ -131,8 +132,10 @@ fn run(cached: bool, sc: Scenario) -> RunTrace {
         );
     }
     sys.set_migration_failure(sc.migration_failure, 0xBAD);
+    let hub = telemetry::shared();
     if sc.trace {
-        sys.enable_tracing(TraceLevel::Full, 1 << 20);
+        hub.borrow_mut().set_trace(TraceLevel::Full, 1 << 20);
+        sys.set_telemetry(hub.clone());
     }
     let mut gen = SyntheticGenerator::new(0xD1CE);
     for i in 0..TASKS {
@@ -194,8 +197,9 @@ fn run(cached: bool, sc: Scenario) -> RunTrace {
         cache_hits: sys.estimate_cache().hits(),
         cache_misses: sys.estimate_cache().misses(),
         trace_csv: if sc.trace {
-            assert_eq!(sys.tracer().dropped(), 0, "ring must not wrap");
-            sys.tracer().to_csv()
+            let hub = hub.borrow();
+            assert_eq!(hub.dropped_events(), 0, "ring must not wrap");
+            hub.trace_csv()
         } else {
             String::new()
         },
@@ -430,7 +434,9 @@ fn run_wide(cached: bool, workers: usize) -> RunTrace {
         0x5EED,
     );
     sys.set_migration_failure(0.3, 0xF00D);
-    sys.enable_tracing(TraceLevel::Full, 1 << 22);
+    let hub = telemetry::shared();
+    hub.borrow_mut().set_trace(TraceLevel::Full, 1 << 22);
+    sys.set_telemetry(hub.clone());
     let mut gen = SyntheticGenerator::new(0x00C0_4E5E);
     for i in 0..WIDE_TASKS {
         let instructions = if i % 8 == 0 {
@@ -460,7 +466,8 @@ fn run_wide(cached: bool, workers: usize) -> RunTrace {
         let report = sys.run_epoch(&mut bal);
         fingerprints.push(serde_json::to_string(&report).expect("serialize report"));
     }
-    assert_eq!(sys.tracer().dropped(), 0, "ring must not wrap");
+    assert_eq!(hub.borrow().dropped_events(), 0, "ring must not wrap");
+    let trace_csv = hub.borrow().trace_csv();
     let stats = sys.stats();
     RunTrace {
         fingerprints,
@@ -469,7 +476,7 @@ fn run_wide(cached: bool, workers: usize) -> RunTrace {
         total_slices: sys.total_slices(),
         cache_hits: sys.estimate_cache().hits(),
         cache_misses: sys.estimate_cache().misses(),
-        trace_csv: sys.tracer().to_csv(),
+        trace_csv,
     }
 }
 

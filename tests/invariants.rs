@@ -6,7 +6,9 @@
 use archsim::{run_slice, CoreConfig, CoreId, CoreTypeId, Platform, WorkloadCharacteristics};
 use kernelsim::{NullBalancer, System, SystemConfig, TaskId};
 use smartbalance::fixed::{fx_exp_neg, Fx, Randi};
-use smartbalance::{anneal, AnnealParams, CharacterizationMatrices, Goal, Objective};
+use smartbalance::{
+    anneal, AnnealParams, CharacterizationMatrices, ExperimentSpec, Goal, Objective,
+};
 use workloads::{SyntheticGenerator, WorkloadProfile};
 
 /// Cases per property — matches the proptest case count this harness
@@ -122,6 +124,23 @@ fn platform_json_runs_the_constructor_checks() {
         assert_eq!(back, platform);
         assert_eq!(serde_json::to_string(&back).expect("serialize"), json);
     }
+}
+
+#[test]
+fn spec_json_runs_the_system_config_checks() {
+    let spec = ExperimentSpec::new("x", Platform::quad_heterogeneous(), Vec::new());
+    let json = serde_json::to_string(&spec).expect("serialize");
+    let back: ExperimentSpec = serde_json::from_str(&json).expect("a default spec deserializes");
+    assert_eq!(back, spec);
+    let bad = json.replace(r#""migration_activity":0.3"#, r#""migration_activity":7.5"#);
+    assert_ne!(bad, json, "the spec carries the default sys_config");
+    let err = serde_json::from_str::<ExperimentSpec>(&bad)
+        .expect_err("a bad sys_config must not deserialize")
+        .to_string();
+    assert_eq!(
+        err,
+        "migration_activity: migration activity must be in [0, 1], got 7.5"
+    );
 }
 
 /// archsim: IPC is positive, bounded by peak, and counters are

@@ -191,14 +191,11 @@ fn shard_worker_count_never_changes_results() {
 
     let report_for = |workers: usize| {
         let mut suite = ExperimentSuite::new().with_workers(1);
-        suite.push_with_shard(
-            spec.clone(),
-            Policy::Smart,
-            ShardConfig {
-                workers,
-                ..ShardConfig::default()
-            },
-        );
+        let sharded = spec.clone().with_shard(ShardConfig {
+            workers,
+            ..ShardConfig::default()
+        });
+        suite.push(sharded, Policy::Smart);
         let report = suite.run().canonicalized();
         serde_json::to_string(&report).expect("suite report serializes")
     };

@@ -6,7 +6,7 @@
 use archsim::Platform;
 use smartbalance::{
     run_experiment_with, ExperimentSpec, ExperimentSuite, Policy, PredictorCache, PredictorSet,
-    RunOptions, ShardConfig, SmartBalanceConfig,
+    ShardConfig, SmartBalanceConfig,
 };
 use workloads::{ImbConfig, Level};
 
@@ -81,7 +81,7 @@ fn parallel_suite_matches_serial_run_experiment() {
     // building the balancer exactly as the suite did.
     for (parallel, job) in report.jobs.iter().zip(suite.jobs()) {
         let mut balancer = job.build_balancer();
-        let serial = run_experiment_with(&job.spec, balancer.as_mut(), RunOptions::new()).result;
+        let serial = run_experiment_with(&job.spec, balancer.as_mut(), None);
         assert_eq!(
             serde_json::to_string(&serial).expect("serialize"),
             serde_json::to_string(&parallel.result).expect("serialize"),
@@ -179,10 +179,10 @@ fn the_predictor_cache_has_one_slot_per_training_key() {
     let mut suite = ExperimentSuite::new();
     suite.push(quad("q"), Policy::Vanilla);
     // The default quad key, under four job seeds, a pinned annealer
-    // seed and a shard override: one slot.
+    // seed and a sharded spec: one slot.
     suite.push(quad("q"), Policy::Smart);
     suite.push(quad("q2"), Policy::Smart);
-    suite.push_with_shard(quad("q"), Policy::Smart, ShardConfig::default());
+    suite.push(quad("q").with_shard(ShardConfig::default()), Policy::Smart);
     let pinned = quad("pinned").with_policy_config(SmartBalanceConfig {
         anneal_seed: Some(42),
         sensor_seed: Some(7),

@@ -1,9 +1,9 @@
 //! Parity tests for the closed-loop telemetry layer: observability is
 //! strictly *write-only* from the simulation's point of view, so a run
-//! with a telemetry hub attached must be observationally
-//! indistinguishable — bit-for-bit — from the same run without one,
-//! and the telemetry output itself must be deterministic across reruns
-//! and across suite worker counts.
+//! with a telemetry hub attached — recording scheduler events or not —
+//! must be observationally indistinguishable — bit-for-bit — from the
+//! same run without one, and the telemetry output itself must be
+//! deterministic across reruns and across suite worker counts.
 //!
 //! Same fingerprint technique as `tests/engine_parity.rs`: string
 //! equality of serde_json output implies bit equality of every `f64`
@@ -14,7 +14,7 @@ use kernelsim::{LoadBalancer, System, SystemConfig};
 use smartbalance::{
     ExperimentSpec, ExperimentSuite, Policy, SmartBalance, SmartBalanceConfig, SuiteReport,
 };
-use telemetry::ObsCapture;
+use telemetry::{ObsCapture, TraceLevel};
 use workloads::SyntheticGenerator;
 
 const TASKS: usize = 8;
@@ -29,22 +29,24 @@ struct RunTrace {
     total_energy_bits: u64,
     total_slices: u64,
     obs: Option<ObsCapture>,
+    /// Scheduler events the hub kept.
+    events: usize,
 }
 
 /// Runs the reference SmartBalance scenario, optionally with a
-/// telemetry hub attached to both the system and the policy.
-fn run(observed: bool) -> RunTrace {
+/// telemetry hub attached to both the system and the policy that
+/// records scheduler events at the given level.
+fn run(hub_level: Option<TraceLevel>) -> RunTrace {
     let platform = Platform::quad_heterogeneous();
     let mut policy = SmartBalance::with_config(&platform, SmartBalanceConfig::default());
     let mut sys = System::new(platform, SystemConfig::default());
-    let hub = if observed {
+    let hub = hub_level.map(|level| {
         let hub = telemetry::shared();
+        hub.borrow_mut().set_trace(level, 1 << 20);
         sys.set_telemetry(hub.clone());
         policy.attach_telemetry(&hub);
-        Some(hub)
-    } else {
-        None
-    };
+        hub
+    });
     let mut gen = SyntheticGenerator::new(0x0B5E);
     for i in 0..TASKS {
         sys.spawn(gen.profile(format!("w{i}"), 4, u64::MAX / 64, i % 2 == 0));
@@ -60,29 +62,51 @@ fn run(observed: bool) -> RunTrace {
         total_instructions: stats.total_instructions,
         total_energy_bits: stats.total_energy_j.to_bits(),
         total_slices: sys.total_slices(),
-        obs: hub.map(|hub| hub.borrow().capture()),
+        obs: hub.as_ref().map(|hub| hub.borrow().capture()),
+        events: hub.map_or(0, |hub| hub.borrow().events().len()),
     }
 }
 
 #[test]
 fn telemetry_is_bit_transparent_to_the_simulation() {
-    let plain = run(false);
-    let observed = run(true);
+    let plain = run(None);
+    let observed = run(Some(TraceLevel::Off));
+    let traced = run(Some(TraceLevel::Full));
 
-    for (epoch, (a, b)) in plain
-        .fingerprints
-        .iter()
-        .zip(observed.fingerprints.iter())
-        .enumerate()
-    {
-        assert_eq!(a, b, "EpochReport for epoch {epoch} diverged");
+    for other in [&observed, &traced] {
+        assert_eq!(plain.fingerprints.len(), other.fingerprints.len());
+        for (epoch, (a, b)) in plain
+            .fingerprints
+            .iter()
+            .zip(other.fingerprints.iter())
+            .enumerate()
+        {
+            assert_eq!(a, b, "EpochReport for epoch {epoch} diverged");
+        }
+        assert_eq!(plain.total_instructions, other.total_instructions);
+        assert_eq!(
+            plain.total_energy_bits, other.total_energy_bits,
+            "energy accounting must match to the last bit"
+        );
+        assert_eq!(plain.total_slices, other.total_slices);
     }
-    assert_eq!(plain.total_instructions, observed.total_instructions);
-    assert_eq!(
-        plain.total_energy_bits, observed.total_energy_bits,
-        "energy accounting must match to the last bit"
+
+    // Recording scheduler events changes nothing else the hub sees.
+    let (quiet, loud) = (
+        observed.obs.as_ref().expect("observed run captures"),
+        traced.obs.as_ref().expect("traced run captures"),
     );
-    assert_eq!(plain.total_slices, observed.total_slices);
+    assert_eq!(quiet.jsonl, loud.jsonl);
+    assert_eq!(quiet.prometheus, loud.prometheus);
+    assert_eq!(
+        serde_json::to_string(&quiet.summary).expect("serialize"),
+        serde_json::to_string(&loud.summary).expect("serialize"),
+    );
+    assert_eq!(observed.events, 0, "an Off hub records no events");
+    assert!(
+        traced.events as u64 > plain.total_slices,
+        "every slice, plus the lifecycle events"
+    );
 
     // Transparency must not be vacuous: the hub has to have actually
     // watched the loop — one span per epoch, with the balancer-side
@@ -108,8 +132,8 @@ fn telemetry_is_bit_transparent_to_the_simulation() {
 
 #[test]
 fn rerun_telemetry_output_is_byte_identical() {
-    let a = run(true).obs.expect("captured");
-    let b = run(true).obs.expect("captured");
+    let a = run(Some(TraceLevel::Off)).obs.expect("captured");
+    let b = run(Some(TraceLevel::Off)).obs.expect("captured");
     assert_eq!(a.jsonl, b.jsonl, "JSONL stream must be reproducible");
     assert_eq!(a.prometheus, b.prometheus);
     assert_eq!(
