@@ -1,11 +1,14 @@
-//! The hierarchical sharded balancer: per-cluster annealers in
-//! parallel plus a global exchange stage, for 256–4096-core platforms.
+//! The cluster-sharded back half of [`SmartBalance`], for 256–4096-core
+//! platforms: per-cluster annealers in parallel plus a global exchange
+//! stage.
 //!
-//! Flat [`SmartBalance`] anneals over all cores at once — fine at 4–32
-//! cores, painful at 1024. [`ShardedBalancer`] reuses the exact same
-//! sensing front half ([`SmartBalance::preamble`]) and the flat path's
-//! characterization matrices (one entry per thread and core type,
-//! built from the preamble's prediction rows), then:
+//! Flat SmartBalance anneals over all cores at once — fine at 4–32
+//! cores, painful at 1024. With [`SmartBalanceConfig::shard`] set, the
+//! policy keeps everything else of its epoch: the sensing front half,
+//! the global characterization matrices (one entry per thread and core
+//! type, built from the epoch's prediction rows), the weighted objective
+//! and the epoch seed before the balance step, and the allocation diff
+//! and telemetry tail after it. Only the balance step differs:
 //!
 //! 1. partitions the sensed threads by the cluster of their current
 //!    core ([`kernelsim::Topology`]),
@@ -21,23 +24,20 @@
 //!    incremental patch — never a full re-evaluation — with each
 //!    thread's from-core half shared across its candidate destinations.
 //!
-//! With sharding disabled (`config.shard == None` the policy layer
-//! never constructs this type), the flat path is untouched and remains
-//! bit-identical to every previous release.
+//! With `config.shard == None` the policy runs one anneal over all
+//! cores instead, bit-identical to every previous release.
+//!
+//! [`SmartBalance`]: super::SmartBalance
+//! [`SmartBalanceConfig::shard`]: crate::SmartBalanceConfig::shard
 
 use archsim::{CoreId, CoreTypeId, Platform};
-use kernelsim::{
-    affinity_allows, parallel_indexed, Allocation, ClusterId, EpochReport, LoadBalancer, Topology,
-};
+use kernelsim::{affinity_allows, parallel_indexed, ClusterId, Topology};
 use telemetry::TelemetryHandle;
 
 use crate::anneal::{anneal, AnnealOutcome, AnnealParams};
-use crate::balance::smart::{train_predictors, PreambleOutcome, SmartBalance};
-use crate::config::SmartBalanceConfig;
-use crate::estimate::build_matrices_with_rows;
+use crate::degrade::QuarantineTracker;
 use crate::matrices::CharacterizationMatrices;
-use crate::objective::{Goal, IncrementalObjective, Objective};
-use crate::predict::PredictorSet;
+use crate::objective::{IncrementalObjective, Objective};
 use crate::sense::ThreadSense;
 use crate::shard::ShardConfig;
 use crate::suite::{default_workers, splitmix64};
@@ -58,16 +58,12 @@ struct ClusterSolution {
 struct ClusterTasks<'s> {
     topology: &'s Topology,
     senses: &'s [ThreadSense],
-    /// The epoch's global matrices, one row per sense.
-    global: &'s CharacterizationMatrices,
+    /// The epoch's objective over its global matrices, one row per
+    /// sense.
+    objective: &'s Objective<'s>,
     online: &'s [bool],
     /// Per thread: not quarantined, so free to leave its core.
     movable: &'s [bool],
-    /// Global per-core `ω`, if any.
-    weights: Option<&'s [f64]>,
-    /// Configured anneal parameters; `None` scales them per cluster.
-    anneal: Option<AnnealParams>,
-    goal: Goal,
     epoch_seed: u32,
 }
 
@@ -125,7 +121,7 @@ impl ClusterTasks<'_> {
         if kept.is_empty() {
             return None;
         }
-        let global = self.global;
+        let global = self.objective.matrices();
         let core_types: Vec<CoreTypeId> = columns.iter().map(|c| global.core_type(c.0)).collect();
         let sleep = columns.iter().map(|c| global.sleep_power_w(c.0)).collect();
         let tasks = kept.iter().map(|&(i, ..)| senses[i].task).collect();
@@ -136,16 +132,11 @@ impl ClusterTasks<'_> {
             matrices.set_allowed(r, mask);
             initial.push(cur);
         }
-        let params = self
-            .anneal
-            .unwrap_or_else(|| AnnealParams::scaled_for(columns.len(), kept.len()));
+        let params = AnnealParams::scaled_for(columns.len(), kept.len());
         // Per-cluster seed derived from the epoch seed: identical
         // regardless of which worker solves which cluster.
         let seed = splitmix64((u64::from(self.epoch_seed) << 32) | c as u64) as u32;
-        let mut objective = Objective::new(&matrices, self.goal);
-        if let Some(w) = self.weights {
-            objective = objective.with_weights(columns.iter().map(|&core| w[core.0]).collect());
-        }
+        let objective = self.objective.for_columns(&matrices, &columns);
         let outcome = anneal(&objective, &initial, params, seed);
         Some(ClusterSolution {
             cluster: c,
@@ -156,15 +147,10 @@ impl ClusterTasks<'_> {
     }
 }
 
-/// SmartBalance behind a cluster decomposition: Algorithm 1 per
-/// cluster, in parallel, then a sublinear cross-cluster exchange.
-///
-/// Constructed by the policy layer when
-/// [`SmartBalanceConfig::shard`] is `Some(..)`; behaves exactly like
-/// [`SmartBalance`] through the degradation ladder (LoadOnly /
-/// PredictFree epochs take the same shared fallback paths).
-pub struct ShardedBalancer {
-    inner: SmartBalance,
+/// The sharded back half's state: the shard configuration, its
+/// resolved worker count and the platform's cluster topology.
+#[derive(Debug)]
+pub(super) struct Sharding {
     shard: ShardConfig,
     /// `shard.workers`, with `0` resolved at construction to the
     /// machine's available parallelism.
@@ -172,73 +158,43 @@ pub struct ShardedBalancer {
     topology: Topology,
 }
 
-impl ShardedBalancer {
-    /// Creates a sharded balancer with default configuration for the
-    /// given platform.
-    pub fn new(platform: &Platform) -> Self {
-        Self::with_config(platform, SmartBalanceConfig::default())
-    }
-
-    /// Creates a sharded balancer with explicit configuration
-    /// (`config.shard` of `None` just means [`ShardConfig::default`]),
-    /// training its predictor set as [`SmartBalance::with_config`] does.
-    pub fn with_config(platform: &Platform, config: SmartBalanceConfig) -> Self {
-        let predictors = train_predictors(platform, &config);
-        Self::with_predictors(platform, config, predictors)
-    }
-
-    /// [`with_config`](Self::with_config) around an already trained
-    /// predictor set, as [`SmartBalance::with_predictors`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `predictors` does not fit `platform` and `config`,
-    /// as [`SmartBalance::with_predictors`] does.
-    pub fn with_predictors(
-        platform: &Platform,
-        config: SmartBalanceConfig,
-        predictors: PredictorSet,
-    ) -> Self {
-        let shard = config.shard.unwrap_or_default();
-        ShardedBalancer {
+impl Sharding {
+    /// Shards `platform` by its cluster topology under `shard`.
+    pub(super) fn new(platform: &Platform, shard: ShardConfig) -> Self {
+        Sharding {
             shard,
             workers: match shard.workers {
                 0 => default_workers(),
                 w => w,
             },
             topology: Topology::from_platform(platform),
-            inner: SmartBalance::with_predictors(platform, config, predictors),
         }
     }
 
-    /// The wrapped flat balancer (sensing, degradation and prediction
-    /// state live there).
-    pub fn inner(&self) -> &SmartBalance {
-        &self.inner
+    /// The resolved worker count.
+    pub(super) fn workers(&self) -> usize {
+        self.workers
     }
 
-    /// The shard configuration in effect.
-    pub fn shard_config(&self) -> &ShardConfig {
-        &self.shard
-    }
-
-    /// The cluster topology the balancer shards over.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// The hierarchical back half: per-cluster anneal fan-out plus the
-    /// global exchange stage, on the preamble's prediction `rows`.
-    fn sharded_balance(
-        &mut self,
-        platform: &Platform,
+    /// The balance step: per-cluster anneal fan-out plus the global
+    /// exchange stage, over `objective`'s global matrices (one row per
+    /// sense). Threads `quarantine` distrusts stay on their cores.
+    /// Records the per-cluster anneals and the exchange on `telemetry`.
+    ///
+    /// Returns the combined outcome and the predict-stage work (the
+    /// cluster-local matrix cells annealed), or `None` when no cluster
+    /// had a thread to place.
+    pub(super) fn balance(
+        &self,
+        objective: &Objective<'_>,
         senses: &[ThreadSense],
-        rows: &[f64],
         online: &[bool],
-    ) -> Option<Allocation> {
-        let goal = self.inner.config().goal;
+        quarantine: &QuarantineTracker,
+        epoch_seed: u32,
+        telemetry: Option<&TelemetryHandle>,
+    ) -> Option<(AnnealOutcome, u64)> {
         let m = senses.len();
-        let n = platform.num_cores();
+        let n = online.len();
 
         // --- Partition threads by the cluster of their current core --
         let clusters = self.topology.num_clusters();
@@ -251,26 +207,20 @@ impl ShardedBalancer {
                 continue;
             }
             groups[self.topology.cluster_of(s.core).0].push(i);
-            movable[i] = !self.inner.is_quarantined(s.task);
+            movable[i] = !quarantine.is_quarantined(s.task);
         }
 
         // --- One pool task per occupied cluster ----------------------
         // The global matrices hold O(m·q) entries, one per thread and
         // core type; each task copies its threads' rows into the
         // cluster-local matrices and anneals.
-        let global = build_matrices_with_rows(platform, senses, rows, self.inner.predictors());
-        let epoch_seed = self.inner.next_epoch_seed();
-        let global_weights = self.inner.effective_core_weights(platform);
         let occupied: Vec<usize> = (0..clusters).filter(|&c| !groups[c].is_empty()).collect();
         let tasks = ClusterTasks {
             topology: &self.topology,
             senses,
-            global: &global,
+            objective,
             online,
             movable: &movable,
-            weights: global_weights.as_deref(),
-            anneal: self.inner.config().anneal,
-            goal,
             epoch_seed,
         };
         // Outcomes stay in cluster order.
@@ -281,7 +231,6 @@ impl ShardedBalancer {
         .flatten()
         .collect();
         if solutions.is_empty() {
-            self.inner.set_last_outcome(None);
             return None;
         }
 
@@ -289,12 +238,8 @@ impl ShardedBalancer {
         // Replay the per-cluster results onto the incrementally
         // maintained *global* objective, then move the most misplaced
         // threads across cluster boundaries while each move pays.
-        let mut objective = Objective::new(&global, goal);
-        if let Some(w) = global_weights {
-            objective = objective.with_weights(w);
-        }
         let current: Vec<usize> = senses.iter().map(|s| s.core.0).collect();
-        let mut state = IncrementalObjective::new(&objective, &current);
+        let mut state = IncrementalObjective::new(objective, &current);
         let initial_total = state.value();
         // Replay each cluster's annealed allocation onto the global
         // objective, keeping it only when it pays globally: under the
@@ -421,9 +366,7 @@ impl ShardedBalancer {
             }
         }
 
-        // --- Emit the diff and the books ------------------------------
-        let final_alloc = state.alloc().to_vec();
-        let final_total = state.value();
+        // --- The books ------------------------------------------------
         let total_iterations: u64 = solutions
             .iter()
             .map(|p| u64::from(p.outcome.iterations))
@@ -433,16 +376,14 @@ impl ShardedBalancer {
             .map(|p| u64::from(p.outcome.accepted_moves))
             .sum::<u64>()
             + exchange_moves;
-        if let Some(tel) = self.inner.telemetry_handle() {
+        // Predict-stage work = per-cluster matrix cells annealed:
+        // Σ rows × columns over the solved clusters.
+        let predict_cells: u64 = solutions
+            .iter()
+            .map(|p| (p.rows.len() * p.columns.len()) as u64)
+            .sum();
+        if let Some(tel) = telemetry {
             let mut tel = tel.borrow_mut();
-            // Predict-stage work = per-cluster matrix cells annealed:
-            // Σ rows × columns over the solved clusters.
-            let predict_cells: u64 = solutions
-                .iter()
-                .map(|p| (p.rows.len() * p.columns.len()) as u64)
-                .sum();
-            tel.record_stage("predict", predict_cells);
-            tel.record_anneal(total_iterations, total_accepted, initial_total, final_total);
             for p in &solutions {
                 tel.record_shard_anneal(
                     p.cluster as u64,
@@ -452,75 +393,36 @@ impl ShardedBalancer {
                 );
             }
             tel.record_shard_exchange(solutions.len() as u64, exchange_candidates, exchange_moves);
-            // Forecast next epoch: thread i should achieve the global
-            // matrix entries of its chosen core.
-            for (i, sense) in senses.iter().enumerate() {
-                tel.record_prediction(
-                    sense.task.0 as u64,
-                    final_alloc[i] as u64,
-                    global.ips(i, final_alloc[i]),
-                    global.power(i, final_alloc[i]),
-                );
-            }
         }
-        self.inner.set_last_outcome(Some(AnnealOutcome {
-            allocation: final_alloc.clone(),
-            objective: final_total,
+        let outcome = AnnealOutcome {
+            allocation: state.alloc().to_vec(),
+            objective: state.value(),
             initial_objective: initial_total,
-            // Sums fit u32 comfortably (≤4000 iterations × 64 clusters)
-            // but saturate defensively.
+            // At most 4000 iterations per cluster (the scaled budget's
+            // cap), so the sums fit u32; saturate defensively.
             iterations: u32::try_from(total_iterations).unwrap_or(u32::MAX),
             accepted_moves: u32::try_from(total_accepted).unwrap_or(u32::MAX),
-        }));
-
-        let mut alloc = Allocation::new();
-        for (i, s) in senses.iter().enumerate() {
-            if final_alloc[i] != current[i] {
-                alloc.assign(s.task, CoreId(final_alloc[i]));
-            }
-        }
-        if alloc.is_empty() {
-            None
-        } else {
-            Some(alloc)
-        }
-    }
-}
-
-impl LoadBalancer for ShardedBalancer {
-    fn name(&self) -> &str {
-        "smartbalance-sharded"
-    }
-
-    fn attach_telemetry(&mut self, handle: &TelemetryHandle) {
-        self.inner.set_telemetry_handle(handle);
-    }
-
-    /// [`ShardConfig::workers`], with `0` resolved to the machine's
-    /// available parallelism: the per-cluster anneal's pool size, and
-    /// the slice loop's.
-    fn workers(&self) -> usize {
-        self.workers
-    }
-
-    fn rebalance(&mut self, platform: &Platform, report: &EpochReport) -> Option<Allocation> {
-        match self.inner.preamble(platform, report) {
-            PreambleOutcome::Skip(alloc) => alloc,
-            PreambleOutcome::Proceed {
-                senses,
-                rows,
-                online,
-            } => self.sharded_balance(platform, &senses, &rows, &online),
-        }
+        };
+        Some((outcome, predict_cells))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SmartBalance, SmartBalanceConfig};
     use archsim::WorkloadCharacteristics;
     use kernelsim::{System, SystemConfig};
     use workloads::WorkloadProfile;
+
+    /// SmartBalance on the sharded back half, default shard settings.
+    fn sharded(platform: &Platform) -> SmartBalance {
+        let config = SmartBalanceConfig {
+            shard: Some(ShardConfig::default()),
+            ..SmartBalanceConfig::default()
+        };
+        SmartBalance::with_config(platform, config)
+    }
 
     fn mixed_system(platform: &Platform, tasks: usize) -> System {
         let mut sys = System::new(platform.clone(), SystemConfig::default());
@@ -544,11 +446,11 @@ mod tests {
     fn sharded_balancer_runs_on_clustered_platform() {
         let platform = Platform::clustered_heterogeneous(8, 8);
         let mut sys = mixed_system(&platform, 96);
-        let mut policy = ShardedBalancer::new(&platform);
+        let mut policy = sharded(&platform);
         for _ in 0..6 {
             sys.run_epoch(&mut policy);
         }
-        let outcome = policy.inner().last_outcome().expect("annealed");
+        let outcome = policy.last_outcome().expect("annealed");
         assert!(outcome.iterations > 0);
         assert!(
             outcome.objective >= outcome.initial_objective,
@@ -574,7 +476,7 @@ mod tests {
                 CoreId(12 + (k % 4)),
             );
         }
-        let mut policy = ShardedBalancer::new(&platform);
+        let mut policy = sharded(&platform);
         for _ in 0..8 {
             sys.run_epoch(&mut policy);
         }
@@ -587,9 +489,9 @@ mod tests {
     #[test]
     fn topology_is_cached_from_the_platform() {
         let platform = Platform::clustered_heterogeneous(4, 16);
-        let policy = ShardedBalancer::new(&platform);
-        assert_eq!(policy.topology().num_clusters(), 4);
-        assert_eq!(policy.topology().num_cores(), 64);
-        assert_eq!(policy.shard_config().exchange_top_k, 4);
+        let sharding = Sharding::new(&platform, ShardConfig::default());
+        assert_eq!(sharding.topology.num_clusters(), 4);
+        assert_eq!(sharding.topology.num_cores(), 64);
+        assert_eq!(sharding.shard.exchange_top_k, 4);
     }
 }

@@ -11,13 +11,16 @@
 //!    matrices, measuring on the current core type and predicting
 //!    every other type ([`crate::estimate::build_matrices`]);
 //! 3. **balance** — run Algorithm 1 ([`crate::anneal::anneal`]) from
-//!    the current allocation and emit the migrations it decides on.
+//!    the current allocation, over all cores at once or, with
+//!    [`SmartBalanceConfig::shard`] set, per cluster plus a
+//!    cross-cluster exchange, and emit the migrations it decides on.
 
-use archsim::{CoreTypeId, Platform};
+use archsim::{CoreId, CoreTypeId, Platform};
 use kernelsim::{Allocation, EpochReport, LoadBalancer, TaskId, TelemetryHandle};
 use mcpat::ThermalModel;
 
 use crate::anneal::{anneal, AnnealOutcome, AnnealParams};
+use crate::balance::sharded::Sharding;
 use crate::balance::vanilla::VanillaBalancer;
 use crate::config::SmartBalanceConfig;
 use crate::degrade::QuarantineTracker;
@@ -27,23 +30,23 @@ use crate::objective::Objective;
 use crate::predict::PredictorSet;
 use crate::sense::{SenseHealth, Sensor, ThreadSense, NUM_FEATURES};
 
-/// Outcome of the shared per-epoch preamble (audit, thermal step,
-/// sensing, degradation ladder, affinity constriction): either the
-/// epoch is already settled, or the optimizer should run on the sensed
-/// threads. Shared between the flat annealer and the sharded balancer
-/// so both walk an identical sense/degrade path.
-pub(crate) enum PreambleOutcome {
-    /// Nothing left for the optimizer: an idle epoch (`None`) or a
+/// Minimum per-epoch runtime for a thread's sample to be trusted
+/// (below this the cached signature is replayed), ns.
+const MIN_SAMPLE_RUNTIME_NS: u64 = 100_000;
+
+/// Outcome of the per-epoch preamble (audit, thermal step, sensing,
+/// degradation ladder, affinity constriction): either the epoch is
+/// already settled, or the balance step should run on the sensed
+/// threads.
+enum Preamble {
+    /// Nothing left for the balance step: an idle epoch (`None`) or a
     /// degraded-mode fallback that already produced the allocation.
     Skip(Option<Allocation>),
-    /// Full-capability epoch: optimize these sensed threads.
+    /// Full-capability epoch: balance these sensed threads, whose
+    /// prediction rows the policy's row table now holds.
     Proceed {
         /// Sensed, constriction-adjusted per-thread rows.
         senses: Vec<ThreadSense>,
-        /// Each sensed thread's predicted IPC on every core type
-        /// ([`PredictorSet::predict_ipc_by_type`]), flat,
-        /// `platform.num_types()` entries per thread in sense order.
-        rows: Vec<f64>,
         /// Per-core availability (`online[j]`), from the epoch report.
         online: Vec<bool>,
     },
@@ -112,7 +115,9 @@ impl PredictionRows {
     }
 }
 
-/// The SmartBalance policy.
+/// The SmartBalance policy: one anneal over all cores, or, with
+/// [`SmartBalanceConfig::shard`] set, one per cluster plus a
+/// cross-cluster exchange.
 ///
 /// # Examples
 ///
@@ -145,6 +150,8 @@ pub struct SmartBalance {
     quarantine: QuarantineTracker,
     predictions: PredictionRows,
     fallback: VanillaBalancer,
+    /// The sharded back half, when `config.shard` is set.
+    sharding: Option<Sharding>,
     /// Shared observability hub, when the host system attached one.
     /// Purely write-only from the policy's perspective: recording never
     /// changes a balancing decision.
@@ -153,7 +160,7 @@ pub struct SmartBalance {
 
 /// Builds the sensing stage from the configuration.
 fn sensor_from_config(config: &SmartBalanceConfig) -> Sensor {
-    Sensor::new(config.min_sample_runtime_ns)
+    Sensor::new(MIN_SAMPLE_RUNTIME_NS)
         .with_power_noise(
             config.power_noise_sigma,
             config.sensor_seed.unwrap_or(0xBAD_5EED),
@@ -184,6 +191,11 @@ impl SmartBalance {
     /// Creates the policy with an explicit configuration, training its
     /// predictor set from `config.train_corpus`, `config.train_seed`
     /// and `config.sparse_sensing`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config.core_weights` does not fit `platform`, as
+    /// [`with_predictors`](Self::with_predictors) does.
     pub fn with_config(platform: &Platform, config: SmartBalanceConfig) -> Self {
         let predictors = train_predictors(platform, &config);
         Self::with_predictors(platform, config, predictors)
@@ -198,7 +210,9 @@ impl SmartBalance {
     ///
     /// Panics if `predictors` was trained on other core types than
     /// `platform`'s, or on the sparse counter set when
-    /// `config.sparse_sensing` is off (or the reverse).
+    /// `config.sparse_sensing` is off (or the reverse). Panics if
+    /// `config.core_weights` is set and does not hold exactly one
+    /// finite, non-negative weight per core of `platform`.
     pub fn with_predictors(
         platform: &Platform,
         config: SmartBalanceConfig,
@@ -217,6 +231,20 @@ impl SmartBalance {
             predictors.is_sparse(),
             config.sparse_sensing,
         );
+        if let Some(weights) = &config.core_weights {
+            assert!(
+                weights.len() == platform.num_cores(),
+                "core_weights holds {} weights, but the platform has {} cores",
+                weights.len(),
+                platform.num_cores(),
+            );
+            for (j, &w) in weights.iter().enumerate() {
+                assert!(
+                    w.is_finite() && w >= 0.0,
+                    "core_weights[{j}] = {w}: ω must be finite and >= 0"
+                );
+            }
+        }
         SmartBalance {
             sensor: sensor_from_config(&config),
             predictors,
@@ -227,6 +255,7 @@ impl SmartBalance {
             quarantine: QuarantineTracker::new(),
             predictions: PredictionRows::default(),
             fallback: VanillaBalancer::new(),
+            sharding: config.shard.map(|shard| Sharding::new(platform, shard)),
             config,
             last_outcome: None,
             telemetry: None,
@@ -280,30 +309,10 @@ impl SmartBalance {
         self.sensor.health()
     }
 
-    /// The attached telemetry hub, if any.
-    pub(crate) fn telemetry_handle(&self) -> Option<&TelemetryHandle> {
-        self.telemetry.as_ref()
-    }
-
-    /// Attaches the telemetry hub (shared with wrapping balancers).
-    pub(crate) fn set_telemetry_handle(&mut self, handle: &TelemetryHandle) {
-        self.telemetry = Some(handle.clone());
-    }
-
-    /// Whether `task`'s predictions are currently quarantined.
-    pub(crate) fn is_quarantined(&self, task: kernelsim::TaskId) -> bool {
-        self.quarantine.is_quarantined(task)
-    }
-
-    /// Publishes the diagnostics of the pass that just ran.
-    pub(crate) fn set_last_outcome(&mut self, outcome: Option<AnnealOutcome>) {
-        self.last_outcome = outcome;
-    }
-
     /// This epoch's annealer seed; advances the internal LCG so
     /// successive epochs explore differently (deterministically across
     /// runs).
-    pub(crate) fn next_epoch_seed(&mut self) -> u32 {
+    fn next_epoch_seed(&mut self) -> u32 {
         let seed = self.seed;
         self.seed = self
             .seed
@@ -315,7 +324,7 @@ impl SmartBalance {
     /// The per-core objective weights `ω_j` in effect this epoch:
     /// explicit `core_weights` win, else thermal derating when the
     /// tracker is enabled, else `None` (all ones).
-    pub(crate) fn effective_core_weights(&self, platform: &Platform) -> Option<Vec<f64>> {
+    fn effective_core_weights(&self, platform: &Platform) -> Option<Vec<f64>> {
         if let Some(w) = &self.config.core_weights {
             return Some(w.clone());
         }
@@ -331,15 +340,11 @@ impl SmartBalance {
         None
     }
 
-    /// The shared front half of every rebalance pass: prediction audit,
-    /// thermal step, sensing, quarantine/degradation bookkeeping and
-    /// affinity-mask constriction — everything up to (but excluding)
-    /// the optimizer itself. See [`PreambleOutcome`].
-    pub(crate) fn preamble(
-        &mut self,
-        platform: &Platform,
-        report: &EpochReport,
-    ) -> PreambleOutcome {
+    /// The front half of every rebalance pass: prediction audit,
+    /// thermal step, sensing, prediction rows, quarantine/degradation
+    /// bookkeeping and affinity-mask constriction — everything up to
+    /// (but excluding) the matrix build. See [`Preamble`].
+    fn preamble(&mut self, platform: &Platform, report: &EpochReport) -> Preamble {
         self.epochs_balanced += 1;
 
         // --- Prediction audit: settle last epoch's forecasts against
@@ -361,26 +366,23 @@ impl SmartBalance {
         }
 
         // --- Sense -----------------------------------------------------
+        // Kernel threads never take part: the paper balances user
+        // threads ("the impact of the user level threads dominates that
+        // of the kernel threads").
         let mut senses = self.sensor.sense(platform, report);
-        if !self.config.include_kernel_threads {
-            senses.retain(|s| !s.kernel_thread);
-        }
+        senses.retain(|s| !s.kernel_thread);
         // --- Predict: one row per sensed thread, reused while its
         // signature repeats ----------------------------------------------
         self.predictions
             .refresh(platform, &senses, &self.predictors);
         if senses.is_empty() {
             self.last_outcome = None;
-            return PreambleOutcome::Skip(None);
+            return Preamble::Skip(None);
         }
 
         // --- Degradation ladder: distrust what failed --------------------
-        self.quarantine.observe(
-            platform,
-            &senses,
-            &self.predictions.rows,
-            &self.config.degrade,
-        );
+        self.quarantine
+            .observe(platform, &senses, &self.predictions.rows);
         let sense_health = self.sensor.health();
         let health = EpochHealth {
             candidates: sense_health.candidates,
@@ -423,13 +425,13 @@ impl SmartBalance {
                 // heterogeneity-blind load-equalizing spread, which only
                 // needs run-queue weights.
                 self.last_outcome = None;
-                return PreambleOutcome::Skip(self.fallback.rebalance(platform, report));
+                return Preamble::Skip(self.fallback.rebalance(platform, report));
             }
             DegradeMode::PredictFree => {
                 // Predictions are distrusted but measurements are not:
                 // greedy IPS/Watt packing on static core efficiency.
                 self.last_outcome = None;
-                return PreambleOutcome::Skip(predict_free_greedy(platform, &senses, &online));
+                return Preamble::Skip(predict_free_greedy(platform, &senses, &online));
             }
             DegradeMode::Full => {}
         }
@@ -458,52 +460,86 @@ impl SmartBalance {
             }
         }
 
-        PreambleOutcome::Proceed {
-            senses,
-            rows: self.predictions.rows.clone(),
-            online,
+        Preamble::Proceed { senses, online }
+    }
+}
+
+impl LoadBalancer for SmartBalance {
+    fn name(&self) -> &str {
+        if self.sharding.is_some() {
+            "smartbalance-sharded"
+        } else {
+            "smartbalance"
         }
     }
 
-    /// The flat (single-domain) back half: build the dense matrices
-    /// from the preamble's prediction `rows`, run Algorithm 1 over all
-    /// cores at once and emit the diff.
-    fn flat_balance(
-        &mut self,
-        platform: &Platform,
-        senses: &[ThreadSense],
-        rows: &[f64],
-    ) -> Option<Allocation> {
-        // --- Estimate: S(k), P(k) --------------------------------------
-        let matrices = build_matrices_with_rows(platform, senses, rows, &self.predictors);
+    fn attach_telemetry(&mut self, handle: &TelemetryHandle) {
+        self.telemetry = Some(handle.clone());
+    }
 
-        // --- Balance: Algorithm 1 from the current allocation ----------
-        let initial: Vec<usize> = senses.iter().map(|s| s.core.0).collect();
-        let params = self
-            .config
-            .anneal
-            .unwrap_or_else(|| AnnealParams::scaled_for(platform.num_cores(), senses.len()));
+    /// 1, or [`ShardConfig::workers`](crate::ShardConfig::workers) when
+    /// sharded, with `0` resolved to the machine's available
+    /// parallelism: the per-cluster anneal's pool size, and the slice
+    /// loop's.
+    fn workers(&self) -> usize {
+        self.sharding.as_ref().map_or(1, Sharding::workers)
+    }
+
+    fn rebalance(&mut self, platform: &Platform, report: &EpochReport) -> Option<Allocation> {
+        let (senses, online) = match self.preamble(platform, report) {
+            Preamble::Skip(alloc) => return alloc,
+            Preamble::Proceed { senses, online } => (senses, online),
+        };
+
+        // --- Estimate: S(k), P(k) from the epoch's prediction rows ----
+        let matrices =
+            build_matrices_with_rows(platform, &senses, &self.predictions.rows, &self.predictors);
         let mut objective = Objective::new(&matrices, self.config.goal);
         if let Some(weights) = self.effective_core_weights(platform) {
             objective = objective.with_weights(weights);
         }
         let seed = self.next_epoch_seed();
-        let outcome = anneal(&objective, &initial, params, seed);
+        let initial: Vec<usize> = senses.iter().map(|s| s.core.0).collect();
 
+        // --- Balance: Algorithm 1 from the current allocation, over all
+        // cores or per cluster plus the exchange ------------------------
+        let (outcome, predict_cells) = match &self.sharding {
+            None => {
+                let params = AnnealParams::scaled_for(platform.num_cores(), senses.len());
+                // Predict-stage work = the dense S/P matrices just
+                // built: one cell per (thread, core) pair.
+                let cells = (senses.len() * platform.num_cores()) as u64;
+                (anneal(&objective, &initial, params, seed), cells)
+            }
+            Some(sharding) => match sharding.balance(
+                &objective,
+                &senses,
+                &online,
+                &self.quarantine,
+                seed,
+                self.telemetry.as_ref(),
+            ) {
+                Some(pass) => pass,
+                None => {
+                    self.last_outcome = None;
+                    return None;
+                }
+            },
+        };
+
+        // --- Emit the diff and the books ------------------------------
         let mut alloc = Allocation::new();
         for (sense, (&new_core, &old_core)) in senses
             .iter()
             .zip(outcome.allocation.iter().zip(initial.iter()))
         {
             if new_core != old_core {
-                alloc.assign(sense.task, archsim::CoreId(new_core));
+                alloc.assign(sense.task, CoreId(new_core));
             }
         }
         if let Some(tel) = &self.telemetry {
             let mut tel = tel.borrow_mut();
-            // Predict-stage work = the dense S/P matrices just built:
-            // one cell per (thread, core) pair.
-            tel.record_stage("predict", (senses.len() * platform.num_cores()) as u64);
+            tel.record_stage("predict", predict_cells);
             tel.record_anneal(
                 u64::from(outcome.iterations),
                 u64::from(outcome.accepted_moves),
@@ -511,7 +547,7 @@ impl SmartBalance {
                 outcome.objective,
             );
             // Forecast next epoch: thread i should achieve the S/P
-            // matrix entries of its chosen column.
+            // matrix entries of its chosen core.
             for (i, sense) in senses.iter().enumerate() {
                 let dest = outcome.allocation[i];
                 tel.record_prediction(
@@ -528,25 +564,6 @@ impl SmartBalance {
             None
         } else {
             Some(alloc)
-        }
-    }
-}
-
-impl LoadBalancer for SmartBalance {
-    fn name(&self) -> &str {
-        "smartbalance"
-    }
-
-    fn attach_telemetry(&mut self, handle: &TelemetryHandle) {
-        self.telemetry = Some(handle.clone());
-    }
-
-    fn rebalance(&mut self, platform: &Platform, report: &EpochReport) -> Option<Allocation> {
-        match self.preamble(platform, report) {
-            PreambleOutcome::Skip(alloc) => alloc,
-            PreambleOutcome::Proceed { senses, rows, .. } => {
-                self.flat_balance(platform, &senses, &rows)
-            }
         }
     }
 }
@@ -793,6 +810,36 @@ mod tests {
             ..SmartBalanceConfig::default()
         };
         SmartBalance::with_predictors(&platform, sparse, dense);
+    }
+
+    /// A config with explicit per-core weights, sharded or not.
+    fn weighted(weights: Vec<f64>, shard: Option<crate::ShardConfig>) -> SmartBalanceConfig {
+        SmartBalanceConfig {
+            core_weights: Some(weights),
+            shard,
+            ..SmartBalanceConfig::default()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "core_weights holds 3 weights, but the platform has 4 cores")]
+    fn a_weight_vector_of_the_wrong_length_is_rejected() {
+        let config = weighted(vec![1.0; 3], None);
+        SmartBalance::with_config(&Platform::quad_heterogeneous(), config);
+    }
+
+    #[test]
+    #[should_panic(expected = "core_weights[1] = -0.5: ω must be finite and >= 0")]
+    fn a_negative_weight_is_rejected() {
+        let config = weighted(vec![1.0, -0.5, 1.0, 1.0], None);
+        SmartBalance::with_config(&Platform::quad_heterogeneous(), config);
+    }
+
+    #[test]
+    #[should_panic(expected = "core_weights holds 3 weights, but the platform has 8 cores")]
+    fn a_sharded_policy_rejects_a_short_weight_vector() {
+        let config = weighted(vec![1.0; 3], Some(crate::ShardConfig::default()));
+        SmartBalance::with_config(&Platform::clustered_heterogeneous(2, 4), config);
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! SmartBalance configuration: the knobs of Fig. 8(b) plus sensing and
-//! training options.
+//! SmartBalance configuration: the optimization goal, sensing and
+//! training options, and the cluster-sharding knob. The annealer's
+//! iteration budget is not a setting: it always follows the Fig. 8(a)
+//! rule ([`AnnealParams::scaled_for`](crate::AnnealParams::scaled_for)).
 
 use serde::{Deserialize, Serialize};
 
-use crate::anneal::AnnealParams;
 use crate::degrade::DegradeConfig;
 use crate::objective::Goal;
 use crate::shard::ShardConfig;
@@ -55,28 +56,20 @@ impl ThermalConfig {
 ///     goal: Goal::Throughput,
 ///     ..SmartBalanceConfig::default()
 /// };
-/// assert!(cfg.anneal.is_none(), "iteration budget auto-scales by default");
+/// assert!(cfg.shard.is_none(), "one anneal over all cores by default");
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SmartBalanceConfig {
     /// Optimization goal (paper default: energy efficiency, Eq. 11).
     pub goal: Goal,
-    /// Explicit annealer parameters; `None` auto-scales the iteration
-    /// budget with platform size (the Fig. 8(a) rule).
-    pub anneal: Option<AnnealParams>,
-    /// Per-core objective weights `ω_j`; `None` = all ones.
+    /// Per-core objective weights `ω_j`, one finite, non-negative
+    /// weight per core (checked when the policy is built); `None` = all
+    /// ones.
     pub core_weights: Option<Vec<f64>>,
-    /// Minimum per-epoch runtime for a thread's sample to be trusted
-    /// (below this the cached signature is replayed), ns.
-    pub min_sample_runtime_ns: u64,
     /// Offline-training corpus size for the Θ predictors.
     pub train_corpus: usize,
     /// Offline-training seed (reproducible Table 4).
     pub train_seed: u64,
-    /// Whether kernel threads participate in balancing. The paper
-    /// focuses on user threads ("the impact of the user level threads
-    /// dominates that of the kernel threads").
-    pub include_kernel_threads: bool,
     /// Relative 1-sigma noise on measured per-thread power (0 = ideal
     /// sensors); models imperfect per-core power sensing.
     pub power_noise_sigma: f64,
@@ -96,9 +89,10 @@ pub struct SmartBalanceConfig {
     pub sensor_seed: Option<u64>,
     /// Graceful-degradation ladder and prediction-quarantine tuning.
     pub degrade: DegradeConfig,
-    /// Hierarchical sharding: `Some(..)` selects the cluster-sharded
-    /// balancer ([`crate::balance::ShardedBalancer`]); `None` (the
-    /// default) keeps the flat annealer, bit-identical to before the
+    /// Hierarchical sharding: `Some(..)` makes
+    /// [`SmartBalance`](crate::SmartBalance) anneal per cluster and
+    /// then exchange threads across clusters; `None` (the default)
+    /// keeps one anneal over all cores, bit-identical to before the
     /// knob existed.
     pub shard: Option<ShardConfig>,
 }
@@ -107,12 +101,9 @@ impl Default for SmartBalanceConfig {
     fn default() -> Self {
         SmartBalanceConfig {
             goal: Goal::EnergyEfficiency,
-            anneal: None,
             core_weights: None,
-            min_sample_runtime_ns: 100_000,
             train_corpus: 400,
             train_seed: 0xDAC_2015,
-            include_kernel_threads: false,
             power_noise_sigma: 0.0,
             sparse_sensing: false,
             thermal: None,
@@ -150,8 +141,6 @@ mod tests {
     fn defaults_match_paper_posture() {
         let c = SmartBalanceConfig::default();
         assert_eq!(c.goal, Goal::EnergyEfficiency);
-        assert!(c.anneal.is_none());
-        assert!(!c.include_kernel_threads);
         assert!(c.train_corpus >= 100);
     }
 }

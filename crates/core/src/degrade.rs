@@ -90,27 +90,35 @@ impl DegradeMode {
     }
 }
 
-/// Tuning knobs for the degradation ladder and prediction quarantine.
+/// EWMA relative identity-pair residual above which a thread's
+/// predictions are quarantined (released below half of this).
+const QUARANTINE_RESIDUAL: f64 = 0.6;
+
+/// EWMA smoothing factor for the residual tracker.
+const RESIDUAL_ALPHA: f64 = 0.5;
+
+/// Fraction of live threads quarantined at which `Full` demotes to
+/// `PredictFree`.
+const QUARANTINE_DEMOTE_FRAC: f64 = 0.35;
+
+/// Fraction of sensing candidates left *blind* (ran long enough to be
+/// measured, yet no fresh sample survived validation and no replayable
+/// cached signature remained — the sensing stage fell back to the
+/// neutral prior) at which the policy demotes straight to `LoadOnly`.
+/// Invalid samples covered by a cache replay do not count (a replayed
+/// signature is still a usable one), and neither do threads that merely
+/// didn't run this epoch: runtime starvation is a scheduling fact, not a
+/// sensing failure.
+const BLIND_DEMOTE_FRAC: f64 = 0.5;
+
+/// Tuning knobs for the degradation ladder's hysteresis and the
+/// signature cache. The ladder's thresholds are fixed: a thread is
+/// quarantined above an EWMA residual of 0.6 (smoothing 0.5) and
+/// released below 0.3; `Full` demotes to `PredictFree` once 35 % of the
+/// candidates are quarantined, and straight to `LoadOnly` once 50 % are
+/// blind.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DegradeConfig {
-    /// EWMA relative identity-pair residual above which a thread's
-    /// predictions are quarantined (released below half of this).
-    pub quarantine_residual: f64,
-    /// EWMA smoothing factor for the residual tracker in `(0, 1]`
-    /// (1 = no smoothing).
-    pub residual_alpha: f64,
-    /// Fraction of live threads quarantined at which `Full` demotes
-    /// to `PredictFree`.
-    pub quarantine_demote_frac: f64,
-    /// Fraction of sensing candidates left *blind* (ran long enough to
-    /// be measured, yet no fresh sample survived validation and no
-    /// replayable cached signature remained — the sensing stage fell
-    /// back to the neutral prior) at which the policy demotes straight
-    /// to `LoadOnly`. Invalid samples covered by a cache replay do not
-    /// count (a replayed signature is still a usable one), and neither
-    /// do threads that merely didn't run this epoch: runtime starvation
-    /// is a scheduling fact, not a sensing failure.
-    pub blind_demote_frac: f64,
     /// Consecutive unhealthy epochs before demoting (fail fast).
     pub demote_after: u32,
     /// Consecutive healthy epochs before promoting one rung
@@ -124,10 +132,6 @@ pub struct DegradeConfig {
 impl Default for DegradeConfig {
     fn default() -> Self {
         DegradeConfig {
-            quarantine_residual: 0.6,
-            residual_alpha: 0.5,
-            quarantine_demote_frac: 0.35,
-            blind_demote_frac: 0.5,
             demote_after: 2,
             promote_after: 4,
             signature_ttl_epochs: 16,
@@ -153,15 +157,6 @@ pub struct EpochHealth {
 }
 
 impl EpochHealth {
-    /// Fraction of candidates whose fresh sample was invalid.
-    pub fn invalid_frac(&self) -> f64 {
-        if self.candidates == 0 {
-            0.0
-        } else {
-            self.invalid as f64 / self.candidates as f64
-        }
-    }
-
     /// Fraction of candidates with no usable signature at all.
     pub fn blind_frac(&self) -> f64 {
         if self.candidates == 0 {
@@ -189,7 +184,7 @@ impl EpochHealth {
 /// enough for a higher rung. Streak counters reset whenever the
 /// pressure direction changes, so alternating good/bad epochs hold
 /// the current rung instead of oscillating.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegradeController {
     config: DegradeConfig,
     mode: DegradeMode,
@@ -219,9 +214,9 @@ impl DegradeController {
     /// down when threads are flying blind (signatures expired or never
     /// established) or their predictions are quarantined.
     fn target_for(&self, health: &EpochHealth) -> DegradeMode {
-        if health.blind_frac() >= self.config.blind_demote_frac {
+        if health.blind_frac() >= BLIND_DEMOTE_FRAC {
             DegradeMode::LoadOnly
-        } else if health.quarantined_frac() >= self.config.quarantine_demote_frac {
+        } else if health.quarantined_frac() >= QUARANTINE_DEMOTE_FRAC {
             DegradeMode::PredictFree
         } else {
             DegradeMode::Full
@@ -278,7 +273,7 @@ impl DegradeController {
 /// either way, cross-core predictions derived from it cannot be
 /// trusted, so the thread is quarantined until the residual decays
 /// below half the threshold.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QuarantineTracker {
     /// Per tracked thread: the residual EWMA and whether the thread is
     /// quarantined.
@@ -299,14 +294,7 @@ impl QuarantineTracker {
     /// core type. Only fresh, positively-measured samples contribute;
     /// replayed or prior-backed senses leave the residual untouched.
     /// Threads absent from `senses` are forgotten.
-    pub fn observe(
-        &mut self,
-        platform: &Platform,
-        senses: &[ThreadSense],
-        rows: &[f64],
-        config: &DegradeConfig,
-    ) {
-        let alpha = config.residual_alpha.clamp(1e-3, 1.0);
+    pub fn observe(&mut self, platform: &Platform, senses: &[ThreadSense], rows: &[f64]) {
         let q = platform.num_types();
         // Rebuilt from this epoch's senses: an entry moves over only
         // for a thread that is still sensed, so exited threads drop
@@ -319,12 +307,15 @@ impl QuarantineTracker {
                 let predicted_ips = rows[i * q + src.0] * platform.type_config(src).freq_hz;
                 let rel = (predicted_ips - sense.measured_ips).abs() / sense.measured_ips.max(1.0);
                 let (ewma, mut flagged) = match prev {
-                    Some((residual, flagged)) => (alpha * rel + (1.0 - alpha) * residual, flagged),
+                    Some((residual, flagged)) => (
+                        RESIDUAL_ALPHA * rel + (1.0 - RESIDUAL_ALPHA) * residual,
+                        flagged,
+                    ),
                     None => (rel, false),
                 };
-                if ewma > config.quarantine_residual {
+                if ewma > QUARANTINE_RESIDUAL {
                     flagged = true;
-                } else if ewma < config.quarantine_residual / 2.0 {
+                } else if ewma < QUARANTINE_RESIDUAL / 2.0 {
                     flagged = false;
                 }
                 Some((ewma, flagged))
@@ -594,7 +585,7 @@ mod tests {
     #[test]
     fn empty_epoch_is_neutral() {
         let h = EpochHealth::default();
-        assert_eq!(h.invalid_frac(), 0.0);
+        assert_eq!(h.blind_frac(), 0.0);
         assert_eq!(h.quarantined_frac(), 0.0);
         let mut c = DegradeController::new(DegradeConfig::default());
         assert_eq!(c.step(&h), DegradeMode::Full);
@@ -681,7 +672,6 @@ mod tests {
     fn quarantine_tracks_identity_residual() {
         let platform = Platform::quad_heterogeneous();
         let predictors = PredictorSet::train(&platform, 150, 0xDAC_2015);
-        let cfg = DegradeConfig::default();
         let mut q = QuarantineTracker::new();
 
         // A self-consistent sense: measured ips equals the identity
@@ -706,7 +696,7 @@ mod tests {
                 .collect()
         };
         for _ in 0..4 {
-            q.observe(&platform, &[good, bad], &rows_of(&[good, bad]), &cfg);
+            q.observe(&platform, &[good, bad], &rows_of(&[good, bad]));
         }
         assert!(!q.is_quarantined(TaskId(0)));
         assert!(q.is_quarantined(TaskId(1)));
@@ -721,12 +711,12 @@ mod tests {
         // The EWMA halves each epoch (alpha 0.5); decaying a ~1e6
         // relative residual below the release threshold takes a while.
         for _ in 0..40 {
-            q.observe(&platform, &[good, bad], &rows_of(&[good, bad]), &cfg);
+            q.observe(&platform, &[good, bad], &rows_of(&[good, bad]));
         }
         assert!(!q.is_quarantined(TaskId(1)), "residual decayed below half");
 
         // Exited threads are forgotten.
-        q.observe(&platform, &[good], &rows_of(&[good]), &cfg);
+        q.observe(&platform, &[good], &rows_of(&[good]));
         assert_eq!(q.quarantined_count(), 0);
         assert!(!q.is_quarantined(TaskId(1)));
     }
@@ -738,7 +728,6 @@ mod tests {
     fn replayed_senses_keep_their_quarantine_state() {
         let platform = Platform::quad_heterogeneous();
         let q = platform.num_types();
-        let cfg = DegradeConfig::default();
         let mut tracker = QuarantineTracker::new();
         // Identity rows of 1.0 IPC against a wildly lower measurement.
         let mut bad = sense(1, 1, 0.5);
@@ -748,7 +737,7 @@ mod tests {
             ..sense(2, 2, 0.5)
         };
         let rows = vec![1.0; 2 * q];
-        tracker.observe(&platform, &[bad, never_fresh], &rows, &cfg);
+        tracker.observe(&platform, &[bad, never_fresh], &rows);
         assert_eq!(tracker.quarantined_tasks(), vec![TaskId(1)]);
         let quarantined = tracker.clone();
 
@@ -757,12 +746,12 @@ mod tests {
             fresh: false,
             ..bad
         };
-        tracker.observe(&platform, &[replayed, never_fresh], &vec![0.0; 2 * q], &cfg);
+        tracker.observe(&platform, &[replayed, never_fresh], &vec![0.0; 2 * q]);
         assert_eq!(tracker, quarantined, "a replay leaves the entry as it was");
         assert_eq!(tracker.quarantined_count(), 1);
 
         // Gone for an epoch: forgotten, so it restarts unflagged.
-        tracker.observe(&platform, &[never_fresh], &rows[..q], &cfg);
+        tracker.observe(&platform, &[never_fresh], &rows[..q]);
         assert!(!tracker.is_quarantined(TaskId(1)));
         assert_eq!(tracker, QuarantineTracker::new());
     }

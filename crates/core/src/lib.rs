@@ -22,6 +22,9 @@
 //!
 //! then migrates threads accordingly ([`balance::SmartBalance`]
 //! implements the kernel simulator's [`kernelsim::LoadBalancer`] hook).
+//! On large clustered platforms the same policy balances per cluster
+//! plus a cross-cluster exchange instead of annealing over all cores
+//! at once ([`SmartBalanceConfig::shard`], [`shard`]).
 //!
 //! The crate also ships the paper's two comparison baselines — the
 //! vanilla Linux balancer ([`balance::VanillaBalancer`]) and ARM's
@@ -85,7 +88,7 @@ pub mod shard;
 pub mod suite;
 
 pub use anneal::{anneal, AnnealOutcome, AnnealParams};
-pub use balance::{GtsBalancer, IksBalancer, ShardedBalancer, SmartBalance, VanillaBalancer};
+pub use balance::{GtsBalancer, IksBalancer, SmartBalance, VanillaBalancer};
 pub use config::{SmartBalanceConfig, ThermalConfig};
 pub use degrade::{
     predict_free_greedy, DegradeConfig, DegradeController, DegradeMode, EpochHealth,

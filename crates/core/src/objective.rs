@@ -33,7 +33,7 @@
 //! Objective values are expressed in GIPS/W so the annealer's
 //! fixed-point acceptance test operates on O(1) magnitudes.
 
-use archsim::CoreTypeId;
+use archsim::{CoreId, CoreTypeId};
 use serde::{Deserialize, Serialize};
 
 use crate::matrices::CharacterizationMatrices;
@@ -188,6 +188,26 @@ impl<'a> Objective<'a> {
     /// The underlying matrices.
     pub fn matrices(&self) -> &CharacterizationMatrices {
         self.matrices
+    }
+
+    /// This objective's goal and weights over `matrices`, a sub-problem
+    /// whose core `k` is this objective's core `columns[k]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `columns` does not hold one core per column of
+    /// `matrices`.
+    pub(crate) fn for_columns<'b>(
+        &self,
+        matrices: &'b CharacterizationMatrices,
+        columns: &[CoreId],
+    ) -> Objective<'b> {
+        assert_eq!(columns.len(), matrices.num_cores(), "one core per column");
+        Objective {
+            matrices,
+            weights: columns.iter().map(|c| self.weights[c.0]).collect(),
+            goal: self.goal,
+        }
     }
 
     /// Full evaluation of allocation `alloc` (`alloc[i]` = core index

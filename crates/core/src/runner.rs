@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use workloads::WorkloadProfile;
 
 use crate::balance::smart::train_predictors;
-use crate::balance::{GtsBalancer, IksBalancer, ShardedBalancer, SmartBalance, VanillaBalancer};
+use crate::balance::{GtsBalancer, IksBalancer, SmartBalance, VanillaBalancer};
 use crate::config::SmartBalanceConfig;
 use crate::predict::PredictorSet;
 use crate::shard::ShardConfig;
@@ -63,13 +63,7 @@ impl Policy {
             Policy::Smart => {
                 let cfg = cfg.cloned().unwrap_or_default();
                 let set = predictors.predictors_for(platform, &cfg);
-                // The shard knob selects the hierarchical balancer; its
-                // absence keeps the flat annealer bit-identical.
-                if cfg.shard.is_some() {
-                    Box::new(ShardedBalancer::with_predictors(platform, cfg, set))
-                } else {
-                    Box::new(SmartBalance::with_predictors(platform, cfg, set))
-                }
+                Box::new(SmartBalance::with_predictors(platform, cfg, set))
             }
         }
     }

@@ -144,17 +144,6 @@ pub struct SenseHealth {
     pub blind: usize,
 }
 
-impl SenseHealth {
-    /// Fraction of candidates whose fresh sample was rejected.
-    pub fn invalid_frac(&self) -> f64 {
-        if self.candidates == 0 {
-            0.0
-        } else {
-            self.invalid as f64 / self.candidates as f64
-        }
-    }
-}
-
 /// A cached signature plus the epoch it was measured in.
 #[derive(Debug, Clone, Copy)]
 struct CachedSense {
@@ -178,15 +167,10 @@ pub struct Sensor {
     health: SenseHealth,
 }
 
-impl Default for Sensor {
-    fn default() -> Self {
-        Sensor::new(0)
-    }
-}
-
 impl Sensor {
     /// Creates a sensor that trusts samples with at least
-    /// `min_runtime_ns` of execution behind them (default 100 µs).
+    /// `min_runtime_ns` of execution behind them (SmartBalance uses
+    /// 100 µs).
     pub fn new(min_runtime_ns: u64) -> Self {
         Sensor {
             min_runtime_ns,
@@ -208,12 +192,6 @@ impl Sensor {
         assert!(epochs > 0, "signature TTL must be at least one epoch");
         self.ttl_epochs = epochs;
         self
-    }
-
-    /// Re-seeds the power-noise stream (keeps sigma), so suite reruns
-    /// can give every job an independent, reproducible noise sequence.
-    pub fn reseed(&mut self, seed: u64) {
-        self.noise_state = seed | 1;
     }
 
     /// How the sensing stage classified its inputs in the most recent
@@ -621,22 +599,6 @@ mod tests {
         assert_eq!(h.priors, 2, "both fall back to the neutral prior");
         assert_eq!(h.blind, 1, "only the running thread is blind");
         assert_eq!(h.invalid, 1);
-    }
-
-    #[test]
-    fn reseed_restarts_the_noise_stream() {
-        let platform = Platform::quad_heterogeneous();
-        let r = report_with(vec![running_task(0, 0, 30_000_000)]);
-        let mut a = Sensor::new(100_000).with_power_noise(0.1, 7);
-        let p1 = a.sense(&platform, &r)[0].measured_power_w;
-        let p2 = a.sense(&platform, &r)[0].measured_power_w;
-        assert_ne!(p1, p2, "stream advances between epochs");
-        a.reseed(7);
-        assert_eq!(
-            a.sense(&platform, &r)[0].measured_power_w,
-            p1,
-            "re-seeding replays the stream"
-        );
     }
 
     #[test]

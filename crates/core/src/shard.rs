@@ -1,25 +1,25 @@
-//! The sharded balancer's configuration knob; the balancer itself is
-//! [`crate::balance::ShardedBalancer`].
+//! The cluster-sharding knob of [`crate::SmartBalance`].
 //!
-//! The sharded balancer splits Algorithm 1 across the platform's
-//! cluster topology: one annealer per cluster over that cluster's
-//! threads and cores (each an `m_c × n_c` problem instead of the flat
-//! `m × n`), followed by a global *exchange* stage that moves a few
-//! candidate threads between clusters. Both read the flat path's
-//! characterization matrices, one entry per thread and core type: each
-//! cluster copies its threads' rows, and the exchange evaluates every
-//! candidate move as an O(1) two-core patch of one
+//! With [`crate::SmartBalanceConfig::shard`] set, SmartBalance splits
+//! Algorithm 1 across the platform's cluster topology: one annealer per
+//! cluster over that cluster's threads and cores (each an `m_c × n_c`
+//! problem instead of the flat `m × n`), followed by a global
+//! *exchange* stage that moves a few candidate threads between
+//! clusters. Both read the epoch's one set of characterization
+//! matrices, one entry per thread and core type, and its one objective:
+//! each cluster copies its threads' rows, and the exchange evaluates
+//! every candidate move as an O(1) two-core patch of one
 //! [`crate::objective::IncrementalObjective`] over the global matrices,
 //! with the move's from-core half computed once per thread and its
 //! to-core half per candidate destination.
 
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the sharded balancer: worker pool for the
-/// per-cluster anneal fan-out and the global-exchange budget.
+/// Configuration of SmartBalance's sharded back half: worker pool for
+/// the per-cluster anneal fan-out and the global-exchange budget.
 ///
 /// Setting [`crate::SmartBalanceConfig::shard`] to `Some(..)` is what
-/// selects the sharded balancer; `None` keeps the flat annealer
+/// shards the balance step; `None` keeps one anneal over all cores,
 /// bit-identical to every previous release.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ShardConfig {

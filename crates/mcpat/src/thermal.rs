@@ -1,7 +1,7 @@
 //! First-order RC thermal model per core.
 //!
 //! The paper's group couples load balancing with run-time thermal
-//! estimation (its ref. [24]); this module provides the standard
+//! estimation (its ref. \[24\]); this module provides the standard
 //! lumped RC abstraction those schemes build on:
 //!
 //! ```text

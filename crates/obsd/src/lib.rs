@@ -20,7 +20,7 @@
 //!
 //! This crate is the *only* sanctioned home for wall-clock and network
 //! code in the live plane: it consumes immutable
-//! [`ObsSnapshot`](telemetry::live::ObsSnapshot)s through a
+//! [`ObsSnapshot`]s through a
 //! [`SnapshotCell`] mailbox and is never called from simulation code,
 //! so smartlint's graph-derived D1/D2 scope provably excludes it (see
 //! the `live_observability_plane_stays_outside_sim_scope` scope test).

@@ -120,7 +120,7 @@ fn every_named_simulation_root_is_discovered() {
     }
     assert!(
         roots.iter().filter(|r| r.contains("::rebalance")).count() >= 5,
-        "every LoadBalancer impl (gts, iks, sharded, smart, vanilla, null) roots the graph: {roots:?}"
+        "every LoadBalancer impl (gts, iks, smart, vanilla, null) roots the graph: {roots:?}"
     );
 }
 

@@ -4,8 +4,8 @@
 use archsim::{CoreId, Platform, WorkloadCharacteristics};
 use kernelsim::{System, SystemConfig};
 use smartbalance::{
-    anneal, known_optimum_case, AnnealParams, Goal, Objective, Policy, ShardConfig,
-    ShardedBalancer, SmartBalance, SmartBalanceConfig,
+    anneal, known_optimum_case, AnnealParams, Goal, Objective, Policy, ShardConfig, SmartBalance,
+    SmartBalanceConfig,
 };
 use workloads::{SyntheticGenerator, WorkloadProfile};
 
@@ -42,7 +42,11 @@ fn clustered_256_core_platform_runs_end_to_end_sharded() {
     for i in 0..384 {
         sys.spawn(gen.profile(format!("t{i}"), 2, 50_000_000, i % 4 == 0));
     }
-    let mut policy = ShardedBalancer::new(&platform);
+    let config = SmartBalanceConfig {
+        shard: Some(ShardConfig::default()),
+        ..SmartBalanceConfig::default()
+    };
+    let mut policy = SmartBalance::with_config(&platform, config);
     for _ in 0..5 {
         sys.run_epoch(&mut policy);
     }

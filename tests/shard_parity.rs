@@ -1,10 +1,10 @@
-//! Parity and determinism contracts for the hierarchical sharded
-//! balancer:
+//! Parity and determinism contracts for SmartBalance's cluster-sharded
+//! back half:
 //!
 //! * with sharding off, the [`Policy::Smart`] path stays bit-identical
 //!   to the flat `SmartBalance` oracle;
 //! * with sharding on, the policy dispatch is bit-identical to a
-//!   directly-constructed [`ShardedBalancer`];
+//!   directly-constructed sharded [`SmartBalance`];
 //! * offline (hotplugged) cores are honored inside every cluster
 //!   shard — no placement ever targets them;
 //! * a thread whose predictions are quarantined never moves;
@@ -20,8 +20,8 @@ use kernelsim::{
     Allocation, EpochReport, LoadBalancer, NullBalancer, System, SystemConfig, TaskId,
 };
 use smartbalance::{
-    AnnealOutcome, DegradeMode, ExperimentSpec, ExperimentSuite, Policy, ShardConfig,
-    ShardedBalancer, SmartBalance, SmartBalanceConfig,
+    AnnealOutcome, DegradeMode, ExperimentSpec, ExperimentSuite, Policy, ShardConfig, SmartBalance,
+    SmartBalanceConfig,
 };
 use workloads::{SyntheticGenerator, WorkloadProfile};
 
@@ -44,9 +44,9 @@ fn spawn_all(sys: &mut System, profiles: &[WorkloadProfile]) {
     }
 }
 
-/// A sharded balancer with `workers` anneal workers and otherwise
-/// default configuration.
-fn sharded(platform: &Platform, workers: usize) -> ShardedBalancer {
+/// A sharded balancer with `workers` anneal workers (`0`: the machine's
+/// available parallelism) and otherwise default configuration.
+fn sharded(platform: &Platform, workers: usize) -> SmartBalance {
     let config = SmartBalanceConfig {
         shard: Some(ShardConfig {
             workers,
@@ -54,7 +54,7 @@ fn sharded(platform: &Platform, workers: usize) -> ShardedBalancer {
         }),
         ..SmartBalanceConfig::default()
     };
-    ShardedBalancer::with_config(platform, config)
+    SmartBalance::with_config(platform, config)
 }
 
 /// Sensor noise (σ = 3) on cores 0–3 from the first epoch: enough to
@@ -119,7 +119,7 @@ fn sharding_on_policy_dispatch_matches_direct_construction() {
     };
     let mut via_policy = Policy::Smart.build(&platform, Some(&cfg));
     assert_eq!(via_policy.name(), "smartbalance-sharded");
-    let mut direct = ShardedBalancer::with_config(&platform, cfg.clone());
+    let mut direct = SmartBalance::with_config(&platform, cfg.clone());
 
     let a = run_fingerprinted(&platform, &profiles, via_policy.as_mut(), 10);
     let b = run_fingerprinted(&platform, &profiles, &mut direct, 10);
@@ -142,7 +142,7 @@ fn offline_cores_are_honored_in_every_cluster_shard() {
         sys.set_core_online(CoreId(c), false);
     }
 
-    let mut policy = ShardedBalancer::new(&platform);
+    let mut policy = sharded(&platform, 0);
     for _ in 0..6 {
         sys.run_epoch(&mut policy);
         for t in sys.tasks() {
@@ -208,7 +208,7 @@ fn shard_worker_count_never_changes_results() {
 /// Wraps a sharded balancer and checks every allocation it emits
 /// against the threads quarantined in the same epoch.
 struct QuarantineAudit {
-    inner: ShardedBalancer,
+    inner: SmartBalance,
     quarantined: BTreeSet<TaskId>,
     requested: usize,
     modes: Vec<DegradeMode>,
@@ -221,7 +221,7 @@ impl LoadBalancer for QuarantineAudit {
 
     fn rebalance(&mut self, platform: &Platform, report: &EpochReport) -> Option<Allocation> {
         let alloc = self.inner.rebalance(platform, report);
-        let quarantined = self.inner.inner().quarantined_threads();
+        let quarantined = self.inner.quarantined_threads();
         if let Some(alloc) = &alloc {
             for &task in &quarantined {
                 assert_eq!(
@@ -234,7 +234,7 @@ impl LoadBalancer for QuarantineAudit {
             self.requested += alloc.len();
         }
         self.quarantined.extend(quarantined);
-        self.modes.push(self.inner.inner().mode());
+        self.modes.push(self.inner.mode());
         alloc
     }
 }
@@ -309,7 +309,7 @@ fn shard_worker_count_is_invisible_under_hotplug_noise_and_stranding() {
             }
         }
         let alloc = policy.rebalance(&platform, &report);
-        prints.push(format!("{alloc:?} {:?}", policy.inner().last_outcome()));
+        prints.push(format!("{alloc:?} {:?}", policy.last_outcome()));
         prints
     };
     let one = run(1);
@@ -329,7 +329,7 @@ fn sharded_sleep_power_follows_a_dvfs_change_like_the_flat_path() {
     let mut sys = System::new(platform.clone(), SystemConfig::default());
     spawn_all(&mut sys, &mixed_profiles(5, 41, u64::MAX / 64));
     let mut flat = SmartBalance::new(&platform);
-    let mut sharded = ShardedBalancer::new(&platform);
+    let mut sharded = sharded(&platform, 0);
     for epoch in 0..6 {
         if epoch == 3 {
             sys.set_operating_point(CoreTypeId(1), 1.0e9, 0.72);
@@ -345,7 +345,7 @@ fn sharded_sleep_power_follows_a_dvfs_change_like_the_flat_path() {
         };
         assert_eq!(
             initial(flat.last_outcome()),
-            initial(sharded.inner().last_outcome()),
+            initial(sharded.last_outcome()),
             "epoch {epoch}: initial objectives differ"
         );
     }

@@ -9,10 +9,11 @@
 //! equality of serde_json output implies bit equality of every `f64`
 //! inside (shortest-roundtrip formatting).
 
-use archsim::Platform;
+use archsim::{CoreId, FaultKind, FaultPlan, Platform};
 use kernelsim::{LoadBalancer, System, SystemConfig};
 use smartbalance::{
-    ExperimentSpec, ExperimentSuite, Policy, SmartBalance, SmartBalanceConfig, SuiteReport,
+    ExperimentSpec, ExperimentSuite, Policy, ShardConfig, SmartBalance, SmartBalanceConfig,
+    SuiteReport,
 };
 use telemetry::{ObsCapture, TraceLevel};
 use workloads::SyntheticGenerator;
@@ -139,6 +140,88 @@ fn rerun_telemetry_output_is_byte_identical() {
     assert_eq!(
         serde_json::to_string(&a.summary).expect("serialize"),
         serde_json::to_string(&b.summary).expect("serialize"),
+    );
+}
+
+/// FNV-1a over everything a capture exports: the JSONL stream, the
+/// Prometheus text and the summary JSON.
+fn capture_digest(obs: &ObsCapture) -> u64 {
+    let summary = serde_json::to_string(&obs.summary).expect("serialize summary");
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for part in [&obs.jsonl, &obs.prometheus, &summary] {
+        for &b in part.as_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The sharded back half under a hub: 48 mixed tasks on
+/// `clustered_heterogeneous(4, 8)` for 10 epochs, with noisy sensors on
+/// cores 0–3 (quarantined threads) and core 9 offline for epochs 4–6.
+fn sharded_capture() -> ObsCapture {
+    let platform = Platform::clustered_heterogeneous(4, 8);
+    let config = SmartBalanceConfig {
+        shard: Some(ShardConfig {
+            workers: 2,
+            ..ShardConfig::default()
+        }),
+        ..SmartBalanceConfig::default()
+    };
+    let mut policy = Policy::Smart.build(&platform, Some(&config));
+    assert_eq!(policy.name(), "smartbalance-sharded");
+    let mut sys = System::new(platform, SystemConfig::default());
+    let hub = telemetry::shared();
+    sys.set_telemetry(hub.clone());
+    policy.attach_telemetry(&hub);
+    let mut plan = FaultPlan::new();
+    for core in 0..4 {
+        plan = plan.inject(0, Some(core), FaultKind::Noise { sigma: 3.0 });
+    }
+    sys.set_fault_plan(plan, 0x5EED_0002);
+    let mut gen = SyntheticGenerator::new(0x54A2D);
+    for i in 0..48 {
+        sys.spawn(gen.profile(format!("s{i}"), 2, u64::MAX / 64, i % 3 == 0));
+    }
+    for epoch in 0..10 {
+        match epoch {
+            4 => sys.set_core_online(CoreId(9), false),
+            7 => sys.set_core_online(CoreId(9), true),
+            _ => {}
+        }
+        sys.run_epoch(policy.as_mut());
+    }
+    let obs = hub.borrow().capture();
+    obs
+}
+
+/// The hub's whole output for one flat and one sharded run, pinned to
+/// digests recorded before the two back halves shared their matrix
+/// build, objective, seed draw, diff and telemetry tail. The sharded
+/// run is the only test that reaches the per-cluster anneal and
+/// exchange records.
+#[test]
+fn hub_output_of_both_back_halves_is_pinned() {
+    let flat = run(Some(TraceLevel::Off)).obs.expect("captured");
+    let sharded = sharded_capture();
+    for metric in [
+        "sb_shard_anneal_iterations_total{cluster=\"0\"}",
+        "sb_shard_exchange_candidates_total",
+        "sb_stage_work_total{stage=\"exchange\"}",
+    ] {
+        assert!(sharded.prometheus.contains(metric), "no {metric}");
+    }
+    assert!(sharded.summary.anneal_epochs > 0);
+    assert!(sharded.summary.prediction_samples > 0);
+    assert_eq!(
+        capture_digest(&flat),
+        0x53cc_3384_a28b_d71c,
+        "flat hub output moved"
+    );
+    assert_eq!(
+        capture_digest(&sharded),
+        0x55f4_68cd_b9ff_de82,
+        "sharded hub output moved"
     );
 }
 
