@@ -119,29 +119,33 @@ impl CheckpointJournal {
     /// Opens the journal at `path`, replaying any existing records. A
     /// missing file is an empty journal (fresh campaign); a line that
     /// does not parse — a torn tail left by a non-atomic foreign
-    /// writer, or hand-edited damage — is skipped and counted in
+    /// writer (one that may split a multi-byte character, so the line
+    /// is not UTF-8), nesting past the parser's depth limit, or
+    /// hand-edited damage — is skipped and counted in
     /// [`CheckpointJournal::skipped_lines`] rather than aborting the
     /// resume, because every record is self-contained. Each line is
     /// re-rendered from its parsed record, so the next flush writes
     /// pre-v2 lines in today's shape.
     pub fn load(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
+        let bytes = match fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
         };
         let mut records = BTreeMap::new();
         let mut skipped_lines = 0;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<JournalRecord>(line) {
-                Ok(rec) => {
+        for line in bytes.split(|&b| b == b'\n') {
+            let parsed = match std::str::from_utf8(line) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => serde_json::from_str::<JournalRecord>(line).ok(),
+                Err(_) => None,
+            };
+            match parsed {
+                Some(rec) => {
                     records.insert(rec.id().to_owned(), Entry::new(rec));
                 }
-                Err(_) => skipped_lines += 1,
+                None => skipped_lines += 1,
             }
         }
         Ok(CheckpointJournal {
@@ -274,21 +278,78 @@ mod tests {
         assert_eq!(j2.skipped_lines(), 0);
     }
 
-    #[test]
-    fn torn_tail_lines_are_skipped_not_fatal() {
-        let path = temp_journal("torn.jsonl");
+    /// Writes one flushed record followed by `tail` at `name`.
+    fn journal_with_tail(name: &str, tail: &[u8]) -> PathBuf {
+        let path = temp_journal(name);
         let _ = fs::remove_file(&path);
         let mut j = CheckpointJournal::load(&path).expect("load empty");
         j.insert(record("cccc", 0));
         j.flush().expect("flush");
-        // Simulate a kill mid-append by a non-atomic writer.
-        let mut text = fs::read_to_string(&path).expect("read back");
-        text.push_str("{\"Completed\":{\"id\":\"dddd\",\"ind");
-        fs::write(&path, text).expect("corrupt");
+        let mut bytes = fs::read(&path).expect("read back");
+        bytes.extend_from_slice(tail);
+        fs::write(&path, bytes).expect("append the tail");
+        path
+    }
 
+    #[test]
+    fn torn_tail_lines_are_skipped_not_fatal() {
+        // Simulate a kill mid-append by a non-atomic writer.
+        let path = journal_with_tail("torn.jsonl", b"{\"Completed\":{\"id\":\"dddd\",\"ind");
         let j2 = CheckpointJournal::load(&path).expect("reload tolerates tail");
         assert_eq!(j2.len(), 1, "the intact record survives");
         assert_eq!(j2.skipped_lines(), 1, "the torn line is counted");
+    }
+
+    #[test]
+    fn a_line_nested_too_deep_is_skipped_not_fatal() {
+        let path = journal_with_tail("deep.jsonl", "[".repeat(1 << 20).as_bytes());
+        let j = CheckpointJournal::load(&path).expect("reload tolerates the line");
+        assert_eq!(j.len(), 1, "the intact record survives");
+        assert_eq!(j.skipped_lines(), 1, "the deep line is counted");
+    }
+
+    #[test]
+    fn a_torn_tail_that_splits_a_character_is_skipped_not_fatal() {
+        let path = journal_with_tail("torn-utf8.jsonl", b"{\"Completed\":{\"id\":\"caf\xc3");
+        let j = CheckpointJournal::load(&path).expect("reload tolerates invalid UTF-8");
+        assert_eq!(j.len(), 1, "the intact record survives");
+        assert_eq!(j.skipped_lines(), 1, "the torn line is counted");
+    }
+
+    #[test]
+    fn negative_zero_survives_a_reload() {
+        let path = temp_journal("negative-zero.jsonl");
+        let _ = fs::remove_file(&path);
+        let mut j = CheckpointJournal::load(&path).expect("load empty");
+        let mut rec = record("abcd", 0);
+        if let JournalRecord::Quarantined {
+            flight: Some(flight),
+            ..
+        } = &mut rec
+        {
+            flight.spans.push(telemetry::EpochObs {
+                anneal_objective: -0.0,
+                ..telemetry::EpochObs::default()
+            });
+        }
+        j.insert(rec);
+        j.flush().expect("flush");
+        let written = fs::read_to_string(&path).expect("read back");
+
+        let j2 = CheckpointJournal::load(&path).expect("reload");
+        match j2.get("abcd") {
+            Some(JournalRecord::Quarantined {
+                flight: Some(flight),
+                ..
+            }) => assert_eq!(
+                flight.spans[0].anneal_objective.to_bits(),
+                (-0.0f64).to_bits()
+            ),
+            other => panic!("record lost in round trip: {other:?}"),
+        }
+        j2.flush().expect("re-flush");
+        let rewritten = fs::read_to_string(&path).expect("read back");
+        assert_eq!(rewritten, written, "the reload re-renders -0 as -0");
     }
 
     #[test]

@@ -7,12 +7,12 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
-use smartbalance::{default_workers, panic_message, parallel_indexed, JobResult, PredictorCache};
+use smartbalance::{default_workers, panic_message, JobResult, PredictorCache};
 use telemetry::live::{CampaignProgress, ObsSnapshot, SnapshotCell};
 use telemetry::TelemetryHandle;
 
 use crate::flight::{AttemptOutcome, FlightRecord};
-use crate::job::CampaignJob;
+use crate::job::{grid_ids, CampaignJob};
 use crate::journal::{CheckpointJournal, JournalRecord};
 use crate::report::{CampaignReport, CompletedCell, PoisonedCell, CAMPAIGN_SCHEMA_VERSION};
 
@@ -170,7 +170,7 @@ impl Campaign {
             self.config.workers
         };
         let jobs = &self.jobs;
-        let ids = parallel_indexed(jobs.len(), workers, |i| jobs[i].id());
+        let ids = grid_ids(jobs, workers);
         let pending: Vec<usize> = (0..jobs.len())
             .filter(|&i| !self.journal.contains(&ids[i]))
             .collect();

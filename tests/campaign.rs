@@ -13,8 +13,9 @@ use std::sync::Arc;
 
 use archsim::{Platform, WorkloadCharacteristics};
 use campaign::{Campaign, CampaignConfig, CampaignJob, CampaignReport, CheckpointJournal};
+use kernelsim::SystemConfig;
 use smartbalance::{
-    ExperimentSpec, ExperimentSuite, JobResult, Policy, ShardConfig, SmartBalanceConfig,
+    ExperimentSpec, ExperimentSuite, Goal, JobResult, Policy, ShardConfig, SmartBalanceConfig,
 };
 use telemetry::SnapshotCell;
 use workloads::WorkloadProfile;
@@ -733,4 +734,81 @@ fn resume_over_a_journal_from_another_grid_reruns_every_cell() {
         canonical_bytes(&fresh_report),
         "foreign records never reach the report"
     );
+}
+
+/// A grid whose cell ids are pinned below. It holds a vanilla and a
+/// SmartBalance cell over one spec, a spec that comes back after
+/// another, a sharded cell, a cell with its own policy config, and two
+/// adjacent cells with one seed whose specs are equal under `==` but
+/// render differently: `migration_activity` 0.0 against -0.0.
+fn pinned_grid() -> Vec<CampaignJob> {
+    let zero_activity = |activity: f64| {
+        tiny_spec("zero", 300_000).with_sys_config(SystemConfig {
+            migration_activity: activity,
+            ..SystemConfig::default()
+        })
+    };
+    let throughput = SmartBalanceConfig {
+        goal: Goal::Throughput,
+        core_weights: Some(vec![1.0, 1.0, 0.5, 0.5]),
+        ..SmartBalanceConfig::default()
+    };
+    let cells = [
+        (tiny_spec("alpha", 300_000), Policy::Vanilla),
+        (tiny_spec("alpha", 300_000), Policy::Smart),
+        (tiny_spec("beta", 300_000), Policy::Vanilla),
+        (tiny_spec("alpha", 300_000), Policy::Vanilla),
+        (
+            tiny_spec("beta", 300_000).with_shard(ShardConfig::default()),
+            Policy::Smart,
+        ),
+        (
+            tiny_spec("gamma", 300_000).with_policy_config(throughput),
+            Policy::Smart,
+        ),
+        (zero_activity(0.0), Policy::Vanilla),
+        (zero_activity(-0.0), Policy::Vanilla),
+    ];
+    let mut jobs: Vec<CampaignJob> = cells
+        .into_iter()
+        .enumerate()
+        .map(|(index, (spec, policy))| CampaignJob::new(index, spec, policy))
+        .collect();
+    jobs[7].seed = jobs[6].seed;
+    jobs
+}
+
+/// The ids of [`pinned_grid`], in grid order. A changed id re-runs the
+/// cell on every resume over an existing journal.
+const PINNED_IDS: [&str; 8] = [
+    "8b41b54e2b14d387",
+    "8e9af833b9774ca3",
+    "f989f05464f5d787",
+    "e93bdfc49deef7d1",
+    "283b2130027256a3",
+    "034248eb66308e13",
+    "188d3ca921977888",
+    "96320e78f52978cf",
+];
+
+#[test]
+fn cell_ids_are_pinned() {
+    let jobs = pinned_grid();
+    assert_eq!(jobs[6].spec, jobs[7].spec, "0.0 == -0.0");
+    let ids: Vec<String> = jobs.iter().map(CampaignJob::id).collect();
+    assert_eq!(ids, PINNED_IDS);
+    assert_ne!(ids[6], ids[7], "-0.0 renders differently from 0.0");
+
+    let path = journal_path("pinned-ids");
+    let journal = CheckpointJournal::load(&path).expect("fresh journal");
+    let config = CampaignConfig {
+        workers: 3,
+        ..CampaignConfig::default()
+    };
+    let report = Campaign::new(pinned_grid(), config, journal)
+        .run()
+        .expect("journal flushes");
+    assert!(report.is_complete());
+    let reported: Vec<&str> = report.completed.iter().map(|c| c.id.as_str()).collect();
+    assert_eq!(reported, PINNED_IDS);
 }
