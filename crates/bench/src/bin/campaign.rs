@@ -47,6 +47,7 @@ use campaign::{Campaign, CampaignConfig, CampaignJob, CampaignReport, Checkpoint
 use archsim::Platform;
 use serde::Serialize;
 use smartbalance::{ExperimentSpec, Policy};
+use smartbalance_bench::{flag_value, parse_flag, write_report};
 use workloads::parsec;
 
 /// What `BENCH_campaign.json` contains.
@@ -112,37 +113,26 @@ fn build_grid(smoke: bool, scale: Option<f64>, epochs: Option<u64>) -> Vec<Campa
     jobs
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|p| args.get(p + 1).cloned())
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let resume = args.iter().any(|a| a == "--resume");
-    let json_path = flag_value(&args, "--json").unwrap_or_else(|| "BENCH_campaign.json".to_owned());
+    let json_path = flag_value(&args, "--json").unwrap_or("BENCH_campaign.json");
     let canonical_path = flag_value(&args, "--canonical");
-    let checkpoint_path =
-        flag_value(&args, "--checkpoint").unwrap_or_else(|| "campaign_checkpoint.jsonl".to_owned());
-    let flush_every = flag_value(&args, "--flush-every")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let max_cells = flag_value(&args, "--max-cells").and_then(|v| v.parse().ok());
+    let checkpoint_path = flag_value(&args, "--checkpoint").unwrap_or("campaign_checkpoint.jsonl");
+    let flush_every = parse_flag(&args, "--flush-every").unwrap_or(4);
+    let max_cells = parse_flag(&args, "--max-cells");
     let stop_file = flag_value(&args, "--stop-file").map(Into::into);
-    let workers = flag_value(&args, "--workers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let scale = flag_value(&args, "--scale").and_then(|v| v.parse().ok());
-    let epochs = flag_value(&args, "--epochs").and_then(|v| v.parse().ok());
+    let workers = parse_flag(&args, "--workers").unwrap_or(0);
+    let scale = parse_flag(&args, "--scale");
+    let epochs = parse_flag(&args, "--epochs");
     let metrics_addr = flag_value(&args, "--metrics-addr");
     let metrics_addr_file = flag_value(&args, "--metrics-addr-file");
 
     if !resume {
-        let _ = std::fs::remove_file(&checkpoint_path);
+        let _ = std::fs::remove_file(checkpoint_path);
     }
-    let journal = match CheckpointJournal::load(&checkpoint_path) {
+    let journal = match CheckpointJournal::load(checkpoint_path) {
         Ok(j) => j,
         Err(e) => {
             eprintln!("campaign: cannot open checkpoint {checkpoint_path}: {e}");
@@ -177,7 +167,7 @@ fn main() {
     // on a scraper.
     let live_server = metrics_addr.map(|addr| {
         let mailbox = std::sync::Arc::new(telemetry::SnapshotCell::fresh());
-        let server = match obsd::serve(std::sync::Arc::clone(&mailbox), &addr) {
+        let server = match obsd::serve(std::sync::Arc::clone(&mailbox), addr) {
             Ok(server) => server,
             Err(e) => {
                 eprintln!("campaign: cannot bind metrics endpoint {addr}: {e}");
@@ -185,8 +175,8 @@ fn main() {
             }
         };
         eprintln!("campaign: live endpoint on http://{}", server.bound_addr());
-        if let Some(path) = &metrics_addr_file {
-            std::fs::write(path, server.bound_addr().to_string()).expect("address file writes");
+        if let Some(path) = metrics_addr_file {
+            write_report(path, server.bound_addr().to_string());
         }
         campaign.publish_snapshots(mailbox);
         server
@@ -217,7 +207,7 @@ fn main() {
     if let Some(path) = canonical_path {
         let canonical = serde_json::to_string_pretty(&report.canonicalized())
             .expect("canonical report serializes");
-        std::fs::write(&path, canonical).expect("canonical report writes");
+        write_report(path, canonical);
     }
 
     let interrupted = report.interrupted;
@@ -229,7 +219,7 @@ fn main() {
         prometheus: hub.borrow().registry().prometheus_text(),
     };
     let json = serde_json::to_string_pretty(&bench).expect("report serializes");
-    std::fs::write(&json_path, json).expect("report writes");
+    write_report(json_path, json);
     eprintln!("campaign: report written to {json_path}");
 
     if let Some(server) = live_server {

@@ -25,6 +25,7 @@ use archsim::{CoreId, FaultClass, FaultKind, FaultPlan, Platform};
 use kernelsim::{System, SystemConfig};
 use serde::Serialize;
 use smartbalance::{DegradeMode, PredictorSet, SmartBalance, SmartBalanceConfig};
+use smartbalance_bench::{flag_value, write_report};
 use telemetry::TraceLevel;
 use workloads::SyntheticGenerator;
 
@@ -282,11 +283,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let max_intensity = args.iter().any(|a| a == "--max-intensity");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|p| args.get(p + 1).cloned())
-        .unwrap_or_else(|| "BENCH_chaos.json".to_owned());
+    let json_path = flag_value(&args, "--json").unwrap_or("BENCH_chaos.json");
 
     let (epochs, tasks) = if smoke || max_intensity {
         (30u64, 12usize)
@@ -464,7 +461,7 @@ fn main() {
     );
 
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&json_path, json).expect("write json report");
+    write_report(json_path, json);
     println!("(report written to {json_path})");
 
     let placements: u64 = report.cells.iter().map(|c| c.offline_placements).sum();

@@ -9,9 +9,9 @@
 //!
 //! Usage: `fig7 [--json out.json]`
 //!
-//! Unlike the other figure binaries this one does NOT fan out over the
-//! experiment suite: every number here is a wall-clock phase timing,
-//! and concurrent workers would contend for cores and inflate them.
+//! Unlike `paper`, this binary does NOT fan out over the experiment
+//! suite: every number here is a wall-clock phase timing, and
+//! concurrent workers would contend for cores and inflate them.
 
 use std::time::Instant;
 

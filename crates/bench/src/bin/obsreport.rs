@@ -24,6 +24,7 @@ use archsim::Platform;
 use kernelsim::{LoadBalancer, System, SystemConfig};
 use serde::Serialize;
 use smartbalance::{ExperimentSpec, ExperimentSuite, ObsSummary, Policy, SmartBalance};
+use smartbalance_bench::{flag_value, write_report};
 use telemetry::{StageProfile, TraceLevel};
 use workloads::SyntheticGenerator;
 
@@ -159,20 +160,13 @@ fn run_suite(max_epochs: u64) -> Vec<SuiteObsRow> {
         .collect()
 }
 
-fn arg_path(args: &[String], flag: &str, default: &str) -> String {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|p| args.get(p + 1).cloned())
-        .unwrap_or_else(|| default.to_owned())
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let json_path = arg_path(&args, "--json", "BENCH_obs.json");
-    let jsonl_path = arg_path(&args, "--jsonl", "obs_epochs.jsonl");
-    let trace_path = arg_path(&args, "--trace", "obs_trace.json");
-    let prom_path = arg_path(&args, "--prom", "obs_metrics.prom");
+    let json_path = flag_value(&args, "--json").unwrap_or("BENCH_obs.json");
+    let jsonl_path = flag_value(&args, "--jsonl").unwrap_or("obs_epochs.jsonl");
+    let trace_path = flag_value(&args, "--trace").unwrap_or("obs_trace.json");
+    let prom_path = flag_value(&args, "--prom").unwrap_or("obs_metrics.prom");
 
     let (epochs, tasks, trace_capacity, suite_epochs) = if smoke {
         (60u64, 8usize, 4_000usize, 120u64)
@@ -242,9 +236,9 @@ fn main() {
     }
 
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&json_path, json).expect("write json report");
-    std::fs::write(&jsonl_path, &scenario.jsonl).expect("write jsonl stream");
-    std::fs::write(&trace_path, &scenario.chrome_json).expect("write chrome trace");
-    std::fs::write(&prom_path, &scenario.prometheus).expect("write prometheus snapshot");
+    write_report(json_path, json);
+    write_report(jsonl_path, &scenario.jsonl);
+    write_report(trace_path, &scenario.chrome_json);
+    write_report(prom_path, &scenario.prometheus);
     println!("(reports written to {json_path}, {jsonl_path}, {trace_path}, {prom_path})");
 }

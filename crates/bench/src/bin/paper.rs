@@ -1,0 +1,520 @@
+//! Regenerates the paper's evaluation (Section 6), in this order:
+//!
+//! - Table 2: the heterogeneous core configurations, plus the
+//!   calibrated power model's outputs so the calibration can be
+//!   eyeballed against the paper's peak numbers;
+//! - Fig. 4: SmartBalance's energy efficiency relative to vanilla Linux
+//!   on the quad-core 4-type MPSoC, (a) the nine interactive
+//!   micro-benchmarks, (b) PARSEC and the Table 3 mixes, each at 2/4/8
+//!   threads (paper: +50.02 % IMB, +52 % PARSEC, >50 % overall);
+//! - Fig. 5: normalized efficiency vs ARM GTS on octa-core big.LITTLE,
+//!   with the older Linaro IKS baseline (paper ref. \[23\]) so the whole
+//!   Table 1 ladder is visible: IKS ≤ GTS ≤ SmartBalance (paper: ~+20 %
+//!   over GTS);
+//! - Fig. 6: mean prediction error of IPC and power over every ordered
+//!   core-type pair, per PARSEC benchmark (paper: 4.2 % and 5 %);
+//! - Table 4: the predictor coefficient matrix Θ and the per-type power
+//!   coefficients;
+//! - Fig. 8: (a) `Opt_max_iter` per scalability scenario with the
+//!   distance to a known optimum, (b) the remaining SA parameters;
+//! - the sensing-robustness study (Section 6.4): noisy power sensors,
+//!   the sparse counter set and the epoch length.
+//!
+//! Ratios are measured instructions per joule (≡ IPS/W). The Table 4
+//! basis differs from the paper's raw-counter columns: the regression
+//! works on mechanistically transformed features (DESIGN.md deviation
+//! 3). A well-trained row has `cpi_mech ≈ 1`.
+//!
+//! Usage: `paper [--json <path>]`. With `--json`, the rows of Fig. 4,
+//! Fig. 5, Fig. 6, Fig. 8 and the robustness study are written as one
+//! object; `results/paper.json` is that file, pinned by
+//! `tests/paper.rs`. Any other argument is rejected.
+
+use archsim::{CoreTypeId, Platform, WorkloadCharacteristics};
+use kernelsim::SystemConfig;
+use mcpat::{CorePowerModel, PowerState};
+use serde::Serialize;
+use smartbalance::predict::{evaluate_pair, PredictorSet, COEFF_NAMES};
+use smartbalance::{
+    anneal, default_workers, known_optimum_case, parallel_indexed, AnnealParams, ExperimentSpec,
+    ExperimentSuite, Goal, Objective, Policy, SmartBalanceConfig,
+};
+use smartbalance_bench::{
+    flag_value, imb_workloads, maybe_dump_json, parsec_workloads, print_rows, print_suite_summary,
+    run_policy_grid, stderr_progress, ComparisonRow, THREAD_COUNTS,
+};
+use workloads::WorkloadProfile;
+
+/// What `--json` writes: each figure's rows, in print order.
+#[derive(Serialize)]
+struct PaperRecord {
+    fig4: Vec<ComparisonRow>,
+    fig5: Vec<LadderRow>,
+    fig6: Vec<ErrorRow>,
+    fig8: Vec<Fig8Row>,
+    sensitivity: Vec<SensitivityRow>,
+}
+
+fn table2(platform: &Platform) {
+    println!("Table 2: Heterogeneous Core Configuration Parameters");
+    println!(
+        "{:<22} {:>10} {:>10} {:>10} {:>10}",
+        "Parameter", "Huge", "Big", "Medium", "Small"
+    );
+    let cfgs: Vec<_> = platform.types().map(|(_, c)| c.clone()).collect();
+    let row = |name: &str, f: &dyn Fn(&archsim::CoreConfig) -> String| {
+        println!(
+            "{:<22} {:>10} {:>10} {:>10} {:>10}",
+            name,
+            f(&cfgs[0]),
+            f(&cfgs[1]),
+            f(&cfgs[2]),
+            f(&cfgs[3])
+        );
+    };
+    row("Issue width", &|c| c.issue_width.to_string());
+    row("LQ/SQ size", &|c| format!("{}/{}", c.lq_size, c.sq_size));
+    row("IQ size", &|c| c.iq_size.to_string());
+    row("ROB size", &|c| c.rob_size.to_string());
+    row("Int/float Regs", &|c| c.phys_regs.to_string());
+    row("L1$I size (KB)", &|c| c.l1i_kib.to_string());
+    row("L1$D size (KB)", &|c| c.l1d_kib.to_string());
+    row("Freq. (MHz)", &|c| format!("{:.0}", c.freq_hz / 1e6));
+    row("Voltage (V)", &|c| format!("{:.1}", c.vdd));
+    row("Peak Throughput IPC", &|c| format!("{:.2}", c.peak_ipc));
+    row("Peak Power (W)", &|c| format!("{:.3}", c.peak_power_w));
+    row("Area (mm2)", &|c| format!("{:.2}", c.area_mm2));
+
+    println!("\nCalibrated power model (derived):");
+    row("P @ full activity (W)", &|c| {
+        format!("{:.3}", CorePowerModel::calibrated(c).active_power_w(1.0))
+    });
+    row("P leakage (W)", &|c| {
+        format!("{:.3}", CorePowerModel::calibrated(c).leakage_w())
+    });
+    row("P sleep (W)", &|c| {
+        format!(
+            "{:.4}",
+            CorePowerModel::calibrated(c).power_w(PowerState::Sleeping)
+        )
+    });
+    row("Peak eff (GIPS/W)", &|c| {
+        format!("{:.2}", c.peak_ips() / 1e9 / c.peak_power_w)
+    });
+}
+
+/// One Fig. 4 set: every workload × thread count under vanilla and
+/// SmartBalance, as one suite whose job chunks align with the keys.
+fn fig4_set(
+    title: &str,
+    platform: &Platform,
+    bundles: &[(String, Vec<WorkloadProfile>)],
+) -> Vec<ComparisonRow> {
+    let policies = [Policy::Vanilla, Policy::Smart];
+    let (report, keys) = run_policy_grid(platform, bundles, &THREAD_COUNTS, &policies);
+    let rows: Vec<ComparisonRow> = keys
+        .iter()
+        .zip(report.jobs.chunks(policies.len()))
+        .map(|((label, t), pair)| ComparisonRow {
+            label: label.clone(),
+            threads: *t,
+            baseline: "vanilla".to_owned(),
+            baseline_eff: pair[0].result.energy_efficiency(),
+            smart_eff: pair[1].result.energy_efficiency(),
+            ratio: pair[1].result.efficiency_vs(&pair[0].result),
+        })
+        .collect();
+    print_rows(title, &rows);
+    print_suite_summary(&report);
+    rows
+}
+
+fn fig4(platform: &Platform) -> Vec<ComparisonRow> {
+    let imb: Vec<(String, Vec<WorkloadProfile>)> = imb_workloads()
+        .into_iter()
+        .map(|(n, p)| (n, vec![p]))
+        .collect();
+    let mut rows = fig4_set(
+        "Fig 4(a): interactive micro-benchmarks vs vanilla Linux",
+        platform,
+        &imb,
+    );
+    rows.extend(fig4_set(
+        "Fig 4(b): PARSEC benchmarks and Table 3 mixes vs vanilla Linux",
+        platform,
+        &parsec_workloads(),
+    ));
+    let avg: f64 = rows.iter().map(|r| r.ratio).sum::<f64>() / rows.len().max(1) as f64;
+    println!(
+        "\noverall: SmartBalance vs vanilla = {:+.1} % (paper: >50 %)",
+        (avg - 1.0) * 100.0
+    );
+    rows
+}
+
+#[derive(Debug, Serialize)]
+struct LadderRow {
+    label: String,
+    iks_eff: f64,
+    gts_eff: f64,
+    smart_eff: f64,
+    /// SmartBalance / GTS (the paper's Fig. 5 y-axis).
+    smart_vs_gts: f64,
+    /// GTS / IKS (the generational step the paper describes).
+    gts_vs_iks: f64,
+}
+
+fn fig5() -> Vec<LadderRow> {
+    let platform = Platform::octa_big_little();
+    let mut bundles = parsec_workloads();
+    bundles.extend(
+        imb_workloads()
+            .into_iter()
+            .filter(|(n, _)| n == "HTHI" || n == "MTMI" || n == "LTLI")
+            .map(|(n, p)| (n, vec![p])),
+    );
+    let policies = [Policy::Iks, Policy::Gts, Policy::Smart];
+    let (report, keys) = run_policy_grid(&platform, &bundles, &[4], &policies);
+    let rows: Vec<LadderRow> = keys
+        .iter()
+        .zip(report.jobs.chunks(policies.len()))
+        .map(|((label, _), ladder)| {
+            let (iks, gts, smart) = (
+                ladder[0].result.energy_efficiency(),
+                ladder[1].result.energy_efficiency(),
+                ladder[2].result.energy_efficiency(),
+            );
+            LadderRow {
+                label: label.clone(),
+                iks_eff: iks,
+                gts_eff: gts,
+                smart_eff: smart,
+                smart_vs_gts: if gts > 0.0 { smart / gts } else { 0.0 },
+                gts_vs_iks: if iks > 0.0 { gts / iks } else { 0.0 },
+            }
+        })
+        .collect();
+
+    println!("\n=== Fig 5: normalized energy efficiency on octa-core big.LITTLE ===");
+    println!(
+        "{:<16} {:>12} {:>12} {:>12} {:>10} {:>10}",
+        "workload", "iks", "gts", "smartbalance", "smart/gts", "gts/iks"
+    );
+    for r in &rows {
+        println!(
+            "{:<16} {:>10.4e} {:>10.4e} {:>10.4e} {:>10.3} {:>10.3}",
+            r.label, r.iks_eff, r.gts_eff, r.smart_eff, r.smart_vs_gts, r.gts_vs_iks
+        );
+    }
+    let n = rows.len().max(1) as f64;
+    let avg_sg: f64 = rows.iter().map(|r| r.smart_vs_gts).sum::<f64>() / n;
+    let avg_gi: f64 = rows.iter().map(|r| r.gts_vs_iks).sum::<f64>() / n;
+    println!(
+        "\naverage: SmartBalance vs GTS {:+.1} % (paper: ~+20 %); GTS vs IKS {:+.1} %",
+        (avg_sg - 1.0) * 100.0,
+        (avg_gi - 1.0) * 100.0
+    );
+    print_suite_summary(&report);
+    rows
+}
+
+#[derive(Debug, Serialize)]
+struct ErrorRow {
+    benchmark: String,
+    ipc_error_pct: f64,
+    power_error_pct: f64,
+}
+
+/// Every ordered pair of distinct core types, source-major.
+fn type_pairs(platform: &Platform) -> impl Iterator<Item = (usize, usize)> {
+    let q = platform.num_types();
+    (0..q).flat_map(move |s| (0..q).filter(move |&d| d != s).map(move |d| (s, d)))
+}
+
+/// Mean IPC and power prediction errors over every ordered type pair,
+/// in %.
+fn mean_errors_pct(
+    platform: &Platform,
+    predictors: &PredictorSet,
+    corpus: &[WorkloadCharacteristics],
+) -> (f64, f64) {
+    let (mut ipc, mut power, mut pairs) = (0.0, 0.0, 0);
+    for (s, d) in type_pairs(platform) {
+        let (ei, ep) = evaluate_pair(predictors, platform, corpus, CoreTypeId(s), CoreTypeId(d));
+        ipc += ei;
+        power += ep;
+        pairs += 1;
+    }
+    (100.0 * ipc / pairs as f64, 100.0 * power / pairs as f64)
+}
+
+fn fig6(platform: &Platform, predictors: &PredictorSet) -> Vec<ErrorRow> {
+    let mut benchmarks = workloads::parsec::all();
+    for name in ["x264_H_crew", "x264_H_bow", "x264_L_crew", "x264_L_bow"] {
+        benchmarks.push(workloads::parsec::by_name(name).expect("x264 variant"));
+    }
+
+    println!("Fig 6: average prediction error across PARSEC");
+    println!(
+        "{:<16} {:>10} {:>10}",
+        "benchmark", "perf err%", "power err%"
+    );
+    // Each benchmark's q² pair-evaluations are independent.
+    let rows = parallel_indexed(benchmarks.len(), default_workers(), |i| {
+        let b = &benchmarks[i];
+        let corpus: Vec<_> = b.phases().iter().map(|p| p.characteristics).collect();
+        let (ipc_error_pct, power_error_pct) = mean_errors_pct(platform, predictors, &corpus);
+        ErrorRow {
+            benchmark: b.name().to_owned(),
+            ipc_error_pct,
+            power_error_pct,
+        }
+    });
+    let (mut sum_ipc, mut sum_pow) = (0.0, 0.0);
+    for r in &rows {
+        println!(
+            "{:<16} {:>10.2} {:>10.2}",
+            r.benchmark, r.ipc_error_pct, r.power_error_pct
+        );
+        sum_ipc += r.ipc_error_pct;
+        sum_pow += r.power_error_pct;
+    }
+    let n = benchmarks.len() as f64;
+    println!(
+        "{:<16} {:>10.2} {:>10.2}   (paper: 4.2 / 5.0)",
+        "AVERAGE",
+        sum_ipc / n,
+        sum_pow / n
+    );
+    rows
+}
+
+fn table4(platform: &Platform, predictors: &PredictorSet) {
+    let names: Vec<&str> = platform.types().map(|(_, c)| c.name.as_str()).collect();
+
+    println!("Table 4: predictor coefficient matrix (Θ)");
+    print!("{:<16}", "Predictor IPC");
+    for n in COEFF_NAMES {
+        print!("{n:>10}");
+    }
+    println!();
+    for (s, d) in type_pairs(platform) {
+        print!("{:<16}", format!("{}->{}", names[s], names[d]));
+        for c in predictors.theta(CoreTypeId(s), CoreTypeId(d)) {
+            print!("{c:>10.3}");
+        }
+        println!();
+    }
+
+    println!("\nPower coefficients (Eq. 9: p = α1·ipc + α0):");
+    println!("{:<10} {:>10} {:>10}", "type", "alpha1", "alpha0");
+    for (r, cfg) in platform.types() {
+        let c = predictors.power_coeffs(r);
+        println!("{:<10} {:>10.4} {:>10.4}", cfg.name, c.alpha1, c.alpha0);
+    }
+}
+
+#[derive(Debug, Serialize)]
+struct Fig8Row {
+    cores: usize,
+    threads: usize,
+    max_iter: u32,
+    distance_to_optimal_pct: f64,
+}
+
+fn fig8() -> Vec<Fig8Row> {
+    println!("Fig 8(a): Opt_max_iter per scenario and distance to optimal");
+    println!(
+        "{:>6} {:>8} {:>9} {:>20}",
+        "cores", "threads", "max_iter", "distance-to-opt (%)"
+    );
+    // Each scenario's trials are deterministic and independent of the
+    // others: fan the scenarios out, print in order afterwards.
+    let scenarios = [2usize, 4, 8, 16, 32, 64, 128];
+    let rows = parallel_indexed(scenarios.len(), default_workers(), |i| {
+        let cores = scenarios[i];
+        let threads = 2 * cores;
+        let params = AnnealParams::scaled_for(cores, threads);
+        // Average the gap over several known-optimum instances; the
+        // initial allocation is the worst case (everything stacked on
+        // core 0).
+        let trials = 5;
+        let mut gap = 0.0;
+        for t in 0..trials {
+            let case = known_optimum_case(cores, 2, 1_000 * cores as u64 + t);
+            let objective = Objective::new(&case.matrices, Goal::EnergyEfficiency);
+            let initial = vec![0usize; threads];
+            let out = anneal(&objective, &initial, params, 77 + t as u32);
+            gap += (1.0 - out.objective / case.optimal_value).max(0.0);
+        }
+        Fig8Row {
+            cores,
+            threads,
+            max_iter: params.max_iter,
+            distance_to_optimal_pct: 100.0 * gap / trials as f64,
+        }
+    });
+    for r in &rows {
+        println!(
+            "{:>6} {:>8} {:>9} {:>20.2}",
+            r.cores, r.threads, r.max_iter, r.distance_to_optimal_pct
+        );
+    }
+    println!("(paper: distance to optimal grows slowly as the iteration cap binds)");
+
+    let d = AnnealParams::default();
+    println!("\nFig 8(b): remaining optimization parameters");
+    println!("  Opt_perturb        = {}", d.perturb);
+    println!("  Opt_Delta_perturb  = {}", d.dperturb);
+    println!("  Opt_accept         = {} (GIPS/W units)", d.accept);
+    println!("  Opt_Delta_accept   = {}", d.daccept);
+    rows
+}
+
+#[derive(Debug, Serialize)]
+struct SensitivityRow {
+    scenario: String,
+    ipc_error_pct: Option<f64>,
+    gain_vs_vanilla_pct: f64,
+}
+
+/// One queued robustness scenario: label, the Smart job to read, the
+/// Vanilla job it normalizes against, and an optional offline
+/// prediction error.
+struct Scenario {
+    label: String,
+    smart_job: usize,
+    baseline_job: usize,
+    ipc_error_pct: Option<f64>,
+}
+
+/// The robustness study on a mixed PARSEC workload: power-sensor noise,
+/// the sparse counter set (no TLB-miss or memory-stall events) and the
+/// epoch length (L CFS periods, DESIGN.md ablation 4), all queued on
+/// one suite.
+fn sensitivity(platform: &Platform) -> Vec<SensitivityRow> {
+    let mut profiles = Vec::new();
+    for name in ["blackscholes", "canneal", "bodytrack", "streamcluster"] {
+        let bench = workloads::parsec::by_name(name).expect("benchmark");
+        profiles.extend(ExperimentSpec::parallelize(&bench.scaled(0.4), 2));
+    }
+    let spec = ExperimentSpec::new("sensitivity", platform.clone(), profiles);
+    let defaults = SmartBalanceConfig::default();
+
+    let mut suite = ExperimentSuite::new().on_progress(stderr_progress);
+    let mut scenarios = Vec::new();
+
+    let shared_baseline = suite.push(spec.clone(), Policy::Vanilla);
+
+    for sigma in [0.0, 0.02, 0.05, 0.10, 0.20] {
+        let cfg = SmartBalanceConfig {
+            power_noise_sigma: sigma,
+            ..defaults.clone()
+        };
+        scenarios.push(Scenario {
+            label: format!("power noise σ={sigma:.2}"),
+            smart_job: suite.push(spec.clone().with_policy_config(cfg), Policy::Smart),
+            baseline_job: shared_baseline,
+            ipc_error_pct: None,
+        });
+    }
+
+    // Prediction error on a synthetic corpus the predictors were not
+    // trained on.
+    let corpus = workloads::SyntheticGenerator::new(777).corpus(100);
+    for (label, sparse) in [("full counters (11)", false), ("sparse counters (8)", true)] {
+        let predictors = PredictorSet::train_with_sparsity(
+            platform,
+            defaults.train_corpus,
+            defaults.train_seed,
+            sparse,
+        );
+        let cfg = SmartBalanceConfig {
+            sparse_sensing: sparse,
+            ..defaults.clone()
+        };
+        scenarios.push(Scenario {
+            label: label.to_owned(),
+            smart_job: suite.push(spec.clone().with_policy_config(cfg), Policy::Smart),
+            baseline_job: shared_baseline,
+            ipc_error_pct: Some(mean_errors_pct(platform, &predictors, &corpus).0),
+        });
+    }
+
+    for periods in [2u64, 5, 10, 20, 50] {
+        // Re-measure the baseline at the same epoch length for fairness.
+        let sys_config = SystemConfig {
+            epoch_periods: periods,
+            ..SystemConfig::default()
+        };
+        let epoch_spec = spec.clone().with_sys_config(sys_config);
+        scenarios.push(Scenario {
+            label: format!("epoch = {periods} periods ({} ms)", periods * 6),
+            smart_job: suite.push(epoch_spec.clone(), Policy::Smart),
+            baseline_job: suite.push(epoch_spec, Policy::Vanilla),
+            ipc_error_pct: None,
+        });
+    }
+
+    let report = suite.run();
+
+    println!("Sensing-robustness study (mixed PARSEC workload, quad-core HMP)");
+    println!(
+        "{:<28} {:>12} {:>18}",
+        "scenario", "ipc err %", "gain vs vanilla %"
+    );
+    let mut rows = Vec::new();
+    for s in &scenarios {
+        let smart = &report.jobs[s.smart_job].result;
+        let baseline = &report.jobs[s.baseline_job].result;
+        let gain = 100.0 * (smart.efficiency_vs(baseline) - 1.0);
+        match s.ipc_error_pct {
+            Some(err) => println!("{:<28} {err:>12.2} {gain:>18.1}", s.label),
+            None => println!("{:<28} {:>12} {gain:>18.1}", s.label, "-"),
+        }
+        rows.push(SensitivityRow {
+            scenario: s.label.clone(),
+            ipc_error_pct: s.ipc_error_pct,
+            gain_vs_vanilla_pct: gain,
+        });
+    }
+
+    println!(
+        "\n(expected shape: gains degrade gracefully with sensor noise; the sparse\n\
+         counter set costs prediction accuracy; very short epochs over-migrate and\n\
+         very long ones under-react — the paper's 60 ms sits in the flat middle)"
+    );
+    print_suite_summary(&report);
+    rows
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let json = flag_value(&args, "--json");
+    assert!(
+        args.len() == if json.is_some() { 2 } else { 0 },
+        "usage: paper [--json <path>]; unexpected arguments {args:?}"
+    );
+
+    let platform = Platform::quad_heterogeneous();
+    let defaults = SmartBalanceConfig::default();
+    let predictors = PredictorSet::train(&platform, defaults.train_corpus, defaults.train_seed);
+
+    table2(&platform);
+    let fig4 = fig4(&platform);
+    let fig5 = fig5();
+    let fig6 = fig6(&platform, &predictors);
+    table4(&platform, &predictors);
+    let fig8 = fig8();
+    let sensitivity = sensitivity(&platform);
+    maybe_dump_json(
+        &args,
+        &PaperRecord {
+            fig4,
+            fig5,
+            fig6,
+            fig8,
+            sensitivity,
+        },
+    );
+}

@@ -20,15 +20,9 @@
 
 use archsim::{CoreConfig, CoreTypeId, Platform};
 use smartbalance::{ExperimentSpec, ExperimentSuite, Policy, PredictorCache};
+use smartbalance_bench::{flag_value, parse_flag, write_report};
 use telemetry::TraceLevel;
 use workloads::{ImbConfig, MixId, WorkloadProfile};
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|p| args.get(p + 1))
-        .cloned()
-}
 
 fn platform_for(spec: &str) -> Platform {
     match spec {
@@ -92,22 +86,18 @@ fn policy_for(spec: &str) -> Policy {
     }
 }
 
-fn parse<T: std::str::FromStr>(v: Option<String>, default: T) -> T {
-    v.and_then(|s| s.parse().ok()).unwrap_or(default)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let platform = platform_for(&flag(&args, "--platform").unwrap_or_else(|| "quad".into()));
-    let workload = flag(&args, "--workload").unwrap_or_else(|| "mix6".into());
-    let threads: usize = parse(flag(&args, "--threads"), 2);
-    let policy = policy_for(&flag(&args, "--policy").unwrap_or_else(|| "smart".into()));
-    let scale: f64 = parse(flag(&args, "--scale"), 0.4);
-    let max_epochs: u64 = parse(flag(&args, "--max-epochs"), 2_000);
-    let trace_path = flag(&args, "--trace");
+    let platform = platform_for(flag_value(&args, "--platform").unwrap_or("quad"));
+    let workload = flag_value(&args, "--workload").unwrap_or("mix6");
+    let threads: usize = parse_flag(&args, "--threads").unwrap_or(2);
+    let policy = policy_for(flag_value(&args, "--policy").unwrap_or("smart"));
+    let scale: f64 = parse_flag(&args, "--scale").unwrap_or(0.4);
+    let max_epochs: u64 = parse_flag(&args, "--max-epochs").unwrap_or(2_000);
+    let trace_path = flag_value(&args, "--trace");
 
     let mut profiles = Vec::new();
-    for bench in workloads_for(&workload) {
+    for bench in workloads_for(workload) {
         profiles.extend(ExperimentSpec::parallelize(&bench.scaled(scale), threads));
     }
     println!(
@@ -121,7 +111,7 @@ fn main() {
         .with_max_epochs(max_epochs);
     let mut suite = ExperimentSuite::new();
     suite.push(spec, policy);
-    let hub = trace_path.as_ref().map(|_| {
+    let hub = trace_path.map(|_| {
         let hub = telemetry::shared();
         hub.borrow_mut().set_trace(TraceLevel::Lifecycle, 100_000);
         hub
@@ -158,7 +148,7 @@ fn main() {
 
     if let (Some(path), Some(hub)) = (trace_path, hub) {
         let hub = hub.borrow();
-        std::fs::write(&path, hub.trace_csv()).expect("write trace");
+        write_report(path, hub.trace_csv());
         println!(
             "\ntrace: {} events written to {path} ({} overwritten)",
             hub.events().len(),

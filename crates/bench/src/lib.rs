@@ -2,21 +2,26 @@
 //!
 //! Shared infrastructure for the binaries that regenerate every table
 //! and figure of the paper's evaluation (Section 6). Each binary
-//! prints a paper-style table to stdout; the figure binaries, when
-//! `--json <path>` is given, also write the raw rows as JSON for
-//! downstream plotting.
+//! prints paper-style tables to stdout. `paper --json <path>` also
+//! writes the raw rows of its figures as one JSON record, committed as
+//! `results/paper.json` and pinned byte for byte by `tests/paper.rs`.
 //!
 //! | Target | Reproduces |
 //! |--------|------------|
-//! | `table2` | Table 2: core-type configurations |
-//! | `fig4`   | Fig. 4: energy-efficiency gain vs vanilla (IMB + PARSEC/mixes) |
-//! | `fig5`   | Fig. 5: normalized efficiency vs ARM GTS on big.LITTLE |
-//! | `fig6`   | Fig. 6: prediction error across PARSEC |
-//! | `table4` | Table 4: the Θ predictor coefficient matrix |
-//! | `fig7`   | Fig. 7: phase overheads and scalability |
-//! | `fig8`   | Fig. 8: iteration budgets and distance-to-optimal |
+//! | `paper` | Table 2, Fig. 4 (a, b), Fig. 5, Fig. 6, Table 4, Fig. 8 and the sensing-robustness study, in that order |
+//! | `fig7`   | Fig. 7: phase overheads and scalability (wall-clock, serial) |
 //! | `ablation` | Section 4.3 design choices: fixed-point SA, incremental objective, prediction vs oracle, SA vs exhaustive |
+//!
+//! `run`, `chaos`, `obsreport` and `campaign` are tools with reports
+//! of their own: one experiment, the fault sweep, the observability
+//! bundle and the resumable sweep. The binaries read their options
+//! through [`flag_value`] and [`parse_flag`] and write files through
+//! [`write_report`], so a malformed flag or an unwritable path panics
+//! naming the flag, the value or the path.
 
+use std::fmt::Display;
+use std::path::Path;
+use std::str::FromStr;
 use std::time::Instant;
 
 use archsim::{CoreId, CoreTypeId, Platform};
@@ -24,7 +29,8 @@ use kernelsim::{EpochReport, LoadBalancer, System, SystemConfig, TaskId};
 use serde::Serialize;
 use smartbalance::{
     anneal, build_matrices, AnnealOutcome, AnnealParams, CharacterizationMatrices, ExperimentSpec,
-    ExperimentSuite, Goal, Objective, Policy, PredictorSet, Sensor, SuiteProgress, SuiteReport,
+    ExperimentSuite, Goal, Objective, Policy, PredictorSet, Sensor, SmartBalanceConfig,
+    SuiteProgress, SuiteReport,
 };
 use workloads::{ImbConfig, MixId, SyntheticGenerator, WorkloadProfile};
 
@@ -157,19 +163,62 @@ pub fn print_rows(title: &str, rows: &[ComparisonRow]) {
     );
 }
 
+/// The value that follows `flag` in `args`, or `None` when `flag` is
+/// absent.
+///
+/// # Panics
+///
+/// With `<flag> needs a value` when `flag` is the last argument or is
+/// followed by another `--` argument.
+pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+    let pos = args.iter().position(|a| a == flag)?;
+    match args.get(pos + 1) {
+        Some(value) if !value.starts_with("--") => Some(value),
+        _ => panic!("{flag} needs a value"),
+    }
+}
+
+/// The value that follows `flag` in `args`, parsed as a `T`; `None`
+/// when `flag` is absent.
+///
+/// # Panics
+///
+/// As [`flag_value`], and with `<flag>: cannot parse "<value>"` when
+/// the value does not parse as a `T`.
+pub fn parse_flag<T>(args: &[String], flag: &str) -> Option<T>
+where
+    T: FromStr,
+    T::Err: Display,
+{
+    flag_value(args, flag).map(|value| {
+        value
+            .parse()
+            .unwrap_or_else(|e| panic!("{flag}: cannot parse {value:?}: {e}"))
+    })
+}
+
+/// Writes `contents` to `path`.
+///
+/// # Panics
+///
+/// With `write <path>: <error>` when the file cannot be written.
+pub fn write_report(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) {
+    let path = path.as_ref();
+    std::fs::write(path, contents).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+}
+
 /// Writes any serializable value to `path` as pretty JSON when the
 /// `--json <path>` flag is present in `args`.
 ///
 /// # Panics
 ///
-/// When `--json` has no path after it, or the file cannot be written.
+/// As [`flag_value`] and [`write_report`].
 pub fn maybe_dump_json<T: Serialize>(args: &[String], value: &T) {
-    let Some(pos) = args.iter().position(|a| a == "--json") else {
+    let Some(path) = flag_value(args, "--json") else {
         return;
     };
-    let path = args.get(pos + 1).expect("--json needs a path");
     let json = serde_json::to_string_pretty(value).expect("serialize rows");
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("write --json {path}: {e}"));
+    write_report(path, json);
     println!("(rows written to {path})");
 }
 
@@ -253,10 +302,14 @@ pub struct PhaseTimings {
     pub threads: usize,
 }
 
-/// A SmartBalance re-implementation with per-phase instrumentation,
-/// built from the library's public pieces; used by `fig7`.
-/// Behaviourally equivalent to [`smartbalance::SmartBalance`] with
-/// default config.
+/// The core of [`smartbalance::SmartBalance`]'s epoch (sense, build
+/// the matrices, anneal under the energy-efficiency goal, migrate),
+/// rebuilt from the library's public pieces with a timer around each
+/// phase; used by `fig7`. It predicts with the default config's
+/// training, but runs none of the balancer's robustness and speed-ups:
+/// no degrade ladder, no quarantine, no reuse of prediction rows across
+/// epochs and no thermal tracking. Its timings are those of this
+/// re-assembly, not of the balancer users run.
 pub struct InstrumentedSmart {
     predictors: PredictorSet,
     sensor: Sensor,
@@ -268,8 +321,9 @@ pub struct InstrumentedSmart {
 impl InstrumentedSmart {
     /// Trains predictors and prepares the instrumented balancer.
     pub fn new(platform: &Platform) -> Self {
+        let config = SmartBalanceConfig::default();
         InstrumentedSmart {
-            predictors: PredictorSet::train(platform, 400, 0xDAC_2015),
+            predictors: PredictorSet::train(platform, config.train_corpus, config.train_seed),
             sensor: Sensor::new(100_000),
             seed: 0x5A17_B0B5,
             timings: Vec::new(),
@@ -411,9 +465,47 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--json needs a path")]
+    #[should_panic(expected = "--json needs a value")]
     fn json_flag_without_a_path_panics() {
         maybe_dump_json(&["--json".to_owned()], &[1, 2, 3]);
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|&a| a.to_owned()).collect()
+    }
+
+    #[test]
+    fn flags_read_their_values() {
+        let a = args(&["--smoke", "--threads", "4", "--scale", "0.5"]);
+        assert_eq!(flag_value(&a, "--threads"), Some("4"));
+        assert_eq!(flag_value(&a, "--policy"), None);
+        assert_eq!(parse_flag::<usize>(&a, "--threads"), Some(4));
+        assert_eq!(parse_flag::<f64>(&a, "--scale"), Some(0.5));
+        assert_eq!(parse_flag::<u64>(&a, "--max-epochs"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "--prom needs a value")]
+    fn flag_as_the_last_argument_panics() {
+        flag_value(&args(&["--json", "a.json", "--prom"]), "--prom");
+    }
+
+    #[test]
+    #[should_panic(expected = "--json needs a value")]
+    fn flag_followed_by_another_flag_panics() {
+        flag_value(&args(&["--smoke", "--json", "--prom", "p.prom"]), "--json");
+    }
+
+    #[test]
+    #[should_panic(expected = "--flush-every: cannot parse \"abc\"")]
+    fn flag_value_that_does_not_parse_panics() {
+        parse_flag::<usize>(&args(&["--flush-every", "abc"]), "--flush-every");
+    }
+
+    #[test]
+    #[should_panic(expected = "write /nonexistent/dir/r.json: ")]
+    fn report_write_failure_names_the_path() {
+        write_report("/nonexistent/dir/r.json", "{}");
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub const COEFF_NAMES: [&str; NUM_COEFFS] = [
 /// memory-stall events): TLB rates and the memory-stall CPI are
 /// replaced by fixed priors, so both training and prediction see the
 /// same reduced information. Used to quantify what the extra counters
-/// buy (the `sensitivity` bench binary).
+/// buy (the robustness study of the `paper` bench binary).
 pub fn degrade_to_sparse(features: &mut Features) {
     features[6] = 5.0e-4; // mr_itlb prior
     features[7] = 5.0e-3; // mr_dtlb prior
