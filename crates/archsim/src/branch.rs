@@ -7,8 +7,6 @@
 //! more mispredictions and (b) stronger predictors yield fewer, so that
 //! the counter signature differs across core types in a learnable way.
 
-use serde::{Deserialize, Serialize};
-
 /// Floor misprediction rate: even trivial loops occasionally mispredict
 /// on exits.
 const MIN_MISS_RATE: f64 = 5.0e-4;
@@ -28,7 +26,7 @@ const MAX_MISS_RATE: f64 = 0.5;
 /// let weak = BranchModel::new(0.80);
 /// assert!(strong.miss_rate(0.5) < weak.miss_rate(0.5));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BranchModel {
     strength: f64,
 }

@@ -16,8 +16,6 @@
 //! working set, which is exactly the property SmartBalance's cross-core
 //! predictor relies on (Section 4.2.2 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// Compulsory (cold) miss rate shared by all caches.
 const COMPULSORY_RATE: f64 = 0.001;
 
@@ -30,9 +28,6 @@ const MAX_TLB_MISS_RATE: f64 = 0.20;
 
 /// Floor TLB miss rate (context-switch shootdowns).
 const MIN_TLB_MISS_RATE: f64 = 1.0e-5;
-
-/// Page size used for TLB coverage, in KiB.
-const PAGE_KIB: f64 = 4.0;
 
 /// Capacity headroom factor `K` of the smooth capacity law: the miss
 /// rate reaches ~3 % of its maximum when the working set equals the
@@ -57,7 +52,7 @@ const TLB_SHAPE: f64 = 2.0;
 /// // A 128 KiB working set misses more in a 16 KiB cache than a 64 KiB one.
 /// assert!(small.miss_rate(128.0) > large.miss_rate(128.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheModel {
     capacity_kib: f64,
 }
@@ -118,7 +113,7 @@ impl CacheModel {
 /// let tlb = TlbModel::new(64);
 /// assert!(tlb.miss_rate(32.0) < tlb.miss_rate(4096.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbModel {
     entries: u32,
 }
@@ -137,11 +132,6 @@ impl TlbModel {
     /// Number of TLB entries.
     pub fn entries(&self) -> u32 {
         self.entries
-    }
-
-    /// Address space covered without misses, in KiB.
-    pub fn coverage_kib(&self) -> f64 {
-        self.entries as f64 * PAGE_KIB
     }
 
     /// Miss rate (misses per access) when the workload touches `pages`
@@ -239,7 +229,6 @@ mod tests {
     #[test]
     fn tlb_coverage() {
         let t = TlbModel::new(64);
-        assert_eq!(t.coverage_kib(), 256.0);
         assert!(t.miss_rate(16.0) < 2e-3);
         assert!(t.miss_rate(2000.0) > 0.1);
     }

@@ -25,9 +25,7 @@ impl fmt::Display for CoreTypeId {
 }
 
 /// Identifier of a physical core (`c ∈ C` in the paper).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct CoreId(pub usize);
 
 impl fmt::Display for CoreId {
@@ -271,11 +269,6 @@ impl CoreConfig {
             .iter()
             .map(|&(f, v)| self.at_operating_point(f, v))
             .collect()
-    }
-
-    /// Clock period in seconds.
-    pub fn cycle_time_s(&self) -> f64 {
-        1.0 / self.freq_hz
     }
 
     /// Peak throughput in instructions per second (`peak_ipc * F`).

@@ -12,7 +12,7 @@
 
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A raw counter sample: absolute event counts accumulated over some
 /// execution interval (a CFS slice, a scheduling period or an epoch).
@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// epoch += slice;
 /// assert_eq!(epoch.instructions, 1_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct CounterSample {
     /// Cycles spent doing computation.
     pub cy_busy: u64,
@@ -158,15 +158,6 @@ pub fn count_to_f64(n: u64) -> f64 {
         "count {n} exceeds the exact f64 integer range"
     );
     n as f64
-}
-
-/// Converts a collection length to `f64` exactly (see [`count_to_f64`]).
-#[expect(
-    clippy::as_conversions,
-    reason = "usize -> u64 is lossless on every supported target"
-)]
-pub fn len_to_f64(n: usize) -> f64 {
-    count_to_f64(n as u64)
 }
 
 fn ratio(num: u64, den: u64) -> f64 {

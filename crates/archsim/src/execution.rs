@@ -8,15 +8,13 @@
 
 #![cfg_attr(not(test), warn(clippy::as_conversions))]
 
-use serde::{Deserialize, Serialize};
-
 use crate::core_type::CoreConfig;
 use crate::counters::{count_to_f64, CounterSample};
 use crate::pipeline::{estimate, PipelineEstimate};
 use crate::workload::WorkloadCharacteristics;
 
 /// Outcome of executing one scheduling slice.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutionSlice {
     /// Committed instructions during the slice.
     pub instructions: u64,

@@ -22,8 +22,6 @@
 //! an empty plan the harness is *quiescent*: every read passes through
 //! untouched (bit-identical) and no random draws are made.
 
-use serde::{Deserialize, Serialize};
-
 use crate::counters::CounterSample;
 
 /// One fault primitive with its intensity parameter.
@@ -31,7 +29,7 @@ use crate::counters::CounterSample;
 /// Probabilities are per core-epoch (for stuck / power dropout) or per
 /// sample (for drops); `sigma` bounds the relative error of every noisy
 /// reading; `cap` clamps raw counter values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The counter bank freezes: with probability `prob` per
     /// core-epoch, counters stop advancing (the epoch's deltas read as
@@ -103,7 +101,7 @@ impl FaultKind {
 }
 
 /// A fault channel, for [`FaultAction::Clear`] events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultClass {
     /// Stuck-at counters.
     Stuck,
@@ -120,7 +118,7 @@ pub enum FaultClass {
 }
 
 /// What a [`FaultEvent`] does when it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultAction {
     /// Activate a fault (replacing any active fault of the same class).
     Inject(FaultKind),
@@ -129,7 +127,7 @@ pub enum FaultAction {
 }
 
 /// One scheduled fault transition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Epoch index at which the action takes effect (inclusive).
     pub epoch: u64,
@@ -154,7 +152,7 @@ pub struct FaultEvent {
 /// assert!(!plan.is_empty());
 /// assert!(FaultPlan::new().is_empty());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }
@@ -204,7 +202,7 @@ impl FaultPlan {
 }
 
 /// Telemetry of what the harness actually did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Plan events applied so far.
     pub events_applied: u64,
@@ -221,7 +219,7 @@ pub struct FaultStats {
 
 /// Active fault configuration of one core, plus the flags resolved for
 /// the current epoch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct CoreFaultState {
     stuck_prob: f64,
     drop_prob: f64,
@@ -324,7 +322,7 @@ fn map_fields(s: CounterSample, mut f: impl FnMut(u64, u64) -> u64) -> CounterSa
 ///
 /// [`advance_to_epoch`]: FaultHarness::advance_to_epoch
 /// [`corrupt_reading`]: FaultHarness::corrupt_reading
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultHarness {
     seed: u64,
     /// Plan events, stable-sorted by epoch.

@@ -54,13 +54,9 @@ pub mod pipeline;
 pub mod workload;
 
 pub use core_type::{CoreConfig, CoreId, CoreTypeId, Platform};
-pub use counters::{count_to_f64, len_to_f64, CounterSample};
-pub use execution::{
-    run_slice, synthesize, time_to_complete_ns, time_to_complete_ns_with, ExecutionSlice,
-};
-pub use faults::{
-    FaultAction, FaultClass, FaultEvent, FaultHarness, FaultKind, FaultPlan, FaultStats,
-};
+pub use counters::{count_to_f64, CounterSample};
+pub use execution::{run_slice, synthesize, time_to_complete_ns_with};
+pub use faults::{FaultClass, FaultHarness, FaultKind, FaultPlan};
 pub use memo::{EstimateCache, EstimateKey, MemoStats};
-pub use pipeline::{estimate, PipelineEstimate};
+pub use pipeline::estimate;
 pub use workload::WorkloadCharacteristics;

@@ -1,6 +1,6 @@
 //! Memoization of the analytical pipeline model.
 //!
-//! A [`crate::PipelineEstimate`] is fully determined by the workload's
+//! A [`crate::pipeline::PipelineEstimate`] is fully determined by the workload's
 //! intrinsic characteristics and the core configuration, yet the
 //! scheduler hot loop historically re-evaluated the model — five
 //! transcendental miss-rate curves plus struct rebuilds — on *every*
@@ -20,15 +20,13 @@
 //! changes. Stale-entry bugs are keying bugs; `kernelsim` proves parity
 //! with an uncached run in its test suite.
 
-use serde::{Deserialize, Serialize};
-
 use crate::core_type::CoreConfig;
 use crate::pipeline::{estimate, PipelineEstimate};
 use crate::workload::WorkloadCharacteristics;
 
 /// Cache key: every input that determines a [`PipelineEstimate`]
 /// besides the workload that owns the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EstimateKey {
     /// Phase index within the workload.
     pub phase: u32,
@@ -59,7 +57,7 @@ pub struct EstimateKey {
 /// assert_eq!(stats.hits(), 1);
 /// assert_eq!(a, estimate(&w, &cfg));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EstimateCache {
     /// Boxed, so an empty memo costs one pointer: every task keeps its
     /// memo for life, exited tasks included.

@@ -13,8 +13,6 @@
 //! memory-bound threads gain little from big cores, which is precisely
 //! the asymmetry SmartBalance exploits.
 
-use serde::{Deserialize, Serialize};
-
 use crate::branch::BranchModel;
 use crate::cache::{CacheModel, TlbModel};
 use crate::core_type::CoreConfig;
@@ -158,7 +156,7 @@ fn window_crossing(base: f64, c: f64) -> Option<(f64, f64)> {
 /// Result of evaluating the pipeline model for one (workload, core)
 /// pair: the achieved IPC and the stall/rate breakdown needed to
 /// synthesize hardware-counter values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineEstimate {
     /// Achieved instructions per cycle.
     pub ipc: f64,

@@ -139,25 +139,6 @@ impl WorkloadCharacteristics {
         self.mlp = self.mlp.clamp(1.0, 8.0);
         self
     }
-
-    /// Linear interpolation between two characteristic vectors
-    /// (`t = 0` → `self`, `t = 1` → `other`), used to blend phases.
-    pub fn lerp(&self, other: &Self, t: f64) -> Self {
-        let t = t.clamp(0.0, 1.0);
-        let mix = |a: f64, b: f64| a + (b - a) * t;
-        WorkloadCharacteristics {
-            ilp: mix(self.ilp, other.ilp),
-            mem_share: mix(self.mem_share, other.mem_share),
-            branch_share: mix(self.branch_share, other.branch_share),
-            data_working_set_kib: mix(self.data_working_set_kib, other.data_working_set_kib),
-            code_working_set_kib: mix(self.code_working_set_kib, other.code_working_set_kib),
-            branch_entropy: mix(self.branch_entropy, other.branch_entropy),
-            data_pages: mix(self.data_pages, other.data_pages),
-            code_pages: mix(self.code_pages, other.code_pages),
-            mlp: mix(self.mlp, other.mlp),
-        }
-        .clamped()
-    }
 }
 
 impl Default for WorkloadCharacteristics {
@@ -202,40 +183,5 @@ mod tests {
         assert_eq!(w.data_working_set_kib, 1.0);
         assert_eq!(w.branch_entropy, 1.0);
         assert_eq!(w.mlp, 1.0);
-    }
-
-    fn assert_close(a: &WorkloadCharacteristics, b: &WorkloadCharacteristics) {
-        let pairs = [
-            (a.ilp, b.ilp),
-            (a.mem_share, b.mem_share),
-            (a.branch_share, b.branch_share),
-            (a.data_working_set_kib, b.data_working_set_kib),
-            (a.code_working_set_kib, b.code_working_set_kib),
-            (a.branch_entropy, b.branch_entropy),
-            (a.data_pages, b.data_pages),
-            (a.code_pages, b.code_pages),
-            (a.mlp, b.mlp),
-        ];
-        for (x, y) in pairs {
-            assert!((x - y).abs() < 1e-9, "{x} vs {y} in {a:?} / {b:?}");
-        }
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = WorkloadCharacteristics::compute_bound();
-        let b = WorkloadCharacteristics::memory_bound();
-        assert_close(&a.lerp(&b, 0.0), &a);
-        assert_close(&a.lerp(&b, 1.0), &b);
-        let mid = a.lerp(&b, 0.5);
-        assert!(mid.ilp < a.ilp && mid.ilp > b.ilp);
-    }
-
-    #[test]
-    fn lerp_clamps_t() {
-        let a = WorkloadCharacteristics::compute_bound();
-        let b = WorkloadCharacteristics::memory_bound();
-        assert_close(&a.lerp(&b, -3.0), &a);
-        assert_close(&a.lerp(&b, 7.0), &b);
     }
 }

@@ -28,7 +28,7 @@ use smartbalance::{
     anneal, exhaustive_best, known_optimum_case, splitmix64, AnnealParams,
     CharacterizationMatrices, Goal, Objective, SmartBalanceConfig,
 };
-use smartbalance_bench::{ablation_anneal, ablation_matrices, prediction_gap};
+use smartbalance_bench::{ablation_anneal, ablation_matrices, prediction_gap, reject_unknown_args};
 use workloads::SyntheticGenerator;
 
 /// Inputs per timed iteration of item 1.
@@ -69,6 +69,8 @@ fn random_matrices(n: usize, m: usize, seed: u64) -> CharacterizationMatrices {
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    reject_unknown_args("ablation", &args, "", "");
     println!("== 1. fixed point ({SCATTERED} calls per iteration) ==");
     // Raw inputs scattered over the annealer's domain [0, 12·2¹⁶] by
     // splitmix64, so the branch predictor cannot learn them.

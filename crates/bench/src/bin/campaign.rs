@@ -41,13 +41,20 @@
 //! * `--metrics-addr-file <path>` — write the bound address (after
 //!   `:0` resolution) to `path`, for scripts that need to scrape an
 //!   ephemeral port.
+//!
+//! Any other argument is refused before anything runs, and so is a
+//! `--json`, `--canonical` or `--metrics-addr-file` path that could not
+//! be written: the check runs before the first cell, and leaves the
+//! files as they are.
 
 use campaign::{Campaign, CampaignConfig, CampaignJob, CampaignReport, CheckpointJournal};
 
 use archsim::Platform;
 use serde::Serialize;
 use smartbalance::{ExperimentSpec, Policy};
-use smartbalance_bench::{flag_value, parse_flag, write_report};
+use smartbalance_bench::{
+    ensure_writable, flag_value, parse_flag, reject_unknown_args, write_report,
+};
 use workloads::parsec;
 
 /// What `BENCH_campaign.json` contains.
@@ -115,6 +122,13 @@ fn build_grid(smoke: bool, scale: Option<f64>, epochs: Option<u64>) -> Vec<Campa
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    reject_unknown_args(
+        "campaign",
+        &args,
+        "--json --canonical --checkpoint --flush-every --max-cells --stop-file --workers --scale \
+         --epochs --metrics-addr --metrics-addr-file",
+        "--smoke --resume",
+    );
     let smoke = args.iter().any(|a| a == "--smoke");
     let resume = args.iter().any(|a| a == "--resume");
     let json_path = flag_value(&args, "--json").unwrap_or("BENCH_campaign.json");
@@ -128,6 +142,12 @@ fn main() {
     let epochs = parse_flag(&args, "--epochs");
     let metrics_addr = flag_value(&args, "--metrics-addr");
     let metrics_addr_file = flag_value(&args, "--metrics-addr-file");
+    // The reports are written after the last cell; an unwritable path
+    // must fail before the first one.
+    [Some(json_path), canonical_path, metrics_addr_file]
+        .into_iter()
+        .flatten()
+        .for_each(ensure_writable);
 
     if !resume {
         let _ = std::fs::remove_file(checkpoint_path);

@@ -25,7 +25,7 @@ use archsim::{CoreId, FaultClass, FaultKind, FaultPlan, Platform};
 use kernelsim::{System, SystemConfig};
 use serde::Serialize;
 use smartbalance::{DegradeMode, PredictorSet, SmartBalance, SmartBalanceConfig};
-use smartbalance_bench::{flag_value, write_report};
+use smartbalance_bench::{flag_value, reject_unknown_args, write_report};
 use telemetry::TraceLevel;
 use workloads::SyntheticGenerator;
 
@@ -281,6 +281,7 @@ fn kind_at(kind: &str, intensity: f64) -> FaultKind {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    reject_unknown_args("chaos", &args, "--json", "--smoke --max-intensity");
     let smoke = args.iter().any(|a| a == "--smoke");
     let max_intensity = args.iter().any(|a| a == "--max-intensity");
     let json_path = flag_value(&args, "--json").unwrap_or("BENCH_chaos.json");

@@ -18,7 +18,7 @@ use std::time::Instant;
 use archsim::Platform;
 use serde::Serialize;
 use smartbalance::{anneal, known_optimum_case, AnnealParams, Goal, Objective};
-use smartbalance_bench::{collect_phase_timings, maybe_dump_json};
+use smartbalance_bench::{collect_phase_timings, maybe_dump_json, reject_unknown_args};
 
 #[derive(Debug, Serialize)]
 struct ScaleRow {
@@ -39,6 +39,7 @@ const EPOCH_US: f64 = 60_000.0;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    reject_unknown_args("fig7", args.get(1..).unwrap_or_default(), "--json", "");
 
     // ---- (a) per-phase overhead on the quad-core platform ----------
     let platform = Platform::quad_heterogeneous();

@@ -24,7 +24,7 @@ use archsim::Platform;
 use kernelsim::{LoadBalancer, System, SystemConfig};
 use serde::Serialize;
 use smartbalance::{ExperimentSpec, ExperimentSuite, ObsSummary, Policy, SmartBalance};
-use smartbalance_bench::{flag_value, write_report};
+use smartbalance_bench::{flag_value, reject_unknown_args, write_report};
 use telemetry::{StageProfile, TraceLevel};
 use workloads::SyntheticGenerator;
 
@@ -162,6 +162,12 @@ fn run_suite(max_epochs: u64) -> Vec<SuiteObsRow> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    reject_unknown_args(
+        "obsreport",
+        &args,
+        "--json --jsonl --trace --prom",
+        "--smoke",
+    );
     let smoke = args.iter().any(|a| a == "--smoke");
     let json_path = flag_value(&args, "--json").unwrap_or("BENCH_obs.json");
     let jsonl_path = flag_value(&args, "--jsonl").unwrap_or("obs_epochs.jsonl");

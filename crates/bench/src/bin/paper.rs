@@ -40,8 +40,8 @@ use smartbalance::{
     ExperimentSuite, Goal, Objective, Policy, SmartBalanceConfig,
 };
 use smartbalance_bench::{
-    flag_value, imb_workloads, maybe_dump_json, parsec_workloads, print_rows, print_suite_summary,
-    run_policy_grid, stderr_progress, ComparisonRow, THREAD_COUNTS,
+    imb_workloads, maybe_dump_json, parsec_workloads, print_rows, print_suite_summary,
+    reject_unknown_args, run_policy_grid, stderr_progress, ComparisonRow, THREAD_COUNTS,
 };
 use workloads::WorkloadProfile;
 
@@ -390,7 +390,7 @@ struct Scenario {
 
 /// The robustness study on a mixed PARSEC workload: power-sensor noise,
 /// the sparse counter set (no TLB-miss or memory-stall events) and the
-/// epoch length (L CFS periods, DESIGN.md ablation 4), all queued on
+/// epoch length (L CFS periods, DESIGN.md ablation 7), all queued on
 /// one suite.
 fn sensitivity(platform: &Platform) -> Vec<SensitivityRow> {
     let mut profiles = Vec::new();
@@ -490,11 +490,7 @@ fn sensitivity(platform: &Platform) -> Vec<SensitivityRow> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = flag_value(&args, "--json");
-    assert!(
-        args.len() == if json.is_some() { 2 } else { 0 },
-        "usage: paper [--json <path>]; unexpected arguments {args:?}"
-    );
+    reject_unknown_args("paper", &args, "--json", "");
 
     let platform = Platform::quad_heterogeneous();
     let defaults = SmartBalanceConfig::default();

@@ -20,7 +20,7 @@
 
 use archsim::{CoreConfig, CoreTypeId, Platform};
 use smartbalance::{ExperimentSpec, ExperimentSuite, Policy, PredictorCache};
-use smartbalance_bench::{flag_value, parse_flag, write_report};
+use smartbalance_bench::{flag_value, parse_flag, reject_unknown_args, write_report};
 use telemetry::TraceLevel;
 use workloads::{ImbConfig, MixId, WorkloadProfile};
 
@@ -88,6 +88,12 @@ fn policy_for(spec: &str) -> Policy {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    reject_unknown_args(
+        "run",
+        args.get(1..).unwrap_or_default(),
+        "--platform --workload --threads --policy --scale --max-epochs --trace",
+        "",
+    );
     let platform = platform_for(flag_value(&args, "--platform").unwrap_or("quad"));
     let workload = flag_value(&args, "--workload").unwrap_or("mix6");
     let threads: usize = parse_flag(&args, "--threads").unwrap_or(2);

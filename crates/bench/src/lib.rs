@@ -14,10 +14,11 @@
 //!
 //! `run`, `chaos`, `obsreport` and `campaign` are tools with reports
 //! of their own: one experiment, the fault sweep, the observability
-//! bundle and the resumable sweep. The binaries read their options
-//! through [`flag_value`] and [`parse_flag`] and write files through
-//! [`write_report`], so a malformed flag or an unwritable path panics
-//! naming the flag, the value or the path.
+//! bundle and the resumable sweep. Every binary checks its arguments
+//! with [`reject_unknown_args`], reads its options through
+//! [`flag_value`] and [`parse_flag`] and writes files through
+//! [`write_report`], so a misspelled or malformed flag or an
+//! unwritable path panics naming the argument, the value or the path.
 
 use std::fmt::Display;
 use std::path::Path;
@@ -163,6 +164,35 @@ pub fn print_rows(title: &str, rows: &[ComparisonRow]) {
     );
 }
 
+/// Checks `args` (without `argv[0]`) against the flags a tool reads:
+/// `valued` and `switches` list them, separated by spaces, and each
+/// valued flag takes the argument after it.
+///
+/// # Panics
+///
+/// With `<flag> needs a value`, as [`flag_value`], when a valued flag
+/// is last or followed by another `--` argument, and with `<tool>:
+/// unexpected arguments [...]` naming every argument that is neither a
+/// flag nor a value, so a misspelled flag fails before the tool runs
+/// instead of leaving an option at its default.
+pub fn reject_unknown_args(tool: &str, args: &[String], valued: &str, switches: &str) {
+    let mut unexpected = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if valued.split_whitespace().any(|flag| flag == arg) {
+            if rest.next().is_none_or(|value| value.starts_with("--")) {
+                panic!("{arg} needs a value");
+            }
+        } else if !switches.split_whitespace().any(|switch| switch == arg) {
+            unexpected.push(arg);
+        }
+    }
+    assert!(
+        unexpected.is_empty(),
+        "{tool}: unexpected arguments {unexpected:?}; it reads [{valued}] with a value, [{switches}] alone"
+    );
+}
+
 /// The value that follows `flag` in `args`, or `None` when `flag` is
 /// absent.
 ///
@@ -205,6 +235,26 @@ where
 pub fn write_report(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) {
     let path = path.as_ref();
     std::fs::write(path, contents).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+}
+
+/// Fails now, as [`write_report`] would at the end of a run, when
+/// `path` cannot be written. An existing file is opened for appending
+/// and left as it is; a missing one is created and removed again.
+///
+/// # Panics
+///
+/// With `write <path>: <error>`.
+pub fn ensure_writable(path: impl AsRef<Path>) {
+    let path = path.as_ref();
+    let existed = path.exists();
+    let probe = std::fs::OpenOptions::new()
+        .append(true)
+        .create(true)
+        .open(path);
+    probe.unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    if !existed {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 /// Writes any serializable value to `path` as pretty JSON when the
@@ -288,7 +338,7 @@ pub fn prediction_gap(m: &AblationMatrices) -> f64 {
 /// Timings of one SmartBalance epoch, broken into the paper's phases
 /// (Fig. 7(a)): sense, predict (matrix construction), optimize
 /// (Algorithm 1) and the modeled migration cost.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimings {
     /// Sensing: counter distillation, seconds.
     pub sense_s: f64,
@@ -506,6 +556,40 @@ mod tests {
     #[should_panic(expected = "write /nonexistent/dir/r.json: ")]
     fn report_write_failure_names_the_path() {
         write_report("/nonexistent/dir/r.json", "{}");
+    }
+
+    #[test]
+    #[should_panic(expected = "run: unexpected arguments [\"--polcy\", \"gts\"]")]
+    fn a_misspelled_flag_is_rejected() {
+        let a = args(&["--scale", "0.02", "--polcy", "gts"]);
+        reject_unknown_args("run", &a, "--policy --scale", "");
+    }
+
+    #[test]
+    fn flag_values_and_switches_are_accepted() {
+        // `0.5` and `gts` follow valued flags, so they are values, not
+        // unknown arguments; `--smoke` is a switch.
+        let a = args(&["--scale", "0.5", "--smoke", "--policy", "gts"]);
+        reject_unknown_args("run", &a, "--policy --scale", "--smoke");
+    }
+
+    #[test]
+    #[should_panic(expected = "--json needs a value")]
+    fn a_valued_flag_without_its_value_is_rejected() {
+        reject_unknown_args("paper", &args(&["--json"]), "--json", "");
+    }
+
+    #[test]
+    fn a_writability_check_changes_no_file() {
+        let dir = std::env::temp_dir().join(format!("sb-writable-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let (missing, existing) = (dir.join("missing"), dir.join("existing"));
+        std::fs::write(&existing, "{}").expect("write");
+        ensure_writable(&missing);
+        ensure_writable(&existing);
+        assert!(!missing.exists(), "the probe leaves no file behind");
+        assert_eq!(std::fs::read_to_string(&existing).expect("read"), "{}");
+        std::fs::remove_dir_all(&dir).expect("clean up");
     }
 
     #[test]

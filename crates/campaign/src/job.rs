@@ -16,13 +16,13 @@
 //! render as `0` and `-0`. The two cells of a vanilla and SmartBalance
 //! pair share one spec, so each such pair renders it once.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use smartbalance::{parallel_map, splitmix64, ExperimentSpec, Policy, SuiteJob};
 
 /// One campaign cell: an experiment spec bound to a policy and a
 /// deterministic seed, at a fixed grid index. A sharded cell asks for
 /// sharding in its spec ([`ExperimentSpec::with_shard`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignJob {
     /// Position in the expanded grid; the seed's source and the
     /// report's ordering key.

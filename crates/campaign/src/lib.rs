@@ -78,8 +78,7 @@ pub mod journal;
 pub mod report;
 pub mod runner;
 
-pub use flight::{AttemptOutcome, FlightRecord};
-pub use job::{job_id, CampaignJob};
-pub use journal::{CheckpointJournal, JournalRecord};
-pub use report::{CampaignReport, CompletedCell, PoisonedCell, CAMPAIGN_SCHEMA_VERSION};
+pub use job::CampaignJob;
+pub use journal::CheckpointJournal;
+pub use report::{CampaignReport, CAMPAIGN_SCHEMA_VERSION};
 pub use runner::{Campaign, CampaignConfig};

@@ -1,6 +1,6 @@
 //! The campaign's serializable outcome summary.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use smartbalance::JobResult;
 
 use crate::flight::{AttemptOutcome, FlightRecord};
@@ -11,7 +11,7 @@ use crate::flight::{AttemptOutcome, FlightRecord};
 pub const CAMPAIGN_SCHEMA_VERSION: u32 = 2;
 
 /// One cell that ran to completion.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CompletedCell {
     /// Content-addressed cell identity.
     pub id: String,
@@ -24,7 +24,7 @@ pub struct CompletedCell {
 }
 
 /// One cell quarantined after exhausting its retry ladder.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PoisonedCell {
     /// Content-addressed cell identity.
     pub id: String,
@@ -48,7 +48,7 @@ pub struct PoisonedCell {
 /// grid accounted for as completed, poisoned, or (when interrupted)
 /// still pending. Cells are listed in grid order, so the report layout
 /// is independent of completion order, worker count and journal state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CampaignReport {
     /// Report schema version ([`CAMPAIGN_SCHEMA_VERSION`]).
     pub schema: u32,

@@ -26,8 +26,6 @@
 //!   optimizer convergent at iteration budgets far below the `n·m`
 //!   proposal-space size (the regime Fig. 8(a) operates in).
 
-use serde::{Deserialize, Serialize};
-
 use crate::fixed::{fx_exp_neg, Fx, Randi};
 use crate::matrices::CharacterizationMatrices;
 use crate::objective::{IncrementalObjective, Objective};
@@ -41,7 +39,7 @@ pub const POLISH_ROUNDS: usize = 3;
 
 /// Tunable inputs of Algorithm 1 (`Opt_*` parameters; defaults are the
 /// Fig. 8(b) operating point).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnealParams {
     /// `Opt_max_iter`: iteration budget.
     pub max_iter: u32,
@@ -106,7 +104,7 @@ impl AnnealParams {
 }
 
 /// Result of one optimizer run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnnealOutcome {
     /// Best allocation found (`alloc[i]` = core index of thread `i`).
     pub allocation: Vec<usize>,

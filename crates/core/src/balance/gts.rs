@@ -15,50 +15,28 @@
 use archsim::{CoreId, CoreTypeId, Platform};
 use kernelsim::{affinity_allows, Allocation, EpochReport, LoadBalancer};
 
+/// Up-migration threshold: tracked load at or above this sends a
+/// thread to the big cluster.
+///
+/// The Linaro/ARM reference implementation's thresholds scale the
+/// NICE_0 load; as fractions of a CPU they are ~0.9 up and ~0.23 down.
+/// The reproduction's 0.6 and 0.25 differ from those, and the Fig. 5
+/// numbers in `results/paper.json` are pinned on them.
+const UP_THRESHOLD: f64 = 0.6;
+
+/// Down-migration threshold: tracked load at or below this sends a
+/// thread to the little cluster.
+const DOWN_THRESHOLD: f64 = 0.25;
+
 /// ARM GTS: utilization-threshold up/down migration between a big and
 /// a little cluster, with least-loaded placement inside each cluster.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GtsBalancer {
-    /// Up-migration threshold: tracked load above this sends a thread
-    /// to the big cluster.
-    pub up_threshold: f64,
-    /// Down-migration threshold: tracked load below this sends a
-    /// thread to the little cluster.
-    pub down_threshold: f64,
-}
-
-impl Default for GtsBalancer {
-    fn default() -> Self {
-        // The Linaro/ARM reference implementation's defaults scale the
-        // NICE_0 load; as fractions of a CPU these are ~0.9 up / ~0.23
-        // down.
-        GtsBalancer {
-            up_threshold: 0.6,
-            down_threshold: 0.25,
-        }
-    }
-}
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct GtsBalancer;
 
 impl GtsBalancer {
-    /// Creates a GTS balancer with the default thresholds.
+    /// Creates a GTS balancer.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a GTS balancer with explicit thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= down < up <= 1`.
-    pub fn with_thresholds(up: f64, down: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&up) && (0.0..=1.0).contains(&down) && down < up,
-            "need 0 <= down < up <= 1, got up={up} down={down}"
-        );
-        GtsBalancer {
-            up_threshold: up,
-            down_threshold: down,
-        }
+        GtsBalancer
     }
 
     /// Splits the platform into (big cluster, little cluster) by peak
@@ -118,9 +96,9 @@ impl LoadBalancer for GtsBalancer {
             let currently_big = big_set[t.core.0];
             // Threshold decision with hysteresis: between the two
             // thresholds a thread stays in its current cluster.
-            let want_big = if t.utilization >= self.up_threshold {
+            let want_big = if t.utilization >= UP_THRESHOLD {
                 true
-            } else if t.utilization <= self.down_threshold {
+            } else if t.utilization <= DOWN_THRESHOLD {
                 false
             } else {
                 currently_big
@@ -266,11 +244,5 @@ mod tests {
         let platform = Platform::quad_heterogeneous();
         let mut gts = GtsBalancer::new();
         gts.rebalance(&platform, &report(vec![task_stat(0, 0, 0.5)]));
-    }
-
-    #[test]
-    #[should_panic(expected = "need 0 <= down < up <= 1")]
-    fn rejects_inverted_thresholds() {
-        GtsBalancer::with_thresholds(0.2, 0.8);
     }
 }

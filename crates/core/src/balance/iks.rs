@@ -13,30 +13,23 @@
 use archsim::{CoreId, CoreTypeId, Platform};
 use kernelsim::{affinity_allows, Allocation, EpochReport, LoadBalancer};
 
+/// Aggregate pair utilization at or above which a pair switches to its
+/// big core.
+const UP_THRESHOLD: f64 = 0.7;
+
+/// Aggregate pair utilization at or below which a pair switches to its
+/// little core.
+const DOWN_THRESHOLD: f64 = 0.3;
+
 /// The IKS policy: paired big/little virtual CPUs with a per-pair
 /// utilization switch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IksBalancer {
-    /// Aggregate pair utilization above which the pair switches to its
-    /// big core.
-    pub up_threshold: f64,
-    /// Aggregate pair utilization below which it switches to little.
-    pub down_threshold: f64,
-}
-
-impl Default for IksBalancer {
-    fn default() -> Self {
-        IksBalancer {
-            up_threshold: 0.7,
-            down_threshold: 0.3,
-        }
-    }
-}
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct IksBalancer;
 
 impl IksBalancer {
-    /// Creates the policy with default thresholds.
+    /// Creates the policy.
     pub fn new() -> Self {
-        Self::default()
+        IksBalancer
     }
 
     /// Pairs big and little cores into virtual CPUs.
@@ -104,9 +97,9 @@ impl LoadBalancer for IksBalancer {
             }
             let (big, little) = pairs[k];
             let on_big = t.core == big;
-            let want_big = if pair_util[k] >= self.up_threshold {
+            let want_big = if pair_util[k] >= UP_THRESHOLD {
                 true
-            } else if pair_util[k] <= self.down_threshold {
+            } else if pair_util[k] <= DOWN_THRESHOLD {
                 false
             } else {
                 on_big

@@ -10,25 +10,19 @@
 use archsim::{CoreId, Platform};
 use kernelsim::{Allocation, EpochReport, LoadBalancer, TaskId};
 
+/// Upper bound on migrations per invocation (the kernel also rate
+/// limits its balancing passes).
+const MAX_MOVES: usize = 64;
+
 /// Heterogeneity-blind weight-equalizing balancer (the `find_busiest_
 /// group` / `pull task` loop of the stock kernel, epoch-granular).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct VanillaBalancer {
-    /// Upper bound on migrations per invocation (the kernel also rate
-    /// limits its balancing passes).
-    max_moves: usize,
-}
+pub struct VanillaBalancer;
 
 impl VanillaBalancer {
-    /// Creates the balancer with the default migration budget.
+    /// Creates the balancer.
     pub fn new() -> Self {
-        VanillaBalancer { max_moves: 64 }
-    }
-
-    /// Sets the per-epoch migration budget.
-    pub fn with_max_moves(mut self, max_moves: usize) -> Self {
-        self.max_moves = max_moves;
-        self
+        VanillaBalancer
     }
 }
 
@@ -72,7 +66,7 @@ impl LoadBalancer for VanillaBalancer {
         let mut moved = Allocation::new();
         // Cores that proved unable to donate a useful task this pass.
         let mut exhausted = vec![false; n];
-        for _ in 0..self.max_moves {
+        for _ in 0..MAX_MOVES {
             let Some(busiest) = (0..n).filter(|&j| !exhausted[j]).max_by_key(|&j| load[j]) else {
                 break;
             };
@@ -272,10 +266,23 @@ mod tests {
 
     #[test]
     fn move_budget_bounds_migrations() {
+        // 200 equal tasks stacked on core 0 would take 150 moves to
+        // balance; one pass makes exactly the budget's 64.
         let platform = Platform::quad_heterogeneous();
-        let mut vb = VanillaBalancer::new().with_max_moves(1);
-        let r = report((0..8).map(|i| task_stat(i, 0, 1024)).collect(), 4);
+        let mut vb = VanillaBalancer::new();
+        let r = report((0..200).map(|i| task_stat(i, 0, 1024)).collect(), 4);
         let alloc = vb.rebalance(&platform, &r).expect("rebalance");
-        assert_eq!(alloc.len(), 1);
+        assert_eq!(alloc.len(), 64);
+    }
+
+    #[test]
+    fn default_migrates_like_new() {
+        let platform = Platform::quad_heterogeneous();
+        let r = report((0..8).map(|i| task_stat(i, 0, 1024)).collect(), 4);
+        let mut from_default: VanillaBalancer = Default::default();
+        let by_default = from_default.rebalance(&platform, &r);
+        let by_new = VanillaBalancer::new().rebalance(&platform, &r);
+        assert!(by_default.is_some(), "the default balancer migrates");
+        assert_eq!(by_default, by_new);
     }
 }

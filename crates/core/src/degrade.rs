@@ -49,7 +49,7 @@ use crate::sense::ThreadSense;
 
 /// Rung of the degradation ladder, ordered from most to least
 /// sensing-dependent.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DegradeMode {
     /// The paper's full closed loop: sense → predict → anneal.
     #[default]
@@ -140,7 +140,7 @@ impl Default for DegradeConfig {
 }
 
 /// One epoch's health signals, as seen by the [`DegradeController`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EpochHealth {
     /// Live threads the sensing stage processed.
     pub candidates: usize,

@@ -13,8 +13,6 @@
 //! [`Randi`] is the paper's `randi()` — a 32-bit xorshift uniform
 //! generator with `randi(x, y)` range variant.
 
-use serde::{Deserialize, Serialize};
-
 /// Fractional bits of the fixed-point representation.
 pub const FRAC_BITS: u32 = 16;
 
@@ -32,9 +30,7 @@ pub const ONE: i64 = 1 << FRAC_BITS;
 /// let b = Fx::from_f64(2.0);
 /// assert!((a.mul(b).to_f64() - 3.0).abs() < 1e-4);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Fx(pub i64);
 
 impl Fx {
@@ -159,7 +155,7 @@ pub fn fx_exp_neg(x: Fx) -> Fx {
 ///
 /// xorshift32 — three shifts and xors per draw, the kind of generator a
 /// kernel hot path can afford.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Randi {
     state: u32,
 }

@@ -88,25 +88,20 @@ pub mod shard;
 pub mod suite;
 
 pub use anneal::{anneal, AnnealOutcome, AnnealParams};
-pub use balance::{GtsBalancer, IksBalancer, SmartBalance, VanillaBalancer};
+pub use balance::{GtsBalancer, SmartBalance, VanillaBalancer};
 pub use config::{SmartBalanceConfig, ThermalConfig};
-pub use degrade::{
-    predict_free_greedy, DegradeConfig, DegradeController, DegradeMode, EpochHealth,
-    QuarantineTracker,
-};
+pub use degrade::{DegradeConfig, DegradeMode};
 pub use estimate::build_matrices;
 pub use kernelsim::{parallel_indexed, parallel_map};
 pub use matrices::CharacterizationMatrices;
 pub use objective::{Goal, Objective};
-pub use optimal::{exhaustive_best, known_optimum_case, KnownCase};
-pub use predict::{PowerCoeffs, PredictorSet};
-pub use runner::{
-    compare_policies, run_experiment_with, ExperimentSpec, Policy, PredictorCache, RunResult,
-};
-pub use sense::{SenseHealth, Sensor, ThreadSense, FEATURE_NAMES, NUM_FEATURES};
+pub use optimal::{exhaustive_best, known_optimum_case};
+pub use predict::PredictorSet;
+pub use runner::{compare_policies, run_experiment_with, ExperimentSpec, Policy, PredictorCache};
+pub use sense::Sensor;
 pub use shard::ShardConfig;
 pub use suite::{
-    default_workers, panic_message, splitmix64, EfficiencyGain, ExperimentSuite, JobFailure,
-    JobOutcome, JobResult, SuiteJob, SuiteProgress, SuiteReport,
+    default_workers, panic_message, splitmix64, ExperimentSuite, JobResult, SuiteJob,
+    SuiteProgress, SuiteReport,
 };
-pub use telemetry::{ObsCapture, ObsSummary, TelemetryHandle};
+pub use telemetry::ObsSummary;

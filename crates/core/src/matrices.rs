@@ -120,11 +120,6 @@ impl CharacterizationMatrices {
         &self.core_types
     }
 
-    /// Row index of `task`, if present.
-    pub fn row_of(&self, task: TaskId) -> Option<usize> {
-        self.tasks.iter().position(|&t| t == task)
-    }
-
     /// Index of thread `i`'s entry for core `j`'s type.
     #[inline]
     fn idx(&self, i: usize, j: usize) -> usize {
@@ -252,8 +247,9 @@ impl CharacterizationMatrices {
     }
 
     /// Fraction of all `(thread, core)` entries that were measured (the
-    /// rest were predicted) — a sensing-coverage diagnostic.
-    pub fn measured_fraction(&self) -> f64 {
+    /// rest were predicted).
+    #[cfg(test)]
+    fn measured_fraction(&self) -> f64 {
         let cells = self.num_threads() * self.num_cores();
         if cells == 0 {
             return 0.0;
@@ -347,10 +343,9 @@ mod tests {
 
     #[test]
     fn row_lookup_by_task() {
+        // Row i holds the i-th task given at construction.
         let m = sample();
-        assert_eq!(m.row_of(TaskId(9)), Some(1));
-        assert_eq!(m.row_of(TaskId(5)), Some(0));
-        assert_eq!(m.row_of(TaskId(1)), None);
+        assert_eq!(m.tasks(), &[TaskId(5), TaskId(9)]);
     }
 
     #[test]

@@ -26,7 +26,6 @@ use archsim::cache::{CacheModel, TlbModel};
 use archsim::pipeline::{ilp_for_base_ipc, L1_MISS_LATENCY_NS};
 use archsim::{estimate, run_slice, CoreConfig, CoreTypeId, Platform, WorkloadCharacteristics};
 use mcpat::CorePowerModel;
-use serde::{Deserialize, Serialize};
 use workloads::SyntheticGenerator;
 
 use crate::sense::{features_from_counters, Features};
@@ -69,7 +68,7 @@ pub fn degrade_to_sparse(features: &mut Features) {
 }
 
 /// Per-core-type power-vs-IPC interpolation coefficients (Eq. 9).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerCoeffs {
     /// Slope: watts per unit IPC.
     pub alpha1: f64,
@@ -163,7 +162,7 @@ fn transform_with(
 /// let predictors = PredictorSet::train(&platform, 200, 42);
 /// assert_eq!(predictors.num_types(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredictorSet {
     /// Per-type core configurations (needed to transform features).
     type_configs: Vec<CoreConfig>,
@@ -342,11 +341,6 @@ impl PredictorSet {
         let x = transform_with(w, features, &self.type_configs[dst.0]);
         let cpi: f64 = row.iter().zip(x.iter()).map(|(a, b)| a * b).sum();
         (1.0 / cpi.max(1.0e-3)).clamp(0.02, self.type_configs[dst.0].peak_ipc)
-    }
-
-    /// Predicts throughput (`ipŝ = ipĉ · F_dst`, instr/s) on `dst`.
-    pub fn predict_ips(&self, features: &Features, src: CoreTypeId, dst: CoreTypeId) -> f64 {
-        self.predict_ipc(features, src, dst) * self.type_configs[dst.0].freq_hz
     }
 
     /// Predicts the average power (watts) of a thread running at `ipc`
@@ -631,14 +625,28 @@ mod tests {
 
     #[test]
     fn ips_conversion_uses_dst_frequency() {
+        // The matrices turn a predicted IPC into throughput at the
+        // destination type's clock: ipŝ = ipĉ · F_dst.
         let (platform, pred) = trained();
         let w = WorkloadCharacteristics::balanced();
         let src_cfg = platform.type_config(CoreTypeId(0));
         let slice = run_slice(&w, src_cfg, TRAIN_SLICE_NS);
         let feats = features_from_counters(&slice.counters, src_cfg.freq_hz);
+        let sense = crate::sense::ThreadSense {
+            task: kernelsim::TaskId(0),
+            core: archsim::CoreId(0),
+            features: feats,
+            measured_ips: 0.0,
+            measured_power_w: 0.0,
+            utilization: 1.0,
+            weight: 1024,
+            kernel_thread: false,
+            allowed: u64::MAX,
+            fresh: false,
+        };
+        let m = crate::estimate::build_matrices(&platform, &[sense], &pred);
         let ipc = pred.predict_ipc(&feats, CoreTypeId(0), CoreTypeId(3));
-        let ips = pred.predict_ips(&feats, CoreTypeId(0), CoreTypeId(3));
-        assert!((ips - ipc * 0.5e9).abs() < 1.0);
+        assert!((m.ips(0, 3) - ipc * 0.5e9).abs() < 1.0);
     }
 
     #[test]

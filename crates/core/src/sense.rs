@@ -11,7 +11,6 @@ use std::collections::HashMap;
 
 use archsim::{CoreId, CounterSample, Platform};
 use kernelsim::{EpochReport, TaskId};
-use serde::{Deserialize, Serialize};
 
 /// Number of features in the characterization vector: the paper's ten
 /// Table 4 columns (`FR, mr_$i, mr_$d, I_msh, I_bsh, mr_b, mr_itlb,
@@ -21,14 +20,8 @@ use serde::{Deserialize, Serialize};
 /// original counters cannot).
 pub const NUM_FEATURES: usize = 11;
 
-/// Human-readable feature names, in vector order (the first ten match
-/// Table 4's columns).
-pub const FEATURE_NAMES: [&str; NUM_FEATURES] = [
-    "FR", "mr_$i", "mr_$d", "I_msh", "I_bsh", "mr_b", "mr_itlb", "mr_dtlb", "ipc_src", "const",
-    "cpi_mem",
-];
-
-/// A thread's characterization vector `X_ij`.
+/// A thread's characterization vector `X_ij`, in the order
+/// [`NUM_FEATURES`] lists.
 pub type Features = [f64; NUM_FEATURES];
 
 /// Builds the characterization vector from a counter sample taken on a
@@ -93,7 +86,7 @@ pub fn features_are_sane(f: &Features) -> bool {
 }
 
 /// One thread's sensed state for an epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThreadSense {
     /// Thread id.
     pub task: TaskId,
@@ -120,7 +113,7 @@ pub struct ThreadSense {
 
 /// Per-epoch tally of how the sensing stage classified its inputs —
 /// the degraded-mode controller's view of sensing health.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SenseHealth {
     /// Live threads processed.
     pub candidates: usize,
@@ -235,7 +228,8 @@ impl Sensor {
     }
 
     /// Number of threads with cached signatures.
-    pub fn cached_threads(&self) -> usize {
+    #[cfg(test)]
+    fn cached_threads(&self) -> usize {
         self.cache.len()
     }
 

@@ -164,7 +164,7 @@ pub struct JobResult {
 }
 
 /// Why one suite job failed, without taking the rest of the pool down.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobFailure {
     /// Index of the job in the suite.
     pub job_index: usize,
@@ -183,7 +183,7 @@ pub struct JobFailure {
 /// isolated failure. A panicking job no longer poisons the pool — it
 /// becomes a [`JobOutcome::Failed`] entry that callers (chaos sweeps,
 /// the campaign runner) can account for and continue past.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum JobOutcome {
     /// The job ran to completion (boxed: results dwarf failures).
     Completed(Box<JobResult>),
@@ -240,7 +240,7 @@ pub struct SuiteProgress {
 
 /// A baseline-relative efficiency summary row (the y-axis of the
 /// paper's Fig. 4/5 bar charts).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EfficiencyGain {
     /// Experiment label shared by the compared runs.
     pub experiment: String,
@@ -252,8 +252,9 @@ pub struct EfficiencyGain {
     pub gain: f64,
 }
 
-/// Everything a suite run produced, serializable for `--json` dumps.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Everything a suite run produced. It serializes so that parity tests
+/// can compare two runs byte for byte ([`SuiteReport::canonicalized`]).
+#[derive(Debug, Clone, Serialize)]
 pub struct SuiteReport {
     /// Per-job results, in job (push) order.
     pub jobs: Vec<JobResult>,
@@ -329,22 +330,6 @@ impl SuiteReport {
                 })
             })
             .collect()
-    }
-
-    /// Geometric-mean gain of `policy` over `baseline` across every
-    /// experiment both ran (the "average improvement" headline).
-    pub fn mean_gain_vs(&self, baseline: Policy, policy: Policy) -> Option<f64> {
-        let gains: Vec<f64> = self
-            .gains_vs(baseline)
-            .into_iter()
-            .filter(|g| g.policy == policy && g.gain > 0.0)
-            .map(|g| g.gain)
-            .collect();
-        if gains.is_empty() {
-            return None;
-        }
-        let log_sum: f64 = gains.iter().map(|g| g.ln()).sum();
-        Some((log_sum / gains.len() as f64).exp())
     }
 }
 
@@ -596,11 +581,6 @@ mod tests {
         assert_eq!(gains.len(), 1);
         assert_eq!(gains[0].policy, Policy::Smart);
         assert!(gains[0].gain > 0.0);
-        let mean = report
-            .mean_gain_vs(Policy::Vanilla, Policy::Smart)
-            .expect("smart ran");
-        assert!((mean - gains[0].gain).abs() < 1e-12, "single-run geomean");
-        assert!(report.mean_gain_vs(Policy::Vanilla, Policy::Gts).is_none());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use crate::task::TaskId;
 
 /// Per-task sensing data for one epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TaskEpochStats {
     /// Task id.
     pub task: TaskId,
@@ -73,7 +73,7 @@ impl TaskEpochStats {
 }
 
 /// Per-core sensing data for one epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CoreEpochStats {
     /// Core id.
     pub core: CoreId,
@@ -121,7 +121,7 @@ impl CoreEpochStats {
 }
 
 /// The sensing snapshot handed to the balancer at each epoch boundary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EpochReport {
     /// Epoch sequence number (k).
     pub epoch: u64,
@@ -138,7 +138,7 @@ pub struct EpochReport {
 
 /// A thread-to-core assignment (`Ψ(k)` of paper Eq. 1). Tasks absent
 /// from the map keep their current core.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Allocation {
     assignments: BTreeMap<TaskId, CoreId>,
 }
@@ -174,15 +174,6 @@ impl Allocation {
     pub fn iter(&self) -> impl Iterator<Item = (TaskId, CoreId)> + '_ {
         self.assignments.iter().map(|(&t, &c)| (t, c))
     }
-
-    /// Tasks assigned to `core`.
-    pub fn tasks_on(&self, core: CoreId) -> Vec<TaskId> {
-        self.assignments
-            .iter()
-            .filter(|&(_, &c)| c == core)
-            .map(|(&t, _)| t)
-            .collect()
-    }
 }
 
 impl FromIterator<(TaskId, CoreId)> for Allocation {
@@ -200,7 +191,7 @@ impl Extend<(TaskId, CoreId)> for Allocation {
 }
 
 /// Why one entry of a requested [`Allocation`] was not applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrationReject {
     /// The task id does not exist.
     UnknownTask,
@@ -221,7 +212,7 @@ pub enum MigrationReject {
 /// the delta between what the balancer requested and reality. The
 /// closed loop must consume this instead of assuming every request
 /// succeeded.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AppliedAllocation {
     /// Entries in the requested allocation.
     pub requested: usize,
@@ -355,7 +346,8 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert_eq!(a.core_of(TaskId(1)), Some(CoreId(3)));
         assert_eq!(a.core_of(TaskId(9)), None);
-        assert_eq!(a.tasks_on(CoreId(3)), vec![TaskId(1), TaskId(2)]);
+        let all: Vec<_> = a.iter().collect();
+        assert_eq!(all, vec![(TaskId(1), CoreId(3)), (TaskId(2), CoreId(3))]);
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //! inherit the queue's `min_vruntime` so sleepers can't hoard unbounded
 //! credit.
 
-use serde::{Deserialize, Serialize};
-
 use crate::task::{TaskId, NICE_0_WEIGHT};
 
 /// Minimum slice any runnable task receives per period (the kernel's
@@ -32,7 +30,7 @@ pub const MIN_GRANULARITY_NS: u64 = 750_000;
 /// rq.enqueue(TaskId(2), 10, 1024);
 /// assert_eq!(rq.pick_next(), Some(TaskId(1))); // smallest vruntime first
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CfsRunQueue {
     /// Sorted ascending by (vruntime, id) for deterministic tie-breaks.
     queue: Vec<(u64, TaskId)>,

@@ -49,13 +49,12 @@ pub mod task;
 pub mod topology;
 
 pub use balancer::{
-    Allocation, AppliedAllocation, CoreEpochStats, EpochReport, LoadBalancer, MigrationReject,
-    MigrationTotals, NullBalancer, TaskEpochStats,
+    Allocation, CoreEpochStats, EpochReport, LoadBalancer, MigrationReject, NullBalancer,
+    TaskEpochStats,
 };
-pub use cfs::CfsRunQueue;
 pub use pool::{parallel_indexed, parallel_map};
-pub use stats::{CoreStats, SystemStats};
+pub use stats::SystemStats;
 pub use system::{System, SystemConfig};
-pub use task::{affinity_allows, Task, TaskId, TaskState};
+pub use task::{affinity_allows, Task, TaskId};
 pub use telemetry::TelemetryHandle;
 pub use topology::{ClusterId, Topology};

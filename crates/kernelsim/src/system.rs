@@ -19,7 +19,7 @@ use std::collections::BinaryHeap;
 
 use archsim::{
     synthesize, time_to_complete_ns_with, CoreConfig, CoreId, CoreTypeId, CounterSample,
-    EstimateKey, FaultHarness, FaultPlan, FaultStats, MemoStats, Platform,
+    EstimateKey, FaultHarness, FaultPlan, MemoStats, Platform,
 };
 use mcpat::{CorePowerModel, PowerState};
 use serde::{Deserialize, Serialize};
@@ -421,11 +421,6 @@ impl System {
     /// Current simulation time, nanoseconds.
     pub fn now_ns(&self) -> u64 {
         self.now_ns
-    }
-
-    /// Number of epochs completed.
-    pub fn epochs_completed(&self) -> u64 {
-        self.epoch_index
     }
 
     /// All tasks ever spawned, exited ones included, indexed by
@@ -1006,11 +1001,6 @@ impl System {
         self.faults = Some(FaultHarness::new(plan, seed, self.platform.num_cores()));
     }
 
-    /// Fault-harness telemetry, if a plan is installed.
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.faults.as_ref().map(FaultHarness::stats)
-    }
-
     /// Makes every migration attempt fail independently with
     /// probability `prob` (0 disables the fault model).
     ///
@@ -1588,7 +1578,7 @@ mod tests {
         let mut nb = NullBalancer;
         sys.run_epoch(&mut nb);
         assert_eq!(sys.now_ns(), cfg.period_ns + cfg.epoch_ns());
-        assert_eq!(sys.epochs_completed(), 1);
+        assert_eq!(sys.epoch_index, 1);
     }
 
     #[test]
@@ -2150,7 +2140,7 @@ mod tests {
             sys.stats().total_instructions > 0,
             "ground truth keeps advancing"
         );
-        assert!(sys.fault_stats().unwrap().stuck_core_epochs >= 4);
+        assert!(sys.faults.as_ref().unwrap().stats().stuck_core_epochs >= 4);
     }
 
     #[test]

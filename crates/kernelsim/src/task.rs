@@ -7,14 +7,12 @@
 //! per-epoch accounting the sensing phase samples at context switches.
 
 use archsim::{CoreId, CounterSample, EstimateCache, WorkloadCharacteristics};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use workloads::{PhaseCursor, WorkloadProfile};
 
 /// Task identifier (a PID in kernel terms). Dense indices into the
 /// system's task table.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct TaskId(pub usize);
 
 impl std::fmt::Display for TaskId {
@@ -73,7 +71,7 @@ pub fn nice_to_weight(nice: i32) -> u64 {
 }
 
 /// Run state of a task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskState {
     /// On a run queue, ready to execute.
     Runnable,
@@ -88,7 +86,7 @@ pub enum TaskState {
 
 /// Per-epoch accounting for one task, reset at each epoch boundary;
 /// this is what the sensing phase reads.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TaskEpochAccounting {
     /// Counter deltas accumulated over the epoch.
     pub counters: CounterSample,
@@ -101,7 +99,7 @@ pub struct TaskEpochAccounting {
 }
 
 /// A schedulable task entity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     id: TaskId,
     profile: WorkloadProfile,
@@ -296,11 +294,6 @@ impl Task {
         self.exited_at_ns
     }
 
-    /// Per-epoch accounting snapshot.
-    pub fn epoch_accounting(&self) -> &TaskEpochAccounting {
-        &self.epoch
-    }
-
     /// CFS virtual runtime, weighted nanoseconds.
     pub fn vruntime_ns(&self) -> u64 {
         self.vruntime_ns
@@ -453,7 +446,7 @@ mod tests {
         t.epoch.runtime_ns = 55;
         t.epoch.slices = 3;
         t.reset_epoch();
-        assert_eq!(t.epoch_accounting().runtime_ns, 0);
-        assert_eq!(t.epoch_accounting().slices, 0);
+        assert_eq!(t.epoch.runtime_ns, 0);
+        assert_eq!(t.epoch.slices, 0);
     }
 }

@@ -15,12 +15,9 @@
 //! notion of migration domains.
 
 use archsim::{CoreId, Platform};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a cluster (an index into the topology's domains).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClusterId(pub usize);
 
 impl std::fmt::Display for ClusterId {
@@ -41,7 +38,7 @@ impl std::fmt::Display for ClusterId {
 /// assert_eq!(topo.num_clusters(), 2, "big cluster + LITTLE cluster");
 /// assert_eq!(topo.cores_of(kernelsim::ClusterId(0)).len(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     /// `cluster_of[j]` is the cluster of core `c_j`.
     cluster_of: Vec<ClusterId>,
@@ -132,12 +129,6 @@ impl Topology {
     pub fn same_domain(&self, a: CoreId, b: CoreId) -> bool {
         self.cluster_of[a.0] == self.cluster_of[b.0]
     }
-
-    /// Size of the largest cluster (the per-shard problem width the
-    /// sharded balancer's cost is governed by).
-    pub fn max_cluster_cores(&self) -> usize {
-        self.cores.iter().map(Vec::len).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +142,6 @@ mod tests {
         assert_eq!(t.num_clusters(), 1);
         assert_eq!(t.cores_of(ClusterId(0)).len(), 5);
         assert!(t.same_domain(CoreId(0), CoreId(4)));
-        assert_eq!(t.max_cluster_cores(), 5);
     }
 
     #[test]
@@ -162,7 +152,6 @@ mod tests {
             assert_eq!(t.cluster_of(CoreId(j)), ClusterId(j));
             assert_eq!(t.cores_of(ClusterId(j)), &[CoreId(j)]);
         }
-        assert_eq!(t.max_cluster_cores(), 1);
     }
 
     #[test]

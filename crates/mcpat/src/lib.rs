@@ -31,7 +31,5 @@
 pub mod model;
 pub mod thermal;
 
-pub use model::{
-    CorePowerModel, PowerState, IDLE_DYNAMIC_FLOOR, LEAKAGE_FRACTION, SLEEP_POWER_FRACTION,
-};
+pub use model::{CorePowerModel, PowerState, LEAKAGE_FRACTION};
 pub use thermal::{ThermalModel, AMBIENT_C};

@@ -16,7 +16,6 @@
 //! execute").
 
 use archsim::CoreConfig;
-use serde::{Deserialize, Serialize};
 
 /// Fraction of peak power attributed to leakage at nominal voltage
 /// (typical for a 22 nm node as used by the paper's McPAT runs).
@@ -30,7 +29,7 @@ pub const IDLE_DYNAMIC_FLOOR: f64 = 0.15;
 pub const SLEEP_POWER_FRACTION: f64 = 0.02;
 
 /// Run state of a core for power evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PowerState {
     /// Power-gated: no runnable threads.
     Sleeping,
@@ -53,7 +52,7 @@ pub enum PowerState {
 /// // Full activity reproduces the Table 2 peak power.
 /// assert!((huge.active_power_w(1.0) - 8.62).abs() / 8.62 < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorePowerModel {
     /// Effective switched capacitance × supply² × frequency at full
     /// activity, i.e. the dynamic power at activity 1, watts.
@@ -85,12 +84,6 @@ impl CorePowerModel {
             leakage_w,
             sleep_w: SLEEP_POWER_FRACTION * core.peak_power_w,
         }
-    }
-
-    /// The implied effective capacitance `C_eff = P_dyn / (V²·F)` in
-    /// farads — exposed for reporting and sanity checks.
-    pub fn effective_capacitance_f(&self, core: &CoreConfig) -> f64 {
-        self.dynamic_peak_w / (core.vdd * core.vdd * core.freq_hz)
     }
 
     /// Leakage power while powered on, watts.
@@ -198,10 +191,11 @@ mod tests {
 
     #[test]
     fn effective_capacitance_is_physical() {
-        // Order of magnitude: hundreds of pF to a few nF for a core.
+        // The implied C_eff = P_dyn / (V²·F), in farads: hundreds of pF
+        // to a few nF for a core.
         for core in all_cores() {
             let m = CorePowerModel::calibrated(&core);
-            let c = m.effective_capacitance_f(&core);
+            let c = m.dynamic_peak_w / (core.vdd * core.vdd * core.freq_hz);
             assert!(c > 1e-12 && c < 1e-8, "{}: {c}", core.name);
         }
     }

@@ -14,7 +14,6 @@
 //! asymmetry a thermally-weighted balancer exploits.
 
 use archsim::{CoreId, Platform};
-use serde::{Deserialize, Serialize};
 
 /// Ambient temperature, °C.
 pub const AMBIENT_C: f64 = 35.0;
@@ -39,7 +38,7 @@ const RTH_BASE: f64 = 60.0;
 /// t.step(CoreId(0), 8.62, 60_000_000);
 /// assert!(t.temperature_c(CoreId(0)) > 35.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalModel {
     /// Thermal resistance per core, °C/W.
     r_th: Vec<f64>,
@@ -82,11 +81,6 @@ impl ThermalModel {
         self.temp_c[core.0]
     }
 
-    /// Hottest core's temperature, °C.
-    pub fn max_temperature_c(&self) -> f64 {
-        self.temp_c.iter().copied().fold(AMBIENT_C, f64::max)
-    }
-
     /// Steady-state temperature of `core` at sustained `power_w`.
     pub fn steady_state_c(&self, core: CoreId, power_w: f64) -> f64 {
         AMBIENT_C + power_w.max(0.0) * self.r_th[core.0]
@@ -104,7 +98,6 @@ mod tests {
         for j in 0..4 {
             assert_eq!(t.temperature_c(CoreId(j)), AMBIENT_C);
         }
-        assert_eq!(t.max_temperature_c(), AMBIENT_C);
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Exporters: per-epoch JSONL, Chrome `trace_events` JSON and the
 //! Prometheus text snapshot (the latter lives on
-//! [`crate::MetricsRegistry`]). All output is a pure function of
+//! [`crate::registry::MetricsRegistry`]). All output is a pure function of
 //! recorded simulation state — byte-identical across reruns.
 
 use crate::span::EpochObs;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// One event in Chrome's `trace_events` JSON array format. Serializes
 /// directly to the schema `chrome://tracing` and Perfetto load: a bare
 /// JSON array of objects with `name`/`cat`/`ph`/`ts`/`dur`/`pid`/`tid`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ChromeEvent {
     /// Event name shown on the timeline slice.
     pub name: String,
@@ -103,9 +103,9 @@ mod tests {
         assert!(json.contains("\"ts\":1"));
         assert!(json.contains("\"dur\":60"));
         assert!(json.contains("\"mode\":\"full\""));
-        // Round-trips through the JSON parser (well-formed).
-        let back: Vec<ChromeEvent> = serde_json::from_str(&json).expect("parses");
-        assert_eq!(back.len(), 1);
+        // Well-formed: the JSON parser reads it back as a one-event array.
+        let back: serde_json::Value = serde_json::from_str(&json).expect("parses");
+        assert!(matches!(&back, serde_json::Value::Array(events) if events.len() == 1));
     }
 
     #[test]

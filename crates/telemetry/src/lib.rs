@@ -15,7 +15,7 @@
 //!   exit, migration and epoch-boundary events from the simulated
 //!   kernel, gated by a [`TraceLevel`] and kept in a bounded ring next
 //!   to the spans — one timeline for the scheduler and the controller;
-//! - **exporters**: per-epoch JSONL ([`spans_jsonl`]), the event CSV
+//! - **exporters**: per-epoch JSONL ([`export::spans_jsonl`]), the event CSV
 //!   ([`Telemetry::trace_csv`]), Chrome `trace_events` JSON of both
 //!   ([`Telemetry::chrome_events`], [`chrome_trace_json`]) and a
 //!   Prometheus text snapshot ([`MetricsRegistry::prometheus_text`]).
@@ -45,9 +45,9 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-pub use export::{chrome_trace_json, ns_to_us, spans_jsonl, ChromeEvent};
-pub use live::{CampaignProgress, ObsSnapshot, SnapshotCell};
-pub use registry::{labeled, Histogram, MetricsRegistry};
+pub use export::{chrome_trace_json, ChromeEvent};
+pub use live::SnapshotCell;
+use registry::{labeled, MetricsRegistry};
 use ring::Ring;
 pub use span::EpochObs;
 pub use trace::{TraceEvent, TraceLevel};
@@ -471,7 +471,7 @@ impl Telemetry {
 
     /// Per-epoch JSONL stream (one `EpochObs` object per line).
     pub fn jsonl(&self) -> String {
-        spans_jsonl(self.spans.iter())
+        export::spans_jsonl(self.spans.iter())
     }
 
     /// Chrome `trace_events` for the whole timeline: first the epoch
@@ -556,7 +556,7 @@ impl Telemetry {
 
 /// Deterministic work accounting for one rebalance pipeline stage —
 /// one row per [`STAGES`] entry in `BENCH_obs.json`'s stage profile.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct StageProfile {
     /// Stage name (`sense`, `predict`, `anneal`, `exchange`, `apply`).
     pub stage: String,

@@ -5,7 +5,6 @@
 //! therefore every exporter's byte stream — is a pure function of the
 //! recorded values. No interior mutability, no wall clock, no hashing.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -35,7 +34,7 @@ pub fn labeled(name: &str, labels: &[(&str, &str)]) -> String {
 /// A fixed-bucket histogram: bucket upper bounds are chosen at first
 /// observation and never change, so counts are reproducible regardless
 /// of observation order.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Histogram {
     /// Inclusive upper bounds, ascending. `counts` has one extra slot
     /// for observations above the last bound (the `+Inf` bucket).
@@ -100,7 +99,7 @@ impl Histogram {
 
 /// The registry: three ordered namespaces (counters, gauges,
 /// histograms). Keys are rendered with [`labeled`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,

@@ -7,13 +7,12 @@
 //! lifecycle and migration events. Tasks and cores are plain indices,
 //! rendered `tid3` and `cpu0`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::export::ChromeEvent;
 
 /// How much to record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum TraceLevel {
     /// Record nothing.
     #[default]
@@ -38,7 +37,7 @@ impl fmt::Display for TraceLevel {
 
 /// One scheduler event. All timestamps are absolute simulation
 /// nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceEvent {
     /// A task entered the system.
     Spawn {

@@ -10,12 +10,11 @@
 use std::fmt;
 
 use archsim::WorkloadCharacteristics;
-use serde::{Deserialize, Serialize};
 
 use crate::profile::{Phase, SleepPattern, WorkloadProfile};
 
 /// A high/medium/low level for a throughput or interactivity axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Level {
     /// High.
     High,
@@ -40,7 +39,7 @@ impl Level {
 
 /// Configuration of one IMB: a throughput level and an interactivity
 /// level, named like the paper (`HTHI`, `MTLI`, ...).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ImbConfig {
     /// Demanded throughput level (controls compute intensity / ILP).
     pub throughput: Level,

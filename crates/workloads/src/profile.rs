@@ -78,7 +78,7 @@ impl SleepPattern {
 /// cost. A cursor is tied to the profile it was advanced on — reuse
 /// against a different profile is a logic error (each task owns one
 /// cursor for its own profile).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseCursor {
     /// Index of the cached phase.
     index: usize,

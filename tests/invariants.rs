@@ -49,8 +49,10 @@ fn gen_core(gen: &mut SyntheticGenerator) -> CoreConfig {
 
 #[test]
 fn key_types_serde_roundtrip() {
-    // The library's data types are serializable (C-SERDE); verify the
-    // roundtrips actually preserve the values users would persist.
+    // Only the spec and journal trees deserialize, and a type is
+    // serializable only where an artifact, a fingerprint or an id is
+    // written (C-SERDE, DESIGN.md "Public surface"). Verify that the
+    // roundtrips preserve the values a spec carries.
     let platform = Platform::quad_heterogeneous();
     let json = serde_json::to_string(&platform).expect("serialize platform");
     let back: Platform = serde_json::from_str(&json).expect("deserialize platform");
@@ -65,29 +67,6 @@ fn key_types_serde_roundtrip() {
     let back: WorkloadProfile =
         serde_json::from_str(&serde_json::to_string(&profile).expect("ser")).expect("de");
     assert_eq!(back, profile);
-
-    let params = AnnealParams::scaled_for(8, 16);
-    let back: AnnealParams =
-        serde_json::from_str(&serde_json::to_string(&params).expect("ser")).expect("de");
-    // JSON float text rounds the last ULP; compare with tolerance.
-    assert_eq!(back.max_iter, params.max_iter);
-    assert!((back.dperturb - params.dperturb).abs() < 1e-12);
-    assert!((back.daccept - params.daccept).abs() < 1e-12);
-
-    let predictors = smartbalance::PredictorSet::train(&platform, 20, 1);
-    let back: smartbalance::PredictorSet =
-        serde_json::from_str(&serde_json::to_string(&predictors).expect("ser")).expect("de");
-    // Float text rounds ULPs; check structure and behaviour instead.
-    assert_eq!(back.num_types(), predictors.num_types());
-    assert_eq!(back.is_sparse(), predictors.is_sparse());
-    let feats = [1.5, 0.01, 0.05, 0.3, 0.15, 0.05, 1e-3, 5e-3, 1.0, 1.0, 0.05];
-    for s in 0..4 {
-        for d in 0..4 {
-            let a = predictors.predict_ipc(&feats, CoreTypeId(s), CoreTypeId(d));
-            let b = back.predict_ipc(&feats, CoreTypeId(s), CoreTypeId(d));
-            assert!((a - b).abs() < 1e-9, "{s}->{d}: {a} vs {b}");
-        }
-    }
 }
 
 #[test]

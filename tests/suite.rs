@@ -5,8 +5,8 @@
 
 use archsim::Platform;
 use smartbalance::{
-    run_experiment_with, ExperimentSpec, ExperimentSuite, Policy, PredictorCache, PredictorSet,
-    ShardConfig, SmartBalanceConfig,
+    run_experiment_with, ExperimentSpec, ExperimentSuite, JobResult, Policy, PredictorCache,
+    PredictorSet, ShardConfig, SmartBalanceConfig,
 };
 use workloads::{ImbConfig, Level};
 
@@ -162,14 +162,23 @@ fn suite_report_round_trips_through_json() {
     suite.push(spec("w0", 0.01), Policy::Smart);
     let report = suite.run();
 
-    let json = serde_json::to_string(&report).expect("serialize report");
-    let back: smartbalance::SuiteReport = serde_json::from_str(&json).expect("deserialize report");
-    assert_eq!(fingerprint(&report), fingerprint(&back));
-    assert_eq!(back.workers, report.workers);
-    assert_eq!(
-        back.gains_vs(Policy::Vanilla)[0].gain,
-        report.gains_vs(Policy::Vanilla)[0].gain,
-    );
+    // The report's jobs are what the campaign journal stores and reads
+    // back on resume, so each must come back through the JSON text
+    // with the exact bits.
+    let text = serde_json::to_string(&report).expect("serialize report");
+    let json: serde_json::Value = serde_json::from_str(&text).expect("parse report");
+    let jobs = json.map_get("jobs");
+    for (i, job) in report.jobs.iter().enumerate() {
+        let entry = jobs.seq_get(i).expect("one entry per job");
+        let back: JobResult = serde_json::from_value(entry).expect("deserialize job");
+        assert_eq!(
+            serde_json::to_string(&back).expect("serialize"),
+            serde_json::to_string(job).expect("serialize"),
+        );
+        assert_eq!(back.result, job.result);
+        assert_eq!(back.wall_s, job.wall_s);
+    }
+    assert!(jobs.seq_get(report.jobs.len()).is_err());
 }
 
 #[test]
