@@ -40,12 +40,13 @@
 //!   off.
 //! * `--metrics-addr-file <path>` — write the bound address (after
 //!   `:0` resolution) to `path`, for scripts that need to scrape an
-//!   ephemeral port.
+//!   ephemeral port. Needs `--metrics-addr`.
 //!
-//! Any other argument is refused before anything runs, and so is a
-//! `--json`, `--canonical` or `--metrics-addr-file` path that could not
-//! be written: the check runs before the first cell, and leaves the
-//! files as they are.
+//! Any other argument is refused before anything runs, and so are
+//! `--metrics-addr-file` without `--metrics-addr` and a `--json`,
+//! `--canonical` or `--metrics-addr-file` path that could not be
+//! written: the checks run before the first cell, and leave the files
+//! as they are.
 
 use campaign::{Campaign, CampaignConfig, CampaignJob, CampaignReport, CheckpointJournal};
 
@@ -142,6 +143,11 @@ fn main() {
     let epochs = parse_flag(&args, "--epochs");
     let metrics_addr = flag_value(&args, "--metrics-addr");
     let metrics_addr_file = flag_value(&args, "--metrics-addr-file");
+    // A script waiting for the address file must fail now, not time out.
+    assert!(
+        metrics_addr.is_some() || metrics_addr_file.is_none(),
+        "--metrics-addr-file needs --metrics-addr: no endpoint, so no address to write"
+    );
     // The reports are written after the last cell; an unwritable path
     // must fail before the first one.
     [Some(json_path), canonical_path, metrics_addr_file]

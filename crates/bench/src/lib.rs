@@ -9,8 +9,7 @@
 //! | Target | Reproduces |
 //! |--------|------------|
 //! | `paper` | Table 2, Fig. 4 (a, b), Fig. 5, Fig. 6, Table 4, Fig. 8 and the sensing-robustness study, in that order |
-//! | `fig7`   | Fig. 7: phase overheads and scalability (wall-clock, serial) |
-//! | `ablation` | Section 4.3 design choices: fixed-point SA, incremental objective, prediction vs oracle, SA vs exhaustive |
+//! | `timings` | Fig. 7 (a) stage times of the real `SmartBalance`, Fig. 7 (b) optimizer scalability and the Section 4.3 design-choice ablations 1–5, in that order (wall-clock, serial) |
 //!
 //! `run`, `chaos`, `obsreport` and `campaign` are tools with reports
 //! of their own: one experiment, the fault sweep, the observability
@@ -23,15 +22,13 @@
 use std::fmt::Display;
 use std::path::Path;
 use std::str::FromStr;
-use std::time::Instant;
 
 use archsim::{CoreId, CoreTypeId, Platform};
-use kernelsim::{EpochReport, LoadBalancer, System, SystemConfig, TaskId};
+use kernelsim::TaskId;
 use serde::Serialize;
 use smartbalance::{
-    anneal, build_matrices, AnnealOutcome, AnnealParams, CharacterizationMatrices, ExperimentSpec,
-    ExperimentSuite, Goal, Objective, Policy, PredictorSet, Sensor, SmartBalanceConfig,
-    SuiteProgress, SuiteReport,
+    anneal, AnnealOutcome, AnnealParams, CharacterizationMatrices, ExperimentSpec, ExperimentSuite,
+    Goal, Objective, Policy, PredictorSet, SuiteProgress, SuiteReport,
 };
 use workloads::{ImbConfig, MixId, SyntheticGenerator, WorkloadProfile};
 
@@ -335,127 +332,6 @@ pub fn prediction_gap(m: &AblationMatrices) -> f64 {
     1.0 - oracle.evaluate(&ablation_anneal(&predicted).allocation) / best
 }
 
-/// Timings of one SmartBalance epoch, broken into the paper's phases
-/// (Fig. 7(a)): sense, predict (matrix construction), optimize
-/// (Algorithm 1) and the modeled migration cost.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseTimings {
-    /// Sensing: counter distillation, seconds.
-    pub sense_s: f64,
-    /// Estimation + prediction: S/P matrix construction, seconds.
-    pub predict_s: f64,
-    /// Optimization: Algorithm 1, seconds.
-    pub optimize_s: f64,
-    /// Number of migrations the allocation implies.
-    pub migrations: usize,
-    /// Threads balanced.
-    pub threads: usize,
-}
-
-/// The core of [`smartbalance::SmartBalance`]'s epoch (sense, build
-/// the matrices, anneal under the energy-efficiency goal, migrate),
-/// rebuilt from the library's public pieces with a timer around each
-/// phase; used by `fig7`. It predicts with the default config's
-/// training, but runs none of the balancer's robustness and speed-ups:
-/// no degrade ladder, no quarantine, no reuse of prediction rows across
-/// epochs and no thermal tracking. Its timings are those of this
-/// re-assembly, not of the balancer users run.
-pub struct InstrumentedSmart {
-    predictors: PredictorSet,
-    sensor: Sensor,
-    seed: u32,
-    /// Timings of every epoch balanced so far.
-    pub timings: Vec<PhaseTimings>,
-}
-
-impl InstrumentedSmart {
-    /// Trains predictors and prepares the instrumented balancer.
-    pub fn new(platform: &Platform) -> Self {
-        let config = SmartBalanceConfig::default();
-        InstrumentedSmart {
-            predictors: PredictorSet::train(platform, config.train_corpus, config.train_seed),
-            sensor: Sensor::new(100_000),
-            seed: 0x5A17_B0B5,
-            timings: Vec::new(),
-        }
-    }
-}
-
-impl LoadBalancer for InstrumentedSmart {
-    fn name(&self) -> &str {
-        "smartbalance-instrumented"
-    }
-
-    fn rebalance(
-        &mut self,
-        platform: &Platform,
-        report: &EpochReport,
-    ) -> Option<kernelsim::Allocation> {
-        let mut t = PhaseTimings::default();
-
-        let t0 = Instant::now();
-        let mut senses = self.sensor.sense(platform, report);
-        senses.retain(|s| !s.kernel_thread);
-        t.sense_s = t0.elapsed().as_secs_f64();
-        if senses.is_empty() {
-            return None;
-        }
-        t.threads = senses.len();
-
-        let t1 = Instant::now();
-        let matrices = build_matrices(platform, &senses, &self.predictors);
-        t.predict_s = t1.elapsed().as_secs_f64();
-
-        let t2 = Instant::now();
-        let initial: Vec<usize> = senses.iter().map(|s| s.core.0).collect();
-        let params = AnnealParams::scaled_for(platform.num_cores(), senses.len());
-        let objective = Objective::new(&matrices, Goal::EnergyEfficiency);
-        let outcome = anneal(&objective, &initial, params, self.seed);
-        self.seed = self
-            .seed
-            .wrapping_mul(0x0019_660D)
-            .wrapping_add(0x3C6E_F35F);
-        t.optimize_s = t2.elapsed().as_secs_f64();
-
-        let mut alloc = kernelsim::Allocation::new();
-        for (sense, (&new_core, &old_core)) in senses
-            .iter()
-            .zip(outcome.allocation.iter().zip(initial.iter()))
-        {
-            if new_core != old_core {
-                alloc.assign(sense.task, CoreId(new_core));
-            }
-        }
-        t.migrations = alloc.len();
-        self.timings.push(t);
-        if alloc.is_empty() {
-            None
-        } else {
-            Some(alloc)
-        }
-    }
-}
-
-/// Runs a workload on `platform` long enough to collect `epochs` epochs
-/// of instrumented timings.
-pub fn collect_phase_timings(
-    platform: &Platform,
-    threads: usize,
-    epochs: u64,
-) -> Vec<PhaseTimings> {
-    let mut sys = System::new(platform.clone(), SystemConfig::default());
-    let mut gen = workloads::SyntheticGenerator::new(42);
-    for i in 0..threads {
-        let p = gen.profile(format!("t{i}"), 3, u64::MAX / 2, i % 3 == 0);
-        sys.spawn(p);
-    }
-    let mut balancer = InstrumentedSmart::new(platform);
-    for _ in 0..epochs {
-        sys.run_epoch(&mut balancer);
-    }
-    balancer.timings
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,16 +466,5 @@ mod tests {
         assert!(!missing.exists(), "the probe leaves no file behind");
         assert_eq!(std::fs::read_to_string(&existing).expect("read"), "{}");
         std::fs::remove_dir_all(&dir).expect("clean up");
-    }
-
-    #[test]
-    fn instrumented_balancer_records_phases() {
-        let platform = Platform::quad_heterogeneous();
-        let timings = collect_phase_timings(&platform, 8, 3);
-        assert_eq!(timings.len(), 3);
-        for t in &timings {
-            assert!(t.threads > 0);
-            assert!(t.optimize_s > 0.0);
-        }
     }
 }

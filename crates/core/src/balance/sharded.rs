@@ -34,6 +34,7 @@ use archsim::{CoreId, CoreTypeId, Platform};
 use kernelsim::{affinity_allows, parallel_indexed, ClusterId, Topology};
 use telemetry::TelemetryHandle;
 
+use super::smart::StageClock;
 use crate::anneal::{anneal, AnnealOutcome, AnnealParams};
 use crate::degrade::QuarantineTracker;
 use crate::matrices::CharacterizationMatrices;
@@ -148,7 +149,8 @@ impl ClusterTasks<'_> {
 }
 
 /// The sharded back half's state: the shard configuration, its
-/// resolved worker count and the platform's cluster topology.
+/// resolved worker count, the platform's cluster topology and the
+/// policy's hub, on which it records its cluster anneals and exchange.
 #[derive(Debug)]
 pub(super) struct Sharding {
     shard: ShardConfig,
@@ -156,6 +158,7 @@ pub(super) struct Sharding {
     /// machine's available parallelism.
     workers: usize,
     topology: Topology,
+    pub(super) telemetry: Option<TelemetryHandle>,
 }
 
 impl Sharding {
@@ -168,6 +171,7 @@ impl Sharding {
                 w => w,
             },
             topology: Topology::from_platform(platform),
+            telemetry: None,
         }
     }
 
@@ -179,7 +183,8 @@ impl Sharding {
     /// The balance step: per-cluster anneal fan-out plus the global
     /// exchange stage, over `objective`'s global matrices (one row per
     /// sense). Threads `quarantine` distrusts stay on their cores.
-    /// Records the per-cluster anneals and the exchange on `telemetry`.
+    /// Closes the anneal span `stages` holds open after the pool, then
+    /// times the exchange.
     ///
     /// Returns the combined outcome and the predict-stage work (the
     /// cluster-local matrix cells annealed), or `None` when no cluster
@@ -191,7 +196,7 @@ impl Sharding {
         online: &[bool],
         quarantine: &QuarantineTracker,
         epoch_seed: u32,
-        telemetry: Option<&TelemetryHandle>,
+        stages: &mut StageClock,
     ) -> Option<(AnnealOutcome, u64)> {
         let m = senses.len();
         let n = online.len();
@@ -233,8 +238,10 @@ impl Sharding {
         if solutions.is_empty() {
             return None;
         }
+        stages.stop("anneal");
 
         // --- Global exchange stage ------------------------------------
+        stages.start();
         // Replay the per-cluster results onto the incrementally
         // maintained *global* objective, then move the most misplaced
         // threads across cluster boundaries while each move pays.
@@ -365,6 +372,7 @@ impl Sharding {
                 break;
             }
         }
+        stages.stop("exchange");
 
         // --- The books ------------------------------------------------
         let total_iterations: u64 = solutions
@@ -382,7 +390,7 @@ impl Sharding {
             .iter()
             .map(|p| (p.rows.len() * p.columns.len()) as u64)
             .sum();
-        if let Some(tel) = telemetry {
+        if let Some(tel) = &self.telemetry {
             let mut tel = tel.borrow_mut();
             for p in &solutions {
                 tel.record_shard_anneal(

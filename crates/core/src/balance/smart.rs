@@ -14,10 +14,16 @@
 //!    the current allocation, over all cores at once or, with
 //!    [`SmartBalanceConfig::shard`] set, per cluster plus a
 //!    cross-cluster exchange, and emit the migrations it decides on.
+//!
+//! With a host clock on the hub ([`telemetry::Telemetry::set_clock`]),
+//! each pass adds its stages' host time to `sb_stage_host_ns_total`;
+//! the prediction audit, the thermal step and hub records fall between
+//! the stage spans.
 
 use archsim::{CoreId, CoreTypeId, Platform};
 use kernelsim::{Allocation, EpochReport, LoadBalancer, TaskId, TelemetryHandle};
 use mcpat::ThermalModel;
+use telemetry::{HostClock, Telemetry};
 
 use crate::anneal::{anneal, AnnealOutcome, AnnealParams};
 use crate::balance::sharded::Sharding;
@@ -112,6 +118,46 @@ impl PredictionRows {
         self.keys = keys;
         self.rows = rows;
         reused
+    }
+}
+
+/// The host time of one rebalance pass's stages, read from the clock
+/// the caller attached to the hub (fetched once per pass); without one,
+/// nothing is read or recorded.
+#[derive(Debug, Default)]
+pub(super) struct StageClock {
+    clock: Option<HostClock>,
+    /// The reading that opened the current span.
+    since: u64,
+    /// Closed spans not yet recorded: stage and host ns.
+    closed: Vec<(&'static str, u64)>,
+}
+
+impl StageClock {
+    /// The clock's reading, when one is attached.
+    fn now(&self) -> Option<u64> {
+        // smartlint: allow(nondeterminism, "host time reaches only sb_stage_host_ns_total on the hub; no balancing decision reads it")
+        self.clock.as_ref().map(HostClock::now_ns)
+    }
+
+    /// Opens a span.
+    pub(super) fn start(&mut self) {
+        self.since = self.now().unwrap_or(0);
+    }
+
+    /// Closes the open span and bills it to `stage`; a clock that ran
+    /// backwards bills nothing.
+    pub(super) fn stop(&mut self, stage: &'static str) {
+        if let Some(now) = self.now() {
+            self.closed.push((stage, now.saturating_sub(self.since)));
+        }
+    }
+
+    /// Adds the closed spans to the hub's `sb_stage_host_ns_total`.
+    fn record(&mut self, tel: &mut Telemetry) {
+        for (stage, ns) in self.closed.drain(..) {
+            tel.record_stage_host_ns(stage, ns);
+        }
     }
 }
 
@@ -343,8 +389,14 @@ impl SmartBalance {
     /// The front half of every rebalance pass: prediction audit,
     /// thermal step, sensing, prediction rows, quarantine/degradation
     /// bookkeeping and affinity-mask constriction — everything up to
-    /// (but excluding) the matrix build. See [`Preamble`].
-    fn preamble(&mut self, platform: &Platform, report: &EpochReport) -> Preamble {
+    /// (but excluding) the matrix build. See [`Preamble`]. Fetches the
+    /// hub's clock into `stages`.
+    fn preamble(
+        &mut self,
+        platform: &Platform,
+        report: &EpochReport,
+        stages: &mut StageClock,
+    ) -> Preamble {
         self.epochs_balanced += 1;
 
         // --- Prediction audit: settle last epoch's forecasts against
@@ -355,6 +407,7 @@ impl SmartBalance {
             for ts in &report.tasks {
                 tel.resolve_prediction(ts.task.0 as u64, ts.core.0 as u64, ts.ips(), ts.power_w());
             }
+            stages.clock = tel.clock();
         }
 
         // --- Thermal tracking (optional): advance the RC model with
@@ -369,10 +422,13 @@ impl SmartBalance {
         // Kernel threads never take part: the paper balances user
         // threads ("the impact of the user level threads dominates that
         // of the kernel threads").
+        stages.start();
         let mut senses = self.sensor.sense(platform, report);
         senses.retain(|s| !s.kernel_thread);
+        stages.stop("sense");
         // --- Predict: one row per sensed thread, reused while its
         // signature repeats ----------------------------------------------
+        stages.start();
         self.predictions
             .refresh(platform, &senses, &self.predictors);
         if senses.is_empty() {
@@ -391,6 +447,7 @@ impl SmartBalance {
             quarantined: self.quarantine.quarantined_count(),
         };
         let mode = self.degrade.step(&health);
+        stages.stop("predict");
         if let Some(tel) = &self.telemetry {
             let mut tel = tel.borrow_mut();
             tel.record_sense(
@@ -407,6 +464,7 @@ impl SmartBalance {
                 u64::from(mode.rank()),
                 self.degrade.transitions(),
             );
+            stages.record(&mut tel);
         }
 
         // Per-core availability from the report (missing entries are
@@ -475,6 +533,9 @@ impl LoadBalancer for SmartBalance {
 
     fn attach_telemetry(&mut self, handle: &TelemetryHandle) {
         self.telemetry = Some(handle.clone());
+        if let Some(sharding) = &mut self.sharding {
+            sharding.telemetry = Some(handle.clone());
+        }
     }
 
     /// 1, or [`ShardConfig::workers`](crate::ShardConfig::workers) when
@@ -486,12 +547,14 @@ impl LoadBalancer for SmartBalance {
     }
 
     fn rebalance(&mut self, platform: &Platform, report: &EpochReport) -> Option<Allocation> {
-        let (senses, online) = match self.preamble(platform, report) {
+        let mut stages = StageClock::default();
+        let (senses, online) = match self.preamble(platform, report, &mut stages) {
             Preamble::Skip(alloc) => return alloc,
             Preamble::Proceed { senses, online } => (senses, online),
         };
 
         // --- Estimate: S(k), P(k) from the epoch's prediction rows ----
+        stages.start();
         let matrices =
             build_matrices_with_rows(platform, &senses, &self.predictions.rows, &self.predictors);
         let mut objective = Objective::new(&matrices, self.config.goal);
@@ -500,16 +563,20 @@ impl LoadBalancer for SmartBalance {
         }
         let seed = self.next_epoch_seed();
         let initial: Vec<usize> = senses.iter().map(|s| s.core.0).collect();
+        stages.stop("predict");
 
         // --- Balance: Algorithm 1 from the current allocation, over all
         // cores or per cluster plus the exchange ------------------------
+        stages.start();
         let (outcome, predict_cells) = match &self.sharding {
             None => {
                 let params = AnnealParams::scaled_for(platform.num_cores(), senses.len());
                 // Predict-stage work = the dense S/P matrices just
                 // built: one cell per (thread, core) pair.
                 let cells = (senses.len() * platform.num_cores()) as u64;
-                (anneal(&objective, &initial, params, seed), cells)
+                let outcome = anneal(&objective, &initial, params, seed);
+                stages.stop("anneal");
+                (outcome, cells)
             }
             Some(sharding) => match sharding.balance(
                 &objective,
@@ -517,7 +584,7 @@ impl LoadBalancer for SmartBalance {
                 &online,
                 &self.quarantine,
                 seed,
-                self.telemetry.as_ref(),
+                &mut stages,
             ) {
                 Some(pass) => pass,
                 None => {
@@ -557,6 +624,7 @@ impl LoadBalancer for SmartBalance {
                     matrices.power(i, dest),
                 );
             }
+            stages.record(&mut tel);
         }
         self.last_outcome = Some(outcome);
 

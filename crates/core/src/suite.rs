@@ -163,53 +163,8 @@ pub struct JobResult {
     pub wall_s: f64,
 }
 
-/// Why one suite job failed, without taking the rest of the pool down.
-#[derive(Debug, Clone)]
-pub struct JobFailure {
-    /// Index of the job in the suite.
-    pub job_index: usize,
-    /// The seed the job ran with.
-    pub seed: u64,
-    /// The policy the job ran under.
-    pub policy: Policy,
-    /// The experiment label from the job's spec.
-    pub experiment: String,
-    /// The panic payload, rendered as text (`<non-string panic>` when
-    /// the payload was not a string).
-    pub panic: String,
-}
-
-/// The typed outcome of one suite job: the measurements, or the
-/// isolated failure. A panicking job no longer poisons the pool — it
-/// becomes a [`JobOutcome::Failed`] entry that callers (chaos sweeps,
-/// the campaign runner) can account for and continue past.
-#[derive(Debug, Clone)]
-pub enum JobOutcome {
-    /// The job ran to completion (boxed: results dwarf failures).
-    Completed(Box<JobResult>),
-    /// The job panicked; the payload is captured, the pool kept going.
-    Failed(JobFailure),
-}
-
-impl JobOutcome {
-    /// The completed result, if the job did not fail.
-    pub fn result(&self) -> Option<&JobResult> {
-        match self {
-            JobOutcome::Completed(r) => Some(r),
-            JobOutcome::Failed(_) => None,
-        }
-    }
-
-    /// The failure record, if the job panicked.
-    pub fn failure(&self) -> Option<&JobFailure> {
-        match self {
-            JobOutcome::Completed(_) => None,
-            JobOutcome::Failed(f) => Some(f),
-        }
-    }
-}
-
-/// Renders a `catch_unwind` payload as text for [`JobFailure::panic`].
+/// Renders a `catch_unwind` payload as text: the panic message, or
+/// `<non-string panic>` when the payload was not a string.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -412,21 +367,22 @@ impl ExperimentSuite {
         &self.jobs
     }
 
-    /// Runs every queued job across the worker pool and returns the
-    /// typed per-job outcomes in job order. A panicking job is caught
-    /// on its worker, surfaced as [`JobOutcome::Failed`], and the rest
-    /// of the pool keeps draining the queue — one poisoned cell never
-    /// aborts a sweep. Jobs are handed out through a shared counter,
-    /// so workers stay busy regardless of per-job cost; the per-job
-    /// seeds make the outcomes identical for any pool size.
+    /// Runs every queued job across the worker pool and collects the
+    /// results in job order. Jobs are handed out through a shared
+    /// counter, so workers stay busy regardless of per-job cost; the
+    /// per-job seeds make the results identical for any pool size.
     /// SmartBalance jobs share one predictor set per training key for
-    /// the length of the run ([`PredictorCache`]); a training that
-    /// panics fails only the jobs of its key.
-    pub fn run_outcomes(&self) -> Vec<JobOutcome> {
-        self.run_pool().0
-    }
-
-    fn run_pool(&self) -> (Vec<JobOutcome>, usize, f64) {
+    /// the length of the run ([`PredictorCache`]).
+    ///
+    /// # Panics
+    ///
+    /// A panicking job is caught on its worker and the pool keeps
+    /// draining the queue; once every job has run, the first failure in
+    /// job order is re-raised as `suite job <index> (<experiment> under
+    /// <policy>) panicked: <message>` (a training that panics fails the
+    /// jobs of its key). The `campaign` crate is the runner that
+    /// survives failing cells.
+    pub fn run(&self) -> SuiteReport {
         // smartlint: allow(nondeterminism, "suite wall-clock metadata only; job results come from seeded execute_with()")
         let start = Instant::now();
         let total = self.jobs.len();
@@ -436,19 +392,17 @@ impl ExperimentSuite {
         let outcomes = parallel_indexed(total, workers, |index| {
             let job = &self.jobs[index];
             let execute = || job.execute_with(index, None, &predictors);
-            let outcome = match catch_unwind(AssertUnwindSafe(execute)) {
-                Ok(result) => JobOutcome::Completed(Box::new(result)),
-                Err(payload) => JobOutcome::Failed(JobFailure {
-                    job_index: index,
-                    seed: job.seed,
-                    policy: job.policy,
-                    experiment: job.spec.name.clone(),
-                    panic: panic_message(payload.as_ref()),
-                }),
-            };
+            let outcome = catch_unwind(AssertUnwindSafe(execute)).map_err(|payload| {
+                format!(
+                    "suite job {index} ({} under {:?}) panicked: {}",
+                    job.spec.name,
+                    job.policy,
+                    panic_message(payload.as_ref())
+                )
+            });
             // smartlint: allow(worker-capture, "progress counter feeds the UI hook only, never results")
             let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
-            if let (Some(hook), JobOutcome::Completed(result)) = (&self.progress, &outcome) {
+            if let (Some(hook), Ok(result)) = (&self.progress, &outcome) {
                 hook(&SuiteProgress {
                     completed,
                     total,
@@ -460,34 +414,16 @@ impl ExperimentSuite {
             }
             outcome
         });
-        (outcomes, workers, start.elapsed().as_secs_f64())
-    }
-
-    /// Runs every queued job and collects the results in job order.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first job failure (in job order) once the whole
-    /// pool has drained — callers that need to survive poisoned cells
-    /// use [`run_outcomes`](Self::run_outcomes) instead.
-    pub fn run(&self) -> SuiteReport {
-        let (outcomes, workers, wall_s) = self.run_pool();
-        let mut jobs = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            match outcome {
-                JobOutcome::Completed(result) => jobs.push(*result),
-                #[expect(
-                    clippy::panic,
-                    reason = "run() documents abort-on-failure semantics; failure-tolerant callers use run_outcomes"
-                )]
-                JobOutcome::Failed(failure) => {
-                    panic!(
-                        "suite job {} ({} under {:?}) panicked: {}",
-                        failure.job_index, failure.experiment, failure.policy, failure.panic
-                    );
-                }
-            }
-        }
+        let wall_s = start.elapsed().as_secs_f64();
+        // The first failure in job order, once the whole pool has run.
+        let jobs: Vec<JobResult> = match outcomes.into_iter().collect() {
+            Ok(jobs) => jobs,
+            #[expect(
+                clippy::panic,
+                reason = "run() documents abort-on-failure semantics; failure-tolerant sweeps use the campaign runner"
+            )]
+            Err(failure) => panic!("{failure}"),
+        };
         let serial_wall_s = jobs.iter().map(|j| j.wall_s).sum();
         SuiteReport {
             jobs,
@@ -613,44 +549,25 @@ mod tests {
     }
 
     #[test]
-    fn failed_job_is_isolated_and_typed() {
+    #[should_panic(
+        expected = "suite job 1 (bad under Iks) panicked: assertion `left == right` failed: IKS only supports big.LITTLE (exactly 2 core types)"
+    )]
+    fn failed_job_fails_the_run_after_the_pool_drains() {
         // IKS asserts a 2-type big.LITTLE platform; on the 4-type quad
         // it panics deterministically — the canonical poisoned cell.
-        let mut suite = ExperimentSuite::new().with_workers(2);
+        let ran = std::sync::Arc::new(AtomicUsize::new(0));
+        let seen = std::sync::Arc::clone(&ran);
+        let mut suite = ExperimentSuite::new()
+            .with_workers(2)
+            .on_progress(move |_| {
+                seen.fetch_add(1, Ordering::Relaxed);
+            });
         suite.push(tiny_spec("ok0"), Policy::Vanilla);
         suite.push(tiny_spec("bad"), Policy::Iks);
         suite.push(tiny_spec("ok1"), Policy::Vanilla);
-        let outcomes = suite.run_outcomes();
-        assert_eq!(outcomes.len(), 3);
-        assert!(outcomes[0].result().is_some(), "sibling job survived");
-        assert!(outcomes[2].result().is_some(), "later job still ran");
-        let failure = outcomes[1].failure().expect("IKS on quad must fail");
-        assert_eq!(failure.job_index, 1);
-        assert_eq!(failure.policy, Policy::Iks);
-        assert_eq!(failure.experiment, "bad");
-        assert_eq!(failure.seed, splitmix64(1));
-        assert!(
-            failure.panic.contains("exactly 2 core types"),
-            "payload text captured: {failure:?}"
-        );
-    }
-
-    #[test]
-    fn run_outcomes_matches_run_on_clean_suites() {
-        let mut suite = ExperimentSuite::new().with_workers(2);
-        suite.push(tiny_spec("w"), Policy::Vanilla);
-        suite.push(tiny_spec("w"), Policy::Smart);
-        let outcomes = suite.run_outcomes();
-        let report = suite.run();
-        assert_eq!(outcomes.len(), report.jobs.len());
-        for (o, j) in outcomes.iter().zip(&report.jobs) {
-            let r = o.result().expect("clean suite: no failures");
-            assert_eq!(
-                serde_json::to_string(&r.result).expect("serialize"),
-                serde_json::to_string(&j.result).expect("serialize"),
-                "outcome path and report path must measure identically"
-            );
-        }
+        let failure = catch_unwind(AssertUnwindSafe(|| suite.run())).expect_err("IKS on quad");
+        assert_eq!(ran.load(Ordering::Relaxed), 2, "both healthy jobs ran");
+        std::panic::resume_unwind(failure);
     }
 
     #[test]

@@ -29,6 +29,10 @@
 //! accumulation — no sampling, no thresholds that feed back into the
 //! loop. The same seeds therefore produce byte-identical JSONL, trace
 //! and Prometheus output on every rerun and any worker count.
+//!
+//! Host time enters only through a clock the caller attaches
+//! ([`Telemetry::set_clock`]; no library crate implements one), and
+//! only into the `sb_stage_host_ns_total{stage}` counters.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), warn(clippy::panic, clippy::unreachable))]
@@ -43,6 +47,7 @@ pub mod trace;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::rc::Rc;
 
 pub use export::{chrome_trace_json, ChromeEvent};
@@ -70,6 +75,24 @@ pub fn shared() -> TelemetryHandle {
 
 /// Relative-error histogram bounds shared by the IPS and power audits.
 pub const ERROR_BOUNDS: &[f64] = &[0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0];
+
+/// A host clock attached with [`Telemetry::set_clock`]: nanoseconds
+/// since any fixed origin, read at SmartBalance's stage boundaries.
+#[derive(Clone)]
+pub struct HostClock(Rc<dyn Fn() -> u64>);
+
+impl HostClock {
+    /// The clock's current reading, ns.
+    pub fn now_ns(&self) -> u64 {
+        (self.0)()
+    }
+}
+
+impl fmt::Debug for HostClock {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("HostClock")
+    }
+}
 
 /// A one-epoch-ahead prediction for a thread: the core the balancer
 /// placed it on plus the model's predicted rates there.
@@ -103,6 +126,7 @@ pub struct Telemetry {
     audit_samples: u64,
     audit_ips_err_sum: f64,
     audit_power_err_sum: f64,
+    clock: Option<HostClock>,
 }
 
 impl Telemetry {
@@ -194,6 +218,22 @@ impl Telemetry {
             .counter_add(&labeled("sb_stage_invocations_total", &label), 1);
         self.registry
             .counter_add(&labeled("sb_stage_work_total", &label), work);
+    }
+
+    /// Attaches the host clock the balancer times its stages with.
+    pub fn set_clock(&mut self, clock: impl Fn() -> u64 + 'static) {
+        self.clock = Some(HostClock(Rc::new(clock)));
+    }
+
+    /// The attached host clock, if any.
+    pub fn clock(&self) -> Option<HostClock> {
+        self.clock.clone()
+    }
+
+    /// Adds `ns` of host time to a stage's `sb_stage_host_ns_total`.
+    pub fn record_stage_host_ns(&mut self, stage: &str, ns: u64) {
+        self.registry
+            .counter_add(&labeled("sb_stage_host_ns_total", &[("stage", stage)]), ns);
     }
 
     /// Per-stage invocation and work totals for every profiled stage,

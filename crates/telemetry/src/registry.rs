@@ -112,9 +112,11 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Adds `delta` to the counter at `key`, creating it at zero first.
+    /// Adds `delta` to the counter at `key`, creating it at zero first;
+    /// the sum saturates at `u64::MAX`.
     pub fn counter_add(&mut self, key: &str, delta: u64) {
-        *self.counters.entry(key.to_string()).or_insert(0) += delta;
+        let counter = self.counters.entry(key.to_string()).or_insert(0);
+        *counter = counter.saturating_add(delta);
     }
 
     /// Sets the gauge at `key` to `value` (last write wins).

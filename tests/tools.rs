@@ -1,8 +1,9 @@
 //! The bench binaries' command lines: a misspelled flag stops a tool
 //! before it runs, and `campaign` refuses a report path it could not
-//! write before its first cell. Each case runs the built binary in a
-//! scratch directory of its own, so a tool that did run would leave
-//! its default output files there and not in the checkout.
+//! write, or an address file without an endpoint, before its first
+//! cell. Each case runs the built binary in a scratch directory of its
+//! own, so a tool that did run would leave its default output files
+//! there and not in the checkout.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -45,23 +46,18 @@ fn every_tool_rejects_a_misspelled_flag() {
         env!("CARGO_BIN_EXE_campaign"),
         &["--flush-evry", "2", "--smoke"],
     );
-    rejects(env!("CARGO_BIN_EXE_fig7"), &["--jsn", "f.json"]);
-    rejects(env!("CARGO_BIN_EXE_ablation"), &["--smoke"]);
+    rejects(env!("CARGO_BIN_EXE_timings"), &["--jsn", "f.json"]);
     rejects(env!("CARGO_BIN_EXE_paper"), &["--set", "imb"]);
 }
 
-#[test]
-fn campaign_refuses_an_unwritable_report_before_its_first_cell() {
-    let dir = scratch("campaign-unwritable");
-    let checkpoint = dir.join("journal.jsonl");
+/// Runs `campaign --smoke --checkpoint journal.jsonl` plus `args` in a
+/// scratch directory and checks that it fails before journaling a
+/// cell, with a message that contains `named`.
+fn campaign_refuses(case: &str, args: &[&str], named: &str) {
+    let dir = scratch(case);
     let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
-        .args([
-            "--smoke",
-            "--json",
-            "/nonexistent/dir/x.json",
-            "--checkpoint",
-        ])
-        .arg(&checkpoint)
+        .args(["--smoke", "--checkpoint", "journal.jsonl"])
+        .args(args)
         .current_dir(&dir)
         .output()
         .expect("start campaign");
@@ -70,10 +66,25 @@ fn campaign_refuses_an_unwritable_report_before_its_first_cell() {
         !out.status.success(),
         "campaign succeeded; stderr: {stderr}"
     );
-    assert!(
-        stderr.contains("/nonexistent/dir/x.json"),
-        "the failure names the path; stderr: {stderr}"
-    );
-    let journaled = std::fs::read_to_string(&checkpoint).unwrap_or_default();
+    assert!(stderr.contains(named), "no {named:?}; stderr: {stderr}");
+    let journaled = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap_or_default();
     assert_eq!(journaled.lines().count(), 0, "no cell ran: {journaled}");
+}
+
+#[test]
+fn campaign_refuses_an_unwritable_report_before_its_first_cell() {
+    campaign_refuses(
+        "campaign-unwritable",
+        &["--json", "/nonexistent/dir/x.json"],
+        "/nonexistent/dir/x.json",
+    );
+}
+
+#[test]
+fn campaign_refuses_an_address_file_without_an_endpoint() {
+    campaign_refuses(
+        "campaign-addr-file",
+        &["--json", "c.json", "--metrics-addr-file", "addr.txt"],
+        "--metrics-addr-file needs --metrics-addr",
+    );
 }
